@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import dataio
-from .errors import AvitrackError, ConfigError
+from .errors import AvitrackError, ConfigError, IngestError
 from .mask import build_frame_mask, gate_keypoints, read_pgm, write_pgm
 from .metrics import GroundTruth, tracking_metrics
 from .pipeline import PipelineConfig, run_pipeline
@@ -166,6 +166,8 @@ def _cmd_mask(args: argparse.Namespace) -> int:
     gated = []
     for (camera_id, frame) in sorted(boxes):
         pgm = dataio.frame_path(args.frames, camera_id, frame)
+        if not pgm.exists():
+            raise IngestError(pgm, "frame file missing for mask stage")
         gray = read_pgm(pgm)
         mask = build_frame_mask(
             gray, boxes[(camera_id, frame)], low=args.low, high=args.high

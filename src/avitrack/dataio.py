@@ -1,9 +1,13 @@
 """File formats: strict CSV/JSON ingestion and deterministic emission.
 
 Readers reject any row that deviates from its schema instead of coercing,
-and report the offending file and line. Writers format floats with
-``repr`` so files round-trip losslessly and rerunning a pipeline yields
-byte-identical output.
+and report the offending file and line. Keypoints, the bulk of every
+bundle, have a vectorised fast path: one ``np.loadtxt`` for the numbers
+and one streamed pass for the ids. Any file the fast path cannot take
+whole (unusual text, a parse failure, a non-finite value) goes to the
+strict row reader, so errors still name the file and line. Writers format
+floats with ``repr`` so files round-trip losslessly and rerunning a
+pipeline yields byte-identical output.
 """
 
 from __future__ import annotations
@@ -137,10 +141,14 @@ def read_detections(path) -> list[Detection]:
     return detections
 
 
+KEYPOINTS_FIXED_HEADER = ["camera_id", "frame", "detection_index", "x_px", "y_px"]
+# Printable ASCII except the quote: the bytes on which csv.reader has no
+# special case and float() and loadtxt agree.
+_PLAIN_CSV_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"")
+
+
 def keypoints_header(descriptor_length: int) -> list[str]:
-    return ["camera_id", "frame", "detection_index", "x_px", "y_px"] + [
-        f"d{i}" for i in range(descriptor_length)
-    ]
+    return KEYPOINTS_FIXED_HEADER + [f"d{i}" for i in range(descriptor_length)]
 
 
 def write_keypoints(path, keypoints: list[Keypoint]) -> None:
@@ -168,10 +176,8 @@ def write_keypoints(path, keypoints: list[Keypoint]) -> None:
             writer.writerow(row)
 
 
-def read_keypoints(path) -> list[Keypoint]:
-    keypoints = []
-    fixed = ["camera_id", "frame", "detection_index", "x_px", "y_px"]
-    path = Path(path)
+def _keypoints_descriptor_length(path: Path) -> int:
+    fixed = KEYPOINTS_FIXED_HEADER
     if not path.exists():
         raise IngestError(path, "file not found")
     with open(path, newline="") as fh:
@@ -183,6 +189,80 @@ def read_keypoints(path) -> list[Keypoint]:
         raise IngestError(
             path, "expected header camera_id,frame,detection_index,x_px,y_px,d0,...", 1
         )
+    return descriptor_length
+
+
+def read_keypoints(path) -> list[Keypoint]:
+    """Read keypoints.csv, taking the vectorised path when the file allows it."""
+    path = Path(path)
+    descriptor_length = _keypoints_descriptor_length(path)
+    keypoints = _read_keypoints_fast(path, descriptor_length)
+    if keypoints is None:
+        keypoints = _read_keypoints_strict(path, descriptor_length)
+    return keypoints
+
+
+def _read_keypoints_fast(path: Path, descriptor_length: int) -> list[Keypoint] | None:
+    """Whole-file keypoint parse; ``None`` where only the strict reader may judge.
+
+    The id and integer columns come from one streamed pass over the raw
+    lines, the numeric columns from one ``np.loadtxt``. Lines must be
+    printable ASCII without quotes, so ``bytes.split`` sees the same fields
+    as ``csv.reader`` and ``loadtxt`` the same numbers as ``float``. Any
+    other text, a parse failure, a row-count or shape mismatch, or a
+    non-finite value returns ``None``.
+    """
+    camera_ids: list[str] = []
+    frames: list[int] = []
+    det_indices: list[int] = []
+    commas = descriptor_length + 1
+    try:
+        with open(path, "rb") as fh:
+            for line_no, line in enumerate(fh):
+                if line.endswith(b"\r\n"):
+                    line = line[:-2]
+                elif line.endswith(b"\n"):
+                    line = line[:-1]
+                if line.translate(None, _PLAIN_CSV_BYTES):
+                    return None
+                if not line or not line_no:
+                    continue
+                fields = line.split(b",", 3)
+                if len(fields) != 4 or fields[3].count(b",") != commas:
+                    return None
+                camera_ids.append(fields[0].decode("ascii"))
+                frames.append(int(fields[1]))
+                det_indices.append(int(fields[2]))
+        if not camera_ids:
+            return []
+        values = np.loadtxt(
+            path, delimiter=",", skiprows=1,
+            usecols=range(3, 5 + descriptor_length), comments=None, ndmin=2,
+        )
+    except ValueError:
+        return None
+    if values.shape != (len(camera_ids), 2 + descriptor_length):
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return [
+        Keypoint(
+            camera_id=camera_id,
+            frame=frame,
+            detection_index=det_index,
+            position=row[:2],
+            descriptor=row[2:],
+        )
+        for camera_id, frame, det_index, row in zip(
+            camera_ids, frames, det_indices, values
+        )
+    ]
+
+
+def _read_keypoints_strict(path: Path, descriptor_length: int) -> list[Keypoint]:
+    """Row-by-row reader: the reference for the fast path, and its errors."""
+    keypoints = []
+    fixed = KEYPOINTS_FIXED_HEADER
     for line_no, row, _ in _read_rows(path, fixed, min_columns=len(fixed)):
         if len(row) != len(fixed) + descriptor_length:
             raise IngestError(

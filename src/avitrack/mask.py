@@ -136,17 +136,18 @@ def lateral_fill(
     x_min, y_min, x_max, y_max = (int(round(v)) for v in region)
     width = max(0, x_max - x_min)
     height = max(0, y_max - y_min)
-    bits = np.zeros((height, width), dtype=bool)
     edges = np.asarray(edges, dtype=int).reshape(-1, 2)
-    for row in range(height):
-        ys = edges[:, 1] == row + y_min
-        if not np.any(ys):
-            continue
-        cols = edges[ys, 0] - x_min
-        cols = cols[(cols >= 0) & (cols < width)]
-        if cols.size == 0:
-            continue
-        bits[row, cols.min() : cols.max() + 1] = True
+    cols = edges[:, 0] - x_min
+    rows = edges[:, 1] - y_min
+    inside = (cols >= 0) & (cols < width) & (rows >= 0) & (rows < height)
+    cols, rows = cols[inside], rows[inside]
+    # Per-row span [left, right]; rows without edges keep left > right.
+    left = np.full(height, width, dtype=int)
+    right = np.full(height, -1, dtype=int)
+    np.minimum.at(left, rows, cols)
+    np.maximum.at(right, rows, cols)
+    span = np.arange(width)
+    bits = (span >= left[:, None]) & (span <= right[:, None])
     return BinaryMask(width=width, height=height, bits=bits)
 
 

@@ -31,7 +31,7 @@ _H = np.hstack([np.eye(3), np.zeros((3, 6))])
 
 @dataclass(frozen=True)
 class TrackState:
-    """Kalman state, lifecycle counters, and per-frame position history."""
+    """Kalman state and lifecycle counters."""
 
     track_id: int
     state: np.ndarray
@@ -39,7 +39,6 @@ class TrackState:
     status: str = TENTATIVE
     hits: int = 1
     misses: int = 0
-    history: tuple[tuple[int, np.ndarray], ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "state", np.asarray(self.state, dtype=float).reshape(9))
@@ -207,7 +206,7 @@ class MultiObjectTracker:
         self._next_id = 1
         self._last_frame: int | None = None
 
-    def _spawn(self, frame: int, position: np.ndarray) -> TrackState:
+    def _spawn(self, position: np.ndarray) -> TrackState:
         cfg = self.config
         state = np.zeros(9)
         state[:3] = position
@@ -223,7 +222,6 @@ class MultiObjectTracker:
             status=TENTATIVE,
             hits=1,
             misses=0,
-            history=((frame, position.copy()),),
         )
         self._next_id += 1
         return track
@@ -262,7 +260,6 @@ class MultiObjectTracker:
                 hits=hits,
                 misses=0,
                 status=status,
-                history=track.history + ((frame, track.position.copy()),),
             )
         for track_idx in unmatched_tracks:
             track = self.tracks[track_idx]
@@ -273,7 +270,6 @@ class MultiObjectTracker:
                 hits=0,
                 misses=misses,
                 status=status,
-                history=track.history + ((frame, track.position.copy()),),
             )
 
         survivors = []
@@ -285,7 +281,7 @@ class MultiObjectTracker:
                 survivors.append(track)
 
         for obs_idx in unmatched_obs:
-            survivors.append(self._spawn(frame, observations[obs_idx]))
+            survivors.append(self._spawn(observations[obs_idx]))
 
         self.tracks = survivors
         return list(self.tracks)

@@ -157,7 +157,8 @@ class TestStandaloneCommands:
         assert code == 0
         assert (out / "voronoi_cam0.svg").exists()
 
-    def test_mask_command(self, tmp_path):
+    @pytest.fixture
+    def masked_bundle(self, tmp_path):
         bundle_dir = tmp_path / "masked_bundle"
         code = main(
             [
@@ -168,15 +169,28 @@ class TestStandaloneCommands:
             ]
         )
         assert code == 0
+        return bundle_dir
+
+    def _mask_args(self, bundle_dir, out):
+        return [
+            "mask", "--frames", str(bundle_dir / "frames"),
+            "--detections", str(bundle_dir / "detections.csv"),
+            "--keypoints", str(bundle_dir / "keypoints.csv"),
+            "--out", str(out), "--emit-masks",
+        ]
+
+    def test_mask_command(self, masked_bundle, tmp_path):
         out = tmp_path / "masks"
-        code = main(
-            [
-                "mask", "--frames", str(bundle_dir / "frames"),
-                "--detections", str(bundle_dir / "detections.csv"),
-                "--keypoints", str(bundle_dir / "keypoints.csv"),
-                "--out", str(out), "--emit-masks",
-            ]
-        )
-        assert code == 0
+        assert main(self._mask_args(masked_bundle, out)) == 0
         assert (out / "keypoints_gated.csv").exists()
         assert list(out.glob("mask_*.pgm"))
+
+    def test_mask_command_missing_frame_is_ingest_error(
+        self, masked_bundle, tmp_path, capsys
+    ):
+        missing = masked_bundle / "frames" / "cam1_frame3.pgm"
+        missing.unlink()
+        code = main(self._mask_args(masked_bundle, tmp_path / "masks"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {missing}: frame file missing for mask stage" in err

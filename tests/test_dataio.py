@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avitrack import dataio
 from avitrack.errors import IngestError
@@ -201,3 +203,194 @@ class TestFloatFormatting:
         path = tmp_path / "d.csv"
         dataio.write_detections(path, detections)
         assert dataio.read_detections(path) == detections
+
+
+KEYPOINT_HEADER = "camera_id,frame,detection_index,x_px,y_px,d0,d1,d2"
+KEYPOINT_ROWS = [
+    "cam0,0,0,1.5,2.5,0.1,0.2,0.3",
+    "cam0,0,1,3.0,4.0,-0.5,1e-3,7",
+    "cam1,2,0,5.25,6.75,0.0,-0.0,2.5e10",
+]
+
+
+def _fast(path):
+    """The fast path alone: keypoints, or None where it hands over."""
+    return dataio._read_keypoints_fast(path, dataio._keypoints_descriptor_length(path))
+
+
+def _strict(path):
+    return dataio._read_keypoints_strict(path, dataio._keypoints_descriptor_length(path))
+
+
+def _outcome(read, path):
+    try:
+        return read(path), None
+    except Exception as exc:  # compared below, whatever its type
+        return None, exc
+
+
+def assert_readers_agree(path):
+    """read_keypoints and the strict reader give the same bits or the same error."""
+    got, got_exc = _outcome(dataio.read_keypoints, path)
+    expected, expected_exc = _outcome(_strict, path)
+    if expected_exc is not None:
+        assert got_exc is not None, f"strict reader raised {expected_exc!r}"
+        assert type(got_exc) is type(expected_exc)
+        assert str(got_exc) == str(expected_exc)
+        assert getattr(got_exc, "line", None) == getattr(expected_exc, "line", None)
+        return None
+    assert got_exc is None, f"strict reader accepted, got {got_exc!r}"
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert (a.camera_id, a.frame, a.detection_index) == (
+            b.camera_id, b.frame, b.detection_index
+        )
+        assert type(a.frame) is int and type(a.detection_index) is int
+        assert a.position.dtype == b.position.dtype == np.float64
+        assert a.position.tobytes() == b.position.tobytes()
+        assert a.descriptor.tobytes() == b.descriptor.tobytes()
+    return got
+
+
+def _write_keypoints_text(path, rows, newline="\n", header=KEYPOINT_HEADER, end=True):
+    text = newline.join([header, *rows]) + (newline if end else "")
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def _with_field(row: str, column: int, text: str) -> str:
+    fields = row.split(",")
+    fields[column] = text
+    return ",".join(fields)
+
+
+MUTATED_ROWS = {
+    "too_few_columns": [KEYPOINT_ROWS[0], "cam0,0,1,3.0,4.0,-0.5,1e-3"],
+    "too_many_columns": [KEYPOINT_ROWS[0], "cam0,0,1,3.0,4.0,-0.5,1e-3,7,8"],
+    "id_only": [KEYPOINT_ROWS[0], "cam0"],
+    "nan": [_with_field(KEYPOINT_ROWS[1], 3, "nan")],
+    "inf_descriptor": [KEYPOINT_ROWS[0], _with_field(KEYPOINT_ROWS[1], 6, "-inf")],
+    "infinity": [_with_field(KEYPOINT_ROWS[1], 4, "Infinity")],
+    "overflow_1e400": [KEYPOINT_ROWS[0], _with_field(KEYPOINT_ROWS[1], 5, "1e400")],
+    "overflow_past_max": [_with_field(KEYPOINT_ROWS[1], 5, "1.7976931348623159e308")],
+    "largest_finite": [_with_field(KEYPOINT_ROWS[1], 5, "1.7976931348623157e308")],
+    "subnormals": [
+        _with_field(_with_field(KEYPOINT_ROWS[1], 5, "5e-324"), 6,
+                    "2.4703282292062328e-324"),
+        _with_field(KEYPOINT_ROWS[1], 7, "1e-400"),
+    ],
+    "non_integer_frame": [KEYPOINT_ROWS[0], _with_field(KEYPOINT_ROWS[1], 1, "1.0")],
+    "exponent_frame": [_with_field(KEYPOINT_ROWS[1], 1, "1e5")],
+    "underscore_frame": [_with_field(KEYPOINT_ROWS[1], 1, "1_0")],
+    "underscore_float": [_with_field(KEYPOINT_ROWS[1], 3, "1_0.5")],
+    "unicode_digit_frame": [_with_field(KEYPOINT_ROWS[1], 1, "١٢")],
+    "unicode_digit_float": [_with_field(KEYPOINT_ROWS[1], 4, "٣.٥")],
+    "unicode_camera_id": [_with_field(KEYPOINT_ROWS[1], 0, "camé")],
+    "padded_numbers": [
+        _with_field(_with_field(KEYPOINT_ROWS[1], 1, " 1 "), 3, " 3.0 ")
+    ],
+    "signed_and_bare_point": [_with_field(
+        _with_field(KEYPOINT_ROWS[1], 3, "+5"), 4, ".5")],
+    "tab_padded_float": [_with_field(KEYPOINT_ROWS[1], 3, "\t3.0\t")],
+    "separator_control_char": [_with_field(KEYPOINT_ROWS[1], 3, "3.0\x1c")],
+    "hex_float": [_with_field(KEYPOINT_ROWS[1], 3, "0x1p3")],
+    "empty_float": [_with_field(KEYPOINT_ROWS[1], 3, "")],
+    "quoted_camera_id": [KEYPOINT_ROWS[0], '"cam0",0,1,3.0,4.0,-0.5,1e-3,7'],
+    "quoted_comma": ['"cam,0",0,1,3.0,4.0,-0.5,1e-3,7'],
+    "quoted_float": [_with_field(KEYPOINT_ROWS[1], 3, '"3.0"')],
+    "hash_in_camera_id": [_with_field(KEYPOINT_ROWS[1], 0, "cam#0"), KEYPOINT_ROWS[2]],
+    "whitespace_only_line": [KEYPOINT_ROWS[0], "   ", KEYPOINT_ROWS[1]],
+    "blank_lines": ["", KEYPOINT_ROWS[0], "", "", KEYPOINT_ROWS[1], ""],
+    "blank_lines_then_error": ["", KEYPOINT_ROWS[0], "", _with_field(
+        KEYPOINT_ROWS[1], 2, "x")],
+    "nul_in_float": [_with_field(KEYPOINT_ROWS[1], 3, "3.0\x00")],
+    "nul_line": [KEYPOINT_ROWS[0], "\x00", KEYPOINT_ROWS[1]],
+    "bare_carriage_return": [KEYPOINT_ROWS[0] + "\r" + KEYPOINT_ROWS[1]],
+    "error_after_error": [
+        _with_field(KEYPOINT_ROWS[0], 4, "nan"), _with_field(KEYPOINT_ROWS[1], 1, "x")
+    ],
+}
+
+
+class TestKeypointFastPath:
+    """read_keypoints must match the strict row reader bit for bit."""
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\n"], ids=["crlf", "lf"])
+    def test_synth_bundle(self, bundle_dir, tmp_path, newline):
+        out, bundle = bundle_dir
+        raw = (out / "keypoints.csv").read_bytes()
+        assert b"\r\n" in raw  # csv.writer's line ending
+        path = tmp_path / "keypoints.csv"
+        path.write_bytes(raw.replace(b"\r\n", newline.encode()))
+        assert _fast(path) is not None
+        loaded = assert_readers_agree(path)
+        assert len(loaded) == len(bundle.keypoints)
+
+    def test_rows_share_one_array(self, bundle_dir):
+        out, _ = bundle_dir
+        loaded = dataio.read_keypoints(out / "keypoints.csv")
+        base = loaded[0].descriptor.base
+        assert base is not None
+        assert all(kp.position.base is base and kp.descriptor.base is base
+                   for kp in loaded)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\n"], ids=["crlf", "lf"])
+    @pytest.mark.parametrize("case", sorted(MUTATED_ROWS))
+    def test_mutated_rows(self, tmp_path, case, newline):
+        path = _write_keypoints_text(
+            tmp_path / "k.csv", MUTATED_ROWS[case], newline=newline
+        )
+        assert_readers_agree(path)
+
+    @pytest.mark.parametrize("case", [
+        "hash_in_camera_id", "padded_numbers", "signed_and_bare_point",
+        "blank_lines", "largest_finite", "subnormals",
+    ])
+    def test_plain_text_takes_fast_path(self, tmp_path, case):
+        path = _write_keypoints_text(tmp_path / "k.csv", MUTATED_ROWS[case])
+        assert _fast(path) is not None
+
+    @pytest.mark.parametrize("case", [
+        "too_many_columns", "nan", "overflow_1e400", "separator_control_char",
+        "quoted_camera_id", "unicode_digit_frame", "bare_carriage_return",
+        "nul_in_float", "underscore_float",
+    ])
+    def test_fast_path_hands_over(self, tmp_path, case):
+        path = _write_keypoints_text(tmp_path / "k.csv", MUTATED_ROWS[case])
+        assert _fast(path) is None
+
+    def test_error_names_file_and_line(self, tmp_path):
+        path = _write_keypoints_text(
+            tmp_path / "k.csv", MUTATED_ROWS["blank_lines_then_error"]
+        )
+        with pytest.raises(IngestError, match=r"k\.csv:5: column 'detection_index'"):
+            dataio.read_keypoints(path)
+
+    def test_bare_carriage_return_ends_header(self, tmp_path):
+        path = _write_keypoints_text(
+            tmp_path / "k.csv", KEYPOINT_ROWS[1:],
+            header=KEYPOINT_HEADER + "\r" + KEYPOINT_ROWS[0],
+        )
+        assert _fast(path) is None
+        assert len(assert_readers_agree(path)) == len(KEYPOINT_ROWS)
+
+    def test_no_trailing_newline(self, tmp_path):
+        path = _write_keypoints_text(tmp_path / "k.csv", KEYPOINT_ROWS, end=False)
+        assert _fast(path) is not None
+        assert len(assert_readers_agree(path)) == len(KEYPOINT_ROWS)
+
+    @pytest.mark.parametrize("end", [True, False])
+    def test_header_without_body(self, tmp_path, end):
+        path = _write_keypoints_text(tmp_path / "k.csv", [], end=end)
+        assert assert_readers_agree(path) == []
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        column=st.sampled_from([1, 2, 3, 4, 7]),
+        text=st.text(alphabet="0123456789.eE+-_ \tinfatyINFATYx#\"\x1c١",
+                     max_size=8),
+    )
+    def test_random_field_text(self, tmp_path_factory, column, text):
+        rows = [KEYPOINT_ROWS[0], _with_field(KEYPOINT_ROWS[1], column, text)]
+        path = _write_keypoints_text(tmp_path_factory.mktemp("k") / "k.csv", rows)
+        assert_readers_agree(path)

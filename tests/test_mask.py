@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avitrack.errors import EmptyRegionError
 from avitrack.mask import (
@@ -104,6 +106,64 @@ class TestLateralFill:
         extra = np.vstack([edges, [[2, 5]]])
         grown = lateral_fill(extra, region)
         assert np.all(grown.bits[first.bits])
+
+
+def _row_loop_lateral_fill(edges, region) -> np.ndarray:
+    """Row-by-row fill: the reference the vectorised lateral_fill must match."""
+    x_min, y_min, x_max, y_max = (int(round(v)) for v in region)
+    width = max(0, x_max - x_min)
+    height = max(0, y_max - y_min)
+    bits = np.zeros((height, width), dtype=bool)
+    edges = np.asarray(edges, dtype=int).reshape(-1, 2)
+    for row in range(height):
+        ys = edges[:, 1] == row + y_min
+        if not np.any(ys):
+            continue
+        cols = edges[ys, 0] - x_min
+        cols = cols[(cols >= 0) & (cols < width)]
+        if cols.size == 0:
+            continue
+        bits[row, cols.min() : cols.max() + 1] = True
+    return bits
+
+
+@st.composite
+def _regions_and_edges(draw):
+    """A region (possibly empty) and edge pixels scattered around it.
+
+    Edges reach a few pixels past every side, so some fall outside the
+    region, and sparse sets leave rows without an edge.
+    """
+    x_min = draw(st.integers(-5, 20))
+    y_min = draw(st.integers(-5, 20))
+    x_max = x_min + draw(st.integers(-3, 16))
+    y_max = y_min + draw(st.integers(-3, 16))
+    margin = 4
+    xs = st.integers(x_min - margin, max(x_min, x_max) + margin)
+    ys = st.integers(y_min - margin, max(y_min, y_max) + margin)
+    edges = draw(st.lists(st.tuples(xs, ys), max_size=40))
+    return (x_min, y_min, x_max, y_max), edges
+
+
+class TestLateralFillMatchesRowLoop:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=_regions_and_edges())
+    def test_random_edge_sets(self, case):
+        region, edges = case
+        got = lateral_fill(edges, region)
+        expected = _row_loop_lateral_fill(edges, region)
+        assert got.bits.shape == expected.shape
+        assert got.bits.tobytes() == expected.tobytes()
+
+    def test_canny_edges_of_a_real_frame(self):
+        rng = np.random.default_rng(11)
+        pixels = rng.integers(0, 40, size=(60, 80))
+        pixels[15:45, 20:60] += 180
+        region = (10, 5, 70, 55)
+        edges = canny_edges(_frame(pixels), region)
+        assert len(edges) > 0
+        got = lateral_fill(edges, region)
+        assert got.bits.tobytes() == _row_loop_lateral_fill(edges, region).tobytes()
 
 
 class TestGateKeypoints:
