@@ -15,6 +15,7 @@ import numpy as np
 from .errors import BehindCameraError, DegenerateConfigurationError, EmptyInputError
 
 _ORTHONORMAL_TOL = 1e-9
+MIN_DEPTH = 1e-12
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -166,22 +167,42 @@ def projection_matrix(cam: CameraModel) -> np.ndarray:
     return cam.intrinsic_matrix @ rt
 
 
+def project_points(
+    cam: CameraModel, points: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Project (N, 3) world points; returns (pixels (N, 2), depth (N,)).
+
+    ``depth`` is the camera-frame z. Pixels of points at depth <=
+    ``MIN_DEPTH`` are NaN. Each row is transformed by its own vector-matrix
+    product, so row i has the same bits as projecting point i alone;
+    ``project_many`` transforms all rows in one matrix product, which can
+    round the last bit differently.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    cam_pts = np.matmul(points[:, None, :], cam.rotation.T)[:, 0, :] + cam.translation
+    depth = cam_pts[:, 2]
+    behind = depth <= MIN_DEPTH
+    normalized = cam_pts[:, :2] / np.where(behind, 1.0, depth)[:, None]
+    distorted = cam.distort(normalized)
+    pixels = np.empty_like(distorted)
+    pixels[:, 0] = cam.fx * distorted[:, 0] + cam.cx
+    pixels[:, 1] = cam.fy * distorted[:, 1] + cam.cy
+    pixels[behind] = np.nan
+    return pixels, depth
+
+
 def project(cam: CameraModel, point: np.ndarray) -> np.ndarray:
     """Project one world point (meters) to pixel coordinates.
 
     Raises BehindCameraError when the camera-frame depth is not positive.
     """
-    cam_pt = cam.camera_frame(np.asarray(point, dtype=float).reshape(3))
-    z = cam_pt[2]
-    if z <= 1e-12:
+    pixels, depth = project_points(cam, np.asarray(point, dtype=float).reshape(1, 3))
+    z = depth[0]
+    if z <= MIN_DEPTH:
         raise BehindCameraError(
             f"camera {cam.cam_id}: point has depth {z:.3g} <= 0"
         )
-    normalized = cam_pt[:2] / z
-    distorted = cam.distort(normalized)
-    return np.array(
-        [cam.fx * distorted[0] + cam.cx, cam.fy * distorted[1] + cam.cy]
-    )
+    return pixels[0]
 
 
 def project_many(cam: CameraModel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,7 +214,7 @@ def project_many(cam: CameraModel, points: np.ndarray) -> tuple[np.ndarray, np.n
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     cam_pts = cam.camera_frame(points)
     z = cam_pts[:, 2]
-    in_front = z > 1e-12
+    in_front = z > MIN_DEPTH
     safe_z = np.where(in_front, z, 1.0)
     normalized = cam_pts[:, :2] / safe_z[:, None]
     distorted = cam.distort(normalized)

@@ -20,9 +20,26 @@ from .mask import build_frame_mask, gate_keypoints, read_pgm, write_pgm
 from .metrics import GroundTruth, tracking_metrics
 from .pipeline import PipelineConfig, run_pipeline
 from .synthworld import SceneConfig, generate
-from .tracking import TrackerConfig, render_trajectories, run_tracker
+from .tracking import render_trajectories, run_tracker
 
 logger = logging.getLogger(__name__)
+
+
+# PipelineConfig fields that set the tracker, shared by ``run`` and ``track``.
+TRACKER_FIELDS = (
+    "fps", "gate_m", "jerk_sigma", "meas_sigma_m", "confirm_hits", "max_misses",
+    "association",
+)
+
+
+def _add_tracker_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--gate", type=float, dest="gate_m")
+    parser.add_argument("--jerk-sigma", type=float, dest="jerk_sigma")
+    parser.add_argument("--meas-sigma", type=float, dest="meas_sigma_m")
+    parser.add_argument("--confirm-hits", type=int, dest="confirm_hits")
+    parser.add_argument("--max-misses", type=int, dest="max_misses")
+    parser.add_argument("--association", choices=("greedy", "optimal"))
+    parser.add_argument("--fps", type=float)
 
 
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
@@ -47,40 +64,32 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--landmark-anchor", choices=("keypoint", "detection_center"),
                         dest="landmark_anchor")
     parser.add_argument("--fuse-radius", type=float, dest="fuse_radius_m")
-    parser.add_argument("--gate", type=float, dest="gate_m")
-    parser.add_argument("--jerk-sigma", type=float, dest="jerk_sigma")
-    parser.add_argument("--meas-sigma", type=float, dest="meas_sigma_m")
-    parser.add_argument("--confirm-hits", type=int, dest="confirm_hits")
-    parser.add_argument("--max-misses", type=int, dest="max_misses")
-    parser.add_argument("--association", choices=("greedy", "optimal"))
+    _add_tracker_arguments(parser)
     parser.add_argument("--canny-low", type=float, dest="canny_low")
     parser.add_argument("--canny-high", type=float, dest="canny_high")
-    parser.add_argument("--fps", type=float)
     parser.add_argument("--reproj-threshold", type=float, dest="reproj_threshold_px")
     parser.add_argument("--gap-tolerance", type=int, dest="gap_tolerance_frames")
     parser.add_argument("--validate-bounds", action="store_true", default=None)
     parser.add_argument("--parallelism", type=int)
 
 
-def _build_pipeline_config(args: argparse.Namespace, stage: str | None = None) -> PipelineConfig:
-    if args.config:
-        config = PipelineConfig.from_file(args.config)
-    else:
-        config = PipelineConfig()
+def _config_with_flags(args: argparse.Namespace, names) -> PipelineConfig:
+    """The ``--config`` file, or the defaults, overridden by the named flags."""
+    config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
+    return config.with_overrides({name: getattr(args, name, None) for name in names})
 
-    overrides = {}
-    for name in (
+
+def _build_pipeline_config(args: argparse.Namespace, stage: str | None = None) -> PipelineConfig:
+    config = _config_with_flags(args, (
         "detections_path", "keypoints_path", "landmarks_path", "calibration_path",
         "frames_dir", "truth_path", "match_truth_path", "output_dir",
         "stage", "use_mask", "fusion", "ratio", "knn_k", "min_support",
-        "landmark_anchor", "fuse_radius_m", "gate_m", "jerk_sigma", "meas_sigma_m",
-        "confirm_hits", "max_misses", "association", "canny_low", "canny_high",
-        "fps", "reproj_threshold_px", "gap_tolerance_frames", "validate_bounds",
-        "parallelism",
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
+        "landmark_anchor", "fuse_radius_m", "canny_low", "canny_high",
+        "reproj_threshold_px", "gap_tolerance_frames", "validate_bounds",
+        "parallelism", *TRACKER_FIELDS,
+    ))
+
+    overrides = {}
     if getattr(args, "pairs", None):
         parsed = []
         for text in args.pairs:
@@ -187,12 +196,9 @@ def _cmd_track(args: argparse.Namespace) -> int:
     observations_by_frame: dict[int, list] = {}
     for frame, _, position, _, _ in rows:
         observations_by_frame.setdefault(frame, []).append(position)
-    config = TrackerConfig(
-        dt=1.0 / args.fps,
-        gate=args.gate,
-        association=args.association,
-    )
-    track_rows = run_tracker(observations_by_frame, config)
+    config = _config_with_flags(args, TRACKER_FIELDS)
+    config.validate()
+    track_rows = run_tracker(observations_by_frame, config.tracker_config())
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataio.write_tracks(out_dir / "tracks.csv", track_rows)
@@ -269,11 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
     mask.set_defaults(func=_cmd_mask)
 
     track = sub.add_parser("track", help="track an observations.csv file")
+    track.add_argument("--config", help="pipeline config JSON (tracker settings)")
     track.add_argument("--observations", required=True)
     track.add_argument("--out", required=True)
-    track.add_argument("--fps", type=float, default=30.0)
-    track.add_argument("--gate", type=float, default=0.5)
-    track.add_argument("--association", choices=("greedy", "optimal"), default="greedy")
+    _add_tracker_arguments(track)
     track.set_defaults(func=_cmd_track)
 
     evaluate = sub.add_parser("eval", help="tracking metrics from tracks + truth")

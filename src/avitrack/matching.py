@@ -10,13 +10,15 @@ Surviving matches are then clustered into detection-level correspondences.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import DimensionMismatchError
-from .voronoi import LandmarkSet, nearest_landmark
+# ``nearest_landmark`` stays importable from here for callers that look
+# it up on this module; rejection itself uses the batched form.
+from .voronoi import LandmarkSet, nearest_landmark, nearest_landmarks_many  # noqa: F401
 
 KEPT = "kept"
 REJECTED = "rejected"
@@ -119,6 +121,8 @@ def knn_match(
     """
     if not keypoints_a or not keypoints_b:
         return []
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if k < 2 and len(keypoints_b) >= 2:
         raise ValueError(f"k must be >= 2 for the ratio test, got {k}")
     lengths = {kp.descriptor.size for kp in keypoints_a} | {
@@ -131,29 +135,30 @@ def knn_match(
 
     desc_a = np.stack([kp.descriptor for kp in keypoints_a])
     desc_b = np.stack([kp.descriptor for kp in keypoints_b])
+    for side, desc in (("A", desc_a), ("B", desc_b)):
+        if not np.isfinite(desc).all():
+            raise ValueError(f"knn_match: non-finite descriptor on side {side}")
     distances = cdist(desc_a, desc_b)
 
-    matches = []
-    for i, kp_a in enumerate(keypoints_a):
-        row = distances[i]
-        # Stable sort keeps the lower index first on exact ties.
-        order = np.argsort(row, kind="stable")[:k]
-        best = int(order[0])
-        d1 = float(row[best])
-        if len(order) >= 2:
-            d2 = float(row[int(order[1])])
-            if not d1 < ratio * d2:
-                continue
-        matches.append(
-            FeatureMatch(
-                keypoint_a=kp_a,
-                keypoint_b=keypoints_b[best],
-                index_a=i,
-                index_b=best,
-                descriptor_distance=d1,
-            )
+    # argmin's first hit is the lower index on exact ties.
+    rows = np.arange(len(keypoints_a))
+    best = np.argmin(distances, axis=1)
+    d1 = distances[rows, best]
+    if len(keypoints_b) >= 2:
+        distances[rows, best] = np.inf
+        passed = np.flatnonzero(d1 < ratio * distances.min(axis=1))
+    else:
+        passed = rows
+    return [
+        FeatureMatch(
+            keypoint_a=keypoints_a[i],
+            keypoint_b=keypoints_b[j],
+            index_a=i,
+            index_b=j,
+            descriptor_distance=d,
         )
-    return matches
+        for i, j, d in zip(passed.tolist(), best[passed].tolist(), d1[passed].tolist())
+    ]
 
 
 def reject_by_landmark(
@@ -179,18 +184,34 @@ def reject_by_landmark(
         det = detections[(kp.camera_id, kp.frame, kp.detection_index)]
         return det.center
 
+    # One nearest-landmark query per (side, camera) over all its anchors.
+    queries: dict[tuple[int, str], tuple[list[int], list[np.ndarray]]] = {}
+    for i, match in enumerate(matches):
+        for side, kp in enumerate((match.keypoint_a, match.keypoint_b)):
+            rows, points = queries.setdefault((side, kp.camera_id), ([], []))
+            rows.append(i)
+            points.append(anchor_point(kp))
+    nearest = [[0] * len(matches), [0] * len(matches)]
+    for (side, camera_id), (rows, points) in queries.items():
+        ids = nearest_landmarks_many(landmarks, camera_id, np.array(points))
+        for i, landmark in zip(rows, ids.tolist()):
+            nearest[side][i] = landmark
+
     decided = []
     per_frame: dict[int, list[bool]] = defaultdict(list)
-    for match in matches:
-        lm_a = nearest_landmark(
-            landmarks, match.keypoint_a.camera_id, anchor_point(match.keypoint_a)
-        )
-        lm_b = nearest_landmark(
-            landmarks, match.keypoint_b.camera_id, anchor_point(match.keypoint_b)
-        )
+    for match, lm_a, lm_b in zip(matches, *nearest):
         verdict = KEPT if lm_a == lm_b else REJECTED
         decided.append(
-            replace(match, landmark_a=lm_a, landmark_b=lm_b, verdict=verdict)
+            FeatureMatch(
+                keypoint_a=match.keypoint_a,
+                keypoint_b=match.keypoint_b,
+                index_a=match.index_a,
+                index_b=match.index_b,
+                descriptor_distance=match.descriptor_distance,
+                landmark_a=lm_a,
+                landmark_b=lm_b,
+                verdict=verdict,
+            )
         )
         per_frame[match.keypoint_a.frame].append(verdict == REJECTED)
 

@@ -110,22 +110,35 @@ def _match_truth_to_tracks(
     track_rows: list[tuple[int, int, str, np.ndarray]],
     gate: float,
 ) -> dict[int, list[tuple[int, int | None]]]:
-    """Per identity, the (frame, matched track id or None) sequence."""
+    """Per identity, the (frame, matched track id or None) sequence.
+
+    An identity takes the nearest track within ``gate``; equal distances
+    go to the lower track id.
+    """
     tracks_by_frame: dict[int, list[tuple[int, np.ndarray]]] = defaultdict(list)
     for frame, track_id, _, position in track_rows:
         tracks_by_frame[frame].append((track_id, np.asarray(position, dtype=float)))
 
     assignments: dict[int, list[tuple[int, int | None]]] = defaultdict(list)
     for frame in sorted(truth_positions):
-        candidates = tracks_by_frame.get(frame, [])
-        for identity in sorted(truth_positions[frame]):
-            true_pos = np.asarray(truth_positions[frame][identity], dtype=float)
-            best_id = None
-            best_dist = float("inf")
-            for track_id, pos in sorted(candidates, key=lambda c: c[0]):
-                dist = float(np.linalg.norm(pos - true_pos))
-                if dist <= gate and dist < best_dist:
-                    best_id, best_dist = track_id, dist
+        identities = sorted(truth_positions[frame])
+        candidates = sorted(tracks_by_frame.get(frame, []), key=lambda c: c[0])
+        if not candidates or not identities:
+            for identity in identities:
+                assignments[identity].append((frame, None))
+            continue
+        true_pos = np.array(
+            [np.asarray(truth_positions[frame][i], dtype=float) for i in identities]
+        )
+        track_pos = np.array([pos for _, pos in candidates])
+        delta = track_pos[None, :, :] - true_pos[:, None, :]
+        dist = np.sqrt(np.vecdot(delta, delta))
+        # Out-of-gate and NaN distances can never be chosen; argmin's first
+        # hit is the lowest track id among equal distances.
+        dist[~(dist <= gate)] = np.inf
+        best = np.argmin(dist, axis=1)
+        for identity, row, col in zip(identities, dist, best.tolist()):
+            best_id = candidates[col][0] if row[col] < np.inf else None
             assignments[identity].append((frame, best_id))
     return assignments
 

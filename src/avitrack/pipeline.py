@@ -119,6 +119,18 @@ class PipelineConfig:
         clean = {k: v for k, v in overrides.items() if v is not None}
         return replace(self, **clean)
 
+    def tracker_config(self) -> TrackerConfig:
+        """The tracker settings of this config, shared by ``run`` and ``track``."""
+        return TrackerConfig(
+            dt=1.0 / self.fps,
+            jerk_sigma=self.jerk_sigma,
+            meas_sigma=self.meas_sigma_m,
+            gate=self.gate_m,
+            confirm_hits=self.confirm_hits,
+            max_misses=self.max_misses,
+            association=self.association,
+        )
+
     def for_bundle_dir(self, bundle_dir) -> "PipelineConfig":
         """Fill unset input paths from a dataset bundle directory layout."""
         bundle = Path(bundle_dir)
@@ -362,21 +374,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
         dataio.write_metrics(out_dir / "metrics.json", report)
         return report
 
-    tracker_config = TrackerConfig(
-        dt=1.0 / config.fps,
-        jerk_sigma=config.jerk_sigma,
-        meas_sigma=config.meas_sigma_m,
-        gate=config.gate_m,
-        confirm_hits=config.confirm_hits,
-        max_misses=config.max_misses,
-        association=config.association,
-    )
     observations_by_frame: dict[int, list[np.ndarray]] = {}
     for result in results:
         observations_by_frame[result.frame] = [
             obs.position for obs in result.observations
         ]
-    track_rows = run_tracker(observations_by_frame, tracker_config)
+    track_rows = run_tracker(observations_by_frame, config.tracker_config())
     dataio.write_tracks(out_dir / "tracks.csv", track_rows)
     (out_dir / "trajectories.svg").write_text(render_trajectories(track_rows))
     logger.info("tracked %d row(s) over %d frame(s)",

@@ -6,8 +6,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CameraModel, project, projection_matrix
+from .camera import (
+    MIN_DEPTH,
+    CameraModel,
+    project,
+    project_points,
+    projection_matrix,
+)
 from .errors import (
+    BehindCameraError,
     DegenerateRaysError,
     EmptyInputError,
     NonFiniteResultError,
@@ -224,7 +231,7 @@ def reconstruct_frame(
             for cam_id, observed in estimates[i][2].items():
                 try:
                     reproj = project(cameras[cam_id], position)
-                except Exception:
+                except BehindCameraError:
                     continue
                 errors.setdefault(cam_id, []).append(
                     float(np.linalg.norm(reproj - observed))
@@ -257,30 +264,32 @@ def reconstruction_stats(
     """
     if not observations:
         raise EmptyInputError("reconstruction_stats: no observations")
-    errors: list[float] = []
     kept = [m for m in matches if m.verdict in (None, "kept")]
     by_pair: dict[tuple[str, str], list[FeatureMatch]] = {}
     for match in kept:
         key = (match.keypoint_a.camera_id, match.keypoint_b.camera_id)
         by_pair.setdefault(key, []).append(match)
 
+    errors: list[np.ndarray] = []
     for (cam_a, cam_b), pair_matches in sorted(by_pair.items()):
         pts_a = np.array([m.keypoint_a.position for m in pair_matches])
         pts_b = np.array([m.keypoint_b.position for m in pair_matches])
         points = triangulate_batch(pts_a, pts_b, cameras[cam_a], cameras[cam_b])
-        for i, point in enumerate(points):
-            if np.any(np.isnan(point)):
-                continue
-            for cam_id, observed in ((cam_a, pts_a[i]), (cam_b, pts_b[i])):
-                try:
-                    reproj = project(cameras[cam_id], point)
-                except Exception:
-                    continue
-                errors.append(float(np.linalg.norm(reproj - observed)))
+        finite = ~np.isnan(points).any(axis=1)
+        # Columns are (cam_a, cam_b), so the row-major mask keeps each
+        # point's cam_a error before its cam_b error.
+        pair_errors = np.empty((int(finite.sum()), 2))
+        in_front = np.empty(pair_errors.shape, dtype=bool)
+        for col, cam_id, observed in ((0, cam_a, pts_a), (1, cam_b, pts_b)):
+            pixels, depth = project_points(cameras[cam_id], points[finite])
+            delta = pixels - observed[finite]
+            pair_errors[:, col] = np.sqrt(np.vecdot(delta, delta))
+            in_front[:, col] = depth > MIN_DEPTH
+        errors.append(pair_errors[in_front])
 
-    if not errors:
+    arr = np.concatenate(errors) if errors else np.zeros(0)
+    if not arr.size:
         raise EmptyInputError("reconstruction_stats: no reprojectable keypoints")
-    arr = np.asarray(errors)
     return {
         "total_keypoints": int(arr.size),
         "avg_reprojection_error_px": float(arr.mean()),

@@ -203,9 +203,6 @@ class BoundedVoronoi:
         idx = self.site_ids.index(global_id)
         return self.cells[idx]
 
-    def total_area(self) -> float:
-        return float(sum(polygon_area(c) for c in self.cells))
-
 
 def build_bounded_diagram(landmarks: LandmarkSet, camera_id: str) -> BoundedVoronoi:
     """Tessellate one camera's frame by its landmarks.

@@ -1,11 +1,17 @@
-"""Shared fixtures: small camera rigs and landmark layouts."""
+"""Shared fixtures (small camera rigs and landmark layouts) and test settings."""
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from avitrack.camera import CameraModel
 from avitrack.synthworld import SceneConfig, build_camera_rig
 from avitrack.voronoi import LandmarkSet
+
+# Property tests draw the same examples on every run, whatever the host's
+# speed, and keep no example database on disk.
+settings.register_profile("avitrack", deadline=None, derandomize=True, database=None)
+settings.load_profile("avitrack")
 
 
 @pytest.fixture

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avitrack.camera import (
+    MIN_DEPTH,
     CameraModel,
     project,
     project_many,
+    project_points,
     projection_matrix,
     refine_calibration,
     reprojection_error,
@@ -18,6 +22,7 @@ from avitrack.errors import (
     DegenerateConfigurationError,
     EmptyInputError,
 )
+from avitrack.synthworld import SceneConfig, build_camera_rig
 
 
 def _camera(**overrides) -> CameraModel:
@@ -140,6 +145,55 @@ class TestProject:
         )
         recovered = cam.undistort(pixels)
         assert np.max(np.abs(recovered - normalized)) <= 1e-8
+
+
+def _project_loop(cam, point):
+    """The one-point projection that ``project_points`` replaced, as reference."""
+    cam_pt = cam.camera_frame(np.asarray(point, dtype=float).reshape(3))
+    z = cam_pt[2]
+    if z <= 1e-12:
+        raise BehindCameraError(
+            f"camera {cam.cam_id}: point has depth {z:.3g} <= 0"
+        )
+    normalized = cam_pt[:2] / z
+    distorted = cam.distort(normalized)
+    return np.array(
+        [cam.fx * distorted[0] + cam.cx, cam.fy * distorted[1] + cam.cy]
+    )
+
+
+# The distorted synthetic rig, and a camera that sees the origin at depth 0.
+_CAMERAS = list(build_camera_rig(SceneConfig()).values()) + [
+    _camera(fx=800.0, translation=np.array([0.5, -0.25, 0.0]))
+]
+_WORLD = st.one_of(
+    st.floats(-5.0, 5.0, allow_nan=False),
+    st.sampled_from([0.0, 1e-13, -1e-13, 1e-12, np.nan, 1e6]),
+)
+
+
+class TestProjectPointsMatchesOnePointLoop:
+    @settings(max_examples=200)
+    @given(
+        camera=st.sampled_from(_CAMERAS),
+        points=st.lists(st.tuples(_WORLD, _WORLD, _WORLD), min_size=1, max_size=8),
+    )
+    def test_rows_equal_one_point_projection(self, camera, points):
+        """Every row has the reference's bits, or the reference raised and the
+        row is NaN at depth <= MIN_DEPTH; scalar ``project`` agrees too."""
+        points = np.array(points, dtype=float)
+        pixels, depth = project_points(camera, points)
+        for point, row, z in zip(points, pixels, depth):
+            try:
+                expected = _project_loop(camera, point)
+            except BehindCameraError as exc:
+                assert z <= MIN_DEPTH and np.isnan(row).all()
+                with pytest.raises(BehindCameraError) as got:
+                    project(camera, point)
+                assert str(got.value) == str(exc)
+                continue
+            assert row.tobytes() == expected.tobytes()
+            assert project(camera, point).tobytes() == expected.tobytes()
 
 
 class TestReprojectionError:

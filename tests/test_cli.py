@@ -144,6 +144,45 @@ class TestStandaloneCommands:
         report = json.loads(metrics_path.read_text())
         assert "total_id_switches" in report["table5"]
 
+    TUNED = {"confirm_hits": 5, "max_misses": 4, "jerk_sigma": 12.0}
+    TUNED_FLAGS = ["--confirm-hits", "5", "--max-misses", "4", "--jerk-sigma", "12"]
+
+    @pytest.fixture(scope="class")
+    def tuned_runs(self, tmp_path_factory):
+        """The README quickstart bundle run in full and up to reconstruction,
+        both with non-default tracker settings."""
+        root = tmp_path_factory.mktemp("tuned")
+        bundle = root / "quickstart"
+        assert main(["synth", "--out", str(bundle), "--seed", "42", "--birds", "5",
+                     "--duration", "2.0"]) == 0
+        for name, extra in (("full", []), ("staged", ["--stage", "reconstruct"])):
+            assert main(["run", "--input", str(bundle), "--out", str(root / name),
+                         *self.TUNED_FLAGS, *extra]) == 0
+        return root
+
+    @pytest.mark.parametrize("settings_from", ["flags", "config", "defaults"])
+    def test_track_equals_run_with_tuned_tracker(
+        self, tuned_runs, settings_from, tmp_path
+    ):
+        """``run`` writes the same tracks as ``run --stage reconstruct``
+        followed by ``track`` given the same tracker settings, by flag or
+        by config file; ``track`` at the defaults differs."""
+        config = tmp_path / "tracker.json"
+        config.write_text(json.dumps(self.TUNED))
+        tracker_args = {
+            "flags": self.TUNED_FLAGS,
+            "config": ["--config", str(config)],
+            "defaults": [],
+        }[settings_from]
+        tracked = tmp_path / "tracked"
+        assert main(["track", "--observations",
+                     str(tuned_runs / "staged" / "observations.csv"),
+                     "--out", str(tracked), *tracker_args]) == 0
+        same = (tracked / "tracks.csv").read_bytes() == (
+            tuned_runs / "full" / "tracks.csv"
+        ).read_bytes()
+        assert same == (settings_from != "defaults")
+
     def test_overlay_command(self, small_bundle, tmp_path):
         out = tmp_path / "overlays"
         code = main(

@@ -384,7 +384,7 @@ class TestKeypointFastPath:
         path = _write_keypoints_text(tmp_path / "k.csv", [], end=end)
         assert assert_readers_agree(path) == []
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(
         column=st.sampled_from([1, 2, 3, 4, 7]),
         text=st.text(alphabet="0123456789.eE+-_ \tinfatyINFATYx#\"\x1c١",

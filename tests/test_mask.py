@@ -146,7 +146,7 @@ def _regions_and_edges(draw):
 
 
 class TestLateralFillMatchesRowLoop:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(case=_regions_and_edges())
     def test_random_edge_sets(self, case):
         region, edges = case

@@ -1,14 +1,22 @@
 """Tests for kNN matching, landmark rejection, and correspondence clustering."""
 
+from collections import defaultdict
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from avitrack.errors import DimensionMismatchError, NoLandmarksError
 from avitrack.matching import (
     KEPT,
     REJECTED,
+    Detection,
     FeatureMatch,
     Keypoint,
+    RejectionStats,
     cluster_correspondences,
     knn_match,
     reject_by_landmark,
@@ -77,6 +85,19 @@ class TestKnnMatch:
     def test_empty_sides_give_no_matches(self):
         assert knn_match([], [_kp("b", [1.0])]) == []
         assert knn_match([_kp("a", [1.0])], []) == []
+
+    def test_k_below_one_rejected_with_one_candidate(self):
+        with pytest.raises(ValueError, match="k must be"):
+            knn_match([_kp("a", [0.0])], [_kp("b", [0.5])], k=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_descriptor_names_its_side(self, bad):
+        good = [_kp("a", [0.0, 1.0]), _kp("a", [1.0, 0.0])]
+        poisoned = [_kp("b", [0.0, 1.0]), _kp("b", [bad, 0.0])]
+        with pytest.raises(ValueError, match="non-finite descriptor on side B"):
+            knn_match(good, poisoned)
+        with pytest.raises(ValueError, match="non-finite descriptor on side A"):
+            knn_match(poisoned, good)
 
 
 class TestRejectByLandmark:
@@ -203,3 +224,218 @@ class TestClusterCorrespondences:
         )
         chosen = cluster_correspondences(matches, min_support=2)
         assert (chosen[0].detection_index_a, chosen[0].detection_index_b) == (0, 1)
+
+
+# --- the per-row loops the batched code replaced, kept as references -------
+
+
+def _knn_match_loop(keypoints_a, keypoints_b, k=2, ratio=0.75):
+    if not keypoints_a or not keypoints_b:
+        return []
+    if k < 2 and len(keypoints_b) >= 2:
+        raise ValueError(f"k must be >= 2 for the ratio test, got {k}")
+    lengths = {kp.descriptor.size for kp in keypoints_a} | {
+        kp.descriptor.size for kp in keypoints_b
+    }
+    if len(lengths) != 1:
+        raise DimensionMismatchError(
+            f"descriptor lengths differ across keypoints: {sorted(lengths)}"
+        )
+
+    desc_a = np.stack([kp.descriptor for kp in keypoints_a])
+    desc_b = np.stack([kp.descriptor for kp in keypoints_b])
+    distances = cdist(desc_a, desc_b)
+
+    matches = []
+    for i, kp_a in enumerate(keypoints_a):
+        row = distances[i]
+        # Stable sort keeps the lower index first on exact ties.
+        order = np.argsort(row, kind="stable")[:k]
+        best = int(order[0])
+        d1 = float(row[best])
+        if len(order) >= 2:
+            d2 = float(row[int(order[1])])
+            if not d1 < ratio * d2:
+                continue
+        matches.append(
+            FeatureMatch(
+                keypoint_a=kp_a,
+                keypoint_b=keypoints_b[best],
+                index_a=i,
+                index_b=best,
+                descriptor_distance=d1,
+            )
+        )
+    return matches
+
+
+def _reject_by_landmark_loop(matches, landmarks, anchor="keypoint", detections=None):
+    if anchor not in ("keypoint", "detection_center"):
+        raise ValueError(f"unknown anchor mode {anchor!r}")
+
+    def anchor_point(kp):
+        if anchor == "keypoint":
+            return kp.position
+        if detections is None:
+            raise ValueError("detection_center anchoring needs the detection table")
+        det = detections[(kp.camera_id, kp.frame, kp.detection_index)]
+        return det.center
+
+    decided = []
+    per_frame = defaultdict(list)
+    for match in matches:
+        lm_a = nearest_landmark(
+            landmarks, match.keypoint_a.camera_id, anchor_point(match.keypoint_a)
+        )
+        lm_b = nearest_landmark(
+            landmarks, match.keypoint_b.camera_id, anchor_point(match.keypoint_b)
+        )
+        verdict = KEPT if lm_a == lm_b else REJECTED
+        decided.append(
+            replace(match, landmark_a=lm_a, landmark_b=lm_b, verdict=verdict)
+        )
+        per_frame[match.keypoint_a.frame].append(verdict == REJECTED)
+
+    pct = {
+        frame: 100.0 * sum(flags) / len(flags)
+        for frame, flags in sorted(per_frame.items())
+    }
+    values = np.array(list(pct.values())) if pct else np.zeros(0)
+    stats = RejectionStats(
+        per_frame_pct=pct,
+        mean_pct=float(values.mean()) if values.size else 0.0,
+        std_pct=float(values.std()) if values.size else 0.0,
+        total=len(decided),
+        rejected=sum(1 for m in decided if m.verdict == REJECTED),
+    )
+    return decided, stats
+
+
+def _outcome(function, *args, **kwargs):
+    """A comparable record of a call: its result, or its exception."""
+    try:
+        result = function(*args, **kwargs)
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+    matches, stats = result if isinstance(result, tuple) else (result, None)
+    # Keypoints are compared by identity; every other field by repr, which
+    # tells int from np.int64 and shows every bit of a float.
+    return [
+        (
+            id(m.keypoint_a), id(m.keypoint_b), repr(m.index_a), repr(m.index_b),
+            repr(m.descriptor_distance), repr(m.landmark_a), repr(m.landmark_b),
+            m.verdict,
+        )
+        for m in matches
+    ], repr(stats)
+
+
+# Few distinct values, so exact distance ties and duplicate rows are common;
+# 1e200 overflows the squared distance to inf.
+_COORD = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 2.0, 0.5, 1e200]),
+    st.floats(-4.0, 4.0, allow_nan=False),
+)
+
+
+@st.composite
+def _knn_case(draw):
+    dim = draw(st.integers(1, 3))
+    rows = st.lists(st.lists(_COORD, min_size=dim, max_size=dim), max_size=6)
+    desc_a, desc_b = draw(rows), draw(rows)
+    a = [_kp("a", d) for d in desc_a]
+    b = [_kp("b", d) for d in desc_b]
+    if desc_b and draw(st.booleans()):
+        b = b + [b[draw(st.integers(0, len(b) - 1))]]  # a duplicated keypoint
+    k = draw(st.integers(1, 4))
+    ratio = draw(st.one_of(st.sampled_from([0.5, 0.75, 1.0]), st.floats(0.01, 1.5)))
+    return a, b, k, ratio
+
+
+class TestKnnMatchMatchesRowLoop:
+    @settings(max_examples=200)
+    @given(case=_knn_case())
+    def test_random_descriptor_sets(self, case):
+        a, b, k, ratio = case
+        assert _outcome(knn_match, a, b, k=k, ratio=ratio) == _outcome(
+            _knn_match_loop, a, b, k=k, ratio=ratio
+        )
+
+    def test_single_candidate_and_exact_ties(self):
+        a = [_kp("a", [0.0]), _kp("a", [1.0]), _kp("a", [0.5])]
+        for b in ([_kp("b", [0.5])], [_kp("b", [0.0]), _kp("b", [1.0])]):
+            for k in (1, 2, 3, 5):
+                assert _outcome(knn_match, a, b, k=k, ratio=0.9) == _outcome(
+                    _knn_match_loop, a, b, k=k, ratio=0.9
+                )
+
+
+_GRID = st.integers(0, 20).map(lambda v: 5.0 * v)
+
+
+@st.composite
+def _rejection_case(draw):
+    landmarks = LandmarkSet({cam: (100, 100) for cam in "abc"})
+    site = st.tuples(_GRID, _GRID).filter(lambda p: p[0] < 100 and p[1] < 100)
+    for cam in draw(st.sampled_from(["ab", "abc"])):
+        sites = draw(st.lists(site, min_size=1, max_size=4, unique=True))
+        ids = draw(st.permutations(range(6)))
+        for gid, xy in zip(ids, sites):
+            landmarks.add(cam, gid, xy)
+
+    # Boxes on the 5 px grid, so detection centres also tie.
+    boxes = 5.0 * np.random.default_rng(draw(st.integers(0, 2**16))).integers(
+        0, 21, size=(3, 3, 2, 4)
+    )
+    detections = {
+        (cam, frame, index): Detection(cam, frame, index, x, y, x + w, y + h)
+        for c, cam in enumerate("abc")
+        for frame in range(3)
+        for index in range(2)
+        for x, y, w, h in [boxes[c, frame, index].tolist()]
+    }
+
+    position = st.one_of(_GRID, st.floats(-10.0, 110.0, allow_nan=False))
+    keypoint = st.builds(
+        lambda cam, frame, det, x, y: _kp(cam, [0.0], x=x, y=y, det=det, frame=frame),
+        st.sampled_from("abc"), st.integers(0, 2), st.integers(0, 1), position, position,
+    )
+    matches = [
+        FeatureMatch(kp_a, kp_b, i, i, float(i))
+        for i, (kp_a, kp_b) in enumerate(
+            draw(st.lists(st.tuples(keypoint, keypoint), max_size=12))
+        )
+    ]
+    anchor = draw(st.sampled_from(["keypoint", "detection_center"]))
+    table = detections if draw(st.integers(0, 5)) else None
+    return matches, landmarks, anchor, table
+
+
+class TestRejectByLandmarkMatchesLoop:
+    @settings(max_examples=100)
+    @given(case=_rejection_case())
+    def test_random_matches(self, case):
+        matches, landmarks, anchor, table = case
+        assert _outcome(
+            reject_by_landmark, matches, landmarks, anchor=anchor, detections=table
+        ) == _outcome(
+            _reject_by_landmark_loop, matches, landmarks, anchor=anchor,
+            detections=table,
+        )
+
+    def test_equidistant_landmarks_and_two_cameras_in_one_call(self):
+        landmarks = LandmarkSet({"a": (100, 100), "b": (100, 100), "c": (100, 100)})
+        for cam in "abc":
+            landmarks.add(cam, 9, (20.0, 50.0))
+            landmarks.add(cam, 3, (80.0, 50.0))
+        on_bisector = _kp("a", [0.0], x=50.0, y=10.0)
+        matches = [
+            FeatureMatch(on_bisector, _kp("b", [0.0], x=70.0, y=50.0), 0, 0, 0.0),
+            FeatureMatch(_kp("c", [0.0], x=50.0, y=90.0),
+                         _kp("b", [0.0], x=30.0, y=50.0), 1, 1, 0.0),
+        ]
+        decided, _ = reject_by_landmark(matches, landmarks)
+        assert [(m.landmark_a, m.landmark_b) for m in decided] == [(3, 3), (3, 9)]
+        assert _outcome(reject_by_landmark, matches, landmarks) == _outcome(
+            _reject_by_landmark_loop, matches, landmarks
+        )

@@ -1,12 +1,17 @@
 """Tests for keypoint, rejection, and tracking metric records."""
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avitrack.errors import EmptyInputError, MissingLabelsError
 from avitrack.matching import KEPT, REJECTED, FeatureMatch, Keypoint
 from avitrack.metrics import (
     GroundTruth,
+    _match_truth_to_tracks,
     keypoint_stats,
     rejection_stats,
     tracking_metrics,
@@ -194,3 +199,88 @@ class TestTrackingMetrics:
         )
         assert strict["birds_tracked_over_10s_pct"] == 0.0
         assert lenient["birds_tracked_over_10s_pct"] == 100.0
+
+
+def _match_truth_to_tracks_loop(truth_positions, track_rows, gate):
+    """The per-identity, per-track loop the distance matrix replaced."""
+    tracks_by_frame = defaultdict(list)
+    for frame, track_id, _, position in track_rows:
+        tracks_by_frame[frame].append((track_id, np.asarray(position, dtype=float)))
+
+    assignments = defaultdict(list)
+    for frame in sorted(truth_positions):
+        candidates = tracks_by_frame.get(frame, [])
+        for identity in sorted(truth_positions[frame]):
+            true_pos = np.asarray(truth_positions[frame][identity], dtype=float)
+            best_id = None
+            best_dist = float("inf")
+            for track_id, pos in sorted(candidates, key=lambda c: c[0]):
+                dist = float(np.linalg.norm(pos - true_pos))
+                if dist <= gate and dist < best_dist:
+                    best_id, best_dist = track_id, dist
+            assignments[identity].append((frame, best_id))
+    return assignments
+
+
+# Integer grid points, so distances tie and land exactly on the gates
+# below, and arbitrary points, where the rounding of the distance shows.
+_GRID_POS = st.one_of(
+    st.tuples(*[st.integers(-2, 2).map(float)] * 3),
+    st.tuples(*[st.sampled_from([0.0, 0.5, np.nan])] * 3),
+    st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+).map(np.array)
+
+
+@st.composite
+def _truth_and_tracks(draw):
+    frames = draw(st.lists(st.integers(0, 5), unique=True, max_size=4))
+    truth = {
+        frame: draw(st.dictionaries(st.integers(0, 4), _GRID_POS, max_size=4))
+        for frame in frames
+    }
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 5), st.just("confirmed"),
+                  _GRID_POS),
+        max_size=14,
+    ))
+    gate = draw(st.one_of(
+        st.sampled_from(
+            [0.0, 0.5, 1.0, float(np.sqrt(2.0)), float(np.sqrt(3.0)), 2.0, np.inf, np.nan]
+        ),
+        st.none(),
+    ))
+    targets = [(f, pos) for f, positions in truth.items() for pos in positions.values()]
+    if gate is None:
+        # Tracks near truth positions at arbitrary offsets; the gate is the
+        # last one's distance as the reference rounds it.
+        gate = 1.0
+        if targets:
+            rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+            for _ in range(4):
+                frame, target = targets[rng.integers(len(targets))]
+                position = target + rng.uniform(-1.0, 1.0, size=3)
+                rows.append((frame, int(rng.integers(6)), "confirmed", position))
+                gate = float(np.linalg.norm(position - target))
+    return truth, rows, gate
+
+
+class TestTruthToTrackMatchesLoop:
+    @settings(max_examples=150)
+    @given(case=_truth_and_tracks())
+    def test_random_frames(self, case):
+        """Equal assignments on ties, at-gate distances, empty and NaN frames."""
+        truth, rows, gate = case
+        got = _match_truth_to_tracks(truth, rows, gate)
+        expected = _match_truth_to_tracks_loop(truth, rows, gate)
+        assert repr(dict(got)) == repr(dict(expected))
+
+    def test_distance_at_gate_matches_and_ties_go_to_lower_id(self):
+        truth = {0: {1: np.zeros(3)}, 1: {1: np.zeros(3)}, 2: {1: np.zeros(3)}}
+        rows = [
+            (0, 7, "confirmed", np.array([1.0, 0.0, 0.0])),
+            (0, 4, "confirmed", np.array([0.0, -1.0, 0.0])),
+            (1, 2, "confirmed", np.array([np.nan, 0.0, 0.0])),
+        ]
+        got = _match_truth_to_tracks(truth, rows, gate=1.0)
+        assert got[1] == [(0, 4), (1, None), (2, None)]
+        assert got == _match_truth_to_tracks_loop(truth, rows, gate=1.0)

@@ -7,6 +7,7 @@ import pytest
 from avitrack.errors import ConfigError, IngestError
 from avitrack.pipeline import PipelineConfig, run_pipeline
 from avitrack.synthworld import SceneConfig, generate
+from avitrack.tracking import TrackerConfig
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +32,16 @@ class TestConfig:
         overridden = config.with_overrides({"ratio": 0.8, "gate_m": None})
         assert overridden.ratio == 0.8
         assert overridden.gate_m == 0.7  # None means "not set on the CLI"
+
+    def test_tracker_config_carries_every_tracker_field(self):
+        config = PipelineConfig(
+            fps=25.0, jerk_sigma=7.0, meas_sigma_m=0.02, gate_m=0.3,
+            confirm_hits=4, max_misses=9, association="optimal",
+        )
+        assert config.tracker_config() == TrackerConfig(
+            dt=1.0 / 25.0, jerk_sigma=7.0, meas_sigma=0.02, gate=0.3,
+            confirm_hits=4, max_misses=9, association="optimal",
+        )
 
     def test_unknown_keys_rejected(self, tmp_path):
         config_path = tmp_path / "config.json"

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from avitrack.camera import project_many, projection_matrix
+from avitrack.camera import CameraModel, project, project_many, projection_matrix
 from avitrack.errors import DegenerateRaysError, EmptyInputError
+from avitrack.synthworld import SceneConfig, build_camera_rig
 from avitrack.matching import Correspondence, Detection, FeatureMatch, Keypoint
 from avitrack.reconstruction import (
     Observation3D,
@@ -233,3 +236,133 @@ class TestReconstructionStats:
     def test_empty_observations_raise(self, default_rig):
         with pytest.raises(EmptyInputError):
             reconstruction_stats([], [], default_rig)
+
+
+def _reconstruction_stats_loop(observations, matches, cameras, threshold_px=25.0):
+    """The per-keypoint loop ``reconstruction_stats`` replaced, as reference."""
+    if not observations:
+        raise EmptyInputError("reconstruction_stats: no observations")
+    errors = []
+    kept = [m for m in matches if m.verdict in (None, "kept")]
+    by_pair = {}
+    for match in kept:
+        key = (match.keypoint_a.camera_id, match.keypoint_b.camera_id)
+        by_pair.setdefault(key, []).append(match)
+
+    for (cam_a, cam_b), pair_matches in sorted(by_pair.items()):
+        pts_a = np.array([m.keypoint_a.position for m in pair_matches])
+        pts_b = np.array([m.keypoint_b.position for m in pair_matches])
+        points = triangulate_batch(pts_a, pts_b, cameras[cam_a], cameras[cam_b])
+        for i, point in enumerate(points):
+            if np.any(np.isnan(point)):
+                continue
+            for cam_id, observed in ((cam_a, pts_a[i]), (cam_b, pts_b[i])):
+                try:
+                    reproj = project(cameras[cam_id], point)
+                except Exception:
+                    continue
+                errors.append(float(np.linalg.norm(reproj - observed)))
+
+    if not errors:
+        raise EmptyInputError("reconstruction_stats: no reprojectable keypoints")
+    arr = np.asarray(errors)
+    return {
+        "total_keypoints": int(arr.size),
+        "avg_reprojection_error_px": float(arr.mean()),
+        "std_reprojection_error_px": float(arr.std()),
+        "min_reprojection_error_px": float(arr.min()),
+        "max_reprojection_error_px": float(arr.max()),
+        "pct_keypoints_below_threshold": float(100.0 * np.mean(arr < threshold_px)),
+        "threshold_px": float(threshold_px),
+    }
+
+
+def _stereo_camera(cam_id, x):
+    return CameraModel(
+        cam_id=cam_id, fx=1.0, fy=1.0, cx=0.0, cy=0.0, dist=np.zeros(5),
+        rotation=np.eye(3), translation=np.array([x, 0.0, 0.0]), image_size=(2, 2),
+    )
+
+
+# The distorted synthetic rig plus a normalized stereo pair. In the pair,
+# equal pixels give parallel rays (a NaN point) and crossed pixels a point
+# behind both cameras.
+_STATS_CAMERAS = dict(
+    build_camera_rig(SceneConfig()),
+    left=_stereo_camera("left", 0.5),
+    right=_stereo_camera("right", -0.5),
+)
+
+
+@st.composite
+def _stats_case(draw):
+    pair = draw(st.sampled_from(
+        [("cam0", "cam1"), ("cam3", "cam1"), ("cam2", "cam4"), ("left", "right"),
+         ("right", "left"), ("cam0", "cam0")]
+    ))
+    if pair[0] in ("left", "right"):
+        coord = st.sampled_from([-0.5, -0.25, 0.0, 0.25, 0.5])
+        pixel = st.tuples(coord, coord)
+    else:
+        pixel = st.tuples(st.floats(0.0, 1919.0), st.floats(0.0, 1079.0))
+    verdict = st.sampled_from([None, "kept", "rejected"])
+    matches = [
+        FeatureMatch(
+            keypoint_a=Keypoint(pair[0], 0, i, np.array(pa), np.zeros(1)),
+            keypoint_b=Keypoint(pair[1], 0, i, np.array(pb), np.zeros(1)),
+            index_a=i, index_b=i, descriptor_distance=0.0, verdict=v,
+        )
+        for i, (pa, pb, v) in enumerate(
+            draw(st.lists(st.tuples(pixel, pixel, verdict), max_size=10))
+        )
+    ]
+    return matches, draw(st.sampled_from([1.0, 25.0, 1e6]))
+
+
+class TestReconstructionStatsMatchesLoop:
+    @staticmethod
+    def _outcome(function, *args, **kwargs):
+        try:
+            return repr(function(*args, **kwargs))
+        except Exception as exc:
+            return ("raised", type(exc), str(exc))
+
+    @settings(max_examples=120)
+    @given(cases=st.lists(_stats_case(), min_size=1, max_size=3))
+    def test_random_keypoint_pairs(self, cases):
+        """Same record bit for bit (repr shows every float bit), or the same
+        error, over pairs with behind-camera, NaN and noisy points."""
+        matches = [m for case in cases for m in case[0]]
+        threshold = cases[0][1]
+        obs = [Observation3D(0, np.zeros(3), (("cam0", "cam1"),), {})]
+        got = self._outcome(
+            reconstruction_stats, obs, matches, _STATS_CAMERAS, threshold_px=threshold
+        )
+        expected = self._outcome(
+            _reconstruction_stats_loop, obs, matches, _STATS_CAMERAS,
+            threshold_px=threshold,
+        )
+        assert got == expected
+
+    def test_behind_camera_and_nan_points_are_skipped(self):
+        """Equal stereo pixels give a NaN point and crossed ones a point
+        behind both cameras; only the one valid point contributes."""
+        cams = _STATS_CAMERAS
+        pixels = [((0.25, 0.0), (0.25, 0.0)), ((-0.25, 0.0), (0.25, 0.0)),
+                  ((0.25, 0.1), (-0.25, 0.1))]
+        matches = [
+            FeatureMatch(Keypoint("left", 0, i, np.array(pa), np.zeros(1)),
+                         Keypoint("right", 0, i, np.array(pb), np.zeros(1)),
+                         i, i, 0.0)
+            for i, (pa, pb) in enumerate(pixels)
+        ]
+        points = triangulate_batch(
+            np.array([p for p, _ in pixels]), np.array([q for _, q in pixels]),
+            cams["left"], cams["right"],
+        )
+        assert np.isnan(points[0]).all()
+        assert points[1, 2] < 0 and points[2, 2] > 0
+        obs = [Observation3D(0, np.zeros(3), (("left", "right"),), {})]
+        record = reconstruction_stats(obs, matches, cams)
+        assert record["total_keypoints"] == 2
+        assert repr(record) == repr(_reconstruction_stats_loop(obs, matches, cams))
