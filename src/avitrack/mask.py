@@ -15,6 +15,8 @@ from scipy import ndimage
 from .errors import EmptyRegionError
 
 GAUSSIAN_SIGMA = 1.4
+CANNY_LOW = 50.0
+CANNY_HIGH = 150.0
 
 _SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=float)
 _SOBEL_Y = np.array([[-1, -2, -1], [0, 0, 0], [1, 2, 1]], dtype=float)
@@ -76,8 +78,8 @@ def _clamp_region(
 def canny_edges(
     frame: GrayFrame,
     region: tuple[int, int, int, int],
-    low: float = 50.0,
-    high: float = 150.0,
+    low: float = CANNY_LOW,
+    high: float = CANNY_HIGH,
 ) -> np.ndarray:
     """Edge pixels of one detection box, in frame coordinates.
 
@@ -154,8 +156,8 @@ def lateral_fill(
 def build_frame_mask(
     frame: GrayFrame,
     boxes: list[tuple[float, float, float, float]],
-    low: float = 50.0,
-    high: float = 150.0,
+    low: float = CANNY_LOW,
+    high: float = CANNY_HIGH,
 ) -> BinaryMask:
     """Union of per-box lateral-fill masks over the whole frame."""
     bits = np.zeros((frame.height, frame.width), dtype=bool)

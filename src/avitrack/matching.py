@@ -22,6 +22,7 @@ from .voronoi import LandmarkSet, nearest_landmark, nearest_landmarks_many  # no
 
 KEPT = "kept"
 REJECTED = "rejected"
+ANCHORS = ("keypoint", "detection_center")  # see ``reject_by_landmark``
 
 
 @dataclass(frozen=True)
@@ -173,7 +174,7 @@ def reject_by_landmark(
     keypoint itself (default) or at the center of the keypoint's detection
     box (requires ``detections`` keyed by (camera, frame, index)).
     """
-    if anchor not in ("keypoint", "detection_center"):
+    if anchor not in ANCHORS:
         raise ValueError(f"unknown anchor mode {anchor!r}")
 
     def anchor_point(kp: Keypoint) -> np.ndarray:

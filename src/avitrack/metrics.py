@@ -9,9 +9,9 @@ import numpy as np
 
 from .errors import EmptyInputError, MissingLabelsError
 from .matching import FeatureMatch, KEPT
+from .tracking import DEFAULT_FPS, DEFAULT_GATE
 
 DEFAULT_HORIZONS_S = (10.0, 30.0, 60.0)
-DEFAULT_TRACK_GATE_M = 0.5
 
 
 @dataclass
@@ -146,8 +146,8 @@ def _match_truth_to_tracks(
 def tracking_metrics(
     track_rows: list[tuple[int, int, str, np.ndarray]],
     truth: GroundTruth,
-    fps: float = 30.0,
-    gate: float = DEFAULT_TRACK_GATE_M,
+    fps: float = DEFAULT_FPS,
+    gate: float = DEFAULT_GATE,
     horizons_s: tuple[float, ...] = DEFAULT_HORIZONS_S,
     gap_tolerance_frames: int = 0,
 ) -> dict:

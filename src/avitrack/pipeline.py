@@ -18,8 +18,9 @@ import numpy as np
 from . import dataio
 from .camera import CameraModel
 from .errors import ConfigError, IngestError
-from .mask import build_frame_mask, gate_keypoints, read_pgm
+from .mask import CANNY_HIGH, CANNY_LOW, build_frame_mask, gate_keypoints, read_pgm
 from .matching import (
+    ANCHORS,
     Correspondence,
     Detection,
     FeatureMatch,
@@ -29,13 +30,20 @@ from .matching import (
     reject_by_landmark,
 )
 from .metrics import GroundTruth, keypoint_stats, rejection_stats, tracking_metrics
-from .reconstruction import Observation3D, reconstruct_frame, reconstruction_stats
-from .tracking import TrackerConfig, render_trajectories, run_tracker
+from .reconstruction import (
+    FUSE_RADIUS_M, Observation3D, reconstruct_frame, reconstruction_stats,
+)
+from .tracking import (
+    ASSOCIATIONS, DEFAULT_ASSOCIATION, DEFAULT_CONFIRM_HITS, DEFAULT_FPS, DEFAULT_GATE,
+    DEFAULT_JERK_SIGMA, DEFAULT_MAX_MISSES, DEFAULT_MEAS_SIGMA,
+    TrackerConfig, render_trajectories, run_tracker,
+)
 from .voronoi import LandmarkSet, build_bounded_diagram, render_overlay
 
 logger = logging.getLogger(__name__)
 
 STAGES = ("voronoi-overlay", "match", "reconstruct", "track", "all")
+FUSIONS = ("all-pairs", "pairwise")
 
 
 @dataclass
@@ -53,23 +61,23 @@ class PipelineConfig:
 
     camera_pairs: list[list[str]] | None = None
     use_mask: bool = False
-    fusion: str = "all-pairs"  # or "pairwise"
+    fusion: str = "all-pairs"
     stage: str = "all"
 
     knn_k: int = 2
     ratio: float = 0.75
     min_support: int = 2
     landmark_anchor: str = "keypoint"
-    fuse_radius_m: float = 0.15
-    gate_m: float = 0.5
-    jerk_sigma: float = 20.0
-    meas_sigma_m: float = 0.05
-    confirm_hits: int = 3
-    max_misses: int = 15
-    association: str = "greedy"
-    canny_low: float = 50.0
-    canny_high: float = 150.0
-    fps: float = 30.0
+    fuse_radius_m: float = FUSE_RADIUS_M
+    gate_m: float = DEFAULT_GATE
+    jerk_sigma: float = DEFAULT_JERK_SIGMA
+    meas_sigma_m: float = DEFAULT_MEAS_SIGMA
+    confirm_hits: int = DEFAULT_CONFIRM_HITS
+    max_misses: int = DEFAULT_MAX_MISSES
+    association: str = DEFAULT_ASSOCIATION
+    canny_low: float = CANNY_LOW
+    canny_high: float = CANNY_HIGH
+    fps: float = DEFAULT_FPS
     reproj_threshold_px: float = 25.0
     gap_tolerance_frames: int = 0
     validate_bounds: bool = False
@@ -77,26 +85,29 @@ class PipelineConfig:
     parallelism: int = 1
 
     def validate(self) -> None:
-        if self.fusion not in ("all-pairs", "pairwise"):
-            raise ConfigError(f"fusion must be all-pairs or pairwise, got {self.fusion!r}")
-        if self.stage not in STAGES:
-            raise ConfigError(f"stage must be one of {STAGES}, got {self.stage!r}")
-        if not 0 < self.ratio < 1:
-            raise ConfigError(f"ratio must be in (0, 1), got {self.ratio}")
-        if self.knn_k < 2:
-            raise ConfigError(f"knn_k must be >= 2, got {self.knn_k}")
-        if self.min_support < 1:
-            raise ConfigError(f"min_support must be >= 1, got {self.min_support}")
-        if self.gate_m <= 0 or self.fuse_radius_m <= 0:
-            raise ConfigError("gate_m and fuse_radius_m must be positive")
-        if self.fps <= 0:
-            raise ConfigError(f"fps must be positive, got {self.fps}")
-        if self.parallelism < 1:
-            raise ConfigError(f"parallelism must be >= 1, got {self.parallelism}")
-        if self.landmark_anchor not in ("keypoint", "detection_center"):
-            raise ConfigError(f"unknown landmark_anchor {self.landmark_anchor!r}")
-        if not (0 <= self.canny_low <= self.canny_high <= 255):
-            raise ConfigError("canny thresholds must satisfy 0 <= low <= high <= 255")
+        for name, ok, rule in (
+            ("stage", self.stage in STAGES, f"one of {STAGES}"),
+            ("fusion", self.fusion in FUSIONS, f"one of {FUSIONS}"),
+            ("association", self.association in ASSOCIATIONS, f"one of {ASSOCIATIONS}"),
+            ("landmark_anchor", self.landmark_anchor in ANCHORS, f"one of {ANCHORS}"),
+            ("camera_pairs", self.camera_pairs is None
+             or all(len(pair) == 2 for pair in self.camera_pairs), "CAMA,CAMB pairs"),
+            ("ratio", 0 < self.ratio < 1, "in (0, 1)"),
+            ("knn_k", self.knn_k >= 2, ">= 2"),
+            ("min_support", self.min_support >= 1, ">= 1"),
+            ("gate_m", self.gate_m > 0, "> 0"),
+            ("fuse_radius_m", self.fuse_radius_m > 0, "> 0"),
+            ("fps", self.fps > 0, "> 0"),
+            ("reproj_threshold_px", self.reproj_threshold_px > 0, "> 0"),
+            ("parallelism", self.parallelism >= 1, ">= 1"),
+            ("confirm_hits", self.confirm_hits >= 1, ">= 1"),
+            ("max_misses", self.max_misses >= 0, ">= 0"),
+            ("gap_tolerance_frames", self.gap_tolerance_frames >= 0, ">= 0"),
+            ("canny_low", 0 <= self.canny_low <= self.canny_high, "in [0, canny_high]"),
+            ("canny_high", self.canny_high <= 255, "<= 255"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
@@ -105,14 +116,9 @@ class PipelineConfig:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise IngestError(path, f"invalid JSON: {exc}")
-        return cls.from_dict(doc, source=path)
-
-    @classmethod
-    def from_dict(cls, doc: dict, source="<config>") -> "PipelineConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
-            raise IngestError(source, f"unknown config keys: {sorted(unknown)}")
+            raise IngestError(path, f"unknown config keys: {sorted(unknown)}")
         return cls(**doc)
 
     def with_overrides(self, overrides: dict) -> "PipelineConfig":
@@ -214,13 +220,30 @@ def _process_frame(payload: _FramePayload) -> FrameResult:
     )
 
 
-def _apply_mask_stage(
+def detection_table(
+    detections: list[Detection], keypoints: list[Keypoint], keypoints_path
+) -> dict[tuple[str, int, int], Detection]:
+    """Detections by (camera, frame, index); every keypoint must reference one."""
+    table = {(d.camera_id, d.frame, d.index): d for d in detections}
+    for kp in keypoints:
+        key = (kp.camera_id, kp.frame, kp.detection_index)
+        if key not in table:
+            raise IngestError(keypoints_path, f"keypoint references missing detection {key}")
+    return table
+
+
+def apply_mask_stage(
     config: PipelineConfig,
     keypoints: list[Keypoint],
     detections: list[Detection],
+    on_mask=None,
 ) -> list[Keypoint]:
-    """Gate keypoints to mask-on pixels built from the per-frame PGM files."""
-    frames_dir = Path(config.frames_dir)
+    """Gate keypoints to mask-on pixels built from the per-frame PGM files.
+
+    Masks are built for each (camera, frame) with keypoints. With
+    ``on_mask``, they are built for each (camera, frame) with detections
+    instead, and each is passed to ``on_mask(camera_id, frame, mask)``.
+    """
     boxes: dict[tuple[str, int], list] = {}
     for det in detections:
         boxes.setdefault((det.camera_id, det.frame), []).append(det.box)
@@ -230,16 +253,18 @@ def _apply_mask_stage(
         grouped.setdefault((kp.camera_id, kp.frame), []).append(kp)
 
     gated: list[Keypoint] = []
-    for key in sorted(grouped):
+    for key in sorted(grouped if on_mask is None else boxes):
         camera_id, frame = key
-        pgm = dataio.frame_path(frames_dir, camera_id, frame)
+        pgm = dataio.frame_path(config.frames_dir, camera_id, frame)
         if not pgm.exists():
             raise IngestError(pgm, "frame file missing for mask stage")
         gray = read_pgm(pgm)
         mask = build_frame_mask(
             gray, boxes.get(key, []), low=config.canny_low, high=config.canny_high
         )
-        gated.extend(gate_keypoints(mask, grouped[key]))
+        if on_mask is not None:
+            on_mask(camera_id, frame, mask)
+        gated.extend(gate_keypoints(mask, grouped.get(key, [])))
     return gated
 
 
@@ -272,22 +297,16 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     detections = dataio.read_detections(config.detections_path)
     keypoints = dataio.read_keypoints(config.keypoints_path)
+    table = detection_table(detections, keypoints, config.keypoints_path)
     if config.use_mask:
         if not config.frames_dir:
             raise ConfigError("use_mask requires frames_dir")
         before = len(keypoints)
-        keypoints = _apply_mask_stage(config, keypoints, detections)
+        keypoints = apply_mask_stage(config, keypoints, detections)
         logger.info("mask stage kept %d of %d keypoints", len(keypoints), before)
 
-    detection_table = {(d.camera_id, d.frame, d.index): d for d in detections}
     keypoints_by_frame: dict[int, dict[str, list[Keypoint]]] = {}
     for kp in keypoints:
-        key = (kp.camera_id, kp.frame, kp.detection_index)
-        if key not in detection_table:
-            raise IngestError(
-                config.keypoints_path,
-                f"keypoint references missing detection {key}",
-            )
         keypoints_by_frame.setdefault(kp.frame, {}).setdefault(
             kp.camera_id, []
         ).append(kp)
@@ -295,13 +314,13 @@ def run_pipeline(config: PipelineConfig) -> dict:
     if config.camera_pairs is not None:
         pairs = [tuple(p) for p in config.camera_pairs]
         for pair in pairs:
-            if len(pair) != 2 or pair[0] not in cameras or pair[1] not in cameras:
+            if pair[0] not in cameras or pair[1] not in cameras:
                 raise ConfigError(f"bad camera pair {pair!r}")
     else:
         pairs = _default_pairs(list(cameras))
 
     detections_by_frame: dict[int, dict[tuple[str, int, int], Detection]] = {}
-    for key, det in detection_table.items():
+    for key, det in table.items():
         detections_by_frame.setdefault(det.frame, {})[key] = det
 
     frames = sorted(set(keypoints_by_frame) | set(detections_by_frame))

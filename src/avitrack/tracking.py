@@ -19,12 +19,15 @@ TENTATIVE = "tentative"
 CONFIRMED = "confirmed"
 DEAD = "dead"
 
-DEFAULT_DT = 1.0 / 30.0
+DEFAULT_FPS = 30.0
+DEFAULT_DT = 1.0 / DEFAULT_FPS
 DEFAULT_JERK_SIGMA = 20.0     # m/s^3, keeps fast maneuvers inside the gate
 DEFAULT_MEAS_SIGMA = 0.05     # m, triangulation error scale
 DEFAULT_GATE = 0.5            # m
 DEFAULT_CONFIRM_HITS = 3
 DEFAULT_MAX_MISSES = 15
+ASSOCIATIONS = ("greedy", "optimal")
+DEFAULT_ASSOCIATION = "greedy"
 
 _H = np.hstack([np.eye(3), np.zeros((3, 6))])
 
@@ -127,7 +130,7 @@ def associate(
     tracks: list[TrackState],
     observations: list[np.ndarray],
     gate: float = DEFAULT_GATE,
-    method: str = "greedy",
+    method: str = DEFAULT_ASSOCIATION,
 ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """Assign observations to predicted track positions.
 
@@ -187,7 +190,7 @@ class TrackerConfig:
     gate: float = DEFAULT_GATE
     confirm_hits: int = DEFAULT_CONFIRM_HITS
     max_misses: int = DEFAULT_MAX_MISSES
-    association: str = "greedy"
+    association: str = DEFAULT_ASSOCIATION
     init_velocity_sigma: float = 2.0
     init_accel_sigma: float = 10.0
 

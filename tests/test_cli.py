@@ -1,10 +1,19 @@
 """End-to-end CLI tests: synth, run, stage limits, and error reporting."""
 
+import argparse
+import importlib.util
 import json
+import os
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from avitrack.cli import main
+from avitrack.cli import build_parser, main, pipeline_config
+from avitrack.pipeline import PipelineConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -224,6 +233,17 @@ class TestStandaloneCommands:
         assert (out / "keypoints_gated.csv").exists()
         assert list(out.glob("mask_*.pgm"))
 
+    def test_mask_command_emits_a_mask_per_detection_frame(self, masked_bundle, tmp_path):
+        out = tmp_path / "masks"
+        args = self._mask_args(masked_bundle, out)
+        args.remove("--keypoints")
+        args.remove(str(masked_bundle / "keypoints.csv"))
+        assert main(args) == 0
+        rows = (masked_bundle / "detections.csv").read_text().splitlines()[1:]
+        expected = {"mask_{}_frame{}.pgm".format(*row.split(",")[:2]) for row in rows}
+        assert {p.name for p in out.glob("mask_*.pgm")} == expected
+        assert not (out / "keypoints_gated.csv").exists()
+
     def test_mask_command_missing_frame_is_ingest_error(
         self, masked_bundle, tmp_path, capsys
     ):
@@ -233,3 +253,103 @@ class TestStandaloneCommands:
         assert code == 2
         err = capsys.readouterr().err
         assert f"error: {missing}: frame file missing for mask stage" in err
+
+    def test_mask_thresholds_are_validated(self, masked_bundle, tmp_path, capsys):
+        out = tmp_path / "masks"
+        args = self._mask_args(masked_bundle, out) + ["--canny-low", "200", "--canny-high", "100"]
+        assert main(args) == 2
+        assert "error: canny_low must be in [0, canny_high], got 200.0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--fps", "0"], "fps must be > 0, got 0.0"),
+        (["--gate", "-1"], "gate_m must be > 0, got -1.0"),
+        (["--gap-tolerance", "-1"], "gap_tolerance_frames must be >= 0, got -1"),
+    ])
+    def test_eval_settings_are_validated(
+        self, masked_bundle, tmp_path, capsys, flags, message
+    ):
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(masked_bundle), "--out", str(out)]) == 0
+        metrics_path = tmp_path / "eval.json"
+        code = main(["eval", "--tracks", str(out / "tracks.csv"),
+                     "--truth", str(masked_bundle / "truth.csv"),
+                     "--out", str(metrics_path), *flags])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not metrics_path.exists()
+
+    @pytest.fixture
+    def unreferenced_bundle(self, masked_bundle):
+        """``masked_bundle`` without the detections of cam0 in frame 2, whose
+        keypoints stay."""
+        path = masked_bundle / "detections.csv"
+        rows = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(r for r in rows if not r.startswith(b"cam0,2,")))
+        return masked_bundle
+
+    @pytest.mark.parametrize("command", ["run", "run --use-mask", "mask"])
+    def test_missing_detection_reference_is_reported(
+        self, unreferenced_bundle, tmp_path, capsys, command
+    ):
+        out = tmp_path / "out"
+        if command == "mask":
+            args = self._mask_args(unreferenced_bundle, out)
+        else:
+            args = [*command.split(), "--input", str(unreferenced_bundle), "--out", str(out)]
+        assert main(args) == 2
+        keypoints = unreferenced_bundle / "keypoints.csv"
+        assert (f"error: {keypoints}: keypoint references missing detection "
+                "('cam0', 2, 0)") in capsys.readouterr().err
+        assert not (out / "keypoints_gated.csv").exists()
+        assert not list(out.glob("mask_*.pgm"))
+
+
+class TestFlagsMatchConfig:
+    """The ``run`` flags and PipelineConfig cannot drift apart."""
+
+    @pytest.fixture
+    def bench(self, monkeypatch):
+        """``perfbench/run.py``, loaded by path. It pins BLAS threads in
+        ``os.environ`` on import, which monkeypatch undoes."""
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_run", ROOT / "perfbench" / "run.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)
+        monkeypatch.setattr(os, "environ", os.environ.copy())
+        spec.loader.exec_module(module)
+        return module
+
+    def test_benchmark_workload_flags_parse_into_config(self, bench):
+        for name, workload in bench.WORKLOADS.items():
+            args = build_parser().parse_args(
+                ["run", "--input", "X", "--out", "Y", *bench.cli_flags(workload.config)]
+            )
+            config = pipeline_config(args)
+            assert config.output_dir == "Y"
+            assert config.detections_path == str(Path("X") / "detections.csv")
+            for field, value in workload.config.items():
+                assert getattr(config, field) == value, (name, field)
+
+    def test_every_field_is_set_by_a_run_flag(self):
+        defaults = PipelineConfig()
+        names = {f.name for f in fields(PipelineConfig)}
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        covered = set()
+        for action in sub.choices["run"]._actions:
+            if action.dest not in names:
+                continue
+            default = getattr(defaults, action.dest)
+            if action.nargs == 0:
+                value = []
+            elif action.choices:
+                value = [next(c for c in action.choices if c != default)]
+            else:
+                value = ["7"]
+            flag = action.option_strings[0]
+            config = pipeline_config(parser.parse_args(["run", "--input", "X", flag, *value]))
+            assert getattr(config, action.dest) != default, flag
+            covered.add(action.dest)
+        assert names - covered == {"aviary_size"}  # set by config file only

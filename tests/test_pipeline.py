@@ -57,6 +57,29 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PipelineConfig(parallelism=0).validate()
 
+    @pytest.mark.parametrize("bad", [
+        {"association": "bogus"},
+        {"max_misses": -1},
+        {"gap_tolerance_frames": -3},
+        {"confirm_hits": 0},
+        {"reproj_threshold_px": -5.0},
+        {"reproj_threshold_px": 0.0},
+        {"camera_pairs": [["cam0"]]},
+    ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+    def test_validation_rejects_out_of_range(self, bad):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            PipelineConfig(**bad).validate()
+
+    def test_bad_value_fails_before_any_frame(self, bundle_dir, tmp_path, monkeypatch):
+        def no_frames(payload):
+            raise AssertionError("a frame was processed")
+
+        monkeypatch.setattr("avitrack.pipeline._process_frame", no_frames)
+        config = PipelineConfig(association="bogus", output_dir=str(tmp_path / "out"))
+        with pytest.raises(ConfigError, match="association"):
+            run_pipeline(config.for_bundle_dir(bundle_dir))
+        assert not (tmp_path / "out").exists()
+
     def test_bundle_dir_fills_paths(self, bundle_dir):
         config = PipelineConfig().for_bundle_dir(bundle_dir)
         assert config.detections_path.endswith("detections.csv")
