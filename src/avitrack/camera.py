@@ -16,6 +16,7 @@ from .errors import BehindCameraError, DegenerateConfigurationError, EmptyInputE
 
 _ORTHONORMAL_TOL = 1e-9
 MIN_DEPTH = 1e-12
+DEFAULT_REPROJ_THRESHOLD_PX = 25.0  # "below threshold" share in error stats
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -76,7 +77,7 @@ class ErrorStats:
     min: float
     max: float
     pct_below_threshold: float
-    threshold_px: float = 25.0
+    threshold_px: float = DEFAULT_REPROJ_THRESHOLD_PX
 
 
 @dataclass(frozen=True)
@@ -226,7 +227,9 @@ def project_many(cam: CameraModel, points: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def reprojection_error(
-    projected: np.ndarray, observed: np.ndarray, threshold_px: float = 25.0
+    projected: np.ndarray,
+    observed: np.ndarray,
+    threshold_px: float = DEFAULT_REPROJ_THRESHOLD_PX,
 ) -> ErrorStats:
     """Per-point pixel distance statistics between two equal-length point lists."""
     projected = np.asarray(projected, dtype=float).reshape(-1, 2)

@@ -83,13 +83,11 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
     add("--truth", "truth_path")
     add("--match-truth", "match_truth_path")
     add("--out", "output_dir")
-    add("--stage", choices=STAGES)
     add("--pair", "camera_pairs", action="append", type=lambda text: text.split(","),
         metavar="CAMA,CAMB", help="camera pair to match (repeatable; default all pairs)")
     add("--use-mask")
     add("--fusion", choices=FUSIONS)
     add("--ratio")
-    add("--knn-k")
     add("--min-support")
     add("--landmark-anchor", choices=ANCHORS)
     add("--fuse-radius", "fuse_radius_m")
@@ -214,6 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run the full pipeline")
     _add_run_arguments(run)
+    _settings(run)("--stage", choices=STAGES)
     run.set_defaults(func=_cmd_run)
 
     match = sub.add_parser("match", help="run matching + rejection + clustering only")

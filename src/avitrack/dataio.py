@@ -1,13 +1,17 @@
 """File formats: strict CSV/JSON ingestion and deterministic emission.
 
-Readers reject any row that deviates from its schema instead of coercing,
-and report the offending file and line. Keypoints, the bulk of every
-bundle, have a vectorised fast path: one ``np.loadtxt`` for the numbers
-and one streamed pass for the ids. Any file the fast path cannot take
-whole (unusual text, a parse failure, a non-finite value) goes to the
-strict row reader, so errors still name the file and line. Writers format
-floats with ``repr`` so files round-trip losslessly and rerunning a
-pipeline yields byte-identical output.
+Every CSV table is written by ``_write_table`` and read by ``_read_table``,
+which checks the header and the column count and parses each column as
+text, an integer or a finite float. Readers reject any row that deviates
+from its schema instead of coercing, and report the offending file and
+line; each public reader adds only its own semantic checks. Keypoints,
+the bulk of every bundle, have a vectorised fast path: one ``np.loadtxt``
+for the numbers and one streamed pass for the ids. Any file the fast path
+cannot take whole (unusual text, a parse failure, a non-finite value) goes
+to the strict row reader, so errors still name the file and line. Writers
+hand floats to ``csv`` as Python floats, which it formats with ``repr``,
+so files round-trip losslessly and rerunning a pipeline yields
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from .camera import CameraModel, rotation_from_rvec, rvec_from_rotation
 from .errors import IngestError
-from .matching import Detection, Keypoint
+from .matching import Correspondence, Detection, Keypoint
 from .voronoi import LandmarkSet
 
 SCHEMA_VERSION = 1
@@ -36,12 +40,19 @@ OBSERVATIONS_HEADER = [
     "frame", "track_hint", "x_m", "y_m", "z_m", "err_cam_a_px", "err_cam_b_px",
 ]
 TRACKS_HEADER = ["frame", "track_id", "status", "x_m", "y_m", "z_m"]
+CORRESPONDENCES_HEADER = [
+    "frame", "camera_a", "camera_b", "detection_index_a", "detection_index_b",
+    "support", "mean_descriptor_distance",
+]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+def _write_table(path, header: list[str], rows) -> None:
+    """Write one CSV table. Float cells must be Python floats: ``csv``
+    writes their ``repr``, where a numpy scalar would print its own way."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _parse_int(path, line_no: int, text: str, column: str) -> int:
@@ -61,83 +72,61 @@ def _parse_float(path, line_no: int, text: str, column: str) -> float:
     return value
 
 
-def _read_rows(path, expected_header: list[str], min_columns: int | None = None):
+_PARSERS = {"s": None, "i": _parse_int, "f": _parse_float}
+
+
+def _read_table(path, header: list[str], kinds: str):
+    """``(line_no, values)`` for each non-blank row of a CSV table.
+
+    ``kinds`` types each column of ``header``: ``s`` text, ``i`` integer,
+    ``f`` finite float. The file's header must start with ``header`` and
+    every row must have exactly its columns.
+    """
     path = Path(path)
     if not path.exists():
         raise IngestError(path, "file not found")
+    columns = [(name, _PARSERS[kind]) for name, kind in zip(header, kinds, strict=True)]
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            found = next(reader)
         except StopIteration:
             raise IngestError(path, "empty file, expected a header row", 1)
-        width = min_columns if min_columns is not None else len(expected_header)
-        if header[: len(expected_header)] != expected_header:
-            raise IngestError(
-                path,
-                f"bad header {header!r}, expected {expected_header!r}...",
-                1,
-            )
+        if found[: len(header)] != header:
+            raise IngestError(path, f"bad header {found!r}, expected {header!r}...", 1)
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if min_columns is None and len(row) != len(expected_header):
+            if len(row) != len(header):
                 raise IngestError(
-                    path,
-                    f"expected {len(expected_header)} columns, got {len(row)}",
-                    line_no,
+                    path, f"expected {len(header)} columns, got {len(row)}", line_no
                 )
-            yield line_no, row, len(header)
+            yield line_no, [
+                text if parse is None else parse(path, line_no, text, name)
+                for text, (name, parse) in zip(row, columns)
+            ]
 
 
 def write_detections(path, detections: list[Detection]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DETECTIONS_HEADER)
-        for det in sorted(detections, key=lambda d: (d.camera_id, d.frame, d.index)):
-            writer.writerow(
-                [
-                    det.camera_id,
-                    det.frame,
-                    det.index,
-                    _fmt(det.x_min),
-                    _fmt(det.y_min),
-                    _fmt(det.x_max),
-                    _fmt(det.y_max),
-                    _fmt(det.confidence),
-                ]
-            )
+    _write_table(path, DETECTIONS_HEADER, (
+        [d.camera_id, d.frame, d.index, *map(float, d.box), float(d.confidence)]
+        for d in sorted(detections, key=lambda d: (d.camera_id, d.frame, d.index))
+    ))
 
 
 def read_detections(path) -> list[Detection]:
     detections = []
     seen = set()
-    for line_no, row, _ in _read_rows(path, DETECTIONS_HEADER):
-        camera_id = row[0]
-        frame = _parse_int(path, line_no, row[1], "frame")
-        index = _parse_int(path, line_no, row[2], "detection_index")
-        values = [
-            _parse_float(path, line_no, row[3 + i], DETECTIONS_HEADER[3 + i])
-            for i in range(5)
-        ]
+    for line_no, (camera_id, frame, index, *values) in _read_table(
+        path, DETECTIONS_HEADER, "siifffff"
+    ):
         if values[2] <= values[0] or values[3] <= values[1]:
             raise IngestError(path, f"degenerate box {values[:4]}", line_no)
         key = (camera_id, frame, index)
         if key in seen:
             raise IngestError(path, f"duplicate detection {key}", line_no)
         seen.add(key)
-        detections.append(
-            Detection(
-                camera_id=camera_id,
-                frame=frame,
-                index=index,
-                x_min=values[0],
-                y_min=values[1],
-                x_max=values[2],
-                y_max=values[3],
-                confidence=values[4],
-            )
-        )
+        detections.append(Detection(camera_id, frame, index, *values))
     return detections
 
 
@@ -152,40 +141,28 @@ def keypoints_header(descriptor_length: int) -> list[str]:
 
 
 def write_keypoints(path, keypoints: list[Keypoint]) -> None:
-    if keypoints:
-        length = keypoints[0].descriptor.size
-    else:
-        length = 0
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(keypoints_header(length))
-        ordered = sorted(
-            keypoints,
-            key=lambda k: (k.camera_id, k.frame, k.detection_index,
-                           k.position[1], k.position[0]),
-        )
-        for kp in ordered:
-            row = [
-                kp.camera_id,
-                kp.frame,
-                kp.detection_index,
-                _fmt(kp.position[0]),
-                _fmt(kp.position[1]),
-            ]
-            row.extend(_fmt(v) for v in kp.descriptor)
-            writer.writerow(row)
+    length = keypoints[0].descriptor.size if keypoints else 0
+    ordered = sorted(
+        keypoints,
+        key=lambda k: (k.camera_id, k.frame, k.detection_index,
+                       k.position[1], k.position[0]),
+    )
+    _write_table(path, keypoints_header(length), (
+        [kp.camera_id, kp.frame, kp.detection_index,
+         *kp.position.tolist(), *kp.descriptor.tolist()]
+        for kp in ordered
+    ))
 
 
 def _keypoints_descriptor_length(path: Path) -> int:
-    fixed = KEYPOINTS_FIXED_HEADER
     if not path.exists():
         raise IngestError(path, "file not found")
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), None)
     if header is None:
         raise IngestError(path, "empty file, expected a header row", 1)
-    descriptor_length = len(header) - len(fixed)
-    if header[: len(fixed)] != fixed or descriptor_length < 1:
+    descriptor_length = len(header) - len(KEYPOINTS_FIXED_HEADER)
+    if descriptor_length < 1 or header != keypoints_header(descriptor_length):
         raise IngestError(
             path, "expected header camera_id,frame,detection_index,x_px,y_px,d0,...", 1
         )
@@ -261,56 +238,27 @@ def _read_keypoints_fast(path: Path, descriptor_length: int) -> list[Keypoint] |
 
 def _read_keypoints_strict(path: Path, descriptor_length: int) -> list[Keypoint]:
     """Row-by-row reader: the reference for the fast path, and its errors."""
-    keypoints = []
-    fixed = KEYPOINTS_FIXED_HEADER
-    for line_no, row, _ in _read_rows(path, fixed, min_columns=len(fixed)):
-        if len(row) != len(fixed) + descriptor_length:
-            raise IngestError(
-                path,
-                f"expected {len(fixed) + descriptor_length} columns, got {len(row)}",
-                line_no,
-            )
-        camera_id = row[0]
-        frame = _parse_int(path, line_no, row[1], "frame")
-        det_index = _parse_int(path, line_no, row[2], "detection_index")
-        x = _parse_float(path, line_no, row[3], "x_px")
-        y = _parse_float(path, line_no, row[4], "y_px")
-        descriptor = np.array(
-            [
-                _parse_float(path, line_no, row[5 + i], f"d{i}")
-                for i in range(descriptor_length)
-            ]
+    return [
+        Keypoint(camera_id, frame, det_index, values[:2], values[2:])
+        for _, (camera_id, frame, det_index, *values) in _read_table(
+            path, keypoints_header(descriptor_length), "siiff" + "f" * descriptor_length
         )
-        keypoints.append(
-            Keypoint(
-                camera_id=camera_id,
-                frame=frame,
-                detection_index=det_index,
-                position=np.array([x, y]),
-                descriptor=descriptor,
-            )
-        )
-    return keypoints
+    ]
 
 
 def write_landmarks(path, landmarks: LandmarkSet) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LANDMARKS_HEADER)
-        for camera_id in landmarks.cameras():
-            for global_id, position in landmarks.entries(camera_id):
-                writer.writerow(
-                    [camera_id, global_id, _fmt(position[0]), _fmt(position[1])]
-                )
+    _write_table(path, LANDMARKS_HEADER, (
+        [camera_id, global_id, *position.tolist()]
+        for camera_id in landmarks.cameras()
+        for global_id, position in landmarks.entries(camera_id)
+    ))
 
 
 def read_landmarks(path, image_sizes: dict[str, tuple[int, int]]) -> LandmarkSet:
     landmarks = LandmarkSet(image_sizes)
-    for line_no, row, _ in _read_rows(path, LANDMARKS_HEADER):
-        camera_id = row[0]
-        global_id = _parse_int(path, line_no, row[1], "global_id")
-        x = _parse_float(path, line_no, row[2], "x_px")
-        y = _parse_float(path, line_no, row[3], "y_px")
+    for line_no, (camera_id, global_id, x, y) in _read_table(
+        path, LANDMARKS_HEADER, "siff"
+    ):
         try:
             landmarks.add(camera_id, global_id, (x, y))
         except ValueError as exc:
@@ -386,54 +334,36 @@ def read_calibration(path) -> dict[str, CameraModel]:
 
 
 def write_truth(path, positions: dict[int, dict[int, np.ndarray]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRUTH_HEADER)
-        for frame in sorted(positions):
-            for identity in sorted(positions[frame]):
-                p = positions[frame][identity]
-                writer.writerow(
-                    [frame, identity, _fmt(p[0]), _fmt(p[1]), _fmt(p[2])]
-                )
+    _write_table(path, TRUTH_HEADER, (
+        [frame, identity, *map(float, positions[frame][identity])]
+        for frame in sorted(positions)
+        for identity in sorted(positions[frame])
+    ))
 
 
 def read_truth(path) -> dict[int, dict[int, np.ndarray]]:
     positions: dict[int, dict[int, np.ndarray]] = {}
-    for line_no, row, _ in _read_rows(path, TRUTH_HEADER):
-        frame = _parse_int(path, line_no, row[0], "frame")
-        identity = _parse_int(path, line_no, row[1], "identity")
-        point = np.array(
-            [
-                _parse_float(path, line_no, row[2 + i], TRUTH_HEADER[2 + i])
-                for i in range(3)
-            ]
-        )
+    for line_no, (frame, identity, *point) in _read_table(path, TRUTH_HEADER, "iifff"):
         frame_map = positions.setdefault(frame, {})
         if identity in frame_map:
             raise IngestError(
                 path, f"identity {identity} appears twice in frame {frame}", line_no
             )
-        frame_map[identity] = point
+        frame_map[identity] = np.array(point)
     return positions
 
 
 def write_match_truth(path, identities: dict[tuple[str, int, int], int]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MATCH_TRUTH_HEADER)
-        for (camera_id, frame, det_index) in sorted(identities):
-            writer.writerow(
-                [camera_id, frame, det_index, identities[(camera_id, frame, det_index)]]
-            )
+    _write_table(path, MATCH_TRUTH_HEADER, (
+        [*key, identities[key]] for key in sorted(identities)
+    ))
 
 
 def read_match_truth(path) -> dict[tuple[str, int, int], int]:
     identities: dict[tuple[str, int, int], int] = {}
-    for line_no, row, _ in _read_rows(path, MATCH_TRUTH_HEADER):
-        camera_id = row[0]
-        frame = _parse_int(path, line_no, row[1], "frame")
-        det_index = _parse_int(path, line_no, row[2], "detection_index")
-        identity = _parse_int(path, line_no, row[3], "identity")
+    for line_no, (camera_id, frame, det_index, identity) in _read_table(
+        path, MATCH_TRUTH_HEADER, "siii"
+    ):
         key = (camera_id, frame, det_index)
         if key in identities:
             raise IngestError(path, f"duplicate detection label {key}", line_no)
@@ -441,70 +371,49 @@ def read_match_truth(path) -> dict[tuple[str, int, int], int]:
     return identities
 
 
+def write_correspondences(
+    path, rows: list[tuple[int, str, str, Correspondence]]
+) -> None:
+    """Correspondence rows: (frame, camera_a, camera_b, correspondence)."""
+    _write_table(path, CORRESPONDENCES_HEADER, (
+        [frame, cam_a, cam_b, c.detection_index_a, c.detection_index_b,
+         c.support, float(c.mean_descriptor_distance)]
+        for frame, cam_a, cam_b, c in rows
+    ))
+
+
 def write_observations(path, observations: list) -> None:
     """Observation rows: (frame, hint, position, err_a, err_b)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(OBSERVATIONS_HEADER)
-        for frame, hint, position, err_a, err_b in observations:
-            writer.writerow(
-                [
-                    frame,
-                    hint,
-                    _fmt(position[0]),
-                    _fmt(position[1]),
-                    _fmt(position[2]),
-                    _fmt(err_a),
-                    _fmt(err_b),
-                ]
-            )
+    _write_table(path, OBSERVATIONS_HEADER, (
+        [frame, hint, *map(float, position), float(err_a), float(err_b)]
+        for frame, hint, position, err_a, err_b in observations
+    ))
 
 
 def read_observations(path) -> list[tuple[int, int, np.ndarray, float, float]]:
-    rows = []
-    for line_no, row, _ in _read_rows(path, OBSERVATIONS_HEADER):
-        frame = _parse_int(path, line_no, row[0], "frame")
-        hint = _parse_int(path, line_no, row[1], "track_hint")
-        values = [
-            _parse_float(path, line_no, row[2 + i], OBSERVATIONS_HEADER[2 + i])
-            for i in range(5)
-        ]
-        rows.append((frame, hint, np.array(values[:3]), values[3], values[4]))
-    return rows
+    return [
+        (frame, hint, np.array(values[:3]), values[3], values[4])
+        for _, (frame, hint, *values) in _read_table(
+            path, OBSERVATIONS_HEADER, "iifffff"
+        )
+    ]
 
 
 def write_tracks(path, track_rows: list[tuple[int, int, str, np.ndarray]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACKS_HEADER)
-        for frame, track_id, status, position in track_rows:
-            writer.writerow(
-                [
-                    frame,
-                    track_id,
-                    status,
-                    _fmt(position[0]),
-                    _fmt(position[1]),
-                    _fmt(position[2]),
-                ]
-            )
+    _write_table(path, TRACKS_HEADER, (
+        [frame, track_id, status, *map(float, position)]
+        for frame, track_id, status, position in track_rows
+    ))
 
 
 def read_tracks(path) -> list[tuple[int, int, str, np.ndarray]]:
     rows = []
-    for line_no, row, _ in _read_rows(path, TRACKS_HEADER):
-        frame = _parse_int(path, line_no, row[0], "frame")
-        track_id = _parse_int(path, line_no, row[1], "track_id")
-        status = row[2]
+    for line_no, (frame, track_id, status, *position) in _read_table(
+        path, TRACKS_HEADER, "iisfff"
+    ):
         if status not in ("tentative", "confirmed", "dead"):
             raise IngestError(path, f"unknown track status {status!r}", line_no)
-        position = np.array(
-            [
-                _parse_float(path, line_no, row[3 + i], TRACKS_HEADER[3 + i])
-                for i in range(3)
-            ]
-        )
-        rows.append((frame, track_id, status, position))
+        rows.append((frame, track_id, status, np.array(position)))
     return rows
 
 

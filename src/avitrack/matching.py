@@ -23,6 +23,8 @@ from .voronoi import LandmarkSet, nearest_landmark, nearest_landmarks_many  # no
 KEPT = "kept"
 REJECTED = "rejected"
 ANCHORS = ("keypoint", "detection_center")  # see ``reject_by_landmark``
+DEFAULT_RATIO = 0.75  # Lowe's ratio test
+DEFAULT_MIN_SUPPORT = 2  # kept matches per correspondence
 
 
 @dataclass(frozen=True)
@@ -109,12 +111,11 @@ class RejectionStats:
 def knn_match(
     keypoints_a: list[Keypoint],
     keypoints_b: list[Keypoint],
-    k: int = 2,
-    ratio: float = 0.75,
+    ratio: float = DEFAULT_RATIO,
 ) -> list[FeatureMatch]:
     """Brute-force nearest-descriptor candidates with Lowe's ratio test.
 
-    For each keypoint in A we take its k nearest descriptors in B by
+    For each keypoint in A we take its two nearest descriptors in B by
     Euclidean distance and emit a candidate only when the best distance is
     below ``ratio`` times the second best. With fewer than two candidates
     on the B side the ratio test cannot run and the best match is emitted
@@ -122,10 +123,6 @@ def knn_match(
     """
     if not keypoints_a or not keypoints_b:
         return []
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if k < 2 and len(keypoints_b) >= 2:
-        raise ValueError(f"k must be >= 2 for the ratio test, got {k}")
     lengths = {kp.descriptor.size for kp in keypoints_a} | {
         kp.descriptor.size for kp in keypoints_b
     }
@@ -232,7 +229,7 @@ def reject_by_landmark(
 
 
 def cluster_correspondences(
-    matches: list[FeatureMatch], min_support: int = 2
+    matches: list[FeatureMatch], min_support: int = DEFAULT_MIN_SUPPORT
 ) -> list[Correspondence]:
     """Group kept matches by detection pair into one-to-one correspondences.
 

@@ -16,11 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .camera import CameraModel
+from .camera import DEFAULT_REPROJ_THRESHOLD_PX, CameraModel
 from .errors import ConfigError, IngestError
 from .mask import CANNY_HIGH, CANNY_LOW, build_frame_mask, gate_keypoints, read_pgm
 from .matching import (
     ANCHORS,
+    DEFAULT_MIN_SUPPORT,
+    DEFAULT_RATIO,
     Correspondence,
     Detection,
     FeatureMatch,
@@ -46,6 +48,13 @@ STAGES = ("voronoi-overlay", "match", "reconstruct", "track", "all")
 FUSIONS = ("all-pairs", "pairwise")
 
 
+def _has_type(value, kind: type) -> bool:
+    """``value`` is a ``kind``; an int counts as a float, a bool only as a bool."""
+    if isinstance(value, bool) != (kind is bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 @dataclass
 class PipelineConfig:
     """All paths, stage toggles, and tunables for one pipeline run."""
@@ -64,9 +73,8 @@ class PipelineConfig:
     fusion: str = "all-pairs"
     stage: str = "all"
 
-    knn_k: int = 2
-    ratio: float = 0.75
-    min_support: int = 2
+    ratio: float = DEFAULT_RATIO
+    min_support: int = DEFAULT_MIN_SUPPORT
     landmark_anchor: str = "keypoint"
     fuse_radius_m: float = FUSE_RADIUS_M
     gate_m: float = DEFAULT_GATE
@@ -78,7 +86,7 @@ class PipelineConfig:
     canny_low: float = CANNY_LOW
     canny_high: float = CANNY_HIGH
     fps: float = DEFAULT_FPS
-    reproj_threshold_px: float = 25.0
+    reproj_threshold_px: float = DEFAULT_REPROJ_THRESHOLD_PX
     gap_tolerance_frames: int = 0
     validate_bounds: bool = False
     aviary_size: list[float] = field(default_factory=lambda: [4.0, 3.4, 2.0])
@@ -93,7 +101,6 @@ class PipelineConfig:
             ("camera_pairs", self.camera_pairs is None
              or all(len(pair) == 2 for pair in self.camera_pairs), "CAMA,CAMB pairs"),
             ("ratio", 0 < self.ratio < 1, "in (0, 1)"),
-            ("knn_k", self.knn_k >= 2, ">= 2"),
             ("min_support", self.min_support >= 1, ">= 1"),
             ("gate_m", self.gate_m > 0, "> 0"),
             ("fuse_radius_m", self.fuse_radius_m > 0, "> 0"),
@@ -116,9 +123,18 @@ class PipelineConfig:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise IngestError(path, f"invalid JSON: {exc}")
+        if not isinstance(doc, dict):
+            raise IngestError(path, "config must be a JSON object")
         unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise IngestError(path, f"unknown config keys: {sorted(unknown)}")
+        defaults = cls()
+        for name, value in doc.items():
+            kind = list if name == "camera_pairs" else type(getattr(defaults, name))
+            if not (_has_type(value, kind) or (name == "camera_pairs" and value is None)):
+                raise IngestError(
+                    path, f"config key {name!r}: expected {kind.__name__}, got {value!r}"
+                )
         return cls(**doc)
 
     def with_overrides(self, overrides: dict) -> "PipelineConfig":
@@ -188,7 +204,7 @@ def _process_frame(payload: _FramePayload) -> FrameResult:
         kps_b = payload.keypoints.get(cam_b, [])
         if not kps_a or not kps_b:
             continue
-        candidates = knn_match(kps_a, kps_b, k=cfg.knn_k, ratio=cfg.ratio)
+        candidates = knn_match(kps_a, kps_b, ratio=cfg.ratio)
         decided, _ = reject_by_landmark(
             candidates,
             payload.landmarks,
@@ -368,7 +384,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
     if all_matches:
         report["table3"] = rejection_stats(all_matches, truth)
 
-    _write_correspondences(out_dir / "correspondences.csv", results)
+    dataio.write_correspondences(out_dir / "correspondences.csv", [
+        (result.frame, cam_a, cam_b, corr)
+        for result in results
+        for (cam_a, cam_b), corrs in sorted(result.correspondences.items())
+        for corr in corrs
+    ])
     if config.stage == "match":
         dataio.write_metrics(out_dir / "metrics.json", report)
         return report
@@ -414,27 +435,3 @@ def run_pipeline(config: PipelineConfig) -> dict:
         )
     dataio.write_metrics(out_dir / "metrics.json", report)
     return report
-
-
-def _write_correspondences(path, results: list[FrameResult]) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "frame", "camera_a", "camera_b",
-                "detection_index_a", "detection_index_b",
-                "support", "mean_descriptor_distance",
-            ]
-        )
-        for result in results:
-            for (cam_a, cam_b) in sorted(result.correspondences):
-                for corr in result.correspondences[(cam_a, cam_b)]:
-                    writer.writerow(
-                        [
-                            result.frame, cam_a, cam_b,
-                            corr.detection_index_a, corr.detection_index_b,
-                            corr.support, repr(corr.mean_descriptor_distance),
-                        ]
-                    )

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import (
+    DEFAULT_REPROJ_THRESHOLD_PX,
     MIN_DEPTH,
     CameraModel,
     project,
@@ -253,7 +254,7 @@ def reconstruction_stats(
     observations: list[Observation3D],
     matches: list[FeatureMatch],
     cameras: dict[str, CameraModel],
-    threshold_px: float = 25.0,
+    threshold_px: float = DEFAULT_REPROJ_THRESHOLD_PX,
 ) -> dict:
     """Keypoint-level reconstruction quality record.
 

@@ -78,20 +78,11 @@ class LandmarkSet:
 def nearest_landmark(landmarks: LandmarkSet, camera_id: str, query) -> int:
     """Id of the landmark nearest to ``query`` in this camera's view.
 
-    Equidistant sites resolve to the smallest global id so repeated runs
-    are reproducible.
+    A one-row call of ``nearest_landmarks_many``. Equidistant sites resolve
+    to the smallest global id so repeated runs are reproducible.
     """
-    entries = landmarks.entries(camera_id)
-    if not entries:
-        raise NoLandmarksError(f"no landmarks registered for camera {camera_id!r}")
-    query = np.asarray(query, dtype=float).reshape(2)
-    best_id = -1
-    best_d2 = math.inf
-    for gid, pos in entries:
-        d2 = float((pos[0] - query[0]) ** 2 + (pos[1] - query[1]) ** 2)
-        if d2 < best_d2 or (d2 == best_d2 and gid < best_id):
-            best_id, best_d2 = gid, d2
-    return best_id
+    query = np.asarray(query, dtype=float).reshape(1, 2)
+    return int(nearest_landmarks_many(landmarks, camera_id, query)[0])
 
 
 def nearest_landmarks_many(

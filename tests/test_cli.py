@@ -125,6 +125,31 @@ class TestRun:
         )
         assert code != 0
 
+    @pytest.mark.parametrize("command", ["match", "reconstruct"])
+    def test_stage_is_a_run_flag_only(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", str(tmp_path), "--out", str(tmp_path / "out"),
+                  "--stage", "all"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --stage all" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"fps": "30"}, "config key 'fps': expected float, got '30'"),
+        ({"max_misses": 2.5}, "config key 'max_misses': expected int, got 2.5"),
+    ])
+    def test_config_value_of_the_wrong_type_fails(
+        self, small_bundle, tmp_path, capsys, doc, message
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = main(["run", "--input", str(small_bundle), "--out", str(out),
+                     "--config", str(config)])
+        assert code == 2
+        assert f"error: {config}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStandaloneCommands:
     def test_track_and_eval_from_files(self, small_bundle, tmp_path):

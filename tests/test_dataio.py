@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from avitrack import dataio
 from avitrack.errors import IngestError
-from avitrack.matching import Detection
+from avitrack.matching import Detection, Keypoint
 from avitrack.synthworld import SceneConfig, generate
+from avitrack.voronoi import LandmarkSet
 
 
 @pytest.fixture
@@ -394,3 +395,170 @@ class TestKeypointFastPath:
         rows = [KEYPOINT_ROWS[0], _with_field(KEYPOINT_ROWS[1], column, text)]
         path = _write_keypoints_text(tmp_path_factory.mktemp("k") / "k.csv", rows)
         assert_readers_agree(path)
+
+
+# --- every table: typed-column errors and lossless round trips -------------
+
+# reader, header, the type of each column (s text, i integer, f float), a valid row
+TABLES = {
+    "detections": (dataio.read_detections, dataio.DETECTIONS_HEADER, "siifffff",
+                   "cam0,0,0,1.0,2.0,3.0,4.0,0.9"),
+    "keypoints": (dataio.read_keypoints, KEYPOINT_HEADER.split(","), "siifffff",
+                  KEYPOINT_ROWS[0]),
+    "landmarks": (lambda path: dataio.read_landmarks(path, {"cam0": (640, 360)}),
+                  dataio.LANDMARKS_HEADER, "siff", "cam0,1,10.0,20.0"),
+    "truth": (dataio.read_truth, dataio.TRUTH_HEADER, "iifff", "0,1,1.0,2.0,3.0"),
+    "match_truth": (dataio.read_match_truth, dataio.MATCH_TRUTH_HEADER, "siii",
+                    "cam0,0,0,1"),
+    "observations": (dataio.read_observations, dataio.OBSERVATIONS_HEADER, "iifffff",
+                     "0,0,1.0,2.0,3.0,0.5,0.25"),
+    "tracks": (dataio.read_tracks, dataio.TRACKS_HEADER, "iisfff",
+               "0,1,tentative,1.0,2.0,3.0"),
+}
+BAD_VALUES = {
+    "i": [("1.5", "is not an integer"), ("x", "is not an integer")],
+    "f": [("x", "is not a number"), ("inf", "is not finite"), ("nan", "is not finite")],
+}
+BAD_CELLS = [
+    (table, column, text, problem)
+    for table, (_, header, kinds, _) in TABLES.items()
+    for column, kind in enumerate(kinds)
+    for text, problem in BAD_VALUES.get(kind, [])
+]
+
+
+class TestTypedColumns:
+    @pytest.mark.parametrize(
+        "table, column, text, problem", BAD_CELLS,
+        ids=[f"{t}-{TABLES[t][1][c]}-{x}" for t, c, x, _ in BAD_CELLS],
+    )
+    def test_bad_value_names_file_line_and_column(
+        self, tmp_path, table, column, text, problem
+    ):
+        read, header, _, row = TABLES[table]
+        path = tmp_path / f"{table}.csv"
+        path.write_text("\n".join([",".join(header), row, _with_field(row, column, text)]))
+        with pytest.raises(IngestError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}:3: column {header[column]!r}: {text!r} {problem}"
+
+    def test_every_typed_column_is_covered(self):
+        for table, (read, header, kinds, row) in TABLES.items():
+            assert len(header) == len(kinds) == len(row.split(",")), table
+
+
+def _bits(value):
+    """A record of every bit of a value: floats by type and hex, arrays by
+    dtype, shape and bytes, containers element by element."""
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, float):
+        return (type(value).__name__, value.hex())
+    if isinstance(value, dict):
+        return sorted((repr(k), _bits(v)) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    if hasattr(value, "__dataclass_fields__"):
+        return (type(value).__name__,
+                [_bits(getattr(value, name)) for name in value.__dataclass_fields__])
+    return (type(value).__name__, value)
+
+
+# Any finite float: signed zeros, subnormals and the extremes included.
+_FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+_INT = st.integers(-(2**70), 2**70)
+# Commas, quotes and line breaks make csv quote the field.
+_TEXT = st.text(alphabet='ab0 ,"\né', min_size=1, max_size=4)
+_POINT = st.lists(_FLOAT, min_size=3, max_size=3).map(np.array)
+
+
+def _round_trip(tmp_path_factory, write, read, value, name="table.csv"):
+    path = tmp_path_factory.mktemp("rt") / name
+    write(path, value)
+    return read(path)
+
+
+class TestRoundTripProperty:
+    """Each table's ``write_*`` then ``read_*`` gives back every bit."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(rows=st.lists(
+        st.tuples(_TEXT, _INT, _INT, st.lists(_FLOAT, min_size=2, max_size=2, unique=True),
+                  st.lists(_FLOAT, min_size=2, max_size=2, unique=True), _FLOAT),
+        unique_by=lambda r: r[:3], max_size=6,
+    ))
+    def test_detections(self, tmp_path_factory, rows):
+        detections = [
+            Detection(cam, frame, index, min(xs), min(ys), max(xs), max(ys), conf)
+            for cam, frame, index, xs, ys, conf in rows
+            if 0.0 not in (max(xs) - min(xs), max(ys) - min(ys))  # -0.0 == 0.0
+        ]
+        back = _round_trip(tmp_path_factory, dataio.write_detections,
+                           dataio.read_detections, detections)
+        expected = sorted(detections, key=lambda d: (d.camera_id, d.frame, d.index))
+        assert _bits(back) == _bits(expected)
+
+    @settings(max_examples=50, deadline=None)
+    @given(length=st.integers(1, 3), data=st.data())
+    def test_keypoints(self, tmp_path_factory, length, data):
+        vector = st.lists(_FLOAT, min_size=length + 2, max_size=length + 2)
+        # At least one row: an empty list is written without descriptor columns.
+        rows = data.draw(st.lists(st.tuples(_TEXT, _INT, _INT, vector),
+                                  min_size=1, max_size=6))
+        keypoints = [Keypoint(cam, frame, det, v[:2], v[2:]) for cam, frame, det, v in rows]
+        back = _round_trip(tmp_path_factory, dataio.write_keypoints,
+                           dataio.read_keypoints, keypoints)
+        expected = sorted(keypoints, key=lambda k: (
+            k.camera_id, k.frame, k.detection_index, k.position[1], k.position[0]))
+        assert _bits(back) == _bits(expected)
+
+    @settings(max_examples=50, deadline=None)
+    @given(rows=st.lists(
+        st.tuples(st.sampled_from(["cam0", "cam,1"]), _INT,
+                  st.floats(0, 640, exclude_max=True), st.floats(0, 360, exclude_max=True)),
+        unique_by=lambda r: r[:2], max_size=6,
+    ))
+    def test_landmarks(self, tmp_path_factory, rows):
+        sizes = {"cam0": (640, 360), "cam,1": (640, 360)}
+        landmarks = LandmarkSet(sizes)
+        for cam, gid, x, y in rows:
+            try:
+                landmarks.add(cam, gid, (x, y))
+            except ValueError:  # coincides with an earlier landmark
+                pass
+        back = _round_trip(tmp_path_factory, dataio.write_landmarks,
+                           lambda path: dataio.read_landmarks(path, sizes), landmarks)
+        assert back.cameras() == landmarks.cameras()
+        for cam in landmarks.cameras():
+            assert _bits(back.entries(cam)) == _bits(landmarks.entries(cam))
+
+    @settings(max_examples=50, deadline=None)
+    @given(positions=st.dictionaries(_INT, st.dictionaries(_INT, _POINT, max_size=3),
+                                     max_size=4))
+    def test_truth(self, tmp_path_factory, positions):
+        back = _round_trip(tmp_path_factory, dataio.write_truth, dataio.read_truth,
+                           positions)
+        expected = {frame: ids for frame, ids in positions.items() if ids}
+        assert _bits(back) == _bits(expected)
+
+    @settings(max_examples=50, deadline=None)
+    @given(identities=st.dictionaries(st.tuples(_TEXT, _INT, _INT), _INT, max_size=6))
+    def test_match_truth(self, tmp_path_factory, identities):
+        back = _round_trip(tmp_path_factory, dataio.write_match_truth,
+                           dataio.read_match_truth, identities)
+        assert _bits(back) == _bits(identities)
+
+    @settings(max_examples=50, deadline=None)
+    @given(rows=st.lists(st.tuples(_INT, _INT, _POINT, _FLOAT, _FLOAT), max_size=6))
+    def test_observations(self, tmp_path_factory, rows):
+        back = _round_trip(tmp_path_factory, dataio.write_observations,
+                           dataio.read_observations, rows)
+        assert _bits(back) == _bits(rows)
+
+    @settings(max_examples=50, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        _INT, _INT, st.sampled_from(["tentative", "confirmed", "dead"]), _POINT,
+    ), max_size=6))
+    def test_tracks(self, tmp_path_factory, rows):
+        back = _round_trip(tmp_path_factory, dataio.write_tracks, dataio.read_tracks, rows)
+        assert _bits(back) == _bits(rows)

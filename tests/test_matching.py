@@ -76,19 +76,9 @@ class TestKnnMatch:
         with pytest.raises(DimensionMismatchError):
             knn_match([_kp("a", [1.0, 2.0])], [_kp("b", [1.0, 2.0, 3.0])])
 
-    def test_k_below_two_rejected_when_ratio_applies(self):
-        a = [_kp("a", [0.0])]
-        b = [_kp("b", [0.5]), _kp("b", [1.0])]
-        with pytest.raises(ValueError, match="k must be"):
-            knn_match(a, b, k=1)
-
     def test_empty_sides_give_no_matches(self):
         assert knn_match([], [_kp("b", [1.0])]) == []
         assert knn_match([_kp("a", [1.0])], []) == []
-
-    def test_k_below_one_rejected_with_one_candidate(self):
-        with pytest.raises(ValueError, match="k must be"):
-            knn_match([_kp("a", [0.0])], [_kp("b", [0.5])], k=0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_descriptor_names_its_side(self, bad):
@@ -229,11 +219,9 @@ class TestClusterCorrespondences:
 # --- the per-row loops the batched code replaced, kept as references -------
 
 
-def _knn_match_loop(keypoints_a, keypoints_b, k=2, ratio=0.75):
+def _knn_match_loop(keypoints_a, keypoints_b, ratio=0.75):
     if not keypoints_a or not keypoints_b:
         return []
-    if k < 2 and len(keypoints_b) >= 2:
-        raise ValueError(f"k must be >= 2 for the ratio test, got {k}")
     lengths = {kp.descriptor.size for kp in keypoints_a} | {
         kp.descriptor.size for kp in keypoints_b
     }
@@ -250,7 +238,7 @@ def _knn_match_loop(keypoints_a, keypoints_b, k=2, ratio=0.75):
     for i, kp_a in enumerate(keypoints_a):
         row = distances[i]
         # Stable sort keeps the lower index first on exact ties.
-        order = np.argsort(row, kind="stable")[:k]
+        order = np.argsort(row, kind="stable")[:2]
         best = int(order[0])
         d1 = float(row[best])
         if len(order) >= 2:
@@ -347,27 +335,25 @@ def _knn_case(draw):
     b = [_kp("b", d) for d in desc_b]
     if desc_b and draw(st.booleans()):
         b = b + [b[draw(st.integers(0, len(b) - 1))]]  # a duplicated keypoint
-    k = draw(st.integers(1, 4))
     ratio = draw(st.one_of(st.sampled_from([0.5, 0.75, 1.0]), st.floats(0.01, 1.5)))
-    return a, b, k, ratio
+    return a, b, ratio
 
 
 class TestKnnMatchMatchesRowLoop:
     @settings(max_examples=200)
     @given(case=_knn_case())
     def test_random_descriptor_sets(self, case):
-        a, b, k, ratio = case
-        assert _outcome(knn_match, a, b, k=k, ratio=ratio) == _outcome(
-            _knn_match_loop, a, b, k=k, ratio=ratio
+        a, b, ratio = case
+        assert _outcome(knn_match, a, b, ratio=ratio) == _outcome(
+            _knn_match_loop, a, b, ratio=ratio
         )
 
     def test_single_candidate_and_exact_ties(self):
         a = [_kp("a", [0.0]), _kp("a", [1.0]), _kp("a", [0.5])]
         for b in ([_kp("b", [0.5])], [_kp("b", [0.0]), _kp("b", [1.0])]):
-            for k in (1, 2, 3, 5):
-                assert _outcome(knn_match, a, b, k=k, ratio=0.9) == _outcome(
-                    _knn_match_loop, a, b, k=k, ratio=0.9
-                )
+            assert _outcome(knn_match, a, b, ratio=0.9) == _outcome(
+                _knn_match_loop, a, b, ratio=0.9
+            )
 
 
 _GRID = st.integers(0, 20).map(lambda v: 5.0 * v)

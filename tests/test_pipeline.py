@@ -49,6 +49,38 @@ class TestConfig:
         with pytest.raises(IngestError, match="unknown config keys"):
             PipelineConfig.from_file(config_path)
 
+    @pytest.mark.parametrize("doc", [
+        {"fps": 25, "gate_m": 1},  # an int where a float is expected
+        {"camera_pairs": None},
+        {"camera_pairs": [["cam0", "cam1"]], "use_mask": True, "max_misses": 3},
+    ])
+    def test_values_of_the_field_type_accepted(self, tmp_path, doc):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(doc))
+        config = PipelineConfig.from_file(config_path)
+        assert {name: getattr(config, name) for name in doc} == doc
+
+    @pytest.mark.parametrize("doc", [
+        {"fps": "30"},
+        {"max_misses": 2.5},
+        {"max_misses": True},  # a bool is not an int
+        {"use_mask": 1},
+        {"fusion": None},
+        {"camera_pairs": "cam0,cam1"},
+        {"aviary_size": 4.0},
+    ], ids=lambda doc: "-".join(f"{k}={v!r}" for k, v in doc.items()))
+    def test_values_of_another_type_rejected(self, tmp_path, doc):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(doc))
+        with pytest.raises(IngestError, match=f"config key '{next(iter(doc))}': expected"):
+            PipelineConfig.from_file(config_path)
+
+    def test_config_must_be_an_object(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps([["fps", 30.0]]))
+        with pytest.raises(IngestError, match="config must be a JSON object"):
+            PipelineConfig.from_file(config_path)
+
     def test_validation_catches_bad_values(self):
         with pytest.raises(ConfigError):
             PipelineConfig(ratio=1.5).validate()

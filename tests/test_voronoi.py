@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avitrack.errors import NoLandmarksError
 from avitrack.voronoi import (
@@ -18,6 +20,8 @@ from avitrack.voronoi import (
 )
 
 DATA_DIR = Path(__file__).parent / "data"
+_QUERY_COORD = st.one_of(st.sampled_from([0.0, 5.0, 15.0, 1e200, -1e200]),
+                         st.floats(-20.0, 120.0, allow_nan=False))
 
 
 class TestEuclideanDistance:
@@ -89,6 +93,26 @@ class TestNearestLandmark:
         ids = nearest_landmarks_many(two_landmarks, "cam0", queries)
         for query, got in zip(queries, ids):
             assert got == nearest_landmark(two_landmarks, "cam0", query)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @settings(max_examples=100)
+    @given(
+        sites=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 7)),
+                       min_size=1, max_size=6, unique=True),
+        ids=st.permutations(range(6)),
+        queries=st.lists(st.tuples(_QUERY_COORD, _QUERY_COORD), min_size=1, max_size=8),
+    )
+    def test_scalar_is_one_row_of_batched(self, sites, ids, queries):
+        """On a coarse grid, so ties are common; 1e200 overflows every
+        squared distance to inf, where both forms give the lowest id."""
+        landmarks = LandmarkSet({"cam0": (100, 80)})
+        for gid, (x, y) in zip(ids, sites):
+            landmarks.add("cam0", gid, (10.0 * x, 10.0 * y))
+        batched = nearest_landmarks_many(landmarks, "cam0", np.array(queries))
+        assert batched.tolist() == [
+            nearest_landmark(landmarks, "cam0", query) for query in queries
+        ]
+        assert nearest_landmark(landmarks, "cam0", (1e200, 1e200)) == min(ids[:len(sites)])
 
 
 class TestLandmarkSetValidation:
