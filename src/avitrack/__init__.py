@@ -1,6 +1,6 @@
 """Multi-view 3D bird tracking with landmark-based match outlier rejection."""
 
-from .camera import CameraModel, project, projection_matrix, refine_calibration
+from .camera import CameraModel, project, projection_matrix
 from .matching import (
     Correspondence,
     Detection,
@@ -39,7 +39,6 @@ __all__ = [
     "project",
     "projection_matrix",
     "reconstruct_frame",
-    "refine_calibration",
     "reject_by_landmark",
     "triangulate",
     "truth_labels",

@@ -8,15 +8,15 @@ coordinates put (0, 0) at the center of the top-left pixel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCameraError, DegenerateConfigurationError, EmptyInputError
+from .errors import BehindCameraError
 
 _ORTHONORMAL_TOL = 1e-9
 MIN_DEPTH = 1e-12
-DEFAULT_REPROJ_THRESHOLD_PX = 25.0  # "below threshold" share in error stats
+DEFAULT_REPROJ_THRESHOLD_PX = 25.0  # "below threshold" share in reprojection stats
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -65,19 +65,6 @@ def rvec_from_rotation(rot: np.ndarray) -> np.ndarray:
         [rot[2, 1] - rot[1, 2], rot[0, 2] - rot[2, 0], rot[1, 0] - rot[0, 1]]
     ) / (2.0 * np.sin(theta))
     return theta * axis
-
-
-@dataclass(frozen=True)
-class ErrorStats:
-    """Aggregate pixel-error statistics for a set of point pairs."""
-
-    count: int
-    mean: float
-    std: float
-    min: float
-    max: float
-    pct_below_threshold: float
-    threshold_px: float = DEFAULT_REPROJ_THRESHOLD_PX
 
 
 @dataclass(frozen=True)
@@ -224,127 +211,3 @@ def project_many(cam: CameraModel, points: np.ndarray) -> tuple[np.ndarray, np.n
     pixels[:, 1] = cam.fy * distorted[:, 1] + cam.cy
     pixels[~in_front] = np.nan
     return pixels, in_front
-
-
-def reprojection_error(
-    projected: np.ndarray,
-    observed: np.ndarray,
-    threshold_px: float = DEFAULT_REPROJ_THRESHOLD_PX,
-) -> ErrorStats:
-    """Per-point pixel distance statistics between two equal-length point lists."""
-    projected = np.asarray(projected, dtype=float).reshape(-1, 2)
-    observed = np.asarray(observed, dtype=float).reshape(-1, 2)
-    if projected.shape[0] == 0 or observed.shape[0] == 0:
-        raise EmptyInputError("reprojection_error: empty point list")
-    if projected.shape != observed.shape:
-        raise ValueError(
-            f"length mismatch: {projected.shape[0]} projected vs "
-            f"{observed.shape[0]} observed"
-        )
-    errors = np.linalg.norm(projected - observed, axis=1)
-    return ErrorStats(
-        count=int(errors.size),
-        mean=float(errors.mean()),
-        std=float(errors.std()),
-        min=float(errors.min()),
-        max=float(errors.max()),
-        pct_below_threshold=float(100.0 * np.mean(errors < threshold_px)),
-        threshold_px=threshold_px,
-    )
-
-
-def _total_error(cam: CameraModel, world: np.ndarray, observed: np.ndarray) -> float:
-    pixels, in_front = project_many(cam, world)
-    if not np.all(in_front):
-        return float("inf")
-    return float(np.linalg.norm(pixels - observed, axis=1).sum())
-
-
-def _check_not_degenerate(world: np.ndarray, observed: np.ndarray) -> None:
-    # Rank of the DLT system: a unique projection matrix (up to scale)
-    # needs rank 11, which fails for <6 points and for coplanar or
-    # collinear point sets.
-    n = world.shape[0]
-    rows = np.zeros((2 * n, 12))
-    homog = np.hstack([world, np.ones((n, 1))])
-    rows[0::2, 0:4] = homog
-    rows[0::2, 8:12] = -observed[:, 0:1] * homog
-    rows[1::2, 4:8] = homog
-    rows[1::2, 8:12] = -observed[:, 1:2] * homog
-    singular = np.linalg.svd(rows, compute_uv=False)
-    rank = int(np.sum(singular > singular[0] * 1e-9))
-    if rank < 11:
-        raise DegenerateConfigurationError(
-            f"calibration points are degenerate (DLT rank {rank} < 11, "
-            f"{n} point pairs)"
-        )
-
-
-def refine_calibration(
-    cam: CameraModel,
-    known: list[tuple[np.ndarray, np.ndarray]],
-    max_sweeps: int = 200,
-    rel_tol: float = 1e-8,
-) -> CameraModel:
-    """Reduce reprojection error over known 3D-2D pairs by coordinate descent.
-
-    Descends over (fx, fy, cx, cy, t, rotation as axis-angle) with per-axis
-    step halving; total error is monotone non-increasing and the result is
-    never worse than the input model. Needs >= 6 non-degenerate pairs.
-    """
-    if len(known) < 6:
-        raise DegenerateConfigurationError(
-            f"refine_calibration needs >= 6 point pairs, got {len(known)}"
-        )
-    world = np.asarray([np.asarray(p, dtype=float).reshape(3) for p, _ in known])
-    observed = np.asarray([np.asarray(q, dtype=float).reshape(2) for _, q in known])
-    _check_not_degenerate(world, observed)
-
-    params = np.concatenate(
-        [
-            [cam.fx, cam.fy, cam.cx, cam.cy],
-            cam.translation,
-            rvec_from_rotation(cam.rotation),
-        ]
-    )
-    steps = np.array([1.0, 1.0, 1.0, 1.0, 0.01, 0.01, 0.01, 0.005, 0.005, 0.005])
-
-    def build(p: np.ndarray) -> CameraModel | None:
-        try:
-            return replace(
-                cam,
-                fx=p[0],
-                fy=p[1],
-                cx=p[2],
-                cy=p[3],
-                translation=p[4:7].copy(),
-                rotation=rotation_from_rvec(p[7:10]),
-            )
-        except ValueError:
-            return None
-
-    def evaluate(p: np.ndarray) -> float:
-        model = build(p)
-        if model is None:
-            return float("inf")
-        return _total_error(model, world, observed)
-
-    best = evaluate(params)
-    for _ in range(max_sweeps):
-        sweep_start = best
-        for i in range(params.size):
-            for sign in (1.0, -1.0):
-                trial = params.copy()
-                trial[i] += sign * steps[i]
-                trial_err = evaluate(trial)
-                if trial_err < best:
-                    params, best = trial, trial_err
-                    break
-            else:
-                steps[i] *= 0.5
-        if sweep_start - best < rel_tol * max(sweep_start, 1e-30):
-            break
-
-    refined = build(params)
-    assert refined is not None
-    return refined

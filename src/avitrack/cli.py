@@ -152,7 +152,9 @@ def _cmd_mask(args: argparse.Namespace) -> int:
     gated = apply_mask_stage(config, keypoints, detections,
                              on_mask=write_mask if args.emit_masks else None)
     if keypoints:
-        dataio.write_keypoints(out_dir / "keypoints_gated.csv", gated)
+        dataio.write_keypoints(
+            out_dir / "keypoints_gated.csv", gated, keypoints[0].descriptor.size
+        )
         logger.info("gated %d of %d keypoints", len(gated), len(keypoints))
     return 0
 

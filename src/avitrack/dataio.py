@@ -140,14 +140,15 @@ def keypoints_header(descriptor_length: int) -> list[str]:
     return KEYPOINTS_FIXED_HEADER + [f"d{i}" for i in range(descriptor_length)]
 
 
-def write_keypoints(path, keypoints: list[Keypoint]) -> None:
-    length = keypoints[0].descriptor.size if keypoints else 0
+def write_keypoints(path, keypoints: list[Keypoint], descriptor_length: int) -> None:
+    """Write keypoints.csv; the header names ``descriptor_length`` descriptor
+    columns even when there are no rows, so the file reads back."""
     ordered = sorted(
         keypoints,
         key=lambda k: (k.camera_id, k.frame, k.detection_index,
                        k.position[1], k.position[0]),
     )
-    _write_table(path, keypoints_header(length), (
+    _write_table(path, keypoints_header(descriptor_length), (
         [kp.camera_id, kp.frame, kp.detection_index,
          *kp.position.tolist(), *kp.descriptor.tolist()]
         for kp in ordered

@@ -13,10 +13,6 @@ class EmptyInputError(AvitrackError):
     """An operation that requires data received none."""
 
 
-class DegenerateConfigurationError(AvitrackError):
-    """Calibration point set is too small or geometrically degenerate."""
-
-
 class NoLandmarksError(AvitrackError):
     """No landmarks are registered for the requested camera."""
 

@@ -253,12 +253,15 @@ def apply_mask_stage(
     keypoints: list[Keypoint],
     detections: list[Detection],
     on_mask=None,
+    image_sizes: dict[str, tuple[int, int]] | None = None,
 ) -> list[Keypoint]:
     """Gate keypoints to mask-on pixels built from the per-frame PGM files.
 
     Masks are built for each (camera, frame) with keypoints. With
     ``on_mask``, they are built for each (camera, frame) with detections
     instead, and each is passed to ``on_mask(camera_id, frame, mask)``.
+    With ``image_sizes``, a frame whose (width, height) differs from its
+    camera's calibrated size is an ``IngestError``.
     """
     boxes: dict[tuple[str, int], list] = {}
     for det in detections:
@@ -275,6 +278,12 @@ def apply_mask_stage(
         if not pgm.exists():
             raise IngestError(pgm, "frame file missing for mask stage")
         gray = read_pgm(pgm)
+        expected = (image_sizes or {}).get(camera_id)
+        if expected is not None and (gray.width, gray.height) != expected:
+            raise IngestError(
+                pgm, f"frame is {gray.width}x{gray.height}, but camera {camera_id} "
+                f"is calibrated for {expected[0]}x{expected[1]}"
+            )
         mask = build_frame_mask(
             gray, boxes.get(key, []), low=config.canny_low, high=config.canny_high
         )
@@ -318,7 +327,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         if not config.frames_dir:
             raise ConfigError("use_mask requires frames_dir")
         before = len(keypoints)
-        keypoints = apply_mask_stage(config, keypoints, detections)
+        keypoints = apply_mask_stage(config, keypoints, detections, image_sizes=image_sizes)
         logger.info("mask stage kept %d of %d keypoints", len(keypoints), before)
 
     keypoints_by_frame: dict[int, dict[str, list[Keypoint]]] = {}

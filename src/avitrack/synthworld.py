@@ -135,7 +135,9 @@ class DatasetBundle:
         out.mkdir(parents=True, exist_ok=True)
         dataio.write_calibration(out / "calibration.json", list(self.cameras.values()))
         dataio.write_detections(out / "detections.csv", self.detections)
-        dataio.write_keypoints(out / "keypoints.csv", self.keypoints)
+        dataio.write_keypoints(
+            out / "keypoints.csv", self.keypoints, self.config.descriptor_length
+        )
         dataio.write_landmarks(out / "landmarks.csv", self.landmark_set)
         dataio.write_truth(out / "truth.csv", self.truth_positions)
         dataio.write_match_truth(out / "match_truth.csv", self.detection_identities)

@@ -1,4 +1,4 @@
-"""Tests for the camera model, projection, and calibration refinement."""
+"""Tests for the camera model, projection, and Rodrigues conversions."""
 
 import numpy as np
 import pytest
@@ -12,16 +12,10 @@ from avitrack.camera import (
     project_many,
     project_points,
     projection_matrix,
-    refine_calibration,
-    reprojection_error,
     rotation_from_rvec,
     rvec_from_rotation,
 )
-from avitrack.errors import (
-    BehindCameraError,
-    DegenerateConfigurationError,
-    EmptyInputError,
-)
+from avitrack.errors import BehindCameraError
 from avitrack.synthworld import SceneConfig, build_camera_rig
 
 
@@ -196,31 +190,6 @@ class TestProjectPointsMatchesOnePointLoop:
             assert project(camera, point).tobytes() == expected.tobytes()
 
 
-class TestReprojectionError:
-    def test_identical_lists(self):
-        pts = np.array([[1.0, 2.0], [3.0, 4.0]])
-        stats = reprojection_error(pts, pts)
-        assert stats.mean == 0.0
-        assert stats.pct_below_threshold == 100.0
-
-    def test_three_four_five(self):
-        stats = reprojection_error([[0.0, 0.0]], [[3.0, 4.0]])
-        assert stats.mean == pytest.approx(5.0)
-        assert stats.min == pytest.approx(5.0)
-        assert stats.max == pytest.approx(5.0)
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptyInputError):
-            reprojection_error([], [])
-
-    def test_has_threshold_share_field(self):
-        stats = reprojection_error(
-            [[0.0, 0.0], [0.0, 0.0]], [[3.0, 4.0], [30.0, 40.0]]
-        )
-        assert stats.pct_below_threshold == pytest.approx(50.0)
-        assert stats.threshold_px == 25.0
-
-
 class TestRodrigues:
     def test_round_trip_random(self):
         rng = np.random.default_rng(17)
@@ -240,73 +209,3 @@ class TestRodrigues:
 
     def test_zero_rotation(self):
         np.testing.assert_allclose(rvec_from_rotation(np.eye(3)), np.zeros(3))
-
-
-def _known_pairs(cam: CameraModel, points: np.ndarray):
-    pixels, in_front = project_many(cam, points)
-    assert np.all(in_front)
-    return [(points[i], pixels[i]) for i in range(len(points))]
-
-
-class TestRefineCalibration:
-    @pytest.fixture
-    def true_camera(self, default_rig) -> CameraModel:
-        return default_rig["cam0"]
-
-    @pytest.fixture
-    def world_points(self) -> np.ndarray:
-        rng = np.random.default_rng(21)
-        return rng.uniform([0.4, 0.4, 0.3], [3.6, 3.0, 1.7], size=(12, 3))
-
-    def test_already_optimal_is_fixed_point(self, true_camera, world_points):
-        """An exact calibration stays at zero error."""
-        known = _known_pairs(true_camera, world_points)
-        refined = refine_calibration(true_camera, known)
-        pixels, _ = project_many(refined, world_points)
-        observed = np.array([q for _, q in known])
-        assert np.linalg.norm(pixels - observed, axis=1).sum() <= 1e-9
-
-    def test_improves_perturbed_translation(self, true_camera, world_points):
-        """1% translation error shrinks against the forward-projection oracle."""
-        known = _known_pairs(true_camera, world_points)
-        observed = np.array([q for _, q in known])
-
-        perturbed = CameraModel(
-            cam_id=true_camera.cam_id,
-            fx=true_camera.fx, fy=true_camera.fy,
-            cx=true_camera.cx, cy=true_camera.cy,
-            dist=true_camera.dist,
-            rotation=true_camera.rotation,
-            translation=true_camera.translation * 1.01,
-            image_size=true_camera.image_size,
-        )
-
-        def total_error(cam):
-            pixels, _ = project_many(cam, world_points)
-            return np.linalg.norm(pixels - observed, axis=1).sum()
-
-        before = total_error(perturbed)
-        refined = refine_calibration(perturbed, known)
-        after = total_error(refined)
-        assert after < before
-        assert after < 0.5 * before
-
-    def test_five_points_rejected(self, true_camera, world_points):
-        known = _known_pairs(true_camera, world_points[:5])
-        with pytest.raises(DegenerateConfigurationError):
-            refine_calibration(true_camera, known)
-
-    def test_collinear_points_rejected(self, true_camera):
-        t = np.linspace(0.2, 0.8, 8)
-        line = np.column_stack([1.0 + 2.0 * t, 1.0 + 1.5 * t, 0.5 + t])
-        known = _known_pairs(true_camera, line)
-        with pytest.raises(DegenerateConfigurationError):
-            refine_calibration(true_camera, known)
-
-    def test_coplanar_points_rejected(self, true_camera):
-        rng = np.random.default_rng(2)
-        xy = rng.uniform(0.5, 3.0, size=(10, 2))
-        plane = np.column_stack([xy, np.full(10, 1.0)])
-        known = _known_pairs(true_camera, plane)
-        with pytest.raises(DegenerateConfigurationError):
-            refine_calibration(true_camera, known)

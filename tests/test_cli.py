@@ -8,9 +8,12 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from avitrack import dataio
 from avitrack.cli import build_parser, main, pipeline_config
+from avitrack.mask import GrayFrame, read_pgm, write_pgm
 from avitrack.pipeline import PipelineConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -278,6 +281,18 @@ class TestStandaloneCommands:
         assert code == 2
         err = capsys.readouterr().err
         assert f"error: {missing}: frame file missing for mask stage" in err
+
+    def test_mask_gating_out_every_keypoint_writes_a_readable_file(
+        self, masked_bundle, tmp_path
+    ):
+        for path in (masked_bundle / "frames").glob("*.pgm"):
+            frame = read_pgm(path)
+            write_pgm(path, GrayFrame(frame.width, frame.height, np.zeros_like(frame.pixels)))
+        out = tmp_path / "masks"
+        assert main(self._mask_args(masked_bundle, out)) == 0
+        gated = out / "keypoints_gated.csv"
+        assert gated.read_text().splitlines() == [",".join(dataio.keypoints_header(8))]
+        assert dataio.read_keypoints(gated) == []
 
     def test_mask_thresholds_are_validated(self, masked_bundle, tmp_path, capsys):
         out = tmp_path / "masks"

@@ -502,11 +502,11 @@ class TestRoundTripProperty:
     @given(length=st.integers(1, 3), data=st.data())
     def test_keypoints(self, tmp_path_factory, length, data):
         vector = st.lists(_FLOAT, min_size=length + 2, max_size=length + 2)
-        # At least one row: an empty list is written without descriptor columns.
         rows = data.draw(st.lists(st.tuples(_TEXT, _INT, _INT, vector),
-                                  min_size=1, max_size=6))
+                                  min_size=0, max_size=6))
         keypoints = [Keypoint(cam, frame, det, v[:2], v[2:]) for cam, frame, det, v in rows]
-        back = _round_trip(tmp_path_factory, dataio.write_keypoints,
+        back = _round_trip(tmp_path_factory,
+                           lambda path, kps: dataio.write_keypoints(path, kps, length),
                            dataio.read_keypoints, keypoints)
         expected = sorted(keypoints, key=lambda k: (
             k.camera_id, k.frame, k.detection_index, k.position[1], k.position[0]))

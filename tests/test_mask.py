@@ -4,11 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
-from avitrack.errors import EmptyRegionError
+from avitrack import pipeline
+from avitrack.cli import main
+from avitrack.errors import EmptyRegionError, IngestError
 from avitrack.mask import (
+    _SOBEL_X,
+    _SOBEL_Y,
+    CANNY_HIGH,
+    CANNY_LOW,
+    GAUSSIAN_SIGMA,
     BinaryMask,
     GrayFrame,
+    _clamp_region,
+    _gaussian_kernel_5x5,
     build_frame_mask,
     canny_edges,
     gate_keypoints,
@@ -193,6 +203,140 @@ class TestGateKeypoints:
         assert kept == [kps[0], kps[2]]
 
 
+def _reference_canny_edges(frame, region, low=CANNY_LOW, high=CANNY_HIGH):
+    """Canny on one patch alone: the reference the batched pass must match.
+
+    Smoothing and Sobel extend the patch with ``mode="nearest"``, NMS pads
+    it with zeros, and hysteresis dilates the strong pixels inside the weak
+    ones until nothing changes.
+    """
+    x_min, y_min, x_max, y_max = _clamp_region(region, frame.width, frame.height)
+    patch = frame.pixels[y_min:y_max, x_min:x_max].astype(float)
+    smoothed = ndimage.convolve(patch, _gaussian_kernel_5x5(GAUSSIAN_SIGMA), mode="nearest")
+    gx = ndimage.convolve(smoothed, _SOBEL_X, mode="nearest")
+    gy = ndimage.convolve(smoothed, _SOBEL_Y, mode="nearest")
+    magnitude = np.hypot(gx, gy)
+    sector = (np.round(np.arctan2(gy, gx) / (np.pi / 4.0)).astype(int)) % 4
+    padded = np.pad(magnitude, 1, mode="constant")
+    center = padded[1:-1, 1:-1]
+    neighbors = {
+        0: (padded[1:-1, 2:], padded[1:-1, :-2]),
+        1: (padded[2:, 2:], padded[:-2, :-2]),
+        2: (padded[2:, 1:-1], padded[:-2, 1:-1]),
+        3: (padded[2:, :-2], padded[:-2, 2:]),
+    }
+    suppressed = np.zeros_like(magnitude)
+    for s, (fwd, back) in neighbors.items():
+        keep = (sector == s) & (center >= fwd) & (center >= back)
+        suppressed[keep] = magnitude[keep]
+    edges = ndimage.binary_dilation(
+        suppressed >= high, structure=np.ones((3, 3), dtype=bool), iterations=-1,
+        mask=suppressed >= low,
+    )
+    ys, xs = np.nonzero(edges)
+    out = np.column_stack([xs + x_min, ys + y_min]).astype(int)
+    return out[np.lexsort((out[:, 0], out[:, 1]))]
+
+
+def _reference_frame_mask(frame, boxes, low=CANNY_LOW, high=CANNY_HIGH):
+    """One Canny and one lateral fill per box, OR-ed into the frame."""
+    bits = np.zeros((frame.height, frame.width), dtype=bool)
+    for box in boxes:
+        x_min, y_min, x_max, y_max = _clamp_region(box, frame.width, frame.height)
+        if x_max - x_min <= 0 or y_max - y_min <= 0:
+            continue
+        region = (x_min, y_min, x_max, y_max)
+        local = lateral_fill(_reference_canny_edges(frame, region, low, high), region)
+        bits[y_min:y_max, x_min:x_max] |= local.bits
+    return BinaryMask(width=frame.width, height=frame.height, bits=bits)
+
+
+@st.composite
+def _frames_boxes_thresholds(draw):
+    """A frame of noise or flat blocks, boxes around and across it, and
+    thresholds that include the extremes and ``low == high``.
+
+    Box corners are whole or quarter pixels from a few pixels outside the
+    frame, so boxes overlap, touch, cross an edge, lie fully outside, or
+    are 0 or 1 px wide or tall.
+    """
+    width, height = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    block = draw(st.integers(1, 8))
+    grid = (-(-height // block), -(-width // block))
+    levels = draw(st.lists(st.integers(0, 255), min_size=grid[0] * grid[1],
+                           max_size=grid[0] * grid[1]))
+    pixels = np.kron(np.reshape(levels, grid), np.ones((block, block)))[:height, :width]
+    corner = st.tuples(st.integers(-6, 44), st.sampled_from([0.0, 0.25, 0.5, 0.75]))
+    boxes = []
+    for _ in range(draw(st.integers(0, 6))):
+        (x, fx), (y, fy) = draw(corner), draw(corner)
+        w, h = draw(st.integers(-1, 30)), draw(st.integers(-1, 30))
+        boxes.append((x + fx, y + fy, x + fx + w, y + fy + h))
+    low = draw(st.one_of(st.sampled_from([0.0, 50.0, 255.0]), st.floats(0, 255)))
+    high = draw(st.one_of(st.just(low), st.just(255.0), st.floats(low, 255)))
+    return _frame(pixels), boxes, low, high
+
+
+class TestBatchedCannyMatchesPerBox:
+    @settings(max_examples=300)
+    @given(case=_frames_boxes_thresholds())
+    def test_frame_mask_and_edges(self, case):
+        frame, boxes, low, high = case
+        got = build_frame_mask(frame, boxes, low, high)
+        expected = _reference_frame_mask(frame, boxes, low, high)
+        assert got.bits.tobytes() == expected.bits.tobytes()
+        for box in boxes:
+            x_min, y_min, x_max, y_max = _clamp_region(box, frame.width, frame.height)
+            if x_max > x_min and y_max > y_min:
+                edges = canny_edges(frame, box, low, high)
+                reference = _reference_canny_edges(frame, box, low, high)
+                assert edges.shape == reference.shape
+                assert edges.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("scene", ["noise", "rectangles"])
+    def test_frame_at_default_thresholds(self, scene):
+        """Noise, and flat rectangles whose straight edges tie in NMS."""
+        rng = np.random.default_rng(5)
+        if scene == "noise":
+            pixels = rng.integers(0, 256, size=(90, 120))
+        else:
+            pixels = np.zeros((90, 120))
+            pixels[20:60, 10:50] = 220
+            pixels[40:80, 70:110] = 90
+        frame = _frame(pixels)
+        boxes = [(-4.0, 10.0, 30.0, 50.5), (20.0, 30.0, 60.0, 70.0),
+                 (60.0, 30.0, 61.0, 89.0), (65.5, 35.0, 130.0, 95.0)]
+        got = build_frame_mask(frame, boxes)
+        assert got.bits.any()
+        assert got.bits.tobytes() == _reference_frame_mask(frame, boxes).bits.tobytes()
+
+    def test_run_use_mask_writes_the_reference_bytes(self, tmp_path, monkeypatch):
+        """``run --use-mask`` writes the same bytes with the per-box masks."""
+        bundle = tmp_path / "bundle"
+        assert main(["synth", "--out", str(bundle), "--seed", "5", "--birds", "3",
+                     "--cameras", "3", "--duration", "0.5", "--descriptor-length", "8",
+                     "--image-size", "640x360", "--emit-frames"]) == 0
+        counts = {"in": 0, "kept": 0}
+
+        def counting_gate(mask, keypoints):
+            kept = gate_keypoints(mask, keypoints)
+            counts["in"] += len(keypoints)
+            counts["kept"] += len(kept)
+            return kept
+
+        monkeypatch.setattr(pipeline, "gate_keypoints", counting_gate)
+        fast, slow = tmp_path / "fast", tmp_path / "reference"
+        assert main(["run", "--input", str(bundle), "--use-mask", "--out", str(fast)]) == 0
+        assert 0 < counts["kept"] < counts["in"]
+        monkeypatch.setattr(pipeline, "build_frame_mask", _reference_frame_mask)
+        assert main(["run", "--input", str(bundle), "--use-mask", "--out", str(slow)]) == 0
+        names = sorted(p.name for p in fast.iterdir())
+        assert names == sorted(p.name for p in slow.iterdir())
+        assert "tracks.csv" in names
+        for name in names:
+            assert (fast / name).read_bytes() == (slow / name).read_bytes(), name
+
+
 class TestFrameMask:
     def test_mask_on_pixels_stay_inside_boxes(self):
         pixels = np.zeros((60, 80))
@@ -227,3 +371,57 @@ class TestPgm:
         loaded = read_pgm(path)
         assert set(np.unique(loaded.pixels)) == {0, 255}
         assert loaded.pixels[1, 2] == 255
+
+
+# Frame files that ``read_pgm`` must refuse, with the message it gives.
+BAD_PGMS = {
+    "truncated": (b"P5\n4 3\n255\n" + bytes(5),
+                  "pixel data truncated: 5 of 12 bytes for 4x3"),
+    "not P5": (b"P2\n4 3\n255\n" + bytes(12), "not a binary PGM (P5) file"),
+    "16-bit": (b"P5\n4 3\n65535\n" + bytes(24), "16-bit PGM not supported"),
+    "non-integer size": (
+        b"P5\n4 3.5\n255\n" + bytes(12),
+        "width, height and maxval must be positive integers, got '4 3.5 255'",
+    ),
+}
+
+
+@pytest.fixture
+def masked_bundle(tmp_path):
+    bundle = tmp_path / "bundle"
+    assert main(["synth", "--out", str(bundle), "--seed", "4", "--birds", "2",
+                 "--cameras", "2", "--duration", "0.2", "--descriptor-length", "8",
+                 "--image-size", "320x180", "--emit-frames"]) == 0
+    return bundle
+
+
+class TestBadFrameFiles:
+    @pytest.mark.parametrize("case", sorted(BAD_PGMS))
+    def test_read_pgm_names_the_file(self, tmp_path, case):
+        content, message = BAD_PGMS[case]
+        path = tmp_path / "cam0_frame0.pgm"
+        path.write_bytes(content)
+        with pytest.raises(IngestError) as exc:
+            read_pgm(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("case", sorted(BAD_PGMS))
+    def test_run_use_mask_exits_2(self, masked_bundle, tmp_path, capsys, case):
+        content, message = BAD_PGMS[case]
+        path = masked_bundle / "frames" / "cam0_frame0.pgm"
+        path.write_bytes(content)
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(masked_bundle), "--use-mask",
+                     "--out", str(out)]) == 2
+        assert f"error: {path}: {message}" in capsys.readouterr().err
+        assert not (out / "tracks.csv").exists()
+
+    def test_run_rejects_a_frame_of_the_wrong_size(self, masked_bundle, tmp_path, capsys):
+        path = masked_bundle / "frames" / "cam0_frame0.pgm"
+        write_pgm(path, _frame(np.zeros((2, 4))))
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(masked_bundle), "--use-mask",
+                     "--out", str(out)]) == 2
+        assert (f"error: {path}: frame is 4x2, but camera cam0 is calibrated "
+                "for 320x180") in capsys.readouterr().err
+        assert not (out / "tracks.csv").exists()
