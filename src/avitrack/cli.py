@@ -151,9 +151,10 @@ def _cmd_mask(args: argparse.Namespace) -> int:
 
     gated = apply_mask_stage(config, keypoints, detections,
                              on_mask=write_mask if args.emit_masks else None)
-    if keypoints:
+    if config.keypoints_path:
         dataio.write_keypoints(
-            out_dir / "keypoints_gated.csv", gated, keypoints[0].descriptor.size
+            out_dir / "keypoints_gated.csv", gated,
+            dataio.keypoints_descriptor_length(config.keypoints_path),
         )
         logger.info("gated %d of %d keypoints", len(gated), len(keypoints))
     return 0

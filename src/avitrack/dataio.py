@@ -155,7 +155,9 @@ def write_keypoints(path, keypoints: list[Keypoint], descriptor_length: int) -> 
     ))
 
 
-def _keypoints_descriptor_length(path: Path) -> int:
+def keypoints_descriptor_length(path) -> int:
+    """The descriptor length that the header of keypoints.csv ``path`` names."""
+    path = Path(path)
     if not path.exists():
         raise IngestError(path, "file not found")
     with open(path, newline="") as fh:
@@ -173,7 +175,7 @@ def _keypoints_descriptor_length(path: Path) -> int:
 def read_keypoints(path) -> list[Keypoint]:
     """Read keypoints.csv, taking the vectorised path when the file allows it."""
     path = Path(path)
-    descriptor_length = _keypoints_descriptor_length(path)
+    descriptor_length = keypoints_descriptor_length(path)
     keypoints = _read_keypoints_fast(path, descriptor_length)
     if keypoints is None:
         keypoints = _read_keypoints_strict(path, descriptor_length)

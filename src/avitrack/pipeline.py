@@ -1,14 +1,25 @@
 """End-to-end pipeline: ingest, mask, match, reject, reconstruct, track, report.
 
-Per-frame work (masking through reconstruction) is pure and can fan out
-over a process pool; results are merged in frame order so the output is
-identical for any parallelism degree. Tracking is sequential by nature.
+Per-frame work (matching through reconstruction, ``_process_frame``) is
+pure, so with ``parallelism`` > 1 it fans out over a process pool. The
+frame payloads are handed to the workers once, as the pool's initializer
+arguments: under the ``fork`` start method the workers inherit them and
+nothing is pickled. Each task is then a frame index. A worker pickles its
+``FrameResult`` with every keypoint replaced by a reference, (camera,
+position in that frame's keypoint list), and the parent resolves each
+reference to its own keypoint object. So only indices go out, only the
+matches' scalars, the correspondences and the observations come back, and
+every match holds the parent's keypoints, as on the serial path. Results
+are merged in frame order, so the output is identical for any parallelism
+degree. Tracking is sequential by nature.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import logging
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -236,6 +247,38 @@ def _process_frame(payload: _FramePayload) -> FrameResult:
     )
 
 
+# The payloads of the run a pool worker serves, set once by ``_init_worker``.
+_worker_payloads: list[_FramePayload] = []
+
+
+def _init_worker(payloads: list[_FramePayload]) -> None:
+    global _worker_payloads
+    _worker_payloads = payloads
+
+
+def _process_frame_at(index: int) -> bytes:
+    """``_process_frame`` on payload ``index``, pickled by keypoint reference."""
+    payload = _worker_payloads[index]
+    # Keyed by id: every keypoint stays alive in the payload while it pickles.
+    refs = {
+        id(kp): (camera, position)
+        for camera, kps in payload.keypoints.items()
+        for position, kp in enumerate(kps)
+    }
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, pickle.HIGHEST_PROTOCOL)
+    pickler.persistent_id = lambda obj: refs.get(id(obj))
+    pickler.dump(_process_frame(payload))
+    return buffer.getvalue()
+
+
+def _load_frame_result(data: bytes, payload: _FramePayload) -> FrameResult:
+    """Unpickle a worker's result, resolving keypoint references in ``payload``."""
+    unpickler = pickle.Unpickler(io.BytesIO(data))
+    unpickler.persistent_load = lambda ref: payload.keypoints[ref[0]][ref[1]]
+    return unpickler.load()
+
+
 def detection_table(
     detections: list[Detection], keypoints: list[Keypoint], keypoints_path
 ) -> dict[tuple[str, int, int], Detection]:
@@ -367,8 +410,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
         len(frames), len(pairs), config.parallelism,
     )
     if config.parallelism > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
-            results = list(pool.map(_process_frame, payloads, chunksize=8))
+        with ProcessPoolExecutor(
+            max_workers=config.parallelism, initializer=_init_worker, initargs=(payloads,)
+        ) as pool:
+            pickled = pool.map(_process_frame_at, range(len(payloads)), chunksize=8)
+            results = [_load_frame_result(data, p) for data, p in zip(pickled, payloads)]
     else:
         results = [_process_frame(p) for p in payloads]
 

@@ -95,12 +95,25 @@ def predict(
     track: TrackState, dt: float = DEFAULT_DT, jerk_sigma: float = DEFAULT_JERK_SIGMA
 ) -> TrackState:
     """Propagate state and covariance through ``dt`` seconds."""
+    return _predict_all([track], dt, jerk_sigma)[0]
+
+
+def _predict_all(
+    tracks: list[TrackState], dt: float, jerk_sigma: float
+) -> list[TrackState]:
+    """``predict`` for every track, building the motion model once."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     f = transition_matrix(dt)
-    state = f @ track.state
-    covariance = _symmetrize(f @ track.covariance @ f.T + process_noise(dt, jerk_sigma))
-    return replace(track, state=state, covariance=covariance)
+    noise = process_noise(dt, jerk_sigma)
+    return [
+        replace(
+            track,
+            state=f @ track.state,
+            covariance=_symmetrize(f @ track.covariance @ f.T + noise),
+        )
+        for track in tracks
+    ]
 
 
 def update(track: TrackState, measurement: np.ndarray, meas_cov: np.ndarray) -> TrackState:
@@ -241,10 +254,7 @@ class MultiObjectTracker:
 
         observations = [np.asarray(z, dtype=float).reshape(3) for z in observations]
         if self.tracks:
-            self.tracks = [
-                predict(t, dt=cfg.dt * gap, jerk_sigma=cfg.jerk_sigma)
-                for t in self.tracks
-            ]
+            self.tracks = _predict_all(self.tracks, cfg.dt * gap, cfg.jerk_sigma)
 
         pairs, unmatched_tracks, unmatched_obs = associate(
             self.tracks, observations, gate=cfg.gate, method=cfg.association

@@ -294,6 +294,19 @@ class TestStandaloneCommands:
         assert gated.read_text().splitlines() == [",".join(dataio.keypoints_header(8))]
         assert dataio.read_keypoints(gated) == []
 
+    def test_mask_on_header_only_keypoints_writes_an_empty_file(
+        self, masked_bundle, tmp_path
+    ):
+        keypoints = masked_bundle / "keypoints.csv"
+        keypoints.write_text(keypoints.read_text().splitlines()[0] + "\n")
+        out = tmp_path / "masks"
+        args = self._mask_args(masked_bundle, out)
+        args.remove("--emit-masks")
+        assert main(args) == 0
+        gated = out / "keypoints_gated.csv"
+        assert gated.read_text().splitlines() == [",".join(dataio.keypoints_header(8))]
+        assert dataio.read_keypoints(gated) == []
+
     def test_mask_thresholds_are_validated(self, masked_bundle, tmp_path, capsys):
         out = tmp_path / "masks"
         args = self._mask_args(masked_bundle, out) + ["--canny-low", "200", "--canny-high", "100"]

@@ -216,11 +216,11 @@ KEYPOINT_ROWS = [
 
 def _fast(path):
     """The fast path alone: keypoints, or None where it hands over."""
-    return dataio._read_keypoints_fast(path, dataio._keypoints_descriptor_length(path))
+    return dataio._read_keypoints_fast(path, dataio.keypoints_descriptor_length(path))
 
 
 def _strict(path):
-    return dataio._read_keypoints_strict(path, dataio._keypoints_descriptor_length(path))
+    return dataio._read_keypoints_strict(path, dataio.keypoints_descriptor_length(path))
 
 
 def _outcome(read, path):

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from avitrack.errors import ConfigError, IngestError
+from avitrack import pipeline
+from avitrack.errors import ConfigError, DimensionMismatchError, IngestError
 from avitrack.pipeline import PipelineConfig, run_pipeline
 from avitrack.synthworld import SceneConfig, generate
 from avitrack.tracking import TrackerConfig
@@ -18,6 +19,19 @@ def bundle_dir(tmp_path_factory):
             duration_s=0.5, seed=6, camera_count=3, bird_count=3,
             image_size=(640, 360), focal_px=360.0, descriptor_length=12,
             emit_frames=True,
+        )
+    ).write(out)
+    return out
+
+
+@pytest.fixture(scope="module")
+def crowded_dir(tmp_path_factory):
+    """Many birds with 8-d descriptors, like the benchmark's ``crowded`` scene."""
+    out = tmp_path_factory.mktemp("crowded")
+    generate(
+        SceneConfig(
+            duration_s=0.5, seed=3, bird_count=12, descriptor_length=8,
+            keypoints_per_detection=(3, 6), descriptor_noise=0.05, pixel_noise=0.5,
         )
     ).write(out)
     return out
@@ -174,3 +188,59 @@ class TestRunPipeline:
             }
         )
         run_pipeline(config)  # should not raise
+
+
+def _outputs(config: PipelineConfig, out, parallelism: int) -> dict:
+    run_pipeline(config.with_overrides({"output_dir": str(out), "parallelism": parallelism}))
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+class TestProcessPool:
+    """The pool gets the frames once and returns matches by keypoint reference."""
+
+    @pytest.mark.parametrize("scene, settings", [
+        ("bundle_dir", {"use_mask": True}),
+        ("crowded_dir", {"validate_bounds": True, "fusion": "pairwise"}),
+    ])
+    def test_pooled_run_writes_the_serial_bytes(self, request, tmp_path, scene, settings):
+        config = PipelineConfig(**settings).for_bundle_dir(request.getfixturevalue(scene))
+        serial = _outputs(config, tmp_path / "serial", 1)
+        pooled = _outputs(config, tmp_path / "pooled", 2)
+        assert "tracks.csv" in serial
+        assert serial.keys() == pooled.keys()
+        for name in serial:
+            assert serial[name] == pooled[name], name
+
+    def test_matches_hold_the_parents_keypoints(self, bundle_dir, tmp_path, monkeypatch):
+        gated, matches = [], []
+        apply_mask_stage, rejection_stats = pipeline.apply_mask_stage, pipeline.rejection_stats
+
+        def capture_gated(*args, **kwargs):
+            gated.extend(apply_mask_stage(*args, **kwargs))
+            return gated
+
+        def capture_matches(all_matches, truth):
+            matches.extend(all_matches)
+            return rejection_stats(all_matches, truth)
+
+        monkeypatch.setattr(pipeline, "apply_mask_stage", capture_gated)
+        monkeypatch.setattr(pipeline, "rejection_stats", capture_matches)
+        config = PipelineConfig(use_mask=True, parallelism=2, output_dir=str(tmp_path / "out"))
+        run_pipeline(config.for_bundle_dir(bundle_dir))
+        assert matches
+        own = {id(kp) for kp in gated}  # ``gated`` keeps every id alive and unique
+        for match in matches:
+            assert id(match.keypoint_a) in own and id(match.keypoint_b) in own
+
+    def test_worker_error_reaches_the_caller(self, bundle_dir, tmp_path, monkeypatch):
+        def failing_knn(keypoints_a, keypoints_b, ratio):
+            raise DimensionMismatchError(f"frame {keypoints_a[0].frame}: 12 != 8")
+
+        monkeypatch.setattr(pipeline, "knn_match", failing_knn)
+        config = PipelineConfig().for_bundle_dir(bundle_dir)
+        errors = []
+        for parallelism in (1, 2):
+            with pytest.raises(DimensionMismatchError) as info:
+                _outputs(config, tmp_path / f"out{parallelism}", parallelism)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1] == (DimensionMismatchError, "frame 0: 12 != 8")

@@ -1,8 +1,14 @@
 """Tests for the constant-acceleration Kalman filter and track lifecycle."""
 
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from avitrack import tracking
 from avitrack.errors import SingularInnovationError
 from avitrack.tracking import (
     CONFIRMED,
@@ -13,8 +19,10 @@ from avitrack.tracking import (
     TrackerConfig,
     associate,
     predict,
+    process_noise,
     render_trajectories,
     run_tracker,
+    transition_matrix,
     update,
 )
 
@@ -191,6 +199,89 @@ class TestLifecycle:
         for row_a, row_b in zip(first, second):
             assert row_a[:3] == row_b[:3]
             np.testing.assert_array_equal(row_a[3], row_b[3])
+
+
+def _reference_predict(track: TrackState, dt: float, jerk_sigma: float) -> TrackState:
+    """``predict`` as it was: the motion model rebuilt for every track."""
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    f = transition_matrix(dt)
+    state = f @ track.state
+    covariance = f @ track.covariance @ f.T + process_noise(dt, jerk_sigma)
+    return replace(track, state=state, covariance=(covariance + covariance.T) / 2.0)
+
+
+def _reference_predict_all(tracks, dt, jerk_sigma):
+    return [_reference_predict(t, dt, jerk_sigma) for t in tracks]
+
+
+_COORD = st.floats(0.0, 1.5, allow_nan=False)
+
+
+def _steps(config: TrackerConfig, stream: dict) -> list[list[TrackState]]:
+    """Each step's live tracks over ``stream`` in frame order, then all tracks."""
+    tracker = MultiObjectTracker(config)
+    live = [tracker.step(frame, stream[frame]) for frame in sorted(stream)]
+    return live + [tracker.all_tracks()]
+
+
+def _assert_steps_match_reference(config: TrackerConfig, stream: dict):
+    got = _steps(config, stream)
+    with mock.patch.object(tracking, "_predict_all", _reference_predict_all):
+        expected = _steps(config, stream)
+    assert len(got) == len(expected)
+    for tracks, reference in zip(got, expected):
+        assert [(t.track_id, t.status, t.hits, t.misses) for t in tracks] == [
+            (t.track_id, t.status, t.hits, t.misses) for t in reference
+        ]
+        for track, ref in zip(tracks, reference):
+            assert track.state.tobytes() == ref.state.tobytes()
+            assert track.covariance.tobytes() == ref.covariance.tobytes()
+    return got
+
+
+class TestPredictOncePerStep:
+    """``step`` builds the motion model once and equals the per-track loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        frames=st.lists(st.integers(0, 60), unique=True, max_size=25),
+        data=st.data(),
+        fps=st.sampled_from([10.0, 30.0, 240.0]),
+        jerk_sigma=st.floats(0.1, 100.0),
+        max_misses=st.integers(0, 4),
+        confirm_hits=st.integers(1, 4),
+        association=st.sampled_from(["greedy", "optimal"]),
+    )
+    def test_matches_per_track_predict(
+        self, frames, data, fps, jerk_sigma, max_misses, confirm_hits, association
+    ):
+        stream = {
+            frame: [np.array(p) for p in data.draw(
+                st.lists(st.tuples(_COORD, _COORD, _COORD), max_size=4))]
+            for frame in frames
+        }
+        config = TrackerConfig(dt=1.0 / fps, jerk_sigma=jerk_sigma, gate=0.5,
+                               max_misses=max_misses, confirm_hits=confirm_hits,
+                               association=association)
+        _assert_steps_match_reference(config, stream)
+
+    def test_stream_with_gaps_spawns_and_kills(self):
+        """A fixed stream of the kind drawn above, checked to exercise both."""
+        rng = np.random.default_rng(5)
+        frames = sorted(rng.choice(60, size=30, replace=False).tolist())
+        stream = {f: list(rng.uniform(0, 1.5, size=(rng.integers(0, 4), 3))) for f in frames}
+        assert any(b - a > 1 for a, b in zip(frames, frames[1:]))
+        all_tracks = _assert_steps_match_reference(
+            TrackerConfig(max_misses=2, confirm_hits=2), stream
+        )[-1]
+        assert len(all_tracks) > 3 and any(t.status == DEAD for t in all_tracks)
+
+    def test_nonpositive_dt_still_rejected(self):
+        tracker = MultiObjectTracker(TrackerConfig(dt=0.0))
+        tracker.step(0, [np.zeros(3)])
+        with pytest.raises(ValueError, match="dt must be positive"):
+            tracker.step(1, [])
 
 
 class TestCrossingScene:
