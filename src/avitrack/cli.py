@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands cover the whole workflow: ``synth`` writes a synthetic
-dataset bundle, ``run`` executes the pipeline (with ``match``,
-``reconstruct``, and ``overlay`` as stage-limited variants), ``mask``
-builds detection masks from frames, ``track`` and ``eval`` operate on
+dataset bundle, ``run`` executes the pipeline (``--stage`` stops it after
+the Voronoi overlays, matching or reconstruction), ``mask`` builds
+detection masks from frames, ``track`` and ``eval`` operate on
 intermediate files. Flag precedence is CLI > config file > defaults.
 """
 
@@ -52,12 +52,11 @@ def _given(args: argparse.Namespace, config_cls) -> dict:
     return {f.name: getattr(args, f.name) for f in fields(config_cls) if hasattr(args, f.name)}
 
 
-def _config(args: argparse.Namespace, **fixed) -> PipelineConfig:
-    """The ``--config`` file, or the defaults, overridden by every flag given
-    and then by the subcommand's ``fixed`` settings that are not None."""
+def _config(args: argparse.Namespace) -> PipelineConfig:
+    """The ``--config`` file, or the defaults, overridden by every flag given."""
     path = getattr(args, "config", None)
     config = PipelineConfig.from_file(path) if path else PipelineConfig()
-    return config.with_overrides(_given(args, PipelineConfig)).with_overrides(fixed)
+    return config.with_overrides(_given(args, PipelineConfig))
 
 
 def _add_tracker_arguments(parser: argparse.ArgumentParser) -> None:
@@ -71,38 +70,9 @@ def _add_tracker_arguments(parser: argparse.ArgumentParser) -> None:
     add("--fps")
 
 
-def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="pipeline config JSON")
-    parser.add_argument("--input", help="dataset bundle directory (fills input paths)")
-    add = _settings(parser)
-    add("--detections", "detections_path")
-    add("--keypoints", "keypoints_path")
-    add("--landmarks", "landmarks_path")
-    add("--calibration", "calibration_path")
-    add("--frames", "frames_dir")
-    add("--truth", "truth_path")
-    add("--match-truth", "match_truth_path")
-    add("--out", "output_dir")
-    add("--pair", "camera_pairs", action="append", type=lambda text: text.split(","),
-        metavar="CAMA,CAMB", help="camera pair to match (repeatable; default all pairs)")
-    add("--use-mask")
-    add("--fusion", choices=FUSIONS)
-    add("--ratio")
-    add("--min-support")
-    add("--landmark-anchor", choices=ANCHORS)
-    add("--fuse-radius", "fuse_radius_m")
-    _add_tracker_arguments(parser)
-    add("--canny-low")
-    add("--canny-high")
-    add("--reproj-threshold", "reproj_threshold_px")
-    add("--gap-tolerance", "gap_tolerance_frames")
-    add("--validate-bounds")
-    add("--parallelism")
-
-
-def pipeline_config(args: argparse.Namespace, stage: str | None = None) -> PipelineConfig:
-    """The config a ``run``-style subcommand's parsed ``args`` ask for."""
-    config = _config(args, stage=stage)
+def pipeline_config(args: argparse.Namespace) -> PipelineConfig:
+    """The config ``run``'s parsed ``args`` ask for."""
+    config = _config(args)
     if args.input:
         config = config.for_bundle_dir(args.input)
     for name in ("detections_path", "keypoints_path", "landmarks_path", "calibration_path"):
@@ -114,8 +84,8 @@ def pipeline_config(args: argparse.Namespace, stage: str | None = None) -> Pipel
     return config
 
 
-def _cmd_run(args: argparse.Namespace, stage: str | None = None) -> int:
-    run_pipeline(pipeline_config(args, stage=stage))
+def _cmd_run(args: argparse.Namespace) -> int:
+    run_pipeline(pipeline_config(args))
     return 0
 
 
@@ -213,26 +183,35 @@ def build_parser() -> argparse.ArgumentParser:
     add("--emit-frames")
     synth.set_defaults(func=_cmd_synth)
 
-    run = sub.add_parser("run", help="run the full pipeline")
-    _add_run_arguments(run)
-    _settings(run)("--stage", choices=STAGES)
-    run.set_defaults(func=_cmd_run)
-
-    match = sub.add_parser("match", help="run matching + rejection + clustering only")
-    _add_run_arguments(match)
-    match.set_defaults(func=lambda a: _cmd_run(a, stage="match"))
-
-    reconstruct = sub.add_parser("reconstruct", help="run through 3D reconstruction")
-    _add_run_arguments(reconstruct)
-    reconstruct.set_defaults(func=lambda a: _cmd_run(a, stage="reconstruct"))
-
-    overlay = sub.add_parser("overlay", help="emit Voronoi overlay SVGs only")
-    overlay.add_argument("--input")
-    add = _settings(overlay)
-    add("--landmarks", "landmarks_path", required=True)
-    add("--calibration", "calibration_path", required=True)
+    run = sub.add_parser("run", help="run the pipeline, in full or up to --stage")
+    run.add_argument("--config", help="pipeline config JSON")
+    run.add_argument("--input", help="dataset bundle directory (fills input paths)")
+    add = _settings(run)
+    add("--detections", "detections_path")
+    add("--keypoints", "keypoints_path")
+    add("--landmarks", "landmarks_path")
+    add("--calibration", "calibration_path")
+    add("--frames", "frames_dir")
+    add("--truth", "truth_path")
+    add("--match-truth", "match_truth_path")
     add("--out", "output_dir")
-    overlay.set_defaults(func=lambda a: _cmd_run(a, stage="voronoi-overlay"))
+    add("--pair", "camera_pairs", action="append", type=lambda text: text.split(","),
+        metavar="CAMA,CAMB", help="camera pair to match (repeatable; default all pairs)")
+    add("--use-mask")
+    add("--fusion", choices=FUSIONS)
+    add("--ratio")
+    add("--min-support")
+    add("--landmark-anchor", choices=ANCHORS)
+    add("--fuse-radius", "fuse_radius_m")
+    _add_tracker_arguments(run)
+    add("--canny-low")
+    add("--canny-high")
+    add("--reproj-threshold", "reproj_threshold_px")
+    add("--gap-tolerance", "gap_tolerance_frames")
+    add("--validate-bounds")
+    add("--parallelism")
+    add("--stage", choices=STAGES)
+    run.set_defaults(func=_cmd_run)
 
     mask = sub.add_parser("mask", help="build masks from frames and gate keypoints")
     add = _settings(mask)

@@ -48,11 +48,16 @@ class ConfigError(AvitrackError):
 class IngestError(AvitrackError):
     """An input file violates its schema.
 
-    Carries enough context to point the user at the offending row.
+    Carries enough context to point the user at the offending row, and
+    pickles with it, so a pool worker's error reaches the caller intact.
     """
 
     def __init__(self, path, message, line=None):
         self.path = str(path)
+        self.message = message
         self.line = line
         where = f"{self.path}:{line}" if line is not None else self.path
         super().__init__(f"{where}: {message}")
+
+    def __reduce__(self):
+        return type(self), (self.path, self.message, self.line)

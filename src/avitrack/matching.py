@@ -79,8 +79,6 @@ class FeatureMatch:
 
     keypoint_a: Keypoint
     keypoint_b: Keypoint
-    index_a: int
-    index_b: int
     descriptor_distance: float
     landmark_a: int | None = None
     landmark_b: int | None = None
@@ -151,8 +149,6 @@ def knn_match(
         FeatureMatch(
             keypoint_a=keypoints_a[i],
             keypoint_b=keypoints_b[j],
-            index_a=i,
-            index_b=j,
             descriptor_distance=d,
         )
         for i, j, d in zip(passed.tolist(), best[passed].tolist(), d1[passed].tolist())
@@ -203,8 +199,6 @@ def reject_by_landmark(
             FeatureMatch(
                 keypoint_a=match.keypoint_a,
                 keypoint_b=match.keypoint_b,
-                index_a=match.index_a,
-                index_b=match.index_b,
                 descriptor_distance=match.descriptor_distance,
                 landmark_a=lm_a,
                 landmark_b=lm_b,

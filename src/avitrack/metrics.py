@@ -166,37 +166,21 @@ def tracking_metrics(
     persistence_counts = {h: 0 for h in horizons_s}
     identities = sorted(assignments)
     for identity in identities:
-        seq = assignments[identity]
-        previous_id = None
-        for _, track_id in seq:
+        # One pass: a run of one track id restarts at a switch, or after
+        # more than ``gap_tolerance_frames`` unmatched entries; the best run
+        # spans the most frames.
+        best_run_frames = gap = 0
+        previous_id = run_start = None
+        for frame, track_id in assignments[identity]:
             if track_id is None:
+                gap += 1
                 continue
             if previous_id is not None and track_id != previous_id:
                 switches += 1
-            previous_id = track_id
-
-        # Longest continuous single-id run, allowing short unmatched gaps.
-        best_run_frames = 0
-        run_id = None
-        run_start = None
-        last_matched = None
-        gap = 0
-        for frame, track_id in seq:
-            if track_id is None:
-                gap += 1
-                if run_id is not None and gap > gap_tolerance_frames:
-                    best_run_frames = max(best_run_frames, last_matched - run_start + 1)
-                    run_id, run_start = None, None
-                continue
-            if track_id != run_id:
-                if run_id is not None:
-                    best_run_frames = max(best_run_frames, last_matched - run_start + 1)
-                run_id = track_id
+            if track_id != previous_id or gap > gap_tolerance_frames:
                 run_start = frame
-            gap = 0
-            last_matched = frame
-        if run_id is not None:
-            best_run_frames = max(best_run_frames, last_matched - run_start + 1)
+            previous_id, gap = track_id, 0
+            best_run_frames = max(best_run_frames, frame - run_start + 1)
 
         for horizon in horizons_s:
             if best_run_frames >= horizon * fps:

@@ -55,7 +55,7 @@ from .voronoi import LandmarkSet, build_bounded_diagram, render_overlay
 
 logger = logging.getLogger(__name__)
 
-STAGES = ("voronoi-overlay", "match", "reconstruct", "track", "all")
+STAGES = ("voronoi-overlay", "match", "reconstruct", "all")
 FUSIONS = ("all-pairs", "pairwise")
 
 
@@ -104,13 +104,15 @@ class PipelineConfig:
     parallelism: int = 1
 
     def validate(self) -> None:
+        pairs = self.camera_pairs or []
         for name, ok, rule in (
             ("stage", self.stage in STAGES, f"one of {STAGES}"),
             ("fusion", self.fusion in FUSIONS, f"one of {FUSIONS}"),
             ("association", self.association in ASSOCIATIONS, f"one of {ASSOCIATIONS}"),
             ("landmark_anchor", self.landmark_anchor in ANCHORS, f"one of {ANCHORS}"),
-            ("camera_pairs", self.camera_pairs is None
-             or all(len(pair) == 2 for pair in self.camera_pairs), "CAMA,CAMB pairs"),
+            ("camera_pairs", all(len(pair) == len(set(pair)) == 2 for pair in pairs)
+             and len({frozenset(pair) for pair in pairs}) == len(pairs),
+             "CAMA,CAMB pairs of two cameras, each pair once"),
             ("ratio", 0 < self.ratio < 1, "in (0, 1)"),
             ("min_support", self.min_support >= 1, ">= 1"),
             ("gate_m", self.gate_m > 0, "> 0"),

@@ -148,26 +148,6 @@ def triangulate(
     return positions[0]
 
 
-def _connected_components(n: int, links: list[tuple[int, int]]) -> list[list[int]]:
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a, b in links:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [groups[r] for r in sorted(groups)]
-
-
 def reconstruct_frame(
     frame: int,
     correspondences: dict[tuple[str, str], list[Correspondence]],
@@ -208,19 +188,20 @@ def reconstruct_frame(
     if not estimates:
         return []
 
+    # linked[i, j]: estimates i and j are within fuse_radius (or i == j).
+    # Its transitive closure links each estimate to its whole component; a
+    # row's first hit is the component's lowest index, so components come
+    # out in order of their first member.
+    linked = np.eye(len(estimates), dtype=bool)
     if fuse:
         positions = np.array([e[0] for e in estimates])
-        links = []
-        for i in range(len(estimates)):
-            deltas = positions[i + 1 :] - positions[i]
-            close = np.linalg.norm(deltas, axis=1) <= fuse_radius
-            links.extend((i, i + 1 + int(j)) for j in np.nonzero(close)[0])
-        components = _connected_components(len(estimates), links)
-    else:
-        components = [[i] for i in range(len(estimates))]
+        linked |= np.linalg.norm(positions[None] - positions[:, None], axis=2) <= fuse_radius
+        while not np.array_equal(closure := linked @ linked, linked):
+            linked = closure
 
     observations = []
-    for members in components:
+    for root in np.unique(linked.argmax(axis=1)):
+        members = np.flatnonzero(linked[root])
         position = np.mean([estimates[i][0] for i in members], axis=0)
         if bounds is not None:
             lo, hi = bounds

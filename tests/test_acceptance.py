@@ -269,7 +269,7 @@ def test_criterion_6_triangulation_under_noise():
             FeatureMatch(
                 keypoint_a=Keypoint("cam0", 0, idx, pix_a[0] + rng.normal(0, 1, 2), np.zeros(2)),
                 keypoint_b=Keypoint("cam2", 0, idx, pix_b[0] + rng.normal(0, 1, 2), np.zeros(2)),
-                index_a=idx, index_b=idx, descriptor_distance=0.0, verdict=KEPT,
+                descriptor_distance=0.0, verdict=KEPT,
             )
         )
     from avitrack.reconstruction import Observation3D

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avitrack import dataio
+from avitrack import dataio, pipeline
 from avitrack.cli import build_parser, main, pipeline_config
 from avitrack.mask import GrayFrame, read_pgm, write_pgm
 from avitrack.pipeline import PipelineConfig
@@ -101,7 +101,8 @@ class TestRun:
 
     def test_match_stage_reports_tables_2_and_3(self, small_bundle, tmp_path):
         out = tmp_path / "match_only"
-        code = main(["match", "--input", str(small_bundle), "--out", str(out)])
+        code = main(["run", "--input", str(small_bundle), "--out", str(out),
+                     "--stage", "match"])
         assert code == 0
         report = json.loads((out / "metrics.json").read_text())
         assert "table2" in report
@@ -119,22 +120,27 @@ class TestRun:
         )
         assert code == 0
 
-    def test_bad_pair_spec_fails(self, small_bundle, tmp_path, capsys):
-        code = main(
-            [
-                "run", "--input", str(small_bundle),
-                "--out", str(tmp_path / "x"), "--pair", "cam0",
-            ]
-        )
-        assert code != 0
+    @pytest.mark.parametrize("pairs", [["cam0"], ["cam1,cam1"], ["cam0,cam1", "cam1,cam0"]],
+                             ids=["one-camera", "same-camera-twice", "repeated-pair"])
+    def test_bad_pair_spec_fails(self, small_bundle, tmp_path, capsys, monkeypatch, pairs):
+        """A pair of one camera, or a pair given twice in either order, would
+        fail in triangulation or count its matches twice."""
+        monkeypatch.setattr(pipeline, "_process_frame", None)
+        code = main(["run", "--input", str(small_bundle), "--out", str(tmp_path / "out"),
+                     *[arg for pair in pairs for arg in ("--pair", pair)]])
+        assert code == 2
+        assert "error: camera_pairs must be CAMA,CAMB pairs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["match", "reconstruct"])
-    def test_stage_is_a_run_flag_only(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("argv", [
+        ["match"], ["reconstruct"], ["overlay"], ["run", "--stage", "track"],
+    ], ids=["match", "reconstruct", "overlay", "stage-track"])
+    def test_stage_aliases_are_invalid_choices(self, tmp_path, capsys, argv):
+        """Each stage is reached through ``run --stage`` alone."""
         with pytest.raises(SystemExit) as exc:
-            main([command, "--input", str(tmp_path), "--out", str(tmp_path / "out"),
-                  "--stage", "all"])
+            main([*argv, "--input", str(tmp_path), "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --stage all" in capsys.readouterr().err
+        assert f"invalid choice: '{argv[-1]}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("doc, message", [
@@ -220,11 +226,11 @@ class TestStandaloneCommands:
         ).read_bytes()
         assert same == (settings_from != "defaults")
 
-    def test_overlay_command(self, small_bundle, tmp_path):
+    def test_overlay_stage_needs_no_bundle(self, small_bundle, tmp_path):
         out = tmp_path / "overlays"
         code = main(
             [
-                "overlay",
+                "run", "--stage", "voronoi-overlay",
                 "--landmarks", str(small_bundle / "landmarks.csv"),
                 "--calibration", str(small_bundle / "calibration.json"),
                 "--out", str(out),

@@ -47,7 +47,7 @@ class TestKnnMatch:
         b = [_kp("b", [0.5]), _kp("b", [1.0])]
         matches = knn_match(a, b)
         assert len(matches) == 1
-        assert matches[0].index_b == 0
+        assert matches[0].keypoint_b is b[0]
         assert matches[0].descriptor_distance == pytest.approx(0.5)
 
     def test_ratio_above_threshold_dropped(self):
@@ -62,14 +62,21 @@ class TestKnnMatch:
         b = [_kp("b", [0.5]), _kp("b", [-0.5]), _kp("b", [4.0])]
         assert knn_match(a, b, ratio=0.9) == []
 
+    def test_distance_tie_goes_to_the_lower_index(self):
+        """Above ratio 1 a tie passes the ratio test; the first tied keypoint wins."""
+        a = [_kp("a", [0.0])]
+        b = [_kp("b", [3.0]), _kp("b", [0.5]), _kp("b", [-0.5])]
+        (match,) = knn_match(a, b, ratio=1.5)
+        assert match.keypoint_b is b[1]
+
     def test_deterministic_on_random_input(self):
         rng = np.random.default_rng(44)
         a = [_kp("a", rng.normal(size=8)) for _ in range(30)]
         b = [_kp("b", rng.normal(size=8)) for _ in range(30)]
         first = knn_match(a, b)
         second = knn_match(a, b)
-        assert [(m.index_a, m.index_b) for m in first] == [
-            (m.index_a, m.index_b) for m in second
+        assert [(id(m.keypoint_a), id(m.keypoint_b)) for m in first] == [
+            (id(m.keypoint_a), id(m.keypoint_b)) for m in second
         ]
 
     def test_descriptor_length_mismatch_raises(self):
@@ -104,8 +111,6 @@ class TestRejectByLandmark:
         return FeatureMatch(
             keypoint_a=_kp("a", [0.0], x=pos_a[0], y=pos_a[1]),
             keypoint_b=_kp("b", [0.0], x=pos_b[0], y=pos_b[1]),
-            index_a=0,
-            index_b=0,
             descriptor_distance=0.0,
         )
 
@@ -159,8 +164,6 @@ class TestClusterCorrespondences:
                 FeatureMatch(
                     keypoint_a=_kp("a", [0.0], det=det_a),
                     keypoint_b=_kp("b", [0.0], det=det_b),
-                    index_a=0,
-                    index_b=0,
                     descriptor_distance=dist,
                     verdict=KEPT,
                 )
@@ -181,7 +184,6 @@ class TestClusterCorrespondences:
         rejected = [
             FeatureMatch(
                 keypoint_a=m.keypoint_a, keypoint_b=m.keypoint_b,
-                index_a=0, index_b=0,
                 descriptor_distance=m.descriptor_distance, verdict=REJECTED,
             )
             for m in rejected
@@ -235,8 +237,7 @@ def _knn_match_loop(keypoints_a, keypoints_b, ratio=0.75):
     distances = cdist(desc_a, desc_b)
 
     matches = []
-    for i, kp_a in enumerate(keypoints_a):
-        row = distances[i]
+    for kp_a, row in zip(keypoints_a, distances):
         # Stable sort keeps the lower index first on exact ties.
         order = np.argsort(row, kind="stable")[:2]
         best = int(order[0])
@@ -249,8 +250,6 @@ def _knn_match_loop(keypoints_a, keypoints_b, ratio=0.75):
             FeatureMatch(
                 keypoint_a=kp_a,
                 keypoint_b=keypoints_b[best],
-                index_a=i,
-                index_b=best,
                 descriptor_distance=d1,
             )
         )
@@ -310,9 +309,8 @@ def _outcome(function, *args, **kwargs):
     # tells int from np.int64 and shows every bit of a float.
     return [
         (
-            id(m.keypoint_a), id(m.keypoint_b), repr(m.index_a), repr(m.index_b),
-            repr(m.descriptor_distance), repr(m.landmark_a), repr(m.landmark_b),
-            m.verdict,
+            id(m.keypoint_a), id(m.keypoint_b), repr(m.descriptor_distance),
+            repr(m.landmark_a), repr(m.landmark_b), m.verdict,
         )
         for m in matches
     ], repr(stats)
@@ -387,7 +385,7 @@ def _rejection_case(draw):
         st.sampled_from("abc"), st.integers(0, 2), st.integers(0, 1), position, position,
     )
     matches = [
-        FeatureMatch(kp_a, kp_b, i, i, float(i))
+        FeatureMatch(kp_a, kp_b, float(i))
         for i, (kp_a, kp_b) in enumerate(
             draw(st.lists(st.tuples(keypoint, keypoint), max_size=12))
         )
@@ -416,9 +414,9 @@ class TestRejectByLandmarkMatchesLoop:
             landmarks.add(cam, 3, (80.0, 50.0))
         on_bisector = _kp("a", [0.0], x=50.0, y=10.0)
         matches = [
-            FeatureMatch(on_bisector, _kp("b", [0.0], x=70.0, y=50.0), 0, 0, 0.0),
+            FeatureMatch(on_bisector, _kp("b", [0.0], x=70.0, y=50.0), 0.0),
             FeatureMatch(_kp("c", [0.0], x=50.0, y=90.0),
-                         _kp("b", [0.0], x=30.0, y=50.0), 1, 1, 0.0),
+                         _kp("b", [0.0], x=30.0, y=50.0), 0.0),
         ]
         decided, _ = reject_by_landmark(matches, landmarks)
         assert [(m.landmark_a, m.landmark_b) for m in decided] == [(3, 3), (3, 9)]

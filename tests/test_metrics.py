@@ -22,7 +22,6 @@ def _match(frame, det_a, det_b, verdict):
     return FeatureMatch(
         keypoint_a=Keypoint("a", frame, det_a, np.zeros(2), np.zeros(2)),
         keypoint_b=Keypoint("b", frame, det_b, np.zeros(2), np.zeros(2)),
-        index_a=0, index_b=0,
         descriptor_distance=0.1, verdict=verdict,
     )
 
@@ -284,3 +283,128 @@ class TestTruthToTrackMatchesLoop:
         got = _match_truth_to_tracks(truth, rows, gate=1.0)
         assert got[1] == [(0, 4), (1, None), (2, None)]
         assert got == _match_truth_to_tracks_loop(truth, rows, gate=1.0)
+
+
+def _tracking_metrics_two_walks(
+    track_rows, truth, fps, gate=0.5, horizons_s=(10.0, 30.0, 60.0), gap_tolerance_frames=0
+):
+    """The switch walk and gap state machine the one-pass loop replaced."""
+    assignments = _match_truth_to_tracks(truth.positions, track_rows, gate)
+
+    switches = 0
+    persistence_counts = {h: 0 for h in horizons_s}
+    identities = sorted(assignments)
+    for identity in identities:
+        seq = assignments[identity]
+        previous_id = None
+        for _, track_id in seq:
+            if track_id is None:
+                continue
+            if previous_id is not None and track_id != previous_id:
+                switches += 1
+            previous_id = track_id
+
+        best_run_frames = 0
+        run_id = None
+        run_start = None
+        last_matched = None
+        gap = 0
+        for frame, track_id in seq:
+            if track_id is None:
+                gap += 1
+                if run_id is not None and gap > gap_tolerance_frames:
+                    best_run_frames = max(best_run_frames, last_matched - run_start + 1)
+                    run_id, run_start = None, None
+                continue
+            if track_id != run_id:
+                if run_id is not None:
+                    best_run_frames = max(best_run_frames, last_matched - run_start + 1)
+                run_id = track_id
+                run_start = frame
+            gap = 0
+            last_matched = frame
+        if run_id is not None:
+            best_run_frames = max(best_run_frames, last_matched - run_start + 1)
+
+        for horizon in horizons_s:
+            if best_run_frames >= horizon * fps:
+                persistence_counts[horizon] += 1
+
+    n_frames = len(truth.positions)
+    duration_minutes = n_frames / fps / 60.0 if n_frames else 0.0
+    n_identities = len(identities)
+    record = {
+        "total_id_switches": switches,
+        "id_switches_per_minute": switches / duration_minutes if duration_minutes > 0 else 0.0,
+        "n_identities": n_identities,
+    }
+    for horizon in horizons_s:
+        pct = 100.0 * persistence_counts[horizon] / n_identities if n_identities else 0.0
+        record[f"birds_tracked_over_{horizon:g}s_pct"] = pct
+    return record
+
+
+def _identity_tracks(sequences):
+    """Truth and track rows where identity i is matched, per frame, to track
+    ``10 * i + c`` for each ``c`` in ``sequences[i]``, or unmatched for None.
+    ``sequences[i]`` maps frame to ``c``; absent frames have no truth for i."""
+    positions, rows = {}, []
+    for identity, sequence in sequences.items():
+        position = np.array([5.0 * identity, 0.0, 0.0])
+        for frame, choice in sequence.items():
+            positions.setdefault(frame, {})[identity] = position
+            if choice is not None:
+                rows.append((frame, 10 * identity + choice, "confirmed", position))
+    return GroundTruth(positions=positions, identities={}), rows
+
+
+@st.composite
+def _persistence_case(draw):
+    frames = draw(st.lists(st.integers(0, 15), unique=True, max_size=12))
+    sequences = {
+        identity: {
+            frame: draw(st.sampled_from([None, None, 0, 0, 1, 2]))
+            for frame in frames if draw(st.integers(0, 5))
+        }
+        for identity in range(draw(st.integers(0, 3)))
+    }
+    horizons = draw(st.lists(st.integers(1, 16).map(float), min_size=1, max_size=3))
+    return sequences, tuple(horizons), draw(st.integers(0, 3))
+
+
+class TestPersistenceMatchesTwoWalks:
+    @settings(max_examples=400)
+    @given(case=_persistence_case())
+    def test_random_sequences(self, case):
+        """Gaps below, at and above the tolerance, switches inside gaps,
+        unsorted and missing frames, and identities never matched."""
+        sequences, horizons, tolerance = case
+        truth, rows = _identity_tracks(sequences)
+        kwargs = dict(fps=1.0, horizons_s=horizons, gap_tolerance_frames=tolerance)
+        assert tracking_metrics(rows, truth, **kwargs) == _tracking_metrics_two_walks(
+            rows, truth, **kwargs
+        )
+
+    def test_gap_at_tolerance_bridges_and_one_more_restarts(self):
+        truth, rows = _identity_tracks({
+            0: dict(enumerate([1, None, None, 1, None, None, None, 1, 2, None, 2])),
+            1: dict(enumerate([None] * 11)),
+        })
+        kwargs = dict(fps=1.0, horizons_s=(4.0, 5.0), gap_tolerance_frames=2)
+        record = tracking_metrics(rows, truth, **kwargs)
+        assert record == _tracking_metrics_two_walks(rows, truth, **kwargs)
+        # Identity 0: frames 0-3 bridge a 2-frame gap (4 frames); a 3-frame
+        # gap restarts the run at 7; the switch at 8 restarts it again.
+        assert record["total_id_switches"] == 1
+        assert record["n_identities"] == 2
+        assert record["birds_tracked_over_4s_pct"] == 50.0
+        assert record["birds_tracked_over_5s_pct"] == 0.0
+
+    def test_switch_inside_a_gap_restarts_the_run(self):
+        truth, rows = _identity_tracks({0: dict(enumerate([1, None, 2, 2]))})
+        kwargs = dict(fps=1.0, horizons_s=(2.0, 3.0), gap_tolerance_frames=5)
+        record = tracking_metrics(rows, truth, **kwargs)
+        assert record == _tracking_metrics_two_walks(rows, truth, **kwargs)
+        assert record["total_id_switches"] == 1
+        assert record["birds_tracked_over_2s_pct"] == 100.0
+        assert record["birds_tracked_over_3s_pct"] == 0.0

@@ -1,11 +1,15 @@
 """Tests for pipeline configuration and orchestration details."""
 
+import importlib.util
 import json
+import pickle
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
 from avitrack import pipeline
-from avitrack.errors import ConfigError, DimensionMismatchError, IngestError
+from avitrack.errors import AvitrackError, ConfigError, DimensionMismatchError, IngestError
 from avitrack.pipeline import PipelineConfig, run_pipeline
 from avitrack.synthworld import SceneConfig, generate
 from avitrack.tracking import TrackerConfig
@@ -111,6 +115,11 @@ class TestConfig:
         {"reproj_threshold_px": -5.0},
         {"reproj_threshold_px": 0.0},
         {"camera_pairs": [["cam0"]]},
+        {"camera_pairs": [["cam0", "cam1", "cam2"]]},
+        {"camera_pairs": [["cam0", "cam0"]]},
+        {"camera_pairs": [["cam0", "cam1"], ["cam1", "cam0"]]},
+        {"camera_pairs": [["cam0", "cam1"], ["cam2", "cam1"], ["cam0", "cam1"]]},
+        {"stage": "track"},
     ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
     def test_validation_rejects_out_of_range(self, bad):
         with pytest.raises(ConfigError, match=next(iter(bad))):
@@ -232,15 +241,57 @@ class TestProcessPool:
         for match in matches:
             assert id(match.keypoint_a) in own and id(match.keypoint_b) in own
 
-    def test_worker_error_reaches_the_caller(self, bundle_dir, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("error, message", [
+        (lambda frame: DimensionMismatchError(f"frame {frame}: 12 != 8"), "frame 0: 12 != 8"),
+        (lambda frame: IngestError("k.csv", "bad row", frame + 3), "k.csv:3: bad row"),
+    ], ids=["dimension-mismatch", "ingest-error"])
+    def test_worker_error_reaches_the_caller(
+        self, bundle_dir, tmp_path, monkeypatch, error, message
+    ):
         def failing_knn(keypoints_a, keypoints_b, ratio):
-            raise DimensionMismatchError(f"frame {keypoints_a[0].frame}: 12 != 8")
+            raise error(keypoints_a[0].frame)
 
         monkeypatch.setattr(pipeline, "knn_match", failing_knn)
         config = PipelineConfig().for_bundle_dir(bundle_dir)
         errors = []
         for parallelism in (1, 2):
-            with pytest.raises(DimensionMismatchError) as info:
+            with pytest.raises(AvitrackError) as info:
                 _outputs(config, tmp_path / f"out{parallelism}", parallelism)
-            errors.append((type(info.value), str(info.value)))
-        assert errors[0] == errors[1] == (DimensionMismatchError, "frame 0: 12 != 8")
+            errors.append((type(info.value), str(info.value), vars(info.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][:2] == (type(error(0)), message)
+
+
+@pytest.mark.parametrize("line", [None, 7])
+def test_ingest_error_survives_pickling(line):
+    error = IngestError(Path("data") / "k.csv", "bad row", line)
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is IngestError
+    assert (str(copy), copy.path, copy.line) == (str(error), error.path, line)
+
+
+def test_benchmark_tracer_pins_resolve(tmp_path):
+    """``perfbench/spans.py`` times the pipeline by wrapping module globals
+    and reads stage results by shape; a refactor must keep what it pins."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    bundle = tmp_path / "bundle"
+    generate(SceneConfig(duration_s=0.5, seed=5, image_size=(640, 360), focal_px=360.0,
+                         emit_frames=True)).write(bundle)
+
+    assert [f"{m.__name__}.{a}" for m, a, _ in spans.LAYERS if not hasattr(m, a)] == []
+    tracer = spans.Tracer("guard")
+    for module, attr, name in spans.LAYERS:
+        tracer.wrap(module, attr, name)
+    config = PipelineConfig(use_mask=True, output_dir=str(tmp_path / "out"))
+    tracer.run(config.for_bundle_dir(bundle))
+    counts = tracer.counts
+    assert tracer.problems == []
+    assert counts["candidates"] == counts["kept"] + counts["rejected"] > 0
+    assert 0 < counts["observations"] <= counts["triangulated"]
+    assert counts["mask_in"] > 0
+    assert callable(pipeline._process_frame)
+    assert pipeline.ProcessPoolExecutor is ProcessPoolExecutor

@@ -1,12 +1,15 @@
 """Tests for DLT triangulation, fusion, and reconstruction statistics."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from avitrack import reconstruction
 from avitrack.camera import CameraModel, project, project_many, projection_matrix
-from avitrack.errors import DegenerateRaysError, EmptyInputError
+from avitrack.errors import BehindCameraError, DegenerateRaysError, EmptyInputError
 from avitrack.synthworld import SceneConfig, build_camera_rig
 from avitrack.matching import Correspondence, Detection, FeatureMatch, Keypoint
 from avitrack.reconstruction import (
@@ -201,7 +204,6 @@ class TestReconstructionStats:
                 FeatureMatch(
                     keypoint_a=Keypoint(cam_a, 0, i, pix_a[i], np.zeros(4)),
                     keypoint_b=Keypoint(cam_b, 0, i, pix_b[i], np.zeros(4)),
-                    index_a=i, index_b=i,
                     descriptor_distance=0.0, verdict="kept",
                 )
             )
@@ -310,7 +312,7 @@ def _stats_case(draw):
         FeatureMatch(
             keypoint_a=Keypoint(pair[0], 0, i, np.array(pa), np.zeros(1)),
             keypoint_b=Keypoint(pair[1], 0, i, np.array(pb), np.zeros(1)),
-            index_a=i, index_b=i, descriptor_distance=0.0, verdict=v,
+            descriptor_distance=0.0, verdict=v,
         )
         for i, (pa, pb, v) in enumerate(
             draw(st.lists(st.tuples(pixel, pixel, verdict), max_size=10))
@@ -353,7 +355,7 @@ class TestReconstructionStatsMatchesLoop:
         matches = [
             FeatureMatch(Keypoint("left", 0, i, np.array(pa), np.zeros(1)),
                          Keypoint("right", 0, i, np.array(pb), np.zeros(1)),
-                         i, i, 0.0)
+                         0.0)
             for i, (pa, pb) in enumerate(pixels)
         ]
         points = triangulate_batch(
@@ -366,3 +368,175 @@ class TestReconstructionStatsMatchesLoop:
         record = reconstruction_stats(obs, matches, cams)
         assert record["total_keypoints"] == 2
         assert repr(record) == repr(_reconstruction_stats_loop(obs, matches, cams))
+
+
+# --- the union-find fusion the link-matrix closure replaced, as reference ---
+
+
+def _connected_components(n, links):
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b in links:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return [groups[r] for r in sorted(groups)]
+
+
+def _reconstruct_frame_union_find(
+    frame, correspondences, detections, cameras, fuse_radius, fuse=True, bounds=None
+):
+    estimates = []
+    for pair in sorted(correspondences):
+        cam_a, cam_b = pair
+        pair_corrs = correspondences[pair]
+        if not pair_corrs:
+            continue
+        centers_a = np.array(
+            [detections[(cam_a, frame, c.detection_index_a)].center for c in pair_corrs]
+        )
+        centers_b = np.array(
+            [detections[(cam_b, frame, c.detection_index_b)].center for c in pair_corrs]
+        )
+        points = reconstruction.triangulate_batch(
+            centers_a, centers_b, cameras[cam_a], cameras[cam_b]
+        )
+        for i in range(len(pair_corrs)):
+            if np.any(np.isnan(points[i])):
+                continue
+            estimates.append((points[i], pair, {cam_a: centers_a[i], cam_b: centers_b[i]}))
+
+    if not estimates:
+        return []
+
+    if fuse:
+        positions = np.array([e[0] for e in estimates])
+        links = []
+        for i in range(len(estimates)):
+            deltas = positions[i + 1 :] - positions[i]
+            close = np.linalg.norm(deltas, axis=1) <= fuse_radius
+            links.extend((i, i + 1 + int(j)) for j in np.nonzero(close)[0])
+        components = _connected_components(len(estimates), links)
+    else:
+        components = [[i] for i in range(len(estimates))]
+
+    observations = []
+    for members in components:
+        position = np.mean([estimates[i][0] for i in members], axis=0)
+        if bounds is not None:
+            lo, hi = bounds
+            if np.any(position < lo) or np.any(position > hi):
+                continue
+        pairs = tuple(sorted({estimates[i][1] for i in members}))
+        errors = {}
+        for i in members:
+            for cam_id, observed in estimates[i][2].items():
+                try:
+                    reproj = project(cameras[cam_id], position)
+                except BehindCameraError:
+                    continue
+                errors.setdefault(cam_id, []).append(float(np.linalg.norm(reproj - observed)))
+        observations.append(
+            Observation3D(
+                frame=frame,
+                position=position,
+                camera_pairs=pairs,
+                reprojection_errors={cam: float(np.mean(v)) for cam, v in sorted(errors.items())},
+            )
+        )
+    return observations
+
+
+_RIG = build_camera_rig(SceneConfig())
+_FUSION_PAIRS = [("cam0", "cam1"), ("cam0", "cam2"), ("cam1", "cam3")]
+# A coarse grid 0.1 m apart, so duplicates, ties and chains are common; NaN
+# rows stand for failed triangulations; free points show rounding.
+_ESTIMATE = st.one_of(
+    st.tuples(*[st.integers(0, 3).map(lambda v: 1.0 + 0.1 * v)] * 3),
+    st.just((np.nan,) * 3),
+    st.tuples(*[st.floats(0.9, 1.4)] * 3),
+).map(np.array)
+
+
+@st.composite
+def _fusion_case(draw):
+    points = {pair: draw(st.lists(_ESTIMATE, max_size=5)) for pair in _FUSION_PAIRS}
+    detections = {
+        (cam, 0, index): _detection(cam, 0, index, (100.0 + 40.0 * index, 200.0))
+        for cam in _RIG for index in range(5)
+    }
+    correspondences = {
+        pair: [Correspondence(i, i, support=2, mean_descriptor_distance=0.0)
+               for i in range(len(estimates))]
+        for pair, estimates in points.items()
+    }
+    finite = [p for estimates in points.values() for p in estimates if not np.isnan(p).any()]
+    radius = draw(st.sampled_from([0.0, 0.1, 0.15, 0.2, 0.5]))
+    if finite and draw(st.booleans()):
+        # Exactly one pair's distance, as both sides compute it.
+        i, j = draw(st.lists(st.integers(0, len(finite) - 1), min_size=2, max_size=2))
+        radius = float(np.linalg.norm((finite[j] - finite[i])[None], axis=1)[0])
+    bounds = draw(st.sampled_from([None, (np.full(3, 1.05), np.full(3, 1.25))]))
+    return points, correspondences, detections, radius, draw(st.booleans()), bounds
+
+
+def _observation_bits(observations):
+    return [
+        (o.frame, o.position.tobytes(), o.camera_pairs, repr(o.reprojection_errors))
+        for o in observations
+    ]
+
+
+class TestFusionMatchesUnionFind:
+    def _both(self, points, correspondences, detections, radius, fuse, bounds):
+        def fixed_points(centers_a, centers_b, cam_a, cam_b):
+            return np.array(points[(cam_a.cam_id, cam_b.cam_id)], dtype=float).reshape(-1, 3)
+
+        with mock.patch.object(reconstruction, "triangulate_batch", fixed_points):
+            return [
+                _observation_bits(function(0, correspondences, detections, _RIG, radius,
+                                           fuse=fuse, bounds=bounds))
+                for function in (reconstruct_frame, _reconstruct_frame_union_find)
+            ]
+
+    @settings(max_examples=300)
+    @given(case=_fusion_case())
+    def test_random_estimates(self, case):
+        """Same observations, bit for bit: at-radius distances, chains,
+        duplicates, failed rows, both fusion modes and the bounds."""
+        got, expected = self._both(*case)
+        assert got == expected
+
+    def test_chain_and_duplicates_fuse_through_the_middle(self):
+        """Steps of exactly the radius chain three estimates whose ends are
+        two radii apart; a duplicate joins its twin."""
+        base, step = np.ones(3), np.array([0.125, 0.0, 0.0])
+        points = {
+            ("cam0", "cam1"): [base, base + 2 * step],
+            ("cam0", "cam2"): [base + step],
+            ("cam1", "cam3"): [np.full(3, 2.0), np.full(3, 2.0)],
+        }
+        detections = {
+            (cam, 0, i): _detection(cam, 0, i, (100.0 + 40.0 * i, 200.0))
+            for cam in _RIG for i in range(2)
+        }
+        correspondences = {
+            pair: [Correspondence(i, i, 2, 0.0) for i in range(len(estimates))]
+            for pair, estimates in points.items()
+        }
+        got, expected = self._both(points, correspondences, detections, 0.125, True, None)
+        assert got == expected
+        assert [pairs for _, _, pairs, _ in got] == [
+            (("cam0", "cam1"), ("cam0", "cam2")), (("cam1", "cam3"),),
+        ]
+        assert np.frombuffer(got[0][1]).tolist() == [1.125, 1.0, 1.0]
