@@ -22,9 +22,10 @@ from .metrics import GroundTruth, tracking_metrics
 from .matching import ANCHORS
 from .pipeline import (
     FUSIONS, STAGES, PipelineConfig, apply_mask_stage, detection_table, run_pipeline,
+    track_observations,
 )
 from .synthworld import MOTION_MODES, SceneConfig, generate
-from .tracking import ASSOCIATIONS, render_trajectories, run_tracker
+from .tracking import ASSOCIATIONS
 
 logger = logging.getLogger(__name__)
 
@@ -134,14 +135,9 @@ def _cmd_track(args: argparse.Namespace) -> int:
     config = _config(args)
     config.validate()
     rows = dataio.read_observations(args.observations)
-    observations_by_frame: dict[int, list] = {}
-    for frame, _, position, _, _ in rows:
-        observations_by_frame.setdefault(frame, []).append(position)
-    track_rows = run_tracker(observations_by_frame, config.tracker_config())
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataio.write_tracks(out_dir / "tracks.csv", track_rows)
-    (out_dir / "trajectories.svg").write_text(render_trajectories(track_rows))
+    track_observations(rows, config, out_dir)
     return 0
 
 

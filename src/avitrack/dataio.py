@@ -2,16 +2,16 @@
 
 Every CSV table is written by ``_write_table`` and read by ``_read_table``,
 which checks the header and the column count and parses each column as
-text, an integer or a finite float. Readers reject any row that deviates
-from its schema instead of coercing, and report the offending file and
-line; each public reader adds only its own semantic checks. Keypoints,
-the bulk of every bundle, have a vectorised fast path: one ``np.loadtxt``
-for the numbers and one streamed pass for the ids. Any file the fast path
-cannot take whole (unusual text, a parse failure, a non-finite value) goes
-to the strict row reader, so errors still name the file and line. Writers
-hand floats to ``csv`` as Python floats, which it formats with ``repr``,
-so files round-trip losslessly and rerunning a pipeline yields
-byte-identical output.
+text, an integer or a finite float, optionally empty. Readers reject any
+row that deviates from its schema instead of coercing, and report the
+offending file and line; each public reader adds only its own semantic
+checks. Keypoints, the bulk of every bundle, have a vectorised fast path:
+one ``np.loadtxt`` for the numbers and one streamed pass for the ids. Any
+file the fast path cannot take whole (unusual text, a parse failure, a
+non-finite value) goes to the strict row reader, so errors still name the
+file and line. Writers hand floats to ``csv`` as Python floats, which it
+formats with ``repr``, so files round-trip losslessly and rerunning a
+pipeline yields byte-identical output.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import IngestError
 from .matching import Correspondence, Detection, Keypoint
 from .voronoi import LandmarkSet
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 DETECTIONS_HEADER = [
     "camera_id", "frame", "detection_index",
@@ -37,7 +37,7 @@ LANDMARKS_HEADER = ["camera_id", "global_id", "x_px", "y_px"]
 TRUTH_HEADER = ["frame", "identity", "x_m", "y_m", "z_m"]
 MATCH_TRUTH_HEADER = ["camera_id", "frame", "detection_index", "identity"]
 OBSERVATIONS_HEADER = [
-    "frame", "track_hint", "x_m", "y_m", "z_m", "err_cam_a_px", "err_cam_b_px",
+    "frame", "n_cameras", "x_m", "y_m", "z_m", "mean_err_px", "max_err_px",
 ]
 TRACKS_HEADER = ["frame", "track_id", "status", "x_m", "y_m", "z_m"]
 CORRESPONDENCES_HEADER = [
@@ -72,15 +72,20 @@ def _parse_float(path, line_no: int, text: str, column: str) -> float:
     return value
 
 
-_PARSERS = {"s": None, "i": _parse_int, "f": _parse_float}
+def _parse_optional_float(path, line_no: int, text: str, column: str) -> float | None:
+    return None if text == "" else _parse_float(path, line_no, text, column)
+
+
+_PARSERS = {"s": None, "i": _parse_int, "f": _parse_float, "F": _parse_optional_float}
 
 
 def _read_table(path, header: list[str], kinds: str):
     """``(line_no, values)`` for each non-blank row of a CSV table.
 
     ``kinds`` types each column of ``header``: ``s`` text, ``i`` integer,
-    ``f`` finite float. The file's header must start with ``header`` and
-    every row must have exactly its columns.
+    ``f`` finite float, ``F`` finite float or ``None`` for an empty cell.
+    The file's header must start with ``header`` and every row must have
+    exactly its columns.
     """
     path = Path(path)
     if not path.exists():
@@ -385,21 +390,43 @@ def write_correspondences(
     ))
 
 
-def write_observations(path, observations: list) -> None:
-    """Observation rows: (frame, hint, position, err_a, err_b)."""
+def write_observations(path, rows: list) -> None:
+    """Observation rows: (frame, n_cameras, position, mean_err, max_err).
+
+    A frame stepped without any observation is the row (frame, 0, None,
+    None, None). ``n_cameras`` counts the cameras the observation reprojects
+    into; when it is 0 the error cells are empty.
+    """
     _write_table(path, OBSERVATIONS_HEADER, (
-        [frame, hint, *map(float, position), float(err_a), float(err_b)]
-        for frame, hint, position, err_a, err_b in observations
+        [frame, n_cameras,
+         *(("", "", "") if position is None else map(float, position)),
+         *("" if err is None else float(err) for err in (mean_err, max_err))]
+        for frame, n_cameras, position, mean_err, max_err in rows
     ))
 
 
-def read_observations(path) -> list[tuple[int, int, np.ndarray, float, float]]:
-    return [
-        (frame, hint, np.array(values[:3]), values[3], values[4])
-        for _, (frame, hint, *values) in _read_table(
-            path, OBSERVATIONS_HEADER, "iifffff"
-        )
-    ]
+def read_observations(path) -> list[tuple[int, int, np.ndarray | None,
+                                          float | None, float | None]]:
+    """Rows as ``write_observations`` takes them. A row's empty cells must
+    agree with its ``n_cameras``: the error cells are empty exactly when it
+    is 0, and the position cells are all empty or all filled, empty only
+    when it is 0."""
+    rows = []
+    for line_no, (frame, n_cameras, *values) in _read_table(
+        path, OBSERVATIONS_HEADER, "iiFFFFF"
+    ):
+        if n_cameras < 0:
+            raise IngestError(path, f"n_cameras {n_cameras} is negative", line_no)
+        empty = [v is None for v in values]
+        position_ok = not any(empty[:3]) or (n_cameras == 0 and all(empty[:3]))
+        if empty[3:] != [n_cameras == 0] * 2 or not position_ok:
+            names = [name for name, e in zip(OBSERVATIONS_HEADER[2:], empty) if e]
+            raise IngestError(
+                path, f"n_cameras {n_cameras} disagrees with the empty cells {names}", line_no
+            )
+        position = None if empty[0] else np.array(values[:3])
+        rows.append((frame, n_cameras, position, *values[3:]))
+    return rows
 
 
 def write_tracks(path, track_rows: list[tuple[int, int, str, np.ndarray]]) -> None:

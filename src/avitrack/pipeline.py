@@ -143,10 +143,19 @@ class PipelineConfig:
             raise IngestError(path, f"unknown config keys: {sorted(unknown)}")
         defaults = cls()
         for name, value in doc.items():
-            kind = list if name == "camera_pairs" else type(getattr(defaults, name))
-            if not (_has_type(value, kind) or (name == "camera_pairs" and value is None)):
+            if name == "camera_pairs":
+                expected = "null or a list of [CAMA, CAMB] pairs of strings"
+                ok = value is None or isinstance(value, list) and all(
+                    isinstance(pair, list) and len(pair) == 2
+                    and all(isinstance(cam, str) for cam in pair)
+                    for pair in value
+                )
+            else:
+                kind = type(getattr(defaults, name))
+                expected, ok = kind.__name__, _has_type(value, kind)
+            if not ok:
                 raise IngestError(
-                    path, f"config key {name!r}: expected {kind.__name__}, got {value!r}"
+                    path, f"config key {name!r}: expected {expected}, got {value!r}"
                 )
         return cls(**doc)
 
@@ -347,16 +356,57 @@ def _default_pairs(camera_ids: list[str]) -> list[tuple[str, str]]:
     ]
 
 
+def _observation_rows(frame: int, observations: list[Observation3D]) -> list[tuple]:
+    """The ``observations.csv`` rows of one stepped frame: one per
+    observation, or one without a position when there is none."""
+    if not observations:
+        return [(frame, 0, None, None, None)]
+    rows = []
+    for obs in observations:
+        errors = list(obs.reprojection_errors.values())
+        rows.append((frame, len(errors), obs.position,
+                     sum(errors) / len(errors) if errors else None,
+                     max(errors, default=None)))
+    return rows
+
+
+def track_observations(rows: list[tuple], config: PipelineConfig, out_dir: Path) -> list:
+    """Track ``observations.csv`` rows; writes tracks.csv and trajectories.svg.
+
+    Every frame with a row is stepped, so a frame without observations
+    counts a miss for each live track. ``run`` calls this on the rows it
+    writes and ``track`` on the rows it reads, so both give the same tracks.
+    """
+    by_frame: dict[int, list[np.ndarray]] = {}
+    for frame, _, position, _, _ in rows:
+        positions = by_frame.setdefault(frame, [])
+        if position is not None:
+            positions.append(position)
+    track_rows = run_tracker(by_frame, config.tracker_config())
+    dataio.write_tracks(out_dir / "tracks.csv", track_rows)
+    (out_dir / "trajectories.svg").write_text(render_trajectories(track_rows))
+    logger.info("tracked %d row(s) over %d frame(s)", len(track_rows), len(by_frame))
+    return track_rows
+
+
 def run_pipeline(config: PipelineConfig) -> dict:
     """Execute the configured stages and write outputs; returns the report."""
     config.validate()
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     logger.info("ingesting calibration from %s", config.calibration_path)
     cameras = dataio.read_calibration(config.calibration_path)
+    if config.camera_pairs is None:
+        pairs = _default_pairs(list(cameras))
+    else:
+        pairs = [tuple(p) for p in config.camera_pairs]
+        if not {cam for pair in pairs for cam in pair} <= cameras.keys():
+            raise ConfigError(
+                f"camera_pairs must be CAMA,CAMB pairs of calibrated cameras "
+                f"{sorted(cameras)}, got {config.camera_pairs!r}"
+            )
     image_sizes = {cam_id: cam.image_size for cam_id, cam in cameras.items()}
     landmarks = dataio.read_landmarks(config.landmarks_path, image_sizes)
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     for camera_id in landmarks.cameras():
         diagram = build_bounded_diagram(landmarks, camera_id)
@@ -380,14 +430,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
         keypoints_by_frame.setdefault(kp.frame, {}).setdefault(
             kp.camera_id, []
         ).append(kp)
-
-    if config.camera_pairs is not None:
-        pairs = [tuple(p) for p in config.camera_pairs]
-        for pair in pairs:
-            if pair[0] not in cameras or pair[1] not in cameras:
-                raise ConfigError(f"bad camera pair {pair!r}")
-    else:
-        pairs = _default_pairs(list(cameras))
 
     detections_by_frame: dict[int, dict[tuple[str, int, int], Detection]] = {}
     for key, det in table.items():
@@ -455,33 +497,16 @@ def run_pipeline(config: PipelineConfig) -> dict:
         report["table4"] = reconstruction_stats(
             observations, all_matches, cameras, threshold_px=config.reproj_threshold_px
         )
-    obs_rows = []
-    for result in results:
-        for hint, obs in enumerate(result.observations):
-            cams_sorted = sorted(obs.reprojection_errors)
-            err_a = obs.reprojection_errors[cams_sorted[0]] if cams_sorted else 0.0
-            err_b = (
-                obs.reprojection_errors[cams_sorted[1]]
-                if len(cams_sorted) > 1
-                else err_a
-            )
-            obs_rows.append((result.frame, hint, obs.position, err_a, err_b))
+    obs_rows = [
+        row for result in results
+        for row in _observation_rows(result.frame, result.observations)
+    ]
     dataio.write_observations(out_dir / "observations.csv", obs_rows)
     if config.stage == "reconstruct":
         dataio.write_metrics(out_dir / "metrics.json", report)
         return report
 
-    observations_by_frame: dict[int, list[np.ndarray]] = {}
-    for result in results:
-        observations_by_frame[result.frame] = [
-            obs.position for obs in result.observations
-        ]
-    track_rows = run_tracker(observations_by_frame, config.tracker_config())
-    dataio.write_tracks(out_dir / "tracks.csv", track_rows)
-    (out_dir / "trajectories.svg").write_text(render_trajectories(track_rows))
-    logger.info("tracked %d row(s) over %d frame(s)",
-                len(track_rows), len(observations_by_frame))
-
+    track_rows = track_observations(obs_rows, config, out_dir)
     if truth is not None:
         report["table5"] = tracking_metrics(
             track_rows,

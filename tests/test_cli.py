@@ -14,7 +14,7 @@ import pytest
 from avitrack import dataio, pipeline
 from avitrack.cli import build_parser, main, pipeline_config
 from avitrack.mask import GrayFrame, read_pgm, write_pgm
-from avitrack.pipeline import PipelineConfig
+from avitrack.pipeline import PipelineConfig, run_pipeline
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -68,7 +68,7 @@ class TestRun:
         for camera_id in ("cam0", "cam1", "cam2"):
             assert (out / f"voronoi_{camera_id}.svg").exists()
         report = json.loads((out / "metrics.json").read_text())
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert "table2" in report and "table5" in report
 
     def test_missing_calibration_fails_with_path(self, small_bundle, tmp_path, capsys):
@@ -120,11 +120,14 @@ class TestRun:
         )
         assert code == 0
 
-    @pytest.mark.parametrize("pairs", [["cam0"], ["cam1,cam1"], ["cam0,cam1", "cam1,cam0"]],
-                             ids=["one-camera", "same-camera-twice", "repeated-pair"])
+    @pytest.mark.parametrize("pairs", [["cam0"], ["cam1,cam1"], ["cam0,cam1", "cam1,cam0"],
+                                       ["cam0,cam9"]],
+                             ids=["one-camera", "same-camera-twice", "repeated-pair",
+                                  "unknown-camera"])
     def test_bad_pair_spec_fails(self, small_bundle, tmp_path, capsys, monkeypatch, pairs):
         """A pair of one camera, or a pair given twice in either order, would
-        fail in triangulation or count its matches twice."""
+        fail in triangulation or count its matches twice; a camera outside
+        the calibration fails before any overlay is written."""
         monkeypatch.setattr(pipeline, "_process_frame", None)
         code = main(["run", "--input", str(small_bundle), "--out", str(tmp_path / "out"),
                      *[arg for pair in pairs for arg in ("--pair", pair)]])
@@ -146,6 +149,9 @@ class TestRun:
     @pytest.mark.parametrize("doc, message", [
         ({"fps": "30"}, "config key 'fps': expected float, got '30'"),
         ({"max_misses": 2.5}, "config key 'max_misses': expected int, got 2.5"),
+        *[({"camera_pairs": pairs}, "config key 'camera_pairs': expected null or a list "
+           f"of [CAMA, CAMB] pairs of strings, got {pairs!r}")
+          for pairs in ([5], [["cam0", 1]], ["cam0,cam1"])],
     ])
     def test_config_value_of_the_wrong_type_fails(
         self, small_bundle, tmp_path, capsys, doc, message
@@ -225,6 +231,35 @@ class TestStandaloneCommands:
             tuned_runs / "full" / "tracks.csv"
         ).read_bytes()
         assert same == (settings_from != "defaults")
+
+    @pytest.fixture(scope="class")
+    def sparse_bundle(self, tmp_path_factory):
+        """One bird seen by two cameras: with ``--validate-bounds``, 17 of
+        its 60 frames have no observation."""
+        bundle = tmp_path_factory.mktemp("sparse") / "bundle"
+        assert main(["synth", "--out", str(bundle), "--seed", "3", "--birds", "1",
+                     "--cameras", "2", "--duration", "2", "--descriptor-length", "8"]) == 0
+        return bundle
+
+    @pytest.mark.parametrize("tracker_flags", [[], TUNED_FLAGS], ids=["defaults", "tuned"])
+    def test_track_equals_run_over_frames_without_observations(
+        self, sparse_bundle, tmp_path, tracker_flags
+    ):
+        """Each frame ``run`` steps has a row in observations.csv, so
+        ``track`` misses the same frames and coasts the same tracks."""
+        flags = ["--input", str(sparse_bundle), "--validate-bounds", *tracker_flags]
+        assert main(["run", "--out", str(tmp_path / "full"), *flags]) == 0
+        staged = tmp_path / "staged"
+        assert main(["run", "--out", str(staged), "--stage", "reconstruct", *flags]) == 0
+        rows = dataio.read_observations(staged / "observations.csv")
+        empty = [frame for frame, _, position, _, _ in rows if position is None]
+        assert len(empty) == 17 and len({row[0] for row in rows}) == 60
+        assert main(["track", "--observations", str(staged / "observations.csv"),
+                     "--out", str(tmp_path / "tracked"), *tracker_flags]) == 0
+        for name in ("tracks.csv", "trajectories.svg"):
+            assert (tmp_path / "tracked" / name).read_bytes() == (
+                tmp_path / "full" / name
+            ).read_bytes(), name
 
     def test_overlay_stage_needs_no_bundle(self, small_bundle, tmp_path):
         out = tmp_path / "overlays"
@@ -364,21 +399,37 @@ class TestStandaloneCommands:
         assert not list(out.glob("mask_*.pgm"))
 
 
+@pytest.fixture
+def bench(monkeypatch):
+    """``perfbench/run.py``, loaded by path. It pins BLAS threads in
+    ``os.environ`` on import, which monkeypatch undoes."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", ROOT / "perfbench" / "run.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    monkeypatch.setattr(os, "environ", os.environ.copy())
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_reads_the_run_outputs(bench, tmp_path):
+    """The benchmark hashes every output file and reads its quality
+    metrics from metrics.json, observations.csv and tracks.csv. The scene
+    has an observation in every frame, as every benchmark workload does:
+    ``quality`` cannot read a ``frame,0,,,,,`` row."""
+    bundle, out = tmp_path / "bundle", tmp_path / "out"
+    bench.set_up(bench.scene_config(bench.WORKLOADS["quickstart"], 42, 0.5), bundle)
+    run_pipeline(PipelineConfig(output_dir=str(out)).for_bundle_dir(bundle))
+    _, problems = bench.check_outputs(out, bundle)
+    assert problems == []
+    metrics = bench.quality(out, PipelineConfig().aviary_size)
+    assert len(metrics) == 6
+    assert all(np.isfinite(value) for value, _ in metrics.values())
+
+
 class TestFlagsMatchConfig:
     """The ``run`` flags and PipelineConfig cannot drift apart."""
-
-    @pytest.fixture
-    def bench(self, monkeypatch):
-        """``perfbench/run.py``, loaded by path. It pins BLAS threads in
-        ``os.environ`` on import, which monkeypatch undoes."""
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_run", ROOT / "perfbench" / "run.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, module)
-        monkeypatch.setattr(os, "environ", os.environ.copy())
-        spec.loader.exec_module(module)
-        return module
 
     def test_benchmark_workload_flags_parse_into_config(self, bench):
         for name, workload in bench.WORKLOADS.items():

@@ -86,11 +86,15 @@ class TestRoundTrips:
         assert labels == bundle.detection_identities
 
     def test_observations_and_tracks(self, tmp_path):
-        obs = [(0, 0, np.array([1.0, 2.0, 3.0]), 0.5, 0.25)]
+        obs = [(0, 2, np.array([1.0, 2.0, 3.0]), 0.5, 0.75), (1, 0, None, None, None)]
         dataio.write_observations(tmp_path / "o.csv", obs)
+        assert (tmp_path / "o.csv").read_text().splitlines()[1:] == [
+            "0,2,1.0,2.0,3.0,0.5,0.75", "1,0,,,,,",
+        ]
         loaded = dataio.read_observations(tmp_path / "o.csv")
-        assert loaded[0][0] == 0
+        assert loaded[0][:2] == (0, 2) and loaded[0][3:] == (0.5, 0.75)
         np.testing.assert_array_equal(loaded[0][2], obs[0][2])
+        assert loaded[1] == (1, 0, None, None, None)
 
         rows = [(0, 1, "tentative", np.array([0.1, 0.2, 0.3]))]
         dataio.write_tracks(tmp_path / "t.csv", rows)
@@ -179,6 +183,27 @@ class TestStrictness:
         path.write_text("camera_id,frame,detection_index,x_px,y_px\n")
         with pytest.raises(IngestError, match="descriptor"):
             dataio.read_keypoints(path)
+
+    @pytest.mark.parametrize("row, problem", [
+        ("0,2,,,,,", "['x_m', 'y_m', 'z_m', 'mean_err_px', 'max_err_px']"),
+        ("0,0,1.0,2.0,3.0,0.5,0.75", "[]"),
+        ("0,1,1.0,2.0,3.0,,0.75", "['mean_err_px']"),
+        ("0,3,,2.0,3.0,0.5,0.75", "['x_m']"),
+        ("0,0,1.0,,3.0,,", "['y_m', 'mean_err_px', 'max_err_px']"),
+        ("0,-1,,,,,", None),
+    ])
+    def test_observation_cells_must_agree_with_n_cameras(self, tmp_path, row, problem):
+        """Errors are empty exactly when ``n_cameras`` is 0; the position is
+        all there, or all empty for a frame without observations."""
+        path = tmp_path / "o.csv"
+        path.write_text("\n".join([",".join(dataio.OBSERVATIONS_HEADER),
+                                   "0,0,,,,,", "0,0,1.0,2.0,3.0,,", row]))
+        with pytest.raises(IngestError) as exc:
+            dataio.read_observations(path)
+        n_cameras = row.split(",")[1]
+        assert str(exc.value) == f"{path}:4: n_cameras {n_cameras} " + (
+            "is negative" if problem is None else f"disagrees with the empty cells {problem}"
+        )
 
     def test_bad_track_status_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -410,8 +435,8 @@ TABLES = {
     "truth": (dataio.read_truth, dataio.TRUTH_HEADER, "iifff", "0,1,1.0,2.0,3.0"),
     "match_truth": (dataio.read_match_truth, dataio.MATCH_TRUTH_HEADER, "siii",
                     "cam0,0,0,1"),
-    "observations": (dataio.read_observations, dataio.OBSERVATIONS_HEADER, "iifffff",
-                     "0,0,1.0,2.0,3.0,0.5,0.25"),
+    "observations": (dataio.read_observations, dataio.OBSERVATIONS_HEADER, "iiFFFFF",
+                     "0,2,1.0,2.0,3.0,0.5,0.25"),
     "tracks": (dataio.read_tracks, dataio.TRACKS_HEADER, "iisfff",
                "0,1,tentative,1.0,2.0,3.0"),
 }
@@ -419,6 +444,7 @@ BAD_VALUES = {
     "i": [("1.5", "is not an integer"), ("x", "is not an integer")],
     "f": [("x", "is not a number"), ("inf", "is not finite"), ("nan", "is not finite")],
 }
+BAD_VALUES["F"] = BAD_VALUES["f"]  # a float cell that may also be empty
 BAD_CELLS = [
     (table, column, text, problem)
     for table, (_, header, kinds, _) in TABLES.items()
@@ -549,7 +575,10 @@ class TestRoundTripProperty:
         assert _bits(back) == _bits(identities)
 
     @settings(max_examples=50, deadline=None)
-    @given(rows=st.lists(st.tuples(_INT, _INT, _POINT, _FLOAT, _FLOAT), max_size=6))
+    @given(rows=st.lists(st.one_of(
+        st.tuples(_INT, st.integers(1, 5), _POINT, _FLOAT, _FLOAT),
+        st.tuples(_INT, st.just(0), st.one_of(st.none(), _POINT), st.none(), st.none()),
+    ), max_size=6))
     def test_observations(self, tmp_path_factory, rows):
         back = _round_trip(tmp_path_factory, dataio.write_observations,
                            dataio.read_observations, rows)

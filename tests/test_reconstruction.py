@@ -4,11 +4,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from avitrack import reconstruction
-from avitrack.camera import CameraModel, project, project_many, projection_matrix
+from avitrack.camera import (
+    CameraModel, project, project_many, project_points, projection_matrix,
+)
 from avitrack.errors import BehindCameraError, DegenerateRaysError, EmptyInputError
 from avitrack.synthworld import SceneConfig, build_camera_rig
 from avitrack.matching import Correspondence, Detection, FeatureMatch, Keypoint
@@ -46,6 +48,34 @@ class TestTriangulate:
                 assert np.all(front_a) and np.all(front_b)
                 recovered = triangulate_batch(pix_a, pix_b, cam_a, cam_b)
                 assert np.max(np.linalg.norm(recovered - points, axis=1)) <= 1e-6
+
+    @settings(max_examples=60)
+    @given(
+        camera_count=st.integers(2, 8),
+        focal_px=st.floats(200.0, 1100.0),
+        data=st.data(),
+        points=st.lists(st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 3.4),
+                                  st.floats(0.0, 2.0)), min_size=1, max_size=8),
+    )
+    def test_round_trip_property(self, camera_count, focal_px, data, points):
+        """Points in the aviary box, projected into two cameras of a drawn
+        rig, triangulate back to within 1e-6 m. Points within 1 degree of
+        the line through both camera centres are left out: their two rays
+        are one line."""
+        rig = build_camera_rig(SceneConfig(camera_count=camera_count, focal_px=focal_px))
+        first, second = data.draw(st.lists(st.sampled_from(sorted(rig)), min_size=2,
+                                           max_size=2, unique=True))
+        cam_a, cam_b = rig[first], rig[second]
+        points = np.array(points)
+        rays = [points + cam.rotation.T @ cam.translation for cam in (cam_a, cam_b)]
+        sine = np.linalg.norm(np.cross(*rays), axis=1) / np.prod(
+            [np.linalg.norm(ray, axis=1) for ray in rays], axis=0)
+        assume(np.all(sine >= np.sin(np.radians(1.0))))
+        pix_a, depth_a = project_points(cam_a, points)
+        pix_b, depth_b = project_points(cam_b, points)
+        assert np.all(depth_a > 0) and np.all(depth_b > 0)
+        recovered = triangulate_batch(pix_a, pix_b, cam_a, cam_b)
+        assert np.max(np.linalg.norm(recovered - points, axis=1)) <= 1e-6
 
     def test_same_camera_twice_raises(self, default_rig):
         cam = default_rig["cam0"]

@@ -20,6 +20,12 @@ from avitrack.voronoi import (
 )
 
 DATA_DIR = Path(__file__).parent / "data"
+_FRAME = (160, 120)
+# Grid coordinates of the frame: its edges, every 20 px, and the last pixel.
+_SITE_X = st.sampled_from([0.0, 20.0, 40.0, 60.0, 80.0, 100.0, 120.0, 140.0, 159.5])
+_SITE_Y = st.sampled_from([0.0, 20.0, 40.0, 60.0, 80.0, 100.0, 119.5])
+_EDGE_X = st.one_of(_SITE_X, st.sampled_from([10.0, 30.0, 160.0]), st.floats(0.0, 160.0))
+_EDGE_Y = st.one_of(_SITE_Y, st.sampled_from([10.0, 50.0, 120.0]), st.floats(0.0, 120.0))
 _QUERY_COORD = st.one_of(st.sampled_from([0.0, 5.0, 15.0, 1e200, -1e200]),
                          st.floats(-20.0, 120.0, allow_nan=False))
 
@@ -173,6 +179,35 @@ class TestBoundedDiagram:
             mine = expected == gid
             assert np.all(polygon_contains(cell, grid[mine], tol=1e-9))
             assert not np.any(polygon_contains(cell, grid[~mine], tol=-1e-9))
+
+    @settings(max_examples=80)
+    @given(
+        sites=st.lists(
+            st.tuples(_SITE_X, _SITE_Y, st.sampled_from([0.0, 1e-9, 1e-5, 0.5])),
+            min_size=1, max_size=8, unique_by=lambda site: site[:2],
+        ),
+        queries=st.lists(st.tuples(_EDGE_X, _EDGE_Y), min_size=1, max_size=12),
+    )
+    def test_cells_hold_their_brute_force_points(self, sites, queries):
+        """Sites on a coarse grid, some on the frame edge, some nudged off
+        it so bisectors nearly tie; queries on the same grid and the frame
+        edge. A query lies in the cell of each nearest site, to 1e-7 px, and
+        in no cell of a site farther away by more than 1e-9 px; the cells
+        stay in the frame, to 1e-9 px, and their areas add up to it."""
+        w, h = _FRAME
+        landmarks = LandmarkSet({"cam0": _FRAME})
+        for gid, (x, y, nudge) in enumerate(sites):
+            landmarks.add("cam0", gid, (min(x + nudge, np.nextafter(w, 0)), y))
+        diagram = build_bounded_diagram(landmarks, "cam0")
+        queries = np.array(queries)
+        distance = np.linalg.norm(queries[:, None] - diagram.sites[None], axis=2)
+        nearest = distance.min(axis=1)
+        for column, cell in enumerate(diagram.cells):
+            tied = distance[:, column] <= nearest + 1e-9
+            assert polygon_contains(cell, queries[tied], tol=1e-7).all()
+            assert not polygon_contains(cell, queries[~tied], tol=-1e-7).any()
+            assert np.all((cell >= -1e-9) & (cell <= np.add(_FRAME, 1e-9)))
+        assert sum(map(polygon_area, diagram.cells)) == pytest.approx(w * h, rel=1e-9)
 
     def test_collinear_sites_stay_bounded(self):
         w, h = 320, 240
