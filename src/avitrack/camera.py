@@ -111,11 +111,6 @@ class CameraModel:
             [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
         )
 
-    def camera_frame(self, points: np.ndarray) -> np.ndarray:
-        """World points (..., 3) expressed in the camera frame."""
-        points = np.asarray(points, dtype=float)
-        return points @ self.rotation.T + self.translation
-
     def distort(self, normalized: np.ndarray) -> np.ndarray:
         """Apply Brown-Conrady distortion to normalized (..., 2) coordinates."""
         normalized = np.asarray(normalized, dtype=float)
@@ -160,11 +155,10 @@ def project_points(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Project (N, 3) world points; returns (pixels (N, 2), depth (N,)).
 
-    ``depth`` is the camera-frame z. Pixels of points at depth <=
-    ``MIN_DEPTH`` are NaN. Each row is transformed by its own vector-matrix
-    product, so row i has the same bits as projecting point i alone;
-    ``project_many`` transforms all rows in one matrix product, which can
-    round the last bit differently.
+    ``depth`` is the camera-frame z; a point is in front of the camera when
+    ``depth > MIN_DEPTH``, and the pixels of the others are NaN. Each row is
+    transformed by its own vector-matrix product, so row i has the same bits
+    as projecting point i alone, whatever the other rows are.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     cam_pts = np.matmul(points[:, None, :], cam.rotation.T)[:, 0, :] + cam.translation
@@ -192,22 +186,3 @@ def project(cam: CameraModel, point: np.ndarray) -> np.ndarray:
         )
     return pixels[0]
 
-
-def project_many(cam: CameraModel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized projection of (N, 3) world points.
-
-    Returns (pixels (N, 2), in_front (N,) bool). Pixels for points behind
-    the camera are NaN rather than raising, so callers can mask.
-    """
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    cam_pts = cam.camera_frame(points)
-    z = cam_pts[:, 2]
-    in_front = z > MIN_DEPTH
-    safe_z = np.where(in_front, z, 1.0)
-    normalized = cam_pts[:, :2] / safe_z[:, None]
-    distorted = cam.distort(normalized)
-    pixels = np.empty_like(distorted)
-    pixels[:, 0] = cam.fx * distorted[:, 0] + cam.cx
-    pixels[:, 1] = cam.fy * distorted[:, 1] + cam.cy
-    pixels[~in_front] = np.nan
-    return pixels, in_front

@@ -17,6 +17,7 @@ degree. Tracking is sequential by nature.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import logging
 import pickle
@@ -125,6 +126,11 @@ class PipelineConfig:
             ("gap_tolerance_frames", self.gap_tolerance_frames >= 0, ">= 0"),
             ("canny_low", 0 <= self.canny_low <= self.canny_high, "in [0, canny_high]"),
             ("canny_high", self.canny_high <= 255, "<= 255"),
+            ("use_mask", not self.use_mask or bool(self.frames_dir),
+             "false when frames_dir is unset"),
+            ("aviary_size", len(self.aviary_size) == 3
+             and all(0 < v < np.inf for v in self.aviary_size),
+             "three finite positive sizes in meters"),
         ):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -150,6 +156,9 @@ class PipelineConfig:
                     and all(isinstance(cam, str) for cam in pair)
                     for pair in value
                 )
+            elif name == "aviary_size":
+                expected = "a list of numbers"
+                ok = isinstance(value, list) and all(_has_type(v, float) for v in value)
             else:
                 kind = type(getattr(defaults, name))
                 expected, ok = kind.__name__, _has_type(value, kind)
@@ -347,15 +356,6 @@ def apply_mask_stage(
     return gated
 
 
-def _default_pairs(camera_ids: list[str]) -> list[tuple[str, str]]:
-    ordered = sorted(camera_ids)
-    return [
-        (ordered[i], ordered[j])
-        for i in range(len(ordered))
-        for j in range(i + 1, len(ordered))
-    ]
-
-
 def _observation_rows(frame: int, observations: list[Observation3D]) -> list[tuple]:
     """The ``observations.csv`` rows of one stepped frame: one per
     observation, or one without a position when there is none."""
@@ -395,7 +395,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     logger.info("ingesting calibration from %s", config.calibration_path)
     cameras = dataio.read_calibration(config.calibration_path)
     if config.camera_pairs is None:
-        pairs = _default_pairs(list(cameras))
+        pairs = list(itertools.combinations(sorted(cameras), 2))
     else:
         pairs = [tuple(p) for p in config.camera_pairs]
         if not {cam for pair in pairs for cam in pair} <= cameras.keys():
@@ -419,8 +419,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
     keypoints = dataio.read_keypoints(config.keypoints_path)
     table = detection_table(detections, keypoints, config.keypoints_path)
     if config.use_mask:
-        if not config.frames_dir:
-            raise ConfigError("use_mask requires frames_dir")
         before = len(keypoints)
         keypoints = apply_mask_stage(config, keypoints, detections, image_sizes=image_sizes)
         logger.info("mask stage kept %d of %d keypoints", len(keypoints), before)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .camera import CameraModel, project_many
+from .camera import MIN_DEPTH, CameraModel, project_points
 from .errors import ConfigError
 from .mask import GrayFrame, write_pgm
 from .matching import Detection, Keypoint
@@ -205,9 +205,9 @@ def _box_corners(size: np.ndarray) -> np.ndarray:
 def _check_rig_covers_box(cameras: dict[str, CameraModel], size: np.ndarray) -> None:
     corners = _box_corners(size)
     for cam in cameras.values():
-        pixels, in_front = project_many(cam, corners)
+        pixels, depth = project_points(cam, corners)
         w, h = cam.image_size
-        if not np.all(in_front):
+        if not np.all(depth > MIN_DEPTH):
             raise ConfigError(f"camera {cam.cam_id} has aviary corners behind it")
         inside = (
             (pixels[:, 0] >= 0)
@@ -379,7 +379,7 @@ def _feature_pool(config: SceneConfig, rng: np.random.Generator) -> np.ndarray:
 
 def _render_frame(
     config: SceneConfig,
-    boxes: list[tuple[float, float, float, float]],
+    boxes: list[list[float]],
 ) -> GrayFrame:
     w, h = config.image_size
     pixels = np.full((h, w), 30, dtype=np.uint8)
@@ -398,6 +398,49 @@ def _render_frame(
         inside = ((xs - cx) / rx) ** 2 + ((ys - cy) / ry) ** 2 <= 1.0
         pixels[r0:r1, c0:c1][inside] = 215
     return GrayFrame(width=w, height=h, pixels=pixels)
+
+
+def _visible_boxes(
+    cam: CameraModel,
+    positions: np.ndarray,
+    config: SceneConfig,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The birds one camera detects: (identities (K,), centers (K, 2),
+    half-sizes (K, 2)) in identity order.
+
+    A bird is lost when it is behind the camera or its box leaves the
+    frame. With occlusion on, a bird is also lost when a uniform draw falls
+    below the largest share of its box that one nearer box covers. The rng
+    draws one noise pair per bird in front of the camera, in identity
+    order, then one uniform per box left in the frame when more than one is
+    left.
+    """
+    pixels, depth = project_points(cam, positions)
+    identities = np.flatnonzero(depth > MIN_DEPTH)
+    z = depth[identities]
+    halves = np.column_stack(
+        [cam.fx * config.body_radius_m / z, cam.fy * config.body_radius_m / z]
+    )
+    centers = pixels[identities]
+    if config.pixel_noise > 0:
+        centers = centers + rng.normal(0.0, config.pixel_noise, size=centers.shape)
+    lo, hi = centers - halves, centers + halves
+    w, h = cam.image_size
+    inside = ~((lo[:, 0] < 0) | (hi[:, 0] >= w) | (lo[:, 1] < 0) | (hi[:, 1] >= h))
+    identities, centers, halves = identities[inside], centers[inside], halves[inside]
+
+    if config.occlusion and len(identities) > 1:
+        draws = rng.uniform(size=len(identities))
+        lo, hi, z = lo[inside], hi[inside], z[inside]
+        overlap = np.minimum(hi[:, None], hi[None]) - np.maximum(lo[:, None], lo[None])
+        ix, iy = overlap[..., 0], overlap[..., 1]
+        area = 4.0 * halves[:, 0] * halves[:, 1]
+        covered = (z[None] < z[:, None]) & (ix > 0) & (iy > 0)
+        worst = np.where(covered, ix * iy / area[:, None], 0.0).max(axis=1)
+        keep = draws >= worst
+        identities, centers, halves = identities[keep], centers[keep], halves[keep]
+    return identities, centers, halves
 
 
 def generate(config: SceneConfig) -> DatasetBundle:
@@ -421,10 +464,10 @@ def generate(config: SceneConfig) -> DatasetBundle:
         {cam_id: cameras[cam_id].image_size for cam_id in camera_ids}
     )
     for cam_id in camera_ids:
-        pixels, in_front = project_many(cameras[cam_id], landmarks_3d)
+        pixels, depth = project_points(cameras[cam_id], landmarks_3d)
         w, h = cameras[cam_id].image_size
-        for gid, (pix, ok) in enumerate(zip(pixels, in_front)):
-            if not ok or not (0 <= pix[0] < w and 0 <= pix[1] < h):
+        for gid, (pix, z) in enumerate(zip(pixels, depth)):
+            if z <= MIN_DEPTH or not (0 <= pix[0] < w and 0 <= pix[1] < h):
                 raise ConfigError(
                     f"landmark {gid} does not project inside camera {cam_id}"
                 )
@@ -453,61 +496,15 @@ def generate(config: SceneConfig) -> DatasetBundle:
             identity: bird.position.copy() for identity, bird in enumerate(birds)
         }
 
+        positions = np.array([bird.position for bird in birds])
         for cam_id in camera_ids:
-            cam = cameras[cam_id]
-            w, h = cam.image_size
-            positions = np.array([bird.position for bird in birds])
-            pixels, in_front = project_many(cam, positions)
-            depths = cam.camera_frame(positions)[:, 2]
-
-            visible: list[tuple[int, np.ndarray, float, float, float]] = []
-            for identity in range(len(birds)):
-                if not in_front[identity]:
-                    continue
-                z = depths[identity]
-                half_w = cam.fx * config.body_radius_m / z
-                half_h = cam.fy * config.body_radius_m / z
-                center = pixels[identity]
-                if config.pixel_noise > 0:
-                    center = center + rng.normal(0.0, config.pixel_noise, size=2)
-                if (
-                    center[0] - half_w < 0
-                    or center[0] + half_w >= w
-                    or center[1] - half_h < 0
-                    or center[1] + half_h >= h
-                ):
-                    continue
-                visible.append((identity, center, half_w, half_h, z))
-
-            if config.occlusion and len(visible) > 1:
-                survivors = []
-                for i, (identity, center, hw, hh, z) in enumerate(visible):
-                    draw = rng.uniform()
-                    worst = 0.0
-                    area = 4.0 * hw * hh
-                    for j, (_, c2, hw2, hh2, z2) in enumerate(visible):
-                        if j == i or z2 >= z:
-                            continue
-                        ix = min(center[0] + hw, c2[0] + hw2) - max(
-                            center[0] - hw, c2[0] - hw2
-                        )
-                        iy = min(center[1] + hh, c2[1] + hh2) - max(
-                            center[1] - hh, c2[1] - hh2
-                        )
-                        if ix > 0 and iy > 0:
-                            worst = max(worst, ix * iy / area)
-                    if draw >= worst:
-                        survivors.append((identity, center, hw, hh, z))
-                visible = survivors
-
-            boxes_for_render = []
-            for det_index, (identity, center, half_w, half_h, _) in enumerate(visible):
-                box = (
-                    float(center[0] - half_w),
-                    float(center[1] - half_h),
-                    float(center[0] + half_w),
-                    float(center[1] + half_h),
-                )
+            identities, centers, halves = _visible_boxes(
+                cameras[cam_id], positions, config, rng
+            )
+            boxes = np.hstack([centers - halves, centers + halves]).tolist()
+            for det_index, (identity, center, (half_w, half_h), box) in enumerate(
+                zip(identities.tolist(), centers, halves, boxes)
+            ):
                 detections.append(
                     Detection(
                         camera_id=cam_id,
@@ -521,7 +518,6 @@ def generate(config: SceneConfig) -> DatasetBundle:
                     )
                 )
                 detection_identities[(cam_id, frame, det_index)] = identity
-                boxes_for_render.append(box)
 
                 count = int(rng.integers(kmin, kmax + 1))
                 offsets = rng.uniform(-0.8, 0.8, size=(count, 2))
@@ -563,7 +559,7 @@ def generate(config: SceneConfig) -> DatasetBundle:
                     )
 
             if config.emit_frames:
-                frames[(cam_id, frame)] = _render_frame(config, boxes_for_render)
+                frames[(cam_id, frame)] = _render_frame(config, boxes)
 
     return DatasetBundle(
         config=config,

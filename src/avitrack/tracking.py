@@ -28,6 +28,8 @@ DEFAULT_CONFIRM_HITS = 3
 DEFAULT_MAX_MISSES = 15
 ASSOCIATIONS = ("greedy", "optimal")
 DEFAULT_ASSOCIATION = "greedy"
+INIT_VELOCITY_SIGMA = 2.0     # m/s, prior spread of a new track's velocity
+INIT_ACCEL_SIGMA = 10.0       # m/s^2, and of its acceleration
 
 _H = np.hstack([np.eye(3), np.zeros((3, 6))])
 
@@ -204,8 +206,6 @@ class TrackerConfig:
     confirm_hits: int = DEFAULT_CONFIRM_HITS
     max_misses: int = DEFAULT_MAX_MISSES
     association: str = DEFAULT_ASSOCIATION
-    init_velocity_sigma: float = 2.0
-    init_accel_sigma: float = 10.0
 
 
 class MultiObjectTracker:
@@ -228,8 +228,8 @@ class MultiObjectTracker:
         state[:3] = position
         covariance = np.diag(
             [cfg.meas_sigma**2] * 3
-            + [cfg.init_velocity_sigma**2] * 3
-            + [cfg.init_accel_sigma**2] * 3
+            + [INIT_VELOCITY_SIGMA**2] * 3
+            + [INIT_ACCEL_SIGMA**2] * 3
         )
         track = TrackState(
             track_id=self._next_id,

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avitrack.camera import project_many
+from avitrack.camera import MIN_DEPTH, project_points
 from avitrack.cli import main
 from avitrack.matching import KEPT, knn_match, reject_by_landmark
 from avitrack.mask import GrayFrame, canny_edges, lateral_fill
@@ -200,10 +200,10 @@ def test_criterion_5_triangulation_exactness():
     worst = 0.0
     pairs = 0
     for i in range(len(cams)):
-        pix_i, front_i = project_many(rig[cams[i]], points)
-        assert np.all(front_i)
+        pix_i, depth_i = project_points(rig[cams[i]], points)
+        assert np.all(depth_i > MIN_DEPTH)
         for j in range(i + 1, len(cams)):
-            pix_j, front_j = project_many(rig[cams[j]], points)
+            pix_j, _ = project_points(rig[cams[j]], points)
             recovered = triangulate_batch(pix_i, pix_j, rig[cams[i]], rig[cams[j]])
             errors = np.linalg.norm(recovered - points, axis=1)
             worst = max(worst, float(errors.max()))
@@ -246,8 +246,8 @@ def test_criterion_6_triangulation_under_noise():
     impl_errors = []
     oracle_errors = []
     for point in points:
-        pix_a, _ = project_many(cam_a, point[None])
-        pix_b, _ = project_many(cam_b, point[None])
+        pix_a, _ = project_points(cam_a, point[None])
+        pix_b, _ = project_points(cam_b, point[None])
         for _ in range(trials_per_point):
             noisy_a = pix_a[0] + rng.normal(0.0, 1.0, size=2)
             noisy_b = pix_b[0] + rng.normal(0.0, 1.0, size=2)
@@ -263,8 +263,8 @@ def test_criterion_6_triangulation_under_noise():
     # The reconstruction report carries every reconstruction-table field.
     matches = []
     for idx, point in enumerate(points[:20]):
-        pix_a, _ = project_many(cam_a, point[None])
-        pix_b, _ = project_many(cam_b, point[None])
+        pix_a, _ = project_points(cam_a, point[None])
+        pix_b, _ = project_points(cam_b, point[None])
         matches.append(
             FeatureMatch(
                 keypoint_a=Keypoint("cam0", 0, idx, pix_a[0] + rng.normal(0, 1, 2), np.zeros(2)),

@@ -9,7 +9,6 @@ from avitrack.camera import (
     MIN_DEPTH,
     CameraModel,
     project,
-    project_many,
     project_points,
     projection_matrix,
     rotation_from_rvec,
@@ -87,8 +86,8 @@ class TestProjectionMatrix:
             p = projection_matrix(zero_dist)
             homog = (p @ np.hstack([points, np.ones((50, 1))]).T).T
             via_matrix = homog[:, :2] / homog[:, 2:3]
-            direct, in_front = project_many(zero_dist, points)
-            assert np.all(in_front)
+            direct, depth = project_points(zero_dist, points)
+            assert np.all(depth > MIN_DEPTH)
             np.testing.assert_allclose(via_matrix, direct, atol=1e-9)
 
 
@@ -117,7 +116,7 @@ class TestProject:
             dist=np.zeros(5), rotation=cam.rotation,
             translation=cam.translation, image_size=cam.image_size,
         )
-        pixels, in_front = project_many(zero_dist, points)
+        pixels, depth = project_points(zero_dist, points)
         cam_pts = points @ zero_dist.rotation.T + zero_dist.translation
         expected = np.column_stack(
             [
@@ -125,7 +124,7 @@ class TestProject:
                 zero_dist.fy * cam_pts[:, 1] / cam_pts[:, 2] + zero_dist.cy,
             ]
         )
-        assert np.all(in_front)
+        assert np.all(depth > MIN_DEPTH)
         np.testing.assert_allclose(pixels, expected, atol=1e-9)
 
     def test_undistort_inverts_distort(self):
@@ -143,7 +142,7 @@ class TestProject:
 
 def _project_loop(cam, point):
     """The one-point projection that ``project_points`` replaced, as reference."""
-    cam_pt = cam.camera_frame(np.asarray(point, dtype=float).reshape(3))
+    cam_pt = np.asarray(point, dtype=float).reshape(3) @ cam.rotation.T + cam.translation
     z = cam_pt[2]
     if z <= 1e-12:
         raise BehindCameraError(

@@ -152,6 +152,8 @@ class TestRun:
         *[({"camera_pairs": pairs}, "config key 'camera_pairs': expected null or a list "
            f"of [CAMA, CAMB] pairs of strings, got {pairs!r}")
           for pairs in ([5], [["cam0", 1]], ["cam0,cam1"])],
+        ({"aviary_size": ["a", 1, 2]},
+         "config key 'aviary_size': expected a list of numbers, got ['a', 1, 2]"),
     ])
     def test_config_value_of_the_wrong_type_fails(
         self, small_bundle, tmp_path, capsys, doc, message
@@ -163,6 +165,27 @@ class TestRun:
                      "--config", str(config)])
         assert code == 2
         assert f"error: {config}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("argv, doc, message", [
+        (["--use-mask"], {}, "use_mask must be false when frames_dir is unset, got True"),
+        *[(["--validate-bounds"], {"aviary_size": size},
+           f"aviary_size must be three finite positive sizes in meters, got {size!r}")
+          for size in ([4.0], [-1, 3.4, 2], [float("nan"), 3.4, 2])],
+    ], ids=["use-mask-without-frames", "aviary-one-size", "aviary-negative", "aviary-nan"])
+    def test_setting_out_of_range_fails_before_any_output(
+        self, small_bundle, tmp_path, capsys, monkeypatch, argv, doc, message
+    ):
+        """``small_bundle`` has no frames; a bad setting writes no overlay."""
+        monkeypatch.setattr(pipeline, "_process_frame", None)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = main(["run", "--input", str(small_bundle), "--out", str(out),
+                     "--config", str(config), *argv])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
 

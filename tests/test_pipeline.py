@@ -120,6 +120,13 @@ class TestConfig:
         {"camera_pairs": [["cam0", "cam1"], ["cam1", "cam0"]]},
         {"camera_pairs": [["cam0", "cam1"], ["cam2", "cam1"], ["cam0", "cam1"]]},
         {"stage": "track"},
+        {"use_mask": True},
+        {"aviary_size": [4.0]},
+        {"aviary_size": [4.0, 3.4]},
+        {"aviary_size": [-1.0, 3.4, 2.0]},
+        {"aviary_size": [4.0, 0.0, 2.0]},
+        {"aviary_size": [4.0, float("nan"), 2.0]},
+        {"aviary_size": [float("inf"), 3.4, 2.0]},
     ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
     def test_validation_rejects_out_of_range(self, bad):
         with pytest.raises(ConfigError, match=next(iter(bad))):

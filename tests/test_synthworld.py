@@ -1,12 +1,16 @@
 """Tests for the synthetic scene generator and its self-consistency."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from avitrack.camera import project_many
+from avitrack.camera import MIN_DEPTH, CameraModel, project_points
 from avitrack.errors import ConfigError
 from avitrack.matching import knn_match
-from avitrack.synthworld import SceneConfig, generate, truth_labels
+from avitrack.synthworld import SceneConfig, _visible_boxes, generate, truth_labels
 
 
 def _small_config(**overrides) -> SceneConfig:
@@ -56,8 +60,8 @@ class TestSelfConsistency:
         for det in bundle.detections:
             identity = bundle.detection_identities[(det.camera_id, det.frame, det.index)]
             truth_pos = bundle.truth_positions[det.frame][identity]
-            pixels, in_front = project_many(bundle.cameras[det.camera_id], truth_pos[None])
-            assert in_front[0]
+            pixels, depth = project_points(bundle.cameras[det.camera_id], truth_pos[None])
+            assert depth[0] > MIN_DEPTH
             np.testing.assert_allclose(det.center, pixels[0], atol=1e-9)
 
     def test_keypoints_inside_their_boxes(self):
@@ -213,3 +217,108 @@ class TestFrames:
         bundle.write(tmp_path)
         pgms = list((tmp_path / "frames").glob("cam*_frame*.pgm"))
         assert len(pgms) == len(bundle.frames)
+
+
+def _visible_loop(cam, positions, config, rng):
+    """The per-bird view step that ``_visible_boxes`` replaced, as reference:
+    one (identity, center, half_w, half_h, z) per detected bird."""
+    w, h = cam.image_size
+    pixels, depths = project_points(cam, positions)
+    in_front = depths > MIN_DEPTH
+
+    visible = []
+    for identity in range(len(positions)):
+        if not in_front[identity]:
+            continue
+        z = depths[identity]
+        half_w = cam.fx * config.body_radius_m / z
+        half_h = cam.fy * config.body_radius_m / z
+        center = pixels[identity]
+        if config.pixel_noise > 0:
+            center = center + rng.normal(0.0, config.pixel_noise, size=2)
+        if (
+            center[0] - half_w < 0
+            or center[0] + half_w >= w
+            or center[1] - half_h < 0
+            or center[1] + half_h >= h
+        ):
+            continue
+        visible.append((identity, center, half_w, half_h, z))
+
+    if config.occlusion and len(visible) > 1:
+        survivors = []
+        for i, (identity, center, hw, hh, z) in enumerate(visible):
+            draw = rng.uniform()
+            worst = 0.0
+            area = 4.0 * hw * hh
+            for j, (_, c2, hw2, hh2, z2) in enumerate(visible):
+                if j == i or z2 >= z:
+                    continue
+                ix = min(center[0] + hw, c2[0] + hw2) - max(
+                    center[0] - hw, c2[0] - hw2
+                )
+                iy = min(center[1] + hh, c2[1] + hh2) - max(
+                    center[1] - hh, c2[1] - hh2
+                )
+                if ix > 0 and iy > 0:
+                    worst = max(worst, ix * iy / area)
+            if draw >= worst:
+                survivors.append((identity, center, hw, hh, z))
+        visible = survivors
+    return visible
+
+
+# A camera at the world origin looking down +z, without and with the
+# generator's default distortion.
+_VIEW = CameraModel(
+    cam_id="view", fx=400.0, fy=400.0, cx=320.0, cy=180.0, dist=np.zeros(5),
+    rotation=np.eye(3), translation=np.zeros(3), image_size=(640, 360),
+)
+_VIEWS = [_VIEW, replace(_VIEW, dist=np.asarray(SceneConfig().distortion))]
+# Image positions as shares of the frame. Shared values make equal depths
+# and stacked boxes; "low" and "high" put the box's edge on the frame's;
+# depths <= MIN_DEPTH are behind the camera.
+_SHARE = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.3, 0.32, 0.36, "low", "high"]))
+_DEPTH = st.one_of(st.floats(1.0, 8.0), st.sampled_from([2.0, 2.4, 4.0]),
+                   st.sampled_from([1e-6, 1e-13, 0.0, -1.0]))
+
+
+def _bird_at(cam, radius, u, v, z):
+    """The world point at depth ``z`` whose undistorted pixel is at the
+    shares (u, v) of the frame."""
+    w, h = cam.image_size
+    half_w, half_h = (cam.fx * radius / z, cam.fy * radius / z) if z > 0 else (0.0, 0.0)
+    x = {"low": half_w, "high": w - half_w}[u] if isinstance(u, str) else u * w
+    y = {"low": half_h, "high": h - half_h}[v] if isinstance(v, str) else v * h
+    return [(x - cam.cx) / cam.fx * z, (y - cam.cy) / cam.fy * z, z]
+
+
+class TestVisibleBoxesMatchPerBirdLoop:
+    @settings(max_examples=300)
+    @given(
+        cam=st.sampled_from(_VIEWS),
+        radius=st.sampled_from([0.05, 0.15]),
+        birds=st.lists(st.tuples(_SHARE, _SHARE, _DEPTH), max_size=40),
+        occlusion=st.booleans(),
+        pixel_noise=st.sampled_from([0.0, 0.7, 3.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # Two near boxes each cover 40% of a far one; the far bird's draw, 0.637,
+    # falls between the largest share and the sum of the shares.
+    @example(cam=_VIEW, radius=0.15, occlusion=True, pixel_noise=0.0, seed=0,
+             birds=[(0.5, 0.5, 4.0), (287 / 640, 0.5, 2.0), (353 / 640, 0.5, 2.0)])
+    def test_same_boxes_and_draws(self, cam, radius, birds, occlusion, pixel_noise, seed):
+        """Identities, centers and half-sizes have the loop's bits, and the
+        rng ends in the loop's state."""
+        config = SceneConfig(body_radius_m=radius, occlusion=occlusion,
+                             pixel_noise=pixel_noise)
+        positions = np.array([_bird_at(cam, radius, *bird) for bird in birds]).reshape(-1, 3)
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        identities, centers, halves = _visible_boxes(cam, positions, config, rng)
+        expected = _visible_loop(cam, positions, config, reference_rng)
+        assert identities.tolist() == [identity for identity, *_ in expected]
+        assert centers.tobytes() == np.array(
+            [center for _, center, *_ in expected]).reshape(-1, 2).tobytes()
+        assert halves.tobytes() == np.array(
+            [(hw, hh) for _, _, hw, hh, _ in expected]).reshape(-1, 2).tobytes()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
