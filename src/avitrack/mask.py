@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import EmptyRegionError, IngestError
 
@@ -105,6 +104,9 @@ def _canny_canvas(
     canvas edge image and, per canvas pixel, the frame (row, col) it was
     copied from: ``rows`` is (R,) and ``cols`` is (R, W).
     """
+    # Imported here so that a run without masks never loads scipy.
+    from scipy import ndimage
+
     x_min, y_min, x_max, y_max = regions.T
     heights, widths = y_max - y_min, x_max - x_min
     tall = heights + 2 * _MARGIN

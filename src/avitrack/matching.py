@@ -13,7 +13,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import DimensionMismatchError
 # ``nearest_landmark`` stays importable from here for callers that look
@@ -25,6 +24,8 @@ REJECTED = "rejected"
 ANCHORS = ("keypoint", "detection_center")  # see ``reject_by_landmark``
 DEFAULT_RATIO = 0.75  # Lowe's ratio test
 DEFAULT_MIN_SUPPORT = 2  # kept matches per correspondence
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_TINY = np.finfo(float).tiny  # smallest normal float; bounds underflow error
 
 
 @dataclass(frozen=True)
@@ -106,6 +107,57 @@ class RejectionStats:
     rejected: int
 
 
+def knn_distances(desc_a: np.ndarray, desc_b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``desc_a`` and ``desc_b``
+    (non-empty), exact where a row's best or second-best distance can be,
+    +inf elsewhere.
+
+    An exact entry has the bits of ``scipy.spatial.distance.cdist``: the
+    squared differences summed one dimension at a time, in order, then the
+    square root. Only candidate pairs are summed that way; one matrix
+    product picks them, ``approx = |a|^2 + |b|^2 - 2 a.b``.
+
+    Why no entry that ``knn_match`` reads is missed: let S be a pair's
+    in-order sum, L the descriptor length and u the unit roundoff. By the
+    dot-product error bound (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.1), which holds in any summation order, ``approx`` lies
+    within (2 L + 3) u (|a|^2 + |b|^2) of the exact squared distance, and
+    S within 2 L u (|a|^2 + |b|^2). Gradual underflow adds a few
+    subnormals per term, far below ``_TINY``. So with the margin
+    m = 8 (L + 2) (u (|a|^2 + |b|^2) + tiny), ``|approx - S| <= m / 2``.
+    Let s2 be a row's second-smallest ``approx``: any two columns bound
+    the row's second-smallest S, so it is at most s2 + m / 2. A column
+    whose root ties that one exceeds it by at most 4 u S, also below
+    m / 2. So every column that can read as the row's best or second-best
+    distance, ties included, has ``approx <= s2 + 2 max(m)``. An
+    ``approx`` that is not finite (a coordinate near 1e200 squares to
+    inf) is a candidate, and a margin that overflows makes the whole row
+    candidates.
+    """
+    n_a, length = desc_a.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_a = (desc_a * desc_a).sum(axis=1)
+        norm_b = (desc_b * desc_b).sum(axis=1)
+        approx = desc_a @ desc_b.T
+        approx *= -2.0
+        approx += norm_a[:, None]
+        approx += norm_b
+        near = ~np.isfinite(approx)
+        approx[near] = np.inf  # s2 is taken over the finite entries
+        rows = np.arange(n_a)
+        first = approx.argmin(axis=1)
+        approx[rows, first] = np.inf
+        margin = 8.0 * (length + 2) * (_UNIT_ROUNDOFF * (norm_a + norm_b.max()) + _TINY)
+        near |= approx <= (approx.min(axis=1) + 2.0 * margin)[:, None]
+        near[rows, first] = True
+        i, j = divmod(np.flatnonzero(near), len(desc_b))
+        diff = desc_a[i] - desc_b[j]
+        squares = np.add.accumulate(diff * diff, axis=1)[:, -1] if length else 0.0
+        distances = np.full(approx.shape, np.inf)
+        distances[i, j] = np.sqrt(squares)
+    return distances
+
+
 def knn_match(
     keypoints_a: list[Keypoint],
     keypoints_b: list[Keypoint],
@@ -134,7 +186,7 @@ def knn_match(
     for side, desc in (("A", desc_a), ("B", desc_b)):
         if not np.isfinite(desc).all():
             raise ValueError(f"knn_match: non-finite descriptor on side {side}")
-    distances = cdist(desc_a, desc_b)
+    distances = knn_distances(desc_a, desc_b)
 
     # argmin's first hit is the lower index on exact ties.
     rows = np.arange(len(keypoints_a))

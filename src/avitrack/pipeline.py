@@ -20,6 +20,7 @@ import io
 import itertools
 import json
 import logging
+import math
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -61,10 +62,16 @@ FUSIONS = ("all-pairs", "pairwise")
 
 
 def _has_type(value, kind: type) -> bool:
-    """``value`` is a ``kind``; an int counts as a float, a bool only as a bool."""
+    """``value`` is a ``kind``; a bool counts only as a bool, and a float
+    must be finite. An int counts as a float when it converts to one."""
     if isinstance(value, bool) != (kind is bool):
         return False
-    return isinstance(value, (int, float) if kind is float else kind)
+    if kind is not float:
+        return isinstance(value, kind)
+    try:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 @dataclass
@@ -250,7 +257,8 @@ def _process_frame(payload: _FramePayload) -> FrameResult:
     bounds = None
     if cfg.validate_bounds:
         bounds = (np.zeros(3), np.asarray(cfg.aviary_size, dtype=float))
-    observations = reconstruct_frame(
+    # ``run --stage match`` reads no observation.
+    observations = [] if cfg.stage == "match" else reconstruct_frame(
         payload.frame,
         correspondences,
         payload.detections,

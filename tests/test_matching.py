@@ -18,6 +18,7 @@ from avitrack.matching import (
     Keypoint,
     RejectionStats,
     cluster_correspondences,
+    knn_distances,
     knn_match,
     reject_by_landmark,
 )
@@ -352,6 +353,87 @@ class TestKnnMatchMatchesRowLoop:
             assert _outcome(knn_match, a, b, ratio=0.9) == _outcome(
                 _knn_match_loop, a, b, ratio=0.9
             )
+
+
+def _hard_descriptors(rng, dim, kind, n_a, n_b):
+    """Descriptor sets on which the expanded form |a|^2 + |b|^2 - 2 a.b
+    is least accurate, or on which ties decide the match."""
+    desc_a, desc_b = rng.normal(size=(n_a, dim)), rng.normal(size=(n_b, dim))
+    if kind == "common-offset":  # cancellation: norms ~1e12, distances ~1e-3
+        desc_a += 1e6
+        desc_b = desc_a[rng.integers(0, n_a, n_b)] + 1e-3 * rng.normal(size=(n_b, dim))
+    elif kind == "ulps-apart":  # distances far below the expanded form's error
+        base = rng.normal(size=dim)
+        steps = rng.integers(-3, 4, size=(n_a + n_b, dim))
+        rows = base + steps * np.spacing(base)
+        desc_a, desc_b = rows[:n_a], rows[n_a:]
+    elif kind == "duplicated-rows":  # exact distance ties
+        desc_b = np.repeat(desc_b[: (n_b + 1) // 2], 2, axis=0)[:n_b]
+        desc_a[: n_a // 2] = desc_b[rng.integers(0, n_b, n_a // 2)]
+    elif kind == "one-row-b":
+        desc_b = desc_b[:1]
+    return desc_a, desc_b
+
+
+@st.composite
+def _hard_knn_case(draw):
+    dim = draw(st.sampled_from([8, 128]))
+    kind = draw(st.sampled_from(
+        ["common-offset", "ulps-apart", "duplicated-rows", "one-row-b"]
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    desc_a, desc_b = _hard_descriptors(
+        rng, dim, kind, draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    )
+    return desc_a, desc_b, draw(st.sampled_from([0.5, 0.75, 0.99, 1.0, 1.5]))
+
+
+def _assert_best_two_exact(desc_a, desc_b):
+    """Every entry up to a row's second-smallest distance has ``cdist``'s
+    bits; every other entry is exact or +inf."""
+    expected = cdist(desc_a, desc_b)
+    got = knn_distances(desc_a, desc_b)
+    second = np.sort(expected, axis=1)[:, min(1, expected.shape[1] - 1)]
+    near = expected <= second[:, None]
+    assert np.array_equal(got[near].view(np.int64), expected[near].view(np.int64))
+    assert np.all((got[~near] == expected[~near]) | (got[~near] == np.inf))
+
+
+class TestKnnDistancesMatchCdist:
+    @settings(max_examples=200)
+    @given(case=_hard_knn_case())
+    def test_knn_match_on_long_descriptors(self, case):
+        desc_a, desc_b, ratio = case
+        a = [_kp("a", d) for d in desc_a]
+        b = [_kp("b", d) for d in desc_b]
+        assert _outcome(knn_match, a, b, ratio=ratio) == _outcome(
+            _knn_match_loop, a, b, ratio=ratio
+        )
+
+    @settings(max_examples=200)
+    @given(case=_hard_knn_case())
+    def test_best_two_entries_have_cdists_bits(self, case):
+        _assert_best_two_exact(*case[:2])
+
+    @pytest.mark.parametrize("desc_a, desc_b", [
+        # |a|^2 and |b|^2 overflow: the expanded form is inf - inf, but
+        # both 1e200 rows are at distance 0.
+        ([[1e200]], [[1e200], [1e200], [0.0]]),
+        # Only |b|^2 overflows, on the nearest row.
+        ([[1.3e154]], [[1.35e154], [0.0], [1.0]]),
+        # inf - inf beside finite entries, which hold the nearest rows.
+        ([[1e154]], [[1e200], [1e200], [1.0], [2.0]]),
+        # Squares in the subnormal range: the relative margin underflows
+        # to 0, and the third row ties the second after the square root.
+        ([[-6e-162, -2e-162]],
+         [[7e-162, -5e-162], [0.0, -4e-162], [-8e-162, 4e-162], [-7e-162, -4e-162]]),
+    ], ids=["nan-expanded-form", "inf-expanded-form", "nan-beside-finite", "subnormal"])
+    def test_overflow_and_underflow(self, desc_a, desc_b):
+        desc_a, desc_b = np.array(desc_a), np.array(desc_b)
+        _assert_best_two_exact(desc_a, desc_b)
+        a = [_kp("a", d) for d in desc_a]
+        b = [_kp("b", d) for d in desc_b]
+        assert _outcome(knn_match, a, b) == _outcome(_knn_match_loop, a, b)
 
 
 _GRID = st.integers(0, 20).map(lambda v: 5.0 * v)

@@ -4,11 +4,12 @@ import importlib.util
 import json
 import pickle
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from avitrack import pipeline
+from avitrack import dataio, pipeline
 from avitrack.errors import AvitrackError, ConfigError, DimensionMismatchError, IngestError
 from avitrack.pipeline import PipelineConfig, run_pipeline
 from avitrack.synthworld import SceneConfig, generate
@@ -93,6 +94,21 @@ class TestConfig:
         with pytest.raises(IngestError, match=f"config key '{next(iter(doc))}': expected"):
             PipelineConfig.from_file(config_path)
 
+    @pytest.mark.parametrize("name", [
+        *(f.name for f in fields(PipelineConfig) if isinstance(f.default, float)),
+        "aviary_size",
+    ])
+    @pytest.mark.parametrize("value", [10**400, -10**400, float("inf"), float("nan")],
+                             ids=["huge-int", "huge-negative-int", "inf", "nan"])
+    def test_float_keys_take_only_finite_floats(self, tmp_path, name, value):
+        """An int too large for a float would end the run in an OverflowError."""
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(
+            {name: [value, 3.4, 2.0] if name == "aviary_size" else value}
+        ))
+        with pytest.raises(IngestError, match=f"config key '{name}': expected"):
+            PipelineConfig.from_file(config_path)
+
     def test_config_must_be_an_object(self, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps([["fps", 30.0]]))
@@ -171,6 +187,32 @@ class TestRunPipeline:
         )
         report = run_pipeline(config)
         assert "table2" in report
+
+    def test_match_stage_does_not_reconstruct(self, crowded_dir, tmp_path, monkeypatch):
+        frames = []
+        reconstruct_frame = pipeline.reconstruct_frame
+
+        def counted(frame, *args, **kwargs):
+            frames.append(frame)
+            return reconstruct_frame(frame, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "reconstruct_frame", counted)
+        base = PipelineConfig().for_bundle_dir(crowded_dir)
+        full = run_pipeline(base.with_overrides({"output_dir": str(tmp_path / "all")}))
+        assert frames
+        frames.clear()
+        run_pipeline(base.with_overrides(
+            {"output_dir": str(tmp_path / "match"), "stage": "match"}
+        ))
+        assert frames == []
+
+        def read(name):
+            return (tmp_path / name).read_bytes()
+
+        assert read("match/correspondences.csv") == read("all/correspondences.csv")
+        dataio.write_metrics(tmp_path / "expected.json",
+                             {table: full[table] for table in ("table2", "table3")})
+        assert read("match/metrics.json") == read("expected.json")
 
     def test_pairwise_fusion_mode(self, bundle_dir, tmp_path):
         config = PipelineConfig().for_bundle_dir(bundle_dir).with_overrides(
