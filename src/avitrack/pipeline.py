@@ -4,14 +4,18 @@ Per-frame work (matching through reconstruction, ``_process_frame``) is
 pure, so with ``parallelism`` > 1 it fans out over a process pool. The
 frame payloads are handed to the workers once, as the pool's initializer
 arguments: under the ``fork`` start method the workers inherit them and
-nothing is pickled. Each task is then a frame index. A worker pickles its
-``FrameResult`` with every keypoint replaced by a reference, (camera,
-position in that frame's keypoint list), and the parent resolves each
-reference to its own keypoint object. So only indices go out, only the
-matches' scalars, the correspondences and the observations come back, and
-every match holds the parent's keypoints, as on the serial path. Results
-are merged in frame order, so the output is identical for any parallelism
-degree. Tracking is sequential by nature.
+nothing is pickled. A payload holds its own frame's keypoints and
+detections; everything else in it is one run-level object that every
+payload shares: the camera pairs, landmarks, cameras and config, and the
+``detection_centers`` table, in which every detection centre is
+undistorted once per run. Each task is then a frame index. A worker
+pickles its ``FrameResult`` with every keypoint replaced by a reference,
+(camera, position in that frame's keypoint list), and the parent
+resolves each reference to its own keypoint object. So only indices go
+out, only the matches' scalars, the correspondences and the observations
+come back, and every match holds the parent's keypoints, as on the
+serial path. Results are merged in frame order, so the output is
+identical for any parallelism degree. Tracking is sequential by nature.
 """
 
 from __future__ import annotations
@@ -46,7 +50,8 @@ from .matching import (
 )
 from .metrics import GroundTruth, keypoint_stats, rejection_stats, tracking_metrics
 from .reconstruction import (
-    FUSE_RADIUS_M, Observation3D, reconstruct_frame, reconstruction_stats,
+    FUSE_RADIUS_M, FrameCenters, Observation3D, detection_centers, reconstruct_frame,
+    reconstruction_stats,
 )
 from .tracking import (
     ASSOCIATIONS, DEFAULT_ASSOCIATION, DEFAULT_CONFIRM_HITS, DEFAULT_FPS, DEFAULT_GATE,
@@ -114,6 +119,8 @@ class PipelineConfig:
     def validate(self) -> None:
         pairs = self.camera_pairs or []
         for name, ok, rule in (
+            *[(f.name, _has_type(getattr(self, f.name), float), "a finite number")
+              for f in fields(self) if type(f.default) is float],
             ("stage", self.stage in STAGES, f"one of {STAGES}"),
             ("fusion", self.fusion in FUSIONS, f"one of {FUSIONS}"),
             ("association", self.association in ASSOCIATIONS, f"one of {ASSOCIATIONS}"),
@@ -124,6 +131,8 @@ class PipelineConfig:
             ("ratio", 0 < self.ratio < 1, "in (0, 1)"),
             ("min_support", self.min_support >= 1, ">= 1"),
             ("gate_m", self.gate_m > 0, "> 0"),
+            ("jerk_sigma", self.jerk_sigma >= 0, ">= 0"),
+            ("meas_sigma_m", self.meas_sigma_m > 0, "> 0"),
             ("fuse_radius_m", self.fuse_radius_m > 0, "> 0"),
             ("fps", self.fps > 0, "> 0"),
             ("reproj_threshold_px", self.reproj_threshold_px > 0, "> 0"),
@@ -219,6 +228,7 @@ class _FramePayload:
     frame: int
     keypoints: dict[str, list[Keypoint]]
     detections: dict[tuple[str, int, int], Detection]
+    centers: dict[tuple[str, int], FrameCenters]
     pairs: list[tuple[str, str]]
     landmarks: LandmarkSet
     cameras: dict[str, CameraModel]
@@ -261,7 +271,7 @@ def _process_frame(payload: _FramePayload) -> FrameResult:
     observations = [] if cfg.stage == "match" else reconstruct_frame(
         payload.frame,
         correspondences,
-        payload.detections,
+        payload.centers,
         payload.cameras,
         fuse_radius=cfg.fuse_radius_m,
         fuse=cfg.fusion == "all-pairs",
@@ -442,11 +452,13 @@ def run_pipeline(config: PipelineConfig) -> dict:
         detections_by_frame.setdefault(det.frame, {})[key] = det
 
     frames = sorted(set(keypoints_by_frame) | set(detections_by_frame))
+    centers = detection_centers(detections, cameras)
     payloads = [
         _FramePayload(
             frame=frame,
             keypoints=keypoints_by_frame.get(frame, {}),
             detections=detections_by_frame.get(frame, {}),
+            centers=centers,
             pairs=pairs,
             landmarks=landmarks,
             cameras=cameras,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,16 +11,11 @@ from .camera import (
     DEFAULT_REPROJ_THRESHOLD_PX,
     MIN_DEPTH,
     CameraModel,
-    project,
+    project,  # noqa: F401  perfbench/spans.py times ``reconstruction.project``
     project_points,
     projection_matrix,
 )
-from .errors import (
-    BehindCameraError,
-    DegenerateRaysError,
-    EmptyInputError,
-    NonFiniteResultError,
-)
+from .errors import DegenerateRaysError, EmptyInputError, NonFiniteResultError
 from .matching import Correspondence, Detection, FeatureMatch
 
 FUSE_RADIUS_M = 0.15
@@ -35,13 +31,70 @@ class Observation3D:
     reprojection_errors: dict[str, float]
 
 
-def _ideal_pixels(cam: CameraModel, pixels: np.ndarray) -> np.ndarray:
-    """Undistort pixels and reapply intrinsics, giving pinhole-only pixels."""
+def ideal_pixels(cam: CameraModel, pixels: np.ndarray) -> np.ndarray:
+    """Undistort pixels and reapply intrinsics, giving pinhole-only pixels.
+
+    Element-wise, so row i has the same bits whatever the other rows are.
+    """
     normalized = cam.undistort(pixels)
     out = np.empty_like(normalized)
     out[..., 0] = cam.fx * normalized[..., 0] + cam.cx
     out[..., 1] = cam.fy * normalized[..., 1] + cam.cy
     return out
+
+
+@dataclass(frozen=True)
+class FrameCenters:
+    """The detections of one (camera, frame): ascending detection indices
+    and, row for row, their box centres as raw and as pinhole pixels."""
+
+    indices: np.ndarray
+    raw: np.ndarray
+    ideal: np.ndarray
+
+    def rows(self, indices: list[int]) -> np.ndarray:
+        """The row of each detection index; KeyError if one is missing."""
+        wanted = np.asarray(indices, dtype=np.int64)
+        rows = np.searchsorted(self.indices, wanted)
+        found = rows < len(self.indices)
+        found[found] = self.indices[rows[found]] == wanted[found]
+        if not found.all():
+            raise KeyError(f"no detection {int(wanted[~found][0])} in this frame")
+        return rows
+
+
+def detection_centers(
+    detections: Iterable[Detection], cameras: dict[str, CameraModel]
+) -> dict[tuple[str, int], FrameCenters]:
+    """Every detection's box centre, raw and undistorted, by (camera, frame).
+
+    A camera's centres form one (n, 2) array sorted by (frame, index), and
+    one ``ideal_pixels`` call undistorts them all; each (camera, frame)
+    gets read-only views of its rows. Detections of uncalibrated cameras
+    are left out.
+    """
+    by_camera: dict[str, list[tuple]] = {}
+    for det in detections:
+        if det.camera_id in cameras:
+            by_camera.setdefault(det.camera_id, []).append(
+                (det.frame, det.index, det.x_min, det.y_min, det.x_max, det.y_max)
+            )
+    table: dict[tuple[str, int], FrameCenters] = {}
+    for cam_id, records in sorted(by_camera.items()):
+        keys = np.array([r[:2] for r in records], dtype=np.int64)
+        boxes = np.array([r[2:] for r in records], dtype=float)
+        order = np.lexsort((keys[:, 1], keys[:, 0]))
+        keys, boxes = keys[order], boxes[order]
+        raw = (boxes[:, 0:2] + boxes[:, 2:4]) / 2.0
+        ideal = ideal_pixels(cameras[cam_id], raw)
+        for shared in (keys, raw, ideal):  # every frame's views share them
+            shared.setflags(write=False)
+        frames, starts = np.unique(keys[:, 0], return_index=True)
+        for frame, start, stop in zip(frames, starts, [*starts[1:], len(keys)]):
+            table[(cam_id, int(frame))] = FrameCenters(
+                keys[start:stop, 1], raw[start:stop], ideal[start:stop]
+            )
+    return table
 
 
 def triangulate_from_matrices(
@@ -102,22 +155,17 @@ def triangulate_batch(
     cam1: CameraModel,
     cam2: CameraModel,
 ) -> np.ndarray:
-    """Triangulate (N, 2) pixel pairs; returns (N, 3) with NaN rows on failure.
+    """Triangulate (N, 2) pinhole pixel pairs; returns (N, 3), NaN rows on failure.
 
-    Pixels are undistorted per camera before the DLT solve. Rows where the
-    rays are parallel or the point lies at infinity come back as NaN.
+    The pixels must already be undistorted (``ideal_pixels``). Rows where
+    the rays are parallel or the point lies at infinity come back as NaN.
     """
     if cam1.cam_id == cam2.cam_id:
         raise DegenerateRaysError(
             f"triangulation needs two distinct cameras, got {cam1.cam_id} twice"
         )
-    points1 = np.asarray(points1, dtype=float).reshape(-1, 2)
-    points2 = np.asarray(points2, dtype=float).reshape(-1, 2)
     positions, _, _ = triangulate_from_matrices(
-        _ideal_pixels(cam1, points1),
-        _ideal_pixels(cam2, points2),
-        projection_matrix(cam1),
-        projection_matrix(cam2),
+        points1, points2, projection_matrix(cam1), projection_matrix(cam2)
     )
     return positions
 
@@ -134,8 +182,8 @@ def triangulate(
             f"triangulation needs two distinct cameras, got {cam1.cam_id} twice"
         )
     positions, degenerate, at_infinity = triangulate_from_matrices(
-        _ideal_pixels(cam1, np.asarray(point1, dtype=float).reshape(1, 2)),
-        _ideal_pixels(cam2, np.asarray(point2, dtype=float).reshape(1, 2)),
+        ideal_pixels(cam1, np.asarray(point1, dtype=float).reshape(1, 2)),
+        ideal_pixels(cam2, np.asarray(point2, dtype=float).reshape(1, 2)),
         projection_matrix(cam1),
         projection_matrix(cam2),
     )
@@ -151,7 +199,7 @@ def triangulate(
 def reconstruct_frame(
     frame: int,
     correspondences: dict[tuple[str, str], list[Correspondence]],
-    detections: dict[tuple[str, int, int], Detection],
+    centers: dict[tuple[str, int], FrameCenters],
     cameras: dict[str, CameraModel],
     fuse_radius: float = FUSE_RADIUS_M,
     fuse: bool = True,
@@ -159,72 +207,97 @@ def reconstruct_frame(
 ) -> list[Observation3D]:
     """Triangulate detection centers per camera pair, then fuse nearby points.
 
-    Pairwise estimates whose mutual distance is within ``fuse_radius`` are
-    merged (single-linkage, so the result is independent of pair order)
-    into one observation at the coordinate-wise mean. Degenerate
-    correspondences are skipped rather than failing the frame. With
-    ``bounds`` set, observations outside the axis-aligned box are dropped.
+    ``centers`` is the run's ``detection_centers`` table. Pairwise
+    estimates whose mutual distance is within ``fuse_radius`` are merged
+    (single-linkage, so the result is independent of pair order) into one
+    observation at the coordinate-wise mean. Degenerate correspondences
+    are skipped rather than failing the frame. With ``bounds`` set,
+    observations outside the axis-aligned box are dropped. An
+    observation's error in a camera is the mean distance from its
+    reprojection to its members' raw centres there; a camera it lies
+    behind gets none.
     """
-    estimates: list[tuple[np.ndarray, tuple[str, str], dict[str, np.ndarray]]] = []
+    # Per finite estimate: its point, its pair (an index into ``pairs``)
+    # and the raw centres it was triangulated from, one per side.
+    pairs: list[tuple[str, str]] = []
+    points, pair_of, seen_at = [], [], []
     for pair in sorted(correspondences):
-        cam_a, cam_b = pair
         pair_corrs = correspondences[pair]
         if not pair_corrs:
             continue
-        centers_a = np.array(
-            [detections[(cam_a, frame, c.detection_index_a)].center for c in pair_corrs]
+        side_a, side_b = centers[(pair[0], frame)], centers[(pair[1], frame)]
+        rows_a = side_a.rows([c.detection_index_a for c in pair_corrs])
+        rows_b = side_b.rows([c.detection_index_b for c in pair_corrs])
+        estimates = triangulate_batch(
+            side_a.ideal[rows_a], side_b.ideal[rows_b], cameras[pair[0]], cameras[pair[1]]
         )
-        centers_b = np.array(
-            [detections[(cam_b, frame, c.detection_index_b)].center for c in pair_corrs]
-        )
-        points = triangulate_batch(centers_a, centers_b, cameras[cam_a], cameras[cam_b])
-        for i in range(len(pair_corrs)):
-            if np.any(np.isnan(points[i])):
-                continue
-            estimates.append(
-                (points[i], pair, {cam_a: centers_a[i], cam_b: centers_b[i]})
-            )
+        finite = ~np.isnan(estimates).any(axis=1)
+        points.append(estimates[finite])
+        pair_of += [len(pairs)] * int(finite.sum())
+        seen_at.append(np.stack([side_a.raw[rows_a[finite]], side_b.raw[rows_b[finite]]], 1))
+        pairs.append(pair)
 
-    if not estimates:
+    if not pair_of:
         return []
+    positions = np.concatenate(points)
 
     # linked[i, j]: estimates i and j are within fuse_radius (or i == j).
     # Its transitive closure links each estimate to its whole component; a
     # row's first hit is the component's lowest index, so components come
     # out in order of their first member.
-    linked = np.eye(len(estimates), dtype=bool)
+    linked = np.eye(len(positions), dtype=bool)
     if fuse:
-        positions = np.array([e[0] for e in estimates])
         linked |= np.linalg.norm(positions[None] - positions[:, None], axis=2) <= fuse_radius
         while not np.array_equal(closure := linked @ linked, linked):
             linked = closure
 
-    observations = []
+    groups = []
     for root in np.unique(linked.argmax(axis=1)):
         members = np.flatnonzero(linked[root])
-        position = np.mean([estimates[i][0] for i in members], axis=0)
+        position = np.mean(positions[members], axis=0)
         if bounds is not None:
             lo, hi = bounds
             if np.any(position < lo) or np.any(position > hi):
                 continue
-        pairs = tuple(sorted({estimates[i][1] for i in members}))
-        errors: dict[str, list[float]] = {}
-        for i in members:
-            for cam_id, observed in estimates[i][2].items():
-                try:
-                    reproj = project(cameras[cam_id], position)
-                except BehindCameraError:
-                    continue
-                errors.setdefault(cam_id, []).append(
-                    float(np.linalg.norm(reproj - observed))
-                )
+        groups.append((position, members))
+    if not groups:
+        return []
+
+    # One row per (group, member), one column per side of the member's pair,
+    # holding a camera as an index into ``names``; each camera reprojects
+    # all its rows' fused positions in one call.
+    names = sorted({cam for pair in pairs for cam in pair})
+    pair_cams = np.array([[names.index(cam) for cam in pair] for pair in pairs])
+    pair_of = np.array(pair_of)
+    members = np.concatenate([group for _, group in groups])
+    owner = np.repeat(np.arange(len(groups)), [len(group) for _, group in groups])
+    fused = np.array([position for position, _ in groups])
+    cams = pair_cams[pair_of[members]]
+    observed = np.concatenate(seen_at)[members]
+    errors = np.empty(cams.shape)
+    in_front = np.empty(cams.shape, dtype=bool)
+    for cam in np.unique(cams):
+        hit = cams == cam
+        pixels, depth = project_points(cameras[names[cam]], fused[owner[np.nonzero(hit)[0]]])
+        delta = pixels - observed[hit]
+        errors[hit] = np.sqrt(np.vecdot(delta, delta))
+        in_front[hit] = depth > MIN_DEPTH
+
+    observations = []
+    stop = 0
+    for position, group in groups:
+        start, stop = stop, stop + len(group)
+        # A group's rows in one camera share one position, so they are all
+        # in front or all behind; row-major masks keep member order.
+        group_cams, group_errors = cams[start:stop], errors[start:stop]
         observations.append(
             Observation3D(
                 frame=frame,
                 position=position,
-                camera_pairs=pairs,
+                camera_pairs=tuple(sorted({pairs[p] for p in pair_of[group]})),
                 reprojection_errors={
-                    cam: float(np.mean(v)) for cam, v in sorted(errors.items())
+                    names[cam]: float(np.mean(group_errors[group_cams == cam]))
+                    for cam in sorted(set(group_cams[in_front[start:stop]].tolist()))
                 },
             )
         )
@@ -256,7 +329,10 @@ def reconstruction_stats(
     for (cam_a, cam_b), pair_matches in sorted(by_pair.items()):
         pts_a = np.array([m.keypoint_a.position for m in pair_matches])
         pts_b = np.array([m.keypoint_b.position for m in pair_matches])
-        points = triangulate_batch(pts_a, pts_b, cameras[cam_a], cameras[cam_b])
+        points = triangulate_batch(
+            ideal_pixels(cameras[cam_a], pts_a), ideal_pixels(cameras[cam_b], pts_b),
+            cameras[cam_a], cameras[cam_b],
+        )
         finite = ~np.isnan(points).any(axis=1)
         # Columns are (cam_a, cam_b), so the row-major mask keeps each
         # point's cam_a error before its cam_b error.

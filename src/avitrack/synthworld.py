@@ -10,7 +10,7 @@ for matching, reconstruction, and tracking tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +71,12 @@ class SceneConfig:
     emit_frames: bool = False
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (float, tuple, list)) and not np.all(
+                np.isfinite(np.asarray(value, dtype=float))
+            ):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if any(v <= 0 for v in self.aviary_size):
             raise ConfigError(f"aviary_size must be positive, got {self.aviary_size}")
         if self.camera_count < 2:

@@ -14,7 +14,7 @@ from avitrack.cli import main
 from avitrack.matching import KEPT, knn_match, reject_by_landmark
 from avitrack.mask import GrayFrame, canny_edges, lateral_fill
 from avitrack.metrics import GroundTruth, rejection_stats, tracking_metrics
-from avitrack.reconstruction import reconstruction_stats, triangulate_batch
+from avitrack.reconstruction import ideal_pixels, reconstruction_stats, triangulate_batch
 from avitrack.synthworld import SceneConfig, build_camera_rig, generate, truth_labels
 from avitrack.tracking import TrackState, predict, update
 from avitrack.voronoi import (
@@ -202,9 +202,11 @@ def test_criterion_5_triangulation_exactness():
     for i in range(len(cams)):
         pix_i, depth_i = project_points(rig[cams[i]], points)
         assert np.all(depth_i > MIN_DEPTH)
+        ideal_i = ideal_pixels(rig[cams[i]], pix_i)
         for j in range(i + 1, len(cams)):
             pix_j, _ = project_points(rig[cams[j]], points)
-            recovered = triangulate_batch(pix_i, pix_j, rig[cams[i]], rig[cams[j]])
+            ideal_j = ideal_pixels(rig[cams[j]], pix_j)
+            recovered = triangulate_batch(ideal_i, ideal_j, rig[cams[i]], rig[cams[j]])
             errors = np.linalg.norm(recovered - points, axis=1)
             worst = max(worst, float(errors.max()))
             pairs += 1
@@ -251,7 +253,9 @@ def test_criterion_6_triangulation_under_noise():
         for _ in range(trials_per_point):
             noisy_a = pix_a[0] + rng.normal(0.0, 1.0, size=2)
             noisy_b = pix_b[0] + rng.normal(0.0, 1.0, size=2)
-            via_dlt = triangulate_batch(noisy_a, noisy_b, cam_a, cam_b)[0]
+            via_dlt = triangulate_batch(
+                ideal_pixels(cam_a, noisy_a), ideal_pixels(cam_b, noisy_b), cam_a, cam_b
+            )[0]
             via_rays = _ray_midpoint(noisy_a, noisy_b, cam_a, cam_b)
             impl_errors.append(np.linalg.norm(via_dlt - point))
             oracle_errors.append(np.linalg.norm(via_rays - point))

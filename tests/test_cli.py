@@ -57,6 +57,20 @@ class TestSynth:
             ).read_bytes()
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--duration", "nan"], "duration_s must be finite, got nan"),
+        (["--descriptor-noise", "inf"], "descriptor_noise must be finite, got inf"),
+        (["--pixel-noise", "nan"], "pixel_noise must be finite, got nan"),
+        (["--focal", "inf"], "focal_px must be finite, got inf"),
+    ], ids=["duration-nan", "descriptor-noise-inf", "pixel-noise-nan", "focal-inf"])
+    def test_setting_out_of_range_fails_before_any_output(self, tmp_path, capsys, argv,
+                                                          message):
+        out = tmp_path / "bundle"
+        assert main(["synth", "--out", str(out), "--duration", "0.2", *argv]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestRun:
     def test_full_pipeline_outputs(self, small_bundle, tmp_path):
         out = tmp_path / "out"
@@ -177,7 +191,16 @@ class TestRun:
         *[(["--validate-bounds"], {"aviary_size": size},
            f"aviary_size must be three finite positive sizes in meters, got {size!r}")
           for size in ([4.0], [-1, 3.4, 2])],
-    ], ids=["use-mask-without-frames", "aviary-one-size", "aviary-negative"])
+        *[([flag, value], {}, f"{name} must be a finite number, got {float(value)!r}")
+          for flag, value, name in (
+              ("--fps", "inf", "fps"), ("--jerk-sigma", "nan", "jerk_sigma"),
+              ("--gate", "inf", "gate_m"), ("--fuse-radius", "inf", "fuse_radius_m"),
+              ("--reproj-threshold", "inf", "reproj_threshold_px"))],
+        (["--jerk-sigma", "-5"], {}, "jerk_sigma must be >= 0, got -5.0"),
+        (["--meas-sigma", "0"], {}, "meas_sigma_m must be > 0, got 0.0"),
+    ], ids=["use-mask-without-frames", "aviary-one-size", "aviary-negative", "fps-inf",
+            "jerk-sigma-nan", "gate-inf", "fuse-radius-inf", "reproj-threshold-inf",
+            "jerk-sigma-negative", "meas-sigma-zero"])
     def test_setting_out_of_range_fails_before_any_output(
         self, small_bundle, tmp_path, capsys, monkeypatch, argv, doc, message
     ):

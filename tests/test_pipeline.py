@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from avitrack import dataio, pipeline
+from avitrack import dataio, pipeline, reconstruction
+from avitrack.camera import CameraModel
 from avitrack.errors import AvitrackError, ConfigError, DimensionMismatchError, IngestError
 from avitrack.pipeline import PipelineConfig, run_pipeline
 from avitrack.synthworld import SceneConfig, generate
@@ -39,6 +40,14 @@ def crowded_dir(tmp_path_factory):
             keypoints_per_detection=(3, 6), descriptor_noise=0.05, pixel_noise=0.5,
         )
     ).write(out)
+    return out
+
+
+@pytest.fixture(scope="module")
+def quickstart_dir(tmp_path_factory):
+    """The README quickstart scene."""
+    out = tmp_path_factory.mktemp("quickstart")
+    generate(SceneConfig(seed=42, bird_count=5, duration_s=2.0)).write(out)
     return out
 
 
@@ -143,6 +152,11 @@ class TestConfig:
         {"aviary_size": [4.0, 0.0, 2.0]},
         {"aviary_size": [4.0, float("nan"), 2.0]},
         {"aviary_size": [float("inf"), 3.4, 2.0]},
+        *[{f.name: value} for f in fields(PipelineConfig) if type(f.default) is float
+          for value in (float("nan"), float("inf"), -float("inf"))],
+        {"jerk_sigma": -5.0},
+        {"meas_sigma_m": 0.0},
+        {"meas_sigma_m": -0.1},
     ], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
     def test_validation_rejects_out_of_range(self, bad):
         with pytest.raises(ConfigError, match=next(iter(bad))):
@@ -213,6 +227,44 @@ class TestRunPipeline:
         dataio.write_metrics(tmp_path / "expected.json",
                              {table: full[table] for table in ("table2", "table3")})
         assert read("match/metrics.json") == read("expected.json")
+
+    def test_centres_undistorted_once_per_camera(self, quickstart_dir, tmp_path,
+                                                   monkeypatch):
+        """The run's centre table undistorts each camera's detection centres
+        in one call, and ``reconstruct_frame`` reprojects with at most one
+        ``project_points`` call per camera and no scalar ``project``."""
+        calls, stack = [], []
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls.append((name, tuple(stack)))
+                stack.append(name)
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    stack.pop()
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for owner, name in ((pipeline, "detection_centers"), (pipeline, "reconstruct_frame"),
+                            (reconstruction, "project"), (reconstruction, "project_points"),
+                            (CameraModel, "undistort")):
+            count(owner, name)
+        run_pipeline(PipelineConfig(output_dir=str(tmp_path / "out"))
+                     .for_bundle_dir(quickstart_dir))
+
+        def made(name, inside):
+            return sum(call == name and inside in within for call, within in calls)
+
+        cameras = len(dataio.read_calibration(quickstart_dir / "calibration.json"))
+        frames = sum(call == "reconstruct_frame" for call, _ in calls)
+        assert [call for call, _ in calls].count("detection_centers") == 1
+        assert made("undistort", "detection_centers") == cameras == 5
+        assert made("project", "reconstruct_frame") == 0
+        assert frames == 60
+        assert 0 < made("project_points", "reconstruct_frame") <= cameras * frames
 
     def test_pairwise_fusion_mode(self, bundle_dir, tmp_path):
         config = PipelineConfig().for_bundle_dir(bundle_dir).with_overrides(

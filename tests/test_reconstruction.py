@@ -1,5 +1,6 @@
 """Tests for DLT triangulation, fusion, and reconstruction statistics."""
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,8 @@ from avitrack.synthworld import SceneConfig, build_camera_rig
 from avitrack.matching import Correspondence, Detection, FeatureMatch, Keypoint
 from avitrack.reconstruction import (
     Observation3D,
+    detection_centers,
+    ideal_pixels,
     reconstruct_frame,
     reconstruction_stats,
     triangulate,
@@ -46,7 +49,9 @@ class TestTriangulate:
                 pix_a, depth_a = project_points(cam_a, points)
                 pix_b, depth_b = project_points(cam_b, points)
                 assert np.all(depth_a > MIN_DEPTH) and np.all(depth_b > MIN_DEPTH)
-                recovered = triangulate_batch(pix_a, pix_b, cam_a, cam_b)
+                recovered = triangulate_batch(
+                    ideal_pixels(cam_a, pix_a), ideal_pixels(cam_b, pix_b), cam_a, cam_b
+                )
                 assert np.max(np.linalg.norm(recovered - points, axis=1)) <= 1e-6
 
     @settings(max_examples=60)
@@ -74,7 +79,9 @@ class TestTriangulate:
         pix_a, depth_a = project_points(cam_a, points)
         pix_b, depth_b = project_points(cam_b, points)
         assert np.all(depth_a > 0) and np.all(depth_b > 0)
-        recovered = triangulate_batch(pix_a, pix_b, cam_a, cam_b)
+        recovered = triangulate_batch(
+            ideal_pixels(cam_a, pix_a), ideal_pixels(cam_b, pix_b), cam_a, cam_b
+        )
         assert np.max(np.linalg.norm(recovered - points, axis=1)) <= 1e-6
 
     def test_same_camera_twice_raises(self, default_rig):
@@ -139,6 +146,10 @@ def _detection(cam_id, frame, index, center, half=5.0):
     )
 
 
+def _centers(detections, cameras):
+    return detection_centers(detections.values(), cameras)
+
+
 class TestReconstructFrame:
     def _setup(self, default_rig, points, pair_names):
         """Detections whose centers are exact projections of ``points``."""
@@ -164,7 +175,7 @@ class TestReconstructFrame:
         rng = np.random.default_rng(4)
         points = _sample_points(rng, 3)
         corrs, dets = self._setup(default_rig, points, [("cam0", "cam1")])
-        observations = reconstruct_frame(0, corrs, dets, default_rig)
+        observations = reconstruct_frame(0, corrs, _centers(dets, default_rig), default_rig)
         assert len(observations) == 3
         got = sorted(observations, key=lambda o: o.position[0])
         expected = points[np.argsort(points[:, 0])]
@@ -180,7 +191,7 @@ class TestReconstructFrame:
         corrs_b, dets_b = self._setup(default_rig, b[None], [("cam2", "cam3")])
         corrs = {**corrs_a, **corrs_b}
         dets = {**dets_a, **dets_b}
-        observations = reconstruct_frame(0, corrs, dets, default_rig)
+        observations = reconstruct_frame(0, corrs, _centers(dets, default_rig), default_rig)
         assert len(observations) == 1
         np.testing.assert_allclose(observations[0].position, (a + b) / 2, atol=1e-6)
         assert observations[0].camera_pairs == (("cam0", "cam1"), ("cam2", "cam3"))
@@ -191,7 +202,8 @@ class TestReconstructFrame:
         corrs_a, dets_a = self._setup(default_rig, a[None], [("cam0", "cam1")])
         corrs_b, dets_b = self._setup(default_rig, b[None], [("cam2", "cam3")])
         observations = reconstruct_frame(
-            0, {**corrs_a, **corrs_b}, {**dets_a, **dets_b}, default_rig
+            0, {**corrs_a, **corrs_b}, _centers({**dets_a, **dets_b}, default_rig),
+            default_rig,
         )
         assert len(observations) == 2
 
@@ -205,20 +217,21 @@ class TestReconstructFrame:
         results = []
         for order in pair_orders:
             corrs, dets = self._setup(default_rig, points, order)
-            obs = reconstruct_frame(0, corrs, dets, default_rig)
+            obs = reconstruct_frame(0, corrs, _centers(dets, default_rig), default_rig)
             results.append(sorted(o.position[0] for o in obs))
         np.testing.assert_allclose(results[0], results[1], atol=1e-12)
 
     def test_bounds_filter(self, default_rig):
         point = np.array([2.0, 1.7, 1.0])
         corrs, dets = self._setup(default_rig, point[None], [("cam0", "cam1")])
+        centers = _centers(dets, default_rig)
         kept = reconstruct_frame(
-            0, corrs, dets, default_rig,
+            0, corrs, centers, default_rig,
             bounds=(np.zeros(3), np.array([4.0, 3.4, 2.0])),
         )
         assert len(kept) == 1
         dropped = reconstruct_frame(
-            0, corrs, dets, default_rig,
+            0, corrs, centers, default_rig,
             bounds=(np.zeros(3), np.array([1.0, 1.0, 1.0])),
         )
         assert dropped == []
@@ -284,7 +297,10 @@ def _reconstruction_stats_loop(observations, matches, cameras, threshold_px=25.0
     for (cam_a, cam_b), pair_matches in sorted(by_pair.items()):
         pts_a = np.array([m.keypoint_a.position for m in pair_matches])
         pts_b = np.array([m.keypoint_b.position for m in pair_matches])
-        points = triangulate_batch(pts_a, pts_b, cameras[cam_a], cameras[cam_b])
+        points = triangulate_batch(
+            ideal_pixels(cameras[cam_a], pts_a), ideal_pixels(cameras[cam_b], pts_b),
+            cameras[cam_a], cameras[cam_b],
+        )
         for i, point in enumerate(points):
             if np.any(np.isnan(point)):
                 continue
@@ -389,7 +405,8 @@ class TestReconstructionStatsMatchesLoop:
             for i, (pa, pb) in enumerate(pixels)
         ]
         points = triangulate_batch(
-            np.array([p for p, _ in pixels]), np.array([q for _, q in pixels]),
+            ideal_pixels(cams["left"], np.array([p for p, _ in pixels])),
+            ideal_pixels(cams["right"], np.array([q for _, q in pixels])),
             cams["left"], cams["right"],
         )
         assert np.isnan(points[0]).all()
@@ -534,9 +551,12 @@ class TestFusionMatchesUnionFind:
 
         with mock.patch.object(reconstruction, "triangulate_batch", fixed_points):
             return [
-                _observation_bits(function(0, correspondences, detections, _RIG, radius,
+                _observation_bits(function(0, correspondences, table, _RIG, radius,
                                            fuse=fuse, bounds=bounds))
-                for function in (reconstruct_frame, _reconstruct_frame_union_find)
+                for function, table in (
+                    (reconstruct_frame, detection_centers(detections.values(), _RIG)),
+                    (_reconstruct_frame_union_find, detections),
+                )
             ]
 
     @settings(max_examples=300)
@@ -570,3 +590,253 @@ class TestFusionMatchesUnionFind:
             (("cam0", "cam1"), ("cam0", "cam2")), (("cam1", "cam3"),),
         ]
         assert np.frombuffer(got[0][1]).tolist() == [1.125, 1.0, 1.0]
+
+
+# --- the per-pair, per-member reconstruct_frame the centre table replaced ---
+
+
+def _reconstruct_frame_per_member(
+    frame, correspondences, detections, cameras, fuse_radius=0.15, fuse=True, bounds=None
+):
+    """Each pair undistorts its own centres, and each member reprojects the
+    fused position with ``project``."""
+    estimates = []
+    for pair in sorted(correspondences):
+        cam_a, cam_b = pair
+        pair_corrs = correspondences[pair]
+        if not pair_corrs:
+            continue
+        centers_a = np.array(
+            [detections[(cam_a, frame, c.detection_index_a)].center for c in pair_corrs]
+        )
+        centers_b = np.array(
+            [detections[(cam_b, frame, c.detection_index_b)].center for c in pair_corrs]
+        )
+        points = triangulate_batch(
+            ideal_pixels(cameras[cam_a], centers_a), ideal_pixels(cameras[cam_b], centers_b),
+            cameras[cam_a], cameras[cam_b],
+        )
+        for i in range(len(pair_corrs)):
+            if np.any(np.isnan(points[i])):
+                continue
+            estimates.append(
+                (points[i], pair, {cam_a: centers_a[i], cam_b: centers_b[i]})
+            )
+
+    if not estimates:
+        return []
+
+    linked = np.eye(len(estimates), dtype=bool)
+    if fuse:
+        positions = np.array([e[0] for e in estimates])
+        linked |= np.linalg.norm(positions[None] - positions[:, None], axis=2) <= fuse_radius
+        while not np.array_equal(closure := linked @ linked, linked):
+            linked = closure
+
+    observations = []
+    for root in np.unique(linked.argmax(axis=1)):
+        members = np.flatnonzero(linked[root])
+        position = np.mean([estimates[i][0] for i in members], axis=0)
+        if bounds is not None:
+            lo, hi = bounds
+            if np.any(position < lo) or np.any(position > hi):
+                continue
+        pairs = tuple(sorted({estimates[i][1] for i in members}))
+        errors = {}
+        for i in members:
+            for cam_id, observed in estimates[i][2].items():
+                try:
+                    reproj = project(cameras[cam_id], position)
+                except BehindCameraError:
+                    continue
+                errors.setdefault(cam_id, []).append(
+                    float(np.linalg.norm(reproj - observed))
+                )
+        observations.append(
+            Observation3D(
+                frame=frame,
+                position=position,
+                camera_pairs=pairs,
+                reprojection_errors={
+                    cam: float(np.mean(v)) for cam, v in sorted(errors.items())
+                },
+            )
+        )
+    return observations
+
+
+def _centre(cam):
+    return -cam.rotation.T @ cam.translation
+
+
+# Seen from every camera, one of these directions (or its opposite) gives
+# pixels whose rays are parallel: a NaN row for any pair.
+_DIRECTIONS = [np.array(d, dtype=float) for d in
+               [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.6, -0.8, 0.1), (-0.5, -0.5, 0.2)]]
+
+
+def _seen_at(cam, target):
+    """The pixel of ``target``; behind the camera, the pixel of its mirror
+    image through the camera centre, which the pinhole maps to the same
+    pixel. None when neither is in front or the pixel is off the image."""
+    for point in (target, 2 * _centre(cam) - target):
+        pixels, depth = project_points(cam, point[None])
+        if depth[0] > MIN_DEPTH:
+            (x, y), (w, h) = pixels[0], cam.image_size
+            return pixels[0] if 0 <= x < w and 0 <= y < h else None
+    return None
+
+
+@st.composite
+def _frame_case(draw):
+    """One frame over 2-5 cameras of the distorted default rig: birds in and
+    around the aviary (some behind a camera), parallel-ray entities, and
+    shuffled, gapped detection indices; the other rig cameras and the next
+    frame hold detections the frame must not read."""
+    names = sorted(draw(st.lists(st.sampled_from(sorted(_RIG)), min_size=2, max_size=5,
+                                 unique=True)))
+    # Birds on a 5 cm grid, in the aviary or up to 4 m around it, so nearby
+    # birds and one bird's estimates from several pairs fuse.
+    def grid(lo, hi):
+        return st.integers(round(lo / 0.05), round(hi / 0.05)).map(lambda v: 0.05 * v)
+
+    inside = st.tuples(grid(0.0, 4.0), grid(0.0, 3.4), grid(0.0, 2.0))
+    around = st.tuples(grid(-1.0, 8.0), grid(-1.0, 8.0), grid(-0.5, 2.5))
+    entities = draw(st.lists(st.one_of(
+        inside.map(np.array), around.map(np.array),
+        st.sampled_from(range(len(_DIRECTIONS))),
+    ), min_size=1, max_size=8))
+    noise = draw(st.sampled_from([0.0, 0.5, 4.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    frame = draw(st.integers(0, 3))
+
+    detections, index_of = {}, {}
+    for name in sorted(_RIG):
+        cam = _RIG[name]
+        seen = {}
+        for e, entity in enumerate(entities):
+            if isinstance(entity, int):  # no noise: the rays stay parallel
+                pixel = _seen_at(cam, _centre(cam) + _DIRECTIONS[entity])
+            elif (pixel := _seen_at(cam, entity)) is not None:
+                pixel = pixel + rng.normal(0.0, noise, 2)
+            if pixel is not None:
+                seen[e] = pixel
+        indices = draw(st.lists(st.integers(0, 99), min_size=len(seen), max_size=len(seen),
+                                unique=True))
+        index_of[name] = dict(zip(seen, indices))
+        for (e, pixel), index in zip(seen.items(), indices):
+            detections[(name, frame, index)] = _detection(name, frame, index, pixel)
+            detections[(name, frame + 1, index)] = _detection(name, frame + 1, index,
+                                                              pixel + 3.0)
+
+    correspondences = {}
+    for a, b in itertools.combinations(names, 2):
+        state = draw(st.sampled_from(["absent", "empty", "some", "some"]))
+        if state == "absent":
+            continue
+        pair = (a, b) if draw(st.booleans()) else (b, a)
+        side_a, side_b = index_of[pair[0]], index_of[pair[1]]
+        common = [e for e in side_a if e in side_b]
+        corrs = []
+        if state == "some" and common:
+            corrs = [(side_a[e], side_b[e])
+                     for e in draw(st.lists(st.sampled_from(common), unique=True))]
+        if state == "some" and side_a and side_b:
+            corrs += draw(st.lists(st.tuples(st.sampled_from(list(side_a.values())),
+                                             st.sampled_from(list(side_b.values()))),
+                                   max_size=2))
+        correspondences[pair] = [Correspondence(i, j, support=2, mean_descriptor_distance=0.0)
+                                 for i, j in draw(st.permutations(corrs))]
+
+    order = draw(st.permutations(list(detections)))
+    detections = {key: detections[key] for key in order}
+    radius = draw(st.sampled_from([0.0, 0.05, 0.15, 0.5]))
+    bounds = draw(st.sampled_from([None, (np.zeros(3), np.array([4.0, 3.4, 2.0]))]))
+    cameras = {name: _RIG[name] for name in names}
+    return frame, correspondences, detections, cameras, radius, draw(st.booleans()), bounds
+
+
+class TestReconstructFrameMatchesPerMember:
+    @settings(max_examples=300)
+    @given(case=_frame_case())
+    def test_random_frames(self, case):
+        """Same observations, bit for bit, as per-pair undistortion and one
+        ``project`` call per member, unmocked on the distorted rig."""
+        frame, correspondences, detections, cameras, radius, fuse, bounds = case
+        got = reconstruct_frame(frame, correspondences,
+                                detection_centers(detections.values(), cameras),
+                                cameras, radius, fuse=fuse, bounds=bounds)
+        expected = _reconstruct_frame_per_member(frame, correspondences, detections,
+                                                 cameras, radius, fuse=fuse, bounds=bounds)
+        assert _observation_bits(got) == _observation_bits(expected)
+
+    def test_member_behind_a_camera_and_parallel_rays(self):
+        """A bird behind cam0 is triangulated by (cam0, cam2) and (cam2,
+        cam3) and gets no cam0 error; a parallel-ray pair adds no estimate."""
+        bird = np.array([7.5, 5.8, 1.2])
+        cameras = {name: _RIG[name] for name in ("cam0", "cam2", "cam3")}
+        assert project_points(cameras["cam0"], bird[None])[1][0] < 0
+        detections = {}
+        for name, cam in cameras.items():
+            for index, target in ((7, bird), (3, _centre(cam) + _DIRECTIONS[0])):
+                pixel = _seen_at(cam, target)
+                if pixel is not None:
+                    detections[(name, 0, index)] = _detection(name, 0, index, pixel)
+        correspondences = {
+            ("cam0", "cam2"): [Correspondence(3, 3, 2, 0.0), Correspondence(7, 7, 2, 0.0)],
+            ("cam2", "cam3"): [Correspondence(7, 7, 2, 0.0)],
+        }
+        got = reconstruct_frame(0, correspondences,
+                                detection_centers(detections.values(), cameras), cameras)
+        expected = _reconstruct_frame_per_member(0, correspondences, detections, cameras)
+        assert _observation_bits(got) == _observation_bits(expected)
+        [obs] = got
+        assert obs.camera_pairs == (("cam0", "cam2"), ("cam2", "cam3"))
+        assert sorted(obs.reprojection_errors) == ["cam2", "cam3"]
+        np.testing.assert_allclose(obs.position, bird, atol=1e-6)
+
+
+@st.composite
+def _shuffled_detections(draw):
+    """Detections of two rig cameras and one uncalibrated camera over a few
+    frames, with gapped indices, in any order."""
+    keys = draw(st.lists(st.tuples(st.sampled_from(["cam0", "cam3", "camX"]),
+                                   st.integers(0, 4), st.integers(0, 40)),
+                         unique=True, max_size=40))
+    pixel = st.tuples(st.floats(-50.0, 1970.0), st.floats(-50.0, 1130.0))
+    return [_detection(cam, frame, index, draw(pixel), half=draw(st.floats(0.5, 30.0)))
+            for cam, frame, index in keys]
+
+
+class TestDetectionCenters:
+    @settings(max_examples=200)
+    @given(detections=_shuffled_detections())
+    def test_rows_equal_per_row_ideal_pixels(self, detections):
+        """Each (camera, frame) holds its ascending indices, and row for
+        row the ``center`` and its ``ideal_pixels``, bit for bit; all of a
+        camera's rows are read-only views of one array."""
+        table = detection_centers(detections, _RIG)
+        expected = {}
+        for det in sorted(detections, key=lambda d: d.index):
+            if det.camera_id in _RIG:
+                expected.setdefault((det.camera_id, det.frame), []).append(det)
+        assert sorted(table) == sorted(expected)
+        for (cam, frame), dets in expected.items():
+            entry = table[(cam, frame)]
+            assert entry.indices.tolist() == [d.index for d in dets]
+            raw = np.array([d.center for d in dets])
+            ideal = np.array([ideal_pixels(_RIG[cam], d.center) for d in dets])
+            assert entry.raw.tobytes() == raw.tobytes()
+            assert entry.ideal.tobytes() == ideal.tobytes()
+            for column in (entry.indices, entry.raw, entry.ideal):
+                assert not column.flags.owndata and not column.flags.writeable
+            shuffled = [d.index for d in dets][::-1]
+            assert entry.rows(shuffled).tolist() == list(range(len(dets)))[::-1]
+
+    def test_missing_index_raises(self, default_rig):
+        table = detection_centers(
+            [_detection("cam0", 2, index, (100.0, 200.0)) for index in (1, 4)], default_rig
+        )
+        for missing in ([0], [2], [5], [4, 3]):
+            with pytest.raises(KeyError):
+                table[("cam0", 2)].rows(missing)

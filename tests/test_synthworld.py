@@ -192,6 +192,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             generate(_small_config(landmarks=[(99.0, 0.0, 0.0)]))
 
+    @pytest.mark.parametrize("bad", [
+        {"duration_s": float("nan")},
+        {"fps": float("inf")},
+        {"pixel_noise": float("nan")},
+        {"descriptor_noise": float("inf")},
+        {"max_speed": float("inf")},
+        {"focal_px": float("nan")},
+        {"aviary_size": (4.0, float("inf"), 2.0)},
+        {"distortion": (float("nan"), 0.0, 0.0, 0.0, 0.0)},
+        {"landmarks": [(1.0, 1.0, float("nan"))]},
+    ], ids=lambda bad: next(iter(bad)))
+    def test_non_finite_setting_rejected(self, bad):
+        with pytest.raises(ConfigError, match=f"{next(iter(bad))} must be finite"):
+            generate(_small_config(**bad))
+
     def test_frame_count_arithmetic(self):
         assert SceneConfig(duration_s=60.0, fps=30.0).frame_count == 1800
 
