@@ -112,8 +112,11 @@ def _cmd_mask(args: argparse.Namespace) -> int:
     config = _config(args)
     config.validate()
     detections = dataio.read_detections(config.detections_path)
-    keypoints = dataio.read_keypoints(config.keypoints_path) if config.keypoints_path else []
-    detection_table(detections, keypoints, config.keypoints_path)
+    keypoints = None
+    if config.keypoints_path:
+        # No calibration is read here, so no keypoint is checked against an image size.
+        keypoints = dataio.read_keypoints(config.keypoints_path, {})
+        detection_table(detections, keypoints, config.keypoints_path)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -122,10 +125,10 @@ def _cmd_mask(args: argparse.Namespace) -> int:
 
     gated = apply_mask_stage(config, keypoints, detections,
                              on_mask=write_mask if args.emit_masks else None)
-    if config.keypoints_path:
+    if keypoints is not None:
         dataio.write_keypoints(
-            out_dir / "keypoints_gated.csv", gated,
-            dataio.keypoints_descriptor_length(config.keypoints_path),
+            out_dir / "keypoints_gated.csv", keypoints.keypoints(gated),
+            keypoints.desc.shape[1],
         )
         logger.info("gated %d of %d keypoints", len(gated), len(keypoints))
     return 0

@@ -5,11 +5,13 @@ which checks the header and the column count and parses each column as
 text, an integer or a finite float, optionally empty. Readers reject any
 row that deviates from its schema instead of coercing, and report the
 offending file and line; each public reader adds only its own semantic
-checks. Keypoints, the bulk of every bundle, have a vectorised fast path:
-one ``np.loadtxt`` for the numbers and one streamed pass for the ids. Any
-file the fast path cannot take whole (unusual text, a parse failure, a
-non-finite value) goes to the strict row reader, so errors still name the
-file and line. Writers hand floats to ``csv`` as Python floats, which it
+checks. Keypoints, detections and match labels, the bulk of every bundle,
+have a vectorised fast path: one streamed check of the bytes and one
+``np.loadtxt`` for every column. Any file the fast path cannot take whole
+(unusual text, a parse failure, a non-finite value, a row that breaks a
+semantic check) goes to the strict row reader, so errors still name the
+file and line. Keypoints are read as one ``KeypointTable``, not one
+object per row. Writers hand floats to ``csv`` as Python floats, which it
 formats with ``repr``, so files round-trip losslessly and rerunning a
 pipeline yields byte-identical output.
 """
@@ -17,6 +19,7 @@ pipeline yields byte-identical output.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from pathlib import Path
 
@@ -24,7 +27,7 @@ import numpy as np
 
 from .camera import CameraModel, rotation_from_rvec, rvec_from_rotation
 from .errors import IngestError
-from .matching import Correspondence, Detection, Keypoint
+from .matching import Correspondence, Detection, Keypoint, KeypointTable
 from .voronoi import LandmarkSet
 
 SCHEMA_VERSION = 2
@@ -112,6 +115,56 @@ def _read_table(path, header: list[str], kinds: str):
             ]
 
 
+# Printable ASCII except the quote, and LF: the bytes on which csv.reader
+# has no special case and float() and loadtxt agree.
+_PLAIN_LINE_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
+_FAST_KINDS = {"s": object, "i": np.int64, "f": np.float64}
+
+
+def _read_table_fast(path, header: list[str], kinds: str) -> list[np.ndarray] | None:
+    """The columns of a plain CSV table, or ``None`` where only the strict
+    reader, ``_read_table``, may judge.
+
+    One streamed pass checks the bytes: the first line is exactly
+    ``header``, every byte is printable ASCII without quotes, and lines
+    end in LF or CRLF. On such text ``csv.reader`` and ``np.loadtxt`` split
+    the same fields and skip the same empty lines, so one ``loadtxt`` call
+    parses every row into a structured array. Each run of equal ``kinds``
+    is returned as one (rows, run length) array: text as ``str`` objects,
+    integers as int64 and floats as float64. A parse failure, a wrong
+    column count, an integer beyond int64 or a non-finite float returns
+    ``None``.
+    """
+    path = Path(path)
+    runs = [(kind, len(list(group))) for kind, group in itertools.groupby(kinds)]
+    dtype = np.dtype([(f"c{i}", _FAST_KINDS[kind], (count,))
+                      for i, (kind, count) in enumerate(runs)])
+    header_line = ",".join(header).encode("ascii")
+    has_rows = False
+    try:
+        with open(path, "rb") as fh:
+            if fh.readline() not in (header_line + b"\r\n", header_line + b"\n", header_line):
+                return None
+            while chunk := fh.read(1 << 20):
+                if chunk.endswith(b"\r"):  # keep a CRLF in one chunk
+                    chunk += fh.read(1)
+                if chunk.replace(b"\r\n", b"\n").translate(None, _PLAIN_LINE_BYTES):
+                    return None
+                has_rows = has_rows or bool(chunk.strip(b"\r\n"))
+        if not has_rows:
+            rows = np.empty(0, dtype=dtype)
+        else:
+            rows = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1,
+                              comments=None, ndmin=1)
+    except (OSError, ValueError):
+        return None
+    columns = [rows[name] for name in dtype.names]
+    if any(kind == "f" and not np.isfinite(column).all()
+           for (kind, _), column in zip(runs, columns)):
+        return None
+    return columns
+
+
 def write_detections(path, detections: list[Detection]) -> None:
     _write_table(path, DETECTIONS_HEADER, (
         [d.camera_id, d.frame, d.index, *map(float, d.box), float(d.confidence)]
@@ -120,6 +173,22 @@ def write_detections(path, detections: list[Detection]) -> None:
 
 
 def read_detections(path) -> list[Detection]:
+    columns = _read_table_fast(path, DETECTIONS_HEADER, "siifffff")
+    if columns is not None:
+        cameras, ints, values = columns
+        detections = [
+            Detection(camera_id, frame, index, *box)
+            for (camera_id,), (frame, index), box
+            in zip(cameras.tolist(), ints.tolist(), values.tolist())
+        ]
+        degenerate = (values[:, 2] <= values[:, 0]) | (values[:, 3] <= values[:, 1])
+        keys = {(d.camera_id, d.frame, d.index) for d in detections}
+        if not degenerate.any() and len(keys) == len(detections):
+            return detections
+    return _read_detections_strict(path)
+
+
+def _read_detections_strict(path) -> list[Detection]:
     detections = []
     seen = set()
     for line_no, (camera_id, frame, index, *values) in _read_table(
@@ -136,9 +205,6 @@ def read_detections(path) -> list[Detection]:
 
 
 KEYPOINTS_FIXED_HEADER = ["camera_id", "frame", "detection_index", "x_px", "y_px"]
-# Printable ASCII except the quote: the bytes on which csv.reader has no
-# special case and float() and loadtxt agree.
-_PLAIN_CSV_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"")
 
 
 def keypoints_header(descriptor_length: int) -> list[str]:
@@ -177,81 +243,70 @@ def keypoints_descriptor_length(path) -> int:
     return descriptor_length
 
 
-def read_keypoints(path) -> list[Keypoint]:
-    """Read keypoints.csv, taking the vectorised path when the file allows it."""
+def read_keypoints(path, image_sizes: dict[str, tuple[int, int]]) -> KeypointTable:
+    """Read keypoints.csv as one table, in file row order.
+
+    A keypoint of a camera in ``image_sizes`` must lie inside its
+    (width, height) image: ``0 <= x < width`` and ``0 <= y < height``.
+    """
     path = Path(path)
     descriptor_length = keypoints_descriptor_length(path)
-    keypoints = _read_keypoints_fast(path, descriptor_length)
-    if keypoints is None:
-        keypoints = _read_keypoints_strict(path, descriptor_length)
-    return keypoints
-
-
-def _read_keypoints_fast(path: Path, descriptor_length: int) -> list[Keypoint] | None:
-    """Whole-file keypoint parse; ``None`` where only the strict reader may judge.
-
-    The id and integer columns come from one streamed pass over the raw
-    lines, the numeric columns from one ``np.loadtxt``. Lines must be
-    printable ASCII without quotes, so ``bytes.split`` sees the same fields
-    as ``csv.reader`` and ``loadtxt`` the same numbers as ``float``. Any
-    other text, a parse failure, a row-count or shape mismatch, or a
-    non-finite value returns ``None``.
-    """
-    camera_ids: list[str] = []
-    frames: list[int] = []
-    det_indices: list[int] = []
-    commas = descriptor_length + 1
-    try:
-        with open(path, "rb") as fh:
-            for line_no, line in enumerate(fh):
-                if line.endswith(b"\r\n"):
-                    line = line[:-2]
-                elif line.endswith(b"\n"):
-                    line = line[:-1]
-                if line.translate(None, _PLAIN_CSV_BYTES):
-                    return None
-                if not line or not line_no:
-                    continue
-                fields = line.split(b",", 3)
-                if len(fields) != 4 or fields[3].count(b",") != commas:
-                    return None
-                camera_ids.append(fields[0].decode("ascii"))
-                frames.append(int(fields[1]))
-                det_indices.append(int(fields[2]))
-        if not camera_ids:
-            return []
-        values = np.loadtxt(
-            path, delimiter=",", skiprows=1,
-            usecols=range(3, 5 + descriptor_length), comments=None, ndmin=2,
+    kinds = "siiff" + "f" * descriptor_length
+    columns = _read_table_fast(path, keypoints_header(descriptor_length), kinds)
+    if columns is not None:
+        cameras, ints, values = columns
+        table = KeypointTable(
+            cameras[:, 0], ints[:, 0], ints[:, 1], values[:, :2], values[:, 2:]
         )
-    except ValueError:
-        return None
-    if values.shape != (len(camera_ids), 2 + descriptor_length):
-        return None
-    if not np.isfinite(values).all():
-        return None
-    return [
-        Keypoint(
-            camera_id=camera_id,
-            frame=frame,
-            detection_index=det_index,
-            position=row[:2],
-            descriptor=row[2:],
-        )
-        for camera_id, frame, det_index, row in zip(
-            camera_ids, frames, det_indices, values
-        )
-    ]
+        if not _outside_image(table, image_sizes).any():
+            return table
+    return _read_keypoints_strict(path, descriptor_length, image_sizes)
 
 
-def _read_keypoints_strict(path: Path, descriptor_length: int) -> list[Keypoint]:
+def _outside_image(
+    table: KeypointTable, image_sizes: dict[str, tuple[int, int]]
+) -> np.ndarray:
+    """Per row, whether the keypoint lies outside its calibrated image."""
+    x, y = table.xy[:, 0], table.xy[:, 1]
+    outside = np.zeros(len(table), dtype=bool)
+    for camera_id, (width, height) in image_sizes.items():
+        inside = (x >= 0) & (x < width) & (y >= 0) & (y < height)
+        outside |= (table.camera == camera_id) & ~inside
+    return outside
+
+
+def _read_keypoints_strict(
+    path: Path, descriptor_length: int, image_sizes: dict[str, tuple[int, int]]
+) -> KeypointTable:
     """Row-by-row reader: the reference for the fast path, and its errors."""
-    return [
-        Keypoint(camera_id, frame, det_index, values[:2], values[2:])
-        for _, (camera_id, frame, det_index, *values) in _read_table(
-            path, keypoints_header(descriptor_length), "siiff" + "f" * descriptor_length
-        )
-    ]
+    cameras, frames, detections, values = [], [], [], []
+    for line_no, (camera_id, frame, det_index, *numbers) in _read_table(
+        path, keypoints_header(descriptor_length), "siiff" + "f" * descriptor_length
+    ):
+        x, y = numbers[:2]
+        size = image_sizes.get(camera_id)
+        if size is not None and not (0 <= x < size[0] and 0 <= y < size[1]):
+            raise IngestError(
+                path, f"keypoint at ({x!r}, {y!r}) outside camera {camera_id} "
+                f"frame {size[0]}x{size[1]}", line_no
+            )
+        cameras.append(camera_id)
+        frames.append(frame)
+        detections.append(det_index)
+        values.append(numbers)
+    array = np.array(values, dtype=float).reshape(len(values), 2 + descriptor_length)
+    return KeypointTable(
+        np.array(cameras, dtype=object), _int_array(frames), _int_array(detections),
+        array[:, :2], array[:, 2:],
+    )
+
+
+def _int_array(values: list[int]) -> np.ndarray:
+    """int64, or the Python ints as objects when one does not fit."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 def write_landmarks(path, landmarks: LandmarkSet) -> None:
@@ -368,6 +423,20 @@ def write_match_truth(path, identities: dict[tuple[str, int, int], int]) -> None
 
 
 def read_match_truth(path) -> dict[tuple[str, int, int], int]:
+    columns = _read_table_fast(path, MATCH_TRUTH_HEADER, "siii")
+    if columns is not None:
+        cameras, ints = columns
+        identities = {
+            (camera_id, frame, det_index): identity
+            for (camera_id,), (frame, det_index, identity)
+            in zip(cameras.tolist(), ints.tolist())
+        }
+        if len(identities) == len(ints):
+            return identities
+    return _read_match_truth_strict(path)
+
+
+def _read_match_truth_strict(path) -> dict[tuple[str, int, int], int]:
     identities: dict[tuple[str, int, int], int] = {}
     for line_no, (camera_id, frame, det_index, identity) in _read_table(
         path, MATCH_TRUTH_HEADER, "siii"

@@ -9,7 +9,6 @@ labelling, with the same edges as running Canny on each box alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,19 +237,21 @@ def build_frame_mask(
     return BinaryMask(width=frame.width, height=frame.height, bits=bits)
 
 
-def gate_keypoints(mask: BinaryMask, keypoints: list) -> list:
-    """Keep keypoints whose rounded pixel lands on an on-pixel.
+def gate_keypoints(mask: BinaryMask, xy: np.ndarray) -> np.ndarray:
+    """The indices of the rows of ``xy`` ((N, 2) pixels) whose rounded
+    pixel lands on an on-pixel, ascending.
 
-    Half-up rounding per axis; order and descriptors are preserved, so the
-    result is a subsequence of the input.
+    Half-up rounding per axis. Bounds are compared before any cast, so
+    no coordinate can overflow an integer.
     """
-    kept = []
-    for kp in keypoints:
-        col = int(math.floor(kp.position[0] + 0.5))
-        row = int(math.floor(kp.position[1] + 0.5))
-        if 0 <= col < mask.width and 0 <= row < mask.height and mask.bits[row, col]:
-            kept.append(kp)
-    return kept
+    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+    col = np.floor(xy[:, 0] + 0.5)
+    row = np.floor(xy[:, 1] + 0.5)
+    inside = np.flatnonzero(
+        (col >= 0) & (col < mask.width) & (row >= 0) & (row < mask.height)
+    )
+    on = mask.bits[row[inside].astype(np.intp), col[inside].astype(np.intp)]
+    return inside[on]
 
 
 def read_pgm(path) -> GrayFrame:

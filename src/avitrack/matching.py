@@ -74,6 +74,58 @@ class Keypoint:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class KeypointTable:
+    """Keypoints as columns, one row per keypoint.
+
+    ``camera`` holds camera ids as ``str`` objects; ``frame`` and
+    ``detection`` hold integers, int64 unless one does not fit (then
+    Python ints as objects); ``xy`` is (N, 2) pixels and ``desc`` (N, L)
+    descriptors.
+    """
+
+    camera: np.ndarray
+    frame: np.ndarray
+    detection: np.ndarray
+    xy: np.ndarray
+    desc: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.camera)
+
+    def keypoints(self, rows=None) -> list[Keypoint]:
+        """``Keypoint`` objects for ``rows`` (default: every row), in order;
+        their arrays are views of this table's."""
+        rows = np.arange(len(self)) if rows is None else np.asarray(rows, dtype=np.intp)
+        return [
+            Keypoint(camera_id, frame, det_index, self.xy[row], self.desc[row])
+            for camera_id, frame, det_index, row in zip(
+                self.camera[rows].tolist(), self.frame[rows].tolist(),
+                self.detection[rows].tolist(), rows.tolist(),
+            )
+        ]
+
+    def groups(self, rows=None) -> dict[tuple[str, int], np.ndarray]:
+        """The indices of ``rows`` (default: every row) per (camera, frame),
+        each in the order given, keys sorted."""
+        rows = np.arange(len(self)) if rows is None else np.asarray(rows, dtype=np.intp)
+        cameras = self.camera[rows]
+        names = sorted(set(cameras.tolist()))
+        frames, frame_code = np.unique(self.frame[rows], return_inverse=True)
+        key = frame_code.astype(np.int64)
+        for code, name in enumerate(names):
+            key[cameras == name] += code * len(frames)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        return {
+            (names[k // len(frames)], int(frames[k % len(frames)])): rows[order[start:stop]]
+            for k, start, stop in zip(
+                key[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), len(key)]
+            )
+        }
+
+
 @dataclass(frozen=True)
 class FeatureMatch:
     """A candidate keypoint pair between two cameras in the same frame."""
@@ -84,6 +136,57 @@ class FeatureMatch:
     landmark_a: int | None = None
     landmark_b: int | None = None
     verdict: str | None = None
+
+
+@dataclass(frozen=True)
+class PairMatches:
+    """The decided matches of one frame between two cameras, as counts and
+    arrays: what the run's reports read of them.
+
+    ``rejected`` counts the matches that are neither kept nor undecided
+    (``verdict`` None), and ``undecided`` those without a verdict. The
+    rest stand: the kept and the undecided ones, in match order, whose
+    detection indices (a, b) are the rows of ``detections`` and whose
+    pixels are the rows of ``xy_a`` and ``xy_b``.
+    """
+
+    frame: int
+    camera_a: str
+    camera_b: str
+    candidates: int
+    rejected: int
+    undecided: int
+    detections: np.ndarray
+    xy_a: np.ndarray
+    xy_b: np.ndarray
+
+
+def pair_matches(matches: list[FeatureMatch]) -> list[PairMatches]:
+    """One ``PairMatches`` per (frame, camera a, camera b) of ``matches``,
+    in the order each first appears."""
+    groups: dict[tuple[int, str, str], list[FeatureMatch]] = {}
+    for match in matches:
+        key = (match.keypoint_a.frame, match.keypoint_a.camera_id,
+               match.keypoint_b.camera_id)
+        groups.setdefault(key, []).append(match)
+    summaries = []
+    for (frame, camera_a, camera_b), group in groups.items():
+        standing = [m for m in group if m.verdict in (None, KEPT)]
+        summaries.append(PairMatches(
+            frame=frame,
+            camera_a=camera_a,
+            camera_b=camera_b,
+            candidates=len(group),
+            rejected=len(group) - len(standing),
+            undecided=sum(m.verdict is None for m in standing),
+            detections=np.array(
+                [(m.keypoint_a.detection_index, m.keypoint_b.detection_index)
+                 for m in standing], dtype=np.int64,
+            ).reshape(-1, 2),
+            xy_a=np.array([m.keypoint_a.position for m in standing]).reshape(-1, 2),
+            xy_b=np.array([m.keypoint_b.position for m in standing]).reshape(-1, 2),
+        ))
+    return summaries
 
 
 @dataclass(frozen=True)

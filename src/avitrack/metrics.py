@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInputError, MissingLabelsError
-from .matching import FeatureMatch, KEPT
+from .matching import FeatureMatch, PairMatches
 from .tracking import DEFAULT_FPS, DEFAULT_GATE
 
 DEFAULT_HORIZONS_S = (10.0, 30.0, 60.0)
@@ -27,16 +27,16 @@ class GroundTruth:
     identities: dict[tuple[str, int, int], int]
 
     def match_is_correct(self, match: FeatureMatch) -> bool:
-        key_a = (
-            match.keypoint_a.camera_id,
-            match.keypoint_a.frame,
-            match.keypoint_a.detection_index,
+        return self.same_identity(
+            (match.keypoint_a.camera_id, match.keypoint_a.frame,
+             match.keypoint_a.detection_index),
+            (match.keypoint_b.camera_id, match.keypoint_b.frame,
+             match.keypoint_b.detection_index),
         )
-        key_b = (
-            match.keypoint_b.camera_id,
-            match.keypoint_b.frame,
-            match.keypoint_b.detection_index,
-        )
+
+    def same_identity(self, key_a: tuple[str, int, int], key_b: tuple[str, int, int]) -> bool:
+        """Whether detections ``key_a`` and ``key_b``, each (camera_id,
+        frame, detection_index), show the same bird."""
         if key_a not in self.identities or key_b not in self.identities:
             raise MissingLabelsError(f"no identity label for {key_a} or {key_b}")
         return self.identities[key_a] == self.identities[key_b]
@@ -66,41 +66,48 @@ def keypoint_stats(
 
 
 def rejection_stats(
-    matches: list[FeatureMatch], truth: GroundTruth | None = None
+    summaries: list[PairMatches], truth: GroundTruth | None = None
 ) -> dict:
-    """Rejection-rate and correctness record for decided matches.
+    """Rejection-rate and correctness record for decided matches, given as
+    ``pair_matches`` summaries.
 
     Always reports the per-frame rejection percentage (mean and std);
     with ground truth, also the ratios of correct kept matches against
     all initial and all kept matches.
     """
-    undecided = [m for m in matches if m.verdict is None]
+    undecided = sum(s.undecided for s in summaries)
     if undecided:
-        raise ValueError(f"{len(undecided)} matches have no verdict")
+        raise ValueError(f"{undecided} matches have no verdict")
 
-    per_frame: dict[int, list[bool]] = defaultdict(list)
-    for match in matches:
-        per_frame[match.keypoint_a.frame].append(match.verdict != KEPT)
+    per_frame: dict[int, list[int]] = defaultdict(lambda: [0, 0])
+    for s in summaries:
+        per_frame[s.frame][0] += s.rejected
+        per_frame[s.frame][1] += s.candidates
     pct = np.array(
-        [100.0 * sum(v) / len(v) for _, v in sorted(per_frame.items())]
+        [100.0 * rejected / total for _, (rejected, total) in sorted(per_frame.items())]
     )
 
+    initial = sum(s.candidates for s in summaries)
+    final = sum(len(s.detections) for s in summaries)
     record = {
         "avg_rejection_pct": float(pct.mean()) if pct.size else 0.0,
         "std_rejection_pct": float(pct.std()) if pct.size else 0.0,
-        "total_initial_matches": len(matches),
-        "total_final_matches": sum(1 for m in matches if m.verdict == KEPT),
+        "total_initial_matches": initial,
+        "total_final_matches": final,
         "ratio_correct_final_over_initial": None,
         "ratio_correct_final_over_final": None,
     }
     if truth is not None:
-        kept = [m for m in matches if m.verdict == KEPT]
-        correct_final = sum(1 for m in kept if truth.match_is_correct(m))
+        correct_final = sum(
+            truth.same_identity((s.camera_a, s.frame, det_a), (s.camera_b, s.frame, det_b))
+            for s in summaries
+            for det_a, det_b in s.detections.tolist()
+        )
         record["ratio_correct_final_over_initial"] = (
-            correct_final / len(matches) if matches else None
+            correct_final / initial if initial else None
         )
         record["ratio_correct_final_over_final"] = (
-            correct_final / len(kept) if kept else None
+            correct_final / final if final else None
         )
     return record
 

@@ -4,28 +4,26 @@ Per-frame work (matching through reconstruction, ``_process_frame``) is
 pure, so with ``parallelism`` > 1 it fans out over a process pool. The
 frame payloads are handed to the workers once, as the pool's initializer
 arguments: under the ``fork`` start method the workers inherit them and
-nothing is pickled. A payload holds its own frame's keypoints and
-detections; everything else in it is one run-level object that every
-payload shares: the camera pairs, landmarks, cameras and config, and the
+nothing is pickled. A payload holds its own frame's keypoint rows per
+camera and its detections; everything else in it is one run-level object
+that every payload shares: the ``KeypointTable`` of the whole run, the
+camera pairs, landmarks, cameras and config, and the
 ``detection_centers`` table, in which every detection centre is
-undistorted once per run. Each task is then a frame index. A worker
-pickles its ``FrameResult`` with every keypoint replaced by a reference,
-(camera, position in that frame's keypoint list), and the parent
-resolves each reference to its own keypoint object. So only indices go
-out, only the matches' scalars, the correspondences and the observations
-come back, and every match holds the parent's keypoints, as on the
-serial path. Results are merged in frame order, so the output is
-identical for any parallelism degree. Tracking is sequential by nature.
+undistorted once per run. Each task is then a frame index. The parent
+holds no ``Keypoint``: a worker builds its frame's from the table's rows
+and returns a ``FrameResult`` without any, its decided matches reduced
+to one ``PairMatches`` per camera pair (counts, and the kept matches'
+detection indices and pixels as arrays), which pickles plainly. Results
+are merged in frame order, so the output is identical for any
+parallelism degree. Tracking is sequential by nature.
 """
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import logging
 import math
-import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -43,9 +41,11 @@ from .matching import (
     Correspondence,
     Detection,
     FeatureMatch,
-    Keypoint,
+    KeypointTable,
+    PairMatches,
     cluster_correspondences,
     knn_match,
+    pair_matches,
     reject_by_landmark,
 )
 from .metrics import GroundTruth, keypoint_stats, rejection_stats, tracking_metrics
@@ -226,7 +226,8 @@ class PipelineConfig:
 @dataclass
 class _FramePayload:
     frame: int
-    keypoints: dict[str, list[Keypoint]]
+    rows: dict[str, np.ndarray]  # this frame's rows of ``keypoints``, per camera
+    keypoints: KeypointTable
     detections: dict[tuple[str, int, int], Detection]
     centers: dict[tuple[str, int], FrameCenters]
     pairs: list[tuple[str, str]]
@@ -238,18 +239,21 @@ class _FramePayload:
 @dataclass
 class FrameResult:
     frame: int
-    matches: list[FeatureMatch]
+    matches: list[PairMatches]
     correspondences: dict[tuple[str, str], list[Correspondence]]
     observations: list[Observation3D]
 
 
 def _process_frame(payload: _FramePayload) -> FrameResult:
     cfg = payload.config
+    keypoints = {
+        camera: payload.keypoints.keypoints(rows) for camera, rows in payload.rows.items()
+    }
     matches_all: list[FeatureMatch] = []
     correspondences: dict[tuple[str, str], list[Correspondence]] = {}
     for cam_a, cam_b in payload.pairs:
-        kps_a = payload.keypoints.get(cam_a, [])
-        kps_b = payload.keypoints.get(cam_b, [])
+        kps_a = keypoints.get(cam_a, [])
+        kps_b = keypoints.get(cam_b, [])
         if not kps_a or not kps_b:
             continue
         candidates = knn_match(kps_a, kps_b, ratio=cfg.ratio)
@@ -279,7 +283,7 @@ def _process_frame(payload: _FramePayload) -> FrameResult:
     )
     return FrameResult(
         frame=payload.frame,
-        matches=matches_all,
+        matches=pair_matches(matches_all),
         correspondences=correspondences,
         observations=observations,
     )
@@ -294,36 +298,17 @@ def _init_worker(payloads: list[_FramePayload]) -> None:
     _worker_payloads = payloads
 
 
-def _process_frame_at(index: int) -> bytes:
-    """``_process_frame`` on payload ``index``, pickled by keypoint reference."""
-    payload = _worker_payloads[index]
-    # Keyed by id: every keypoint stays alive in the payload while it pickles.
-    refs = {
-        id(kp): (camera, position)
-        for camera, kps in payload.keypoints.items()
-        for position, kp in enumerate(kps)
-    }
-    buffer = io.BytesIO()
-    pickler = pickle.Pickler(buffer, pickle.HIGHEST_PROTOCOL)
-    pickler.persistent_id = lambda obj: refs.get(id(obj))
-    pickler.dump(_process_frame(payload))
-    return buffer.getvalue()
-
-
-def _load_frame_result(data: bytes, payload: _FramePayload) -> FrameResult:
-    """Unpickle a worker's result, resolving keypoint references in ``payload``."""
-    unpickler = pickle.Unpickler(io.BytesIO(data))
-    unpickler.persistent_load = lambda ref: payload.keypoints[ref[0]][ref[1]]
-    return unpickler.load()
+def _process_frame_at(index: int) -> FrameResult:
+    return _process_frame(_worker_payloads[index])
 
 
 def detection_table(
-    detections: list[Detection], keypoints: list[Keypoint], keypoints_path
+    detections: list[Detection], keypoints: KeypointTable, keypoints_path
 ) -> dict[tuple[str, int, int], Detection]:
     """Detections by (camera, frame, index); every keypoint must reference one."""
     table = {(d.camera_id, d.frame, d.index): d for d in detections}
-    for kp in keypoints:
-        key = (kp.camera_id, kp.frame, kp.detection_index)
+    for key in zip(keypoints.camera.tolist(), keypoints.frame.tolist(),
+                   keypoints.detection.tolist()):
         if key not in table:
             raise IngestError(keypoints_path, f"keypoint references missing detection {key}")
     return table
@@ -331,28 +316,26 @@ def detection_table(
 
 def apply_mask_stage(
     config: PipelineConfig,
-    keypoints: list[Keypoint],
+    keypoints: KeypointTable | None,
     detections: list[Detection],
     on_mask=None,
     image_sizes: dict[str, tuple[int, int]] | None = None,
-) -> list[Keypoint]:
-    """Gate keypoints to mask-on pixels built from the per-frame PGM files.
+) -> np.ndarray:
+    """The rows of ``keypoints`` on mask-on pixels of the per-frame PGM files.
 
     Masks are built for each (camera, frame) with keypoints. With
     ``on_mask``, they are built for each (camera, frame) with detections
     instead, and each is passed to ``on_mask(camera_id, frame, mask)``.
     With ``image_sizes``, a frame whose (width, height) differs from its
-    camera's calibrated size is an ``IngestError``.
+    camera's calibrated size is an ``IngestError``. Rows are returned
+    grouped by (camera, frame) in sorted order, each group in row order.
     """
     boxes: dict[tuple[str, int], list] = {}
     for det in detections:
         boxes.setdefault((det.camera_id, det.frame), []).append(det.box)
 
-    grouped: dict[tuple[str, int], list[Keypoint]] = {}
-    for kp in keypoints:
-        grouped.setdefault((kp.camera_id, kp.frame), []).append(kp)
-
-    gated: list[Keypoint] = []
+    grouped = {} if keypoints is None else keypoints.groups()
+    gated: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]
     for key in sorted(grouped if on_mask is None else boxes):
         camera_id, frame = key
         pgm = dataio.frame_path(config.frames_dir, camera_id, frame)
@@ -370,8 +353,10 @@ def apply_mask_stage(
         )
         if on_mask is not None:
             on_mask(camera_id, frame, mask)
-        gated.extend(gate_keypoints(mask, grouped.get(key, [])))
-    return gated
+        rows = grouped.get(key)
+        if rows is not None:
+            gated.append(rows[gate_keypoints(mask, keypoints.xy[rows])])
+    return np.concatenate(gated)
 
 
 def _observation_rows(frame: int, observations: list[Observation3D]) -> list[tuple]:
@@ -434,29 +419,30 @@ def run_pipeline(config: PipelineConfig) -> dict:
         return {}
 
     detections = dataio.read_detections(config.detections_path)
-    keypoints = dataio.read_keypoints(config.keypoints_path)
+    keypoints = dataio.read_keypoints(config.keypoints_path, image_sizes)
     table = detection_table(detections, keypoints, config.keypoints_path)
+    kept = None
     if config.use_mask:
-        before = len(keypoints)
-        keypoints = apply_mask_stage(config, keypoints, detections, image_sizes=image_sizes)
-        logger.info("mask stage kept %d of %d keypoints", len(keypoints), before)
+        kept = apply_mask_stage(config, keypoints, detections, image_sizes=image_sizes)
+        logger.info("mask stage kept %d of %d keypoints", len(kept), len(keypoints))
 
-    keypoints_by_frame: dict[int, dict[str, list[Keypoint]]] = {}
-    for kp in keypoints:
-        keypoints_by_frame.setdefault(kp.frame, {}).setdefault(
-            kp.camera_id, []
-        ).append(kp)
+    rows_by_frame: dict[int, dict[str, np.ndarray]] = {}
+    counts: dict[str, dict[int, int]] = {}
+    for (camera_id, frame), rows in keypoints.groups(kept).items():
+        rows_by_frame.setdefault(frame, {})[camera_id] = rows
+        counts.setdefault(camera_id, {})[frame] = len(rows)
 
     detections_by_frame: dict[int, dict[tuple[str, int, int], Detection]] = {}
     for key, det in table.items():
         detections_by_frame.setdefault(det.frame, {})[key] = det
 
-    frames = sorted(set(keypoints_by_frame) | set(detections_by_frame))
+    frames = sorted(set(rows_by_frame) | set(detections_by_frame))
     centers = detection_centers(detections, cameras)
     payloads = [
         _FramePayload(
             frame=frame,
-            keypoints=keypoints_by_frame.get(frame, {}),
+            rows=rows_by_frame.get(frame, {}),
+            keypoints=keypoints,
             detections=detections_by_frame.get(frame, {}),
             centers=centers,
             pairs=pairs,
@@ -475,12 +461,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
         with ProcessPoolExecutor(
             max_workers=config.parallelism, initializer=_init_worker, initargs=(payloads,)
         ) as pool:
-            pickled = pool.map(_process_frame_at, range(len(payloads)), chunksize=8)
-            results = [_load_frame_result(data, p) for data, p in zip(pickled, payloads)]
+            results = list(pool.map(_process_frame_at, range(len(payloads)), chunksize=8))
     else:
         results = [_process_frame(p) for p in payloads]
 
-    all_matches = [m for r in results for m in r.matches]
+    summaries = [s for r in results for s in r.matches]
     observations = [obs for r in results for obs in r.observations]
 
     truth = None
@@ -491,15 +476,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
         )
 
     report: dict = {}
-    counts: dict[str, dict[int, int]] = {}
-    for kp in keypoints:
-        counts.setdefault(kp.camera_id, {}).setdefault(kp.frame, 0)
-        counts[kp.camera_id][kp.frame] += 1
     if frames:
         interval = list(range(frames[0], frames[-1] + 1))
         report["table2"] = keypoint_stats(counts, interval)
-    if all_matches:
-        report["table3"] = rejection_stats(all_matches, truth)
+    if summaries:
+        report["table3"] = rejection_stats(summaries, truth)
 
     dataio.write_correspondences(out_dir / "correspondences.csv", [
         (result.frame, cam_a, cam_b, corr)
@@ -513,7 +494,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     if observations:
         report["table4"] = reconstruction_stats(
-            observations, all_matches, cameras, threshold_px=config.reproj_threshold_px
+            observations, summaries, cameras, threshold_px=config.reproj_threshold_px
         )
     obs_rows = [
         row for result in results

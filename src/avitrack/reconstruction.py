@@ -16,7 +16,7 @@ from .camera import (
     projection_matrix,
 )
 from .errors import DegenerateRaysError, EmptyInputError, NonFiniteResultError
-from .matching import Correspondence, Detection, FeatureMatch
+from .matching import Correspondence, Detection, PairMatches
 
 FUSE_RADIUS_M = 0.15
 
@@ -306,29 +306,30 @@ def reconstruct_frame(
 
 def reconstruction_stats(
     observations: list[Observation3D],
-    matches: list[FeatureMatch],
+    summaries: list[PairMatches],
     cameras: dict[str, CameraModel],
     threshold_px: float = DEFAULT_REPROJ_THRESHOLD_PX,
 ) -> dict:
     """Keypoint-level reconstruction quality record.
 
-    Each kept match is triangulated from its keypoint pair and reprojected
-    into both cameras; every keypoint contributes one pixel error. Fields
-    mirror the standard reconstruction-quality table: total keypoints,
+    Each standing match of the ``pair_matches`` summaries (kept, or without
+    a verdict) is triangulated from its keypoint pair and reprojected into
+    both cameras; every keypoint contributes one pixel error. A camera
+    pair's matches are taken together, in summary order. Fields mirror
+    the standard reconstruction-quality table: total keypoints,
     mean/std/min/max reprojection error, and the share below threshold.
     """
     if not observations:
         raise EmptyInputError("reconstruction_stats: no observations")
-    kept = [m for m in matches if m.verdict in (None, "kept")]
-    by_pair: dict[tuple[str, str], list[FeatureMatch]] = {}
-    for match in kept:
-        key = (match.keypoint_a.camera_id, match.keypoint_b.camera_id)
-        by_pair.setdefault(key, []).append(match)
+    by_pair: dict[tuple[str, str], list[PairMatches]] = {}
+    for summary in summaries:
+        if len(summary.detections):
+            by_pair.setdefault((summary.camera_a, summary.camera_b), []).append(summary)
 
     errors: list[np.ndarray] = []
-    for (cam_a, cam_b), pair_matches in sorted(by_pair.items()):
-        pts_a = np.array([m.keypoint_a.position for m in pair_matches])
-        pts_b = np.array([m.keypoint_b.position for m in pair_matches])
+    for (cam_a, cam_b), pair_summaries in sorted(by_pair.items()):
+        pts_a = np.concatenate([summary.xy_a for summary in pair_summaries])
+        pts_b = np.concatenate([summary.xy_b for summary in pair_summaries])
         points = triangulate_batch(
             ideal_pixels(cameras[cam_a], pts_a), ideal_pixels(cameras[cam_b], pts_b),
             cameras[cam_a], cameras[cam_b],

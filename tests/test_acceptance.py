@@ -11,7 +11,7 @@ import pytest
 
 from avitrack.camera import MIN_DEPTH, project_points
 from avitrack.cli import main
-from avitrack.matching import KEPT, knn_match, reject_by_landmark
+from avitrack.matching import KEPT, knn_match, pair_matches, reject_by_landmark
 from avitrack.mask import GrayFrame, canny_edges, lateral_fill
 from avitrack.metrics import GroundTruth, rejection_stats, tracking_metrics
 from avitrack.reconstruction import ideal_pixels, reconstruction_stats, triangulate_batch
@@ -152,7 +152,7 @@ def test_criterion_4_rejection_magnitude_and_verdict_agreement(ambiguous_scene):
     """Table-3-shaped stats, and verdicts match exhaustive recomputation."""
     bundle, decided = ambiguous_scene
     truth = truth_labels(bundle)
-    record = rejection_stats(decided, truth)
+    record = rejection_stats(pair_matches(decided), truth)
     for field in (
         "avg_rejection_pct", "std_rejection_pct",
         "ratio_correct_final_over_initial", "ratio_correct_final_over_final",
@@ -279,7 +279,7 @@ def test_criterion_6_triangulation_under_noise():
     from avitrack.reconstruction import Observation3D
 
     record = reconstruction_stats(
-        [Observation3D(0, points[0], (("cam0", "cam2"),), {})], matches, rig
+        [Observation3D(0, points[0], (("cam0", "cam2"),), {})], pair_matches(matches), rig
     )
     for field in (
         "total_keypoints", "avg_reprojection_error_px", "std_reprojection_error_px",

@@ -383,7 +383,7 @@ class TestStandaloneCommands:
         assert main(self._mask_args(masked_bundle, out)) == 0
         gated = out / "keypoints_gated.csv"
         assert gated.read_text().splitlines() == [",".join(dataio.keypoints_header(8))]
-        assert dataio.read_keypoints(gated) == []
+        assert len(dataio.read_keypoints(gated, {})) == 0
 
     def test_mask_on_header_only_keypoints_writes_an_empty_file(
         self, masked_bundle, tmp_path
@@ -396,7 +396,7 @@ class TestStandaloneCommands:
         assert main(args) == 0
         gated = out / "keypoints_gated.csv"
         assert gated.read_text().splitlines() == [",".join(dataio.keypoints_header(8))]
-        assert dataio.read_keypoints(gated) == []
+        assert len(dataio.read_keypoints(gated, {})) == 0
 
     def test_mask_thresholds_are_validated(self, masked_bundle, tmp_path, capsys):
         out = tmp_path / "masks"

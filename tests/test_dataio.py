@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from avitrack import dataio
 from avitrack.errors import IngestError
-from avitrack.matching import Detection, Keypoint
+from avitrack.matching import Detection, Keypoint, KeypointTable
 from avitrack.synthworld import SceneConfig, generate
 from avitrack.voronoi import LandmarkSet
 
@@ -37,7 +37,8 @@ class TestRoundTrips:
 
     def test_keypoints(self, bundle_dir):
         out, bundle = bundle_dir
-        loaded = dataio.read_keypoints(out / "keypoints.csv")
+        sizes = {cid: cam.image_size for cid, cam in bundle.cameras.items()}
+        loaded = dataio.read_keypoints(out / "keypoints.csv", sizes).keypoints()
         assert len(loaded) == len(bundle.keypoints)
         by_key = {}
         for kp in bundle.keypoints:
@@ -182,7 +183,7 @@ class TestStrictness:
         path = tmp_path / "k.csv"
         path.write_text("camera_id,frame,detection_index,x_px,y_px\n")
         with pytest.raises(IngestError, match="descriptor"):
-            dataio.read_keypoints(path)
+            dataio.read_keypoints(path, {})
 
     @pytest.mark.parametrize("row, problem", [
         ("0,2,,,,,", "['x_m', 'y_m', 'z_m', 'mean_err_px', 'max_err_px']"),
@@ -239,13 +240,24 @@ KEYPOINT_ROWS = [
 ]
 
 
+# Keypoints of cam0 must lie in its image; cam1 has no calibration.
+KEYPOINT_SIZES = {"cam0": (640, 360)}
+
+
+def _keypoint_kinds(path):
+    length = dataio.keypoints_descriptor_length(path)
+    return dataio.keypoints_header(length), "siiff" + "f" * length
+
+
 def _fast(path):
-    """The fast path alone: keypoints, or None where it hands over."""
-    return dataio._read_keypoints_fast(path, dataio.keypoints_descriptor_length(path))
+    """The fast path alone: the columns, or None where it hands over."""
+    return dataio._read_table_fast(path, *_keypoint_kinds(path))
 
 
 def _strict(path):
-    return dataio._read_keypoints_strict(path, dataio.keypoints_descriptor_length(path))
+    return dataio._read_keypoints_strict(
+        path, dataio.keypoints_descriptor_length(path), KEYPOINT_SIZES
+    )
 
 
 def _outcome(read, path):
@@ -255,10 +267,12 @@ def _outcome(read, path):
         return None, exc
 
 
-def assert_readers_agree(path):
-    """read_keypoints and the strict reader give the same bits or the same error."""
-    got, got_exc = _outcome(dataio.read_keypoints, path)
-    expected, expected_exc = _outcome(_strict, path)
+def assert_readers_agree(path, read=None, strict=_strict):
+    """A public reader (default: read_keypoints) and its strict reader give
+    the same bits or the same error."""
+    read = read or (lambda path: dataio.read_keypoints(path, KEYPOINT_SIZES))
+    got, got_exc = _outcome(read, path)
+    expected, expected_exc = _outcome(strict, path)
     if expected_exc is not None:
         assert got_exc is not None, f"strict reader raised {expected_exc!r}"
         assert type(got_exc) is type(expected_exc)
@@ -266,15 +280,11 @@ def assert_readers_agree(path):
         assert getattr(got_exc, "line", None) == getattr(expected_exc, "line", None)
         return None
     assert got_exc is None, f"strict reader accepted, got {got_exc!r}"
-    assert len(got) == len(expected)
-    for a, b in zip(got, expected):
-        assert (a.camera_id, a.frame, a.detection_index) == (
-            b.camera_id, b.frame, b.detection_index
-        )
-        assert type(a.frame) is int and type(a.detection_index) is int
-        assert a.position.dtype == b.position.dtype == np.float64
-        assert a.position.tobytes() == b.position.tobytes()
-        assert a.descriptor.tobytes() == b.descriptor.tobytes()
+    if isinstance(got, KeypointTable):
+        assert got.xy.dtype == got.desc.dtype == np.float64
+        assert _bits(got.keypoints()) == _bits(expected.keypoints())
+    else:
+        assert _bits(got) == _bits(expected)
     return got
 
 
@@ -334,7 +344,10 @@ MUTATED_ROWS = {
     "bare_carriage_return": [KEYPOINT_ROWS[0] + "\r" + KEYPOINT_ROWS[1]],
     "error_after_error": [
         _with_field(KEYPOINT_ROWS[0], 4, "nan"), _with_field(KEYPOINT_ROWS[1], 1, "x")
-    ],
+    ],    "huge_frame": [KEYPOINT_ROWS[0], _with_field(KEYPOINT_ROWS[1], 1, str(2**70))],
+    "int64_limits": [_with_field(_with_field(KEYPOINT_ROWS[1], 1, str(2**63 - 1)), 2,
+                                 str(-(2**63)))],
+    "past_int64": [_with_field(KEYPOINT_ROWS[1], 2, str(-(2**63) - 1))],
 }
 
 
@@ -354,7 +367,7 @@ class TestKeypointFastPath:
 
     def test_rows_share_one_array(self, bundle_dir):
         out, _ = bundle_dir
-        loaded = dataio.read_keypoints(out / "keypoints.csv")
+        loaded = dataio.read_keypoints(out / "keypoints.csv", {}).keypoints()
         base = loaded[0].descriptor.base
         assert base is not None
         assert all(kp.position.base is base and kp.descriptor.base is base
@@ -390,7 +403,7 @@ class TestKeypointFastPath:
             tmp_path / "k.csv", MUTATED_ROWS["blank_lines_then_error"]
         )
         with pytest.raises(IngestError, match=r"k\.csv:5: column 'detection_index'"):
-            dataio.read_keypoints(path)
+            dataio.read_keypoints(path, {})
 
     def test_bare_carriage_return_ends_header(self, tmp_path):
         path = _write_keypoints_text(
@@ -408,7 +421,7 @@ class TestKeypointFastPath:
     @pytest.mark.parametrize("end", [True, False])
     def test_header_without_body(self, tmp_path, end):
         path = _write_keypoints_text(tmp_path / "k.csv", [], end=end)
-        assert assert_readers_agree(path) == []
+        assert len(assert_readers_agree(path)) == 0
 
     @settings(max_examples=200)
     @given(
@@ -422,13 +435,153 @@ class TestKeypointFastPath:
         assert_readers_agree(path)
 
 
+class TestKeypointsInsideTheImage:
+    """A keypoint of a calibrated camera lies in [0, w) x [0, h); both
+    readers raise the same error at its line."""
+
+    @pytest.mark.parametrize("x, y", [
+        ("640.0", "4.0"), ("3.0", "360"), ("-1e-300", "4.0"), ("3.0", "-0.5"),
+        ("1e200", "4.0"), ("3.0", "-1e200"),
+    ])
+    def test_outside_is_an_error(self, tmp_path, x, y):
+        bad = _with_field(_with_field(KEYPOINT_ROWS[1], 3, x), 4, y)
+        path = _write_keypoints_text(tmp_path / "k.csv", [KEYPOINT_ROWS[0], bad])
+        assert _fast(path) is not None
+        assert assert_readers_agree(path) is None
+        with pytest.raises(IngestError) as exc:
+            dataio.read_keypoints(path, KEYPOINT_SIZES)
+        assert str(exc.value) == (
+            f"{path}:3: keypoint at ({float(x)!r}, {float(y)!r}) outside camera cam0 "
+            "frame 640x360"
+        )
+
+    @pytest.mark.parametrize("x, y", [("0.0", "0.0"), ("-0.0", "-0.0"),
+                                      ("639.9999999999999", "359.99999999999994")])
+    def test_edges_inside(self, tmp_path, x, y):
+        row = _with_field(_with_field(KEYPOINT_ROWS[1], 3, x), 4, y)
+        path = _write_keypoints_text(tmp_path / "k.csv", [row])
+        assert len(assert_readers_agree(path)) == 1
+
+    def test_uncalibrated_camera_is_not_checked(self, tmp_path):
+        far = _with_field(_with_field(KEYPOINT_ROWS[2], 3, "-1e200"), 4, "1e200")
+        path = _write_keypoints_text(tmp_path / "k.csv", [KEYPOINT_ROWS[0], far])
+        table = assert_readers_agree(path)
+        assert table.xy[1].tolist() == [-1e200, 1e200]
+        assert len(dataio.read_keypoints(path, {})) == 2
+
+
+def _mutations(rows: list[str], int_column: int, float_column: int | None) -> dict:
+    """Text cases built from valid ``rows``: ``rows[1]`` holds an integer
+    at ``int_column`` and, unless None, a float at ``float_column``."""
+    first, second = rows[:2]
+    cases = {
+        "valid": rows,
+        "too_few_columns": [first, second.rsplit(",", 1)[0]],
+        "too_many_columns": [first, second + ",7"],
+        "id_only": [first, "cam0"],
+        "whitespace_only_line": [first, "   ", second],
+        "blank_lines": ["", first, "", "", second, ""],
+        "bare_carriage_return": [first + "\r" + second],
+        "nul_line": [first, "\x00", second],
+        "quoted_camera_id": [first, '"cam0"' + second[len("cam0"):]],
+        "hash_in_camera_id": [first, _with_field(second, 0, "cam#0")],
+        "unicode_camera_id": [_with_field(second, 0, "camé")],
+        "empty_camera_id": [_with_field(second, 0, "")],
+        "duplicate_row": [first, second, second],
+        "error_after_error": [_with_field(first, int_column, "x"), second + ",7"],
+    }
+    for name, text in (("non_integer", "1.0"), ("exponent", "1e5"), ("underscore", "1_0"),
+                       ("unicode_digit", "١٢"), ("padded", " 1 "), ("signed", "+5"),
+                       ("huge", str(2**70)), ("int64_max", str(2**63 - 1)),
+                       ("past_int64", str(-(2**63) - 1)), ("empty", "")):
+        cases[f"{name}_int"] = [first, _with_field(second, int_column, text)]
+    if float_column is not None:
+        for name, text in (("nan", "nan"), ("inf", "-inf"), ("overflow", "1e400"),
+                           ("subnormal", "5e-324"), ("largest", "1.7976931348623157e308"),
+                           ("empty", ""), ("underscore", "1_0.5"), ("padded", " 3.0 "),
+                           ("bare_point", ".5"), ("hex", "0x1p3")):
+            cases[f"{name}_float"] = [first, _with_field(second, float_column, text)]
+    return cases
+
+
+DETECTION_ROWS = [
+    "cam0,0,0,1.5,2.5,3.5,4.5,0.9",
+    "cam0,0,1,3.0,4.0,5.0,6.0,1e-3",
+    "cam1,2,0,5.25,6.75,7.0,8.0,0.5",
+]
+MATCH_TRUTH_ROWS = ["cam0,0,0,1", "cam0,0,1,2", "cam1,2,0,1"]
+FAST_TABLES = {
+    "detections": (dataio.read_detections, dataio._read_detections_strict,
+                   dataio.DETECTIONS_HEADER, {
+                       **_mutations(DETECTION_ROWS, 2, 3),
+                       "degenerate_box": [DETECTION_ROWS[0],
+                                          _with_field(DETECTION_ROWS[1], 5, "3.0")],
+                       "zero_height": [_with_field(DETECTION_ROWS[1], 6, "4.0")],
+                       "same_key_other_box": [DETECTION_ROWS[0], _with_field(
+                           DETECTION_ROWS[0], 3, "0.5")],
+                   }),
+    "match_truth": (dataio.read_match_truth, dataio._read_match_truth_strict,
+                    dataio.MATCH_TRUTH_HEADER, {
+                        **_mutations(MATCH_TRUTH_ROWS, 3, None),
+                        "same_key_other_identity": [MATCH_TRUTH_ROWS[0], _with_field(
+                            MATCH_TRUTH_ROWS[0], 3, "9")],
+                    }),
+}
+FAST_CASES = [(table, case) for table, spec in FAST_TABLES.items() for case in sorted(spec[3])]
+
+
+class TestDetectionAndLabelFastPath:
+    """read_detections and read_match_truth match their strict row readers:
+    the same bits, or the same error type, message and line."""
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\n"], ids=["crlf", "lf"])
+    @pytest.mark.parametrize("table, case", FAST_CASES,
+                             ids=[f"{t}-{c}" for t, c in FAST_CASES])
+    def test_mutated_rows(self, tmp_path, table, case, newline):
+        read, strict, header, cases = FAST_TABLES[table]
+        path = _write_keypoints_text(tmp_path / f"{table}.csv", cases[case],
+                                     newline=newline, header=",".join(header))
+        assert_readers_agree(path, read, strict)
+
+    @pytest.mark.parametrize("table", sorted(FAST_TABLES))
+    def test_valid_rows_take_the_fast_path(self, tmp_path, table):
+        read, strict, header, cases = FAST_TABLES[table]
+        path = _write_keypoints_text(tmp_path / "t.csv", cases["valid"],
+                                     header=",".join(header))
+        kinds = "siifffff" if table == "detections" else "siii"
+        assert dataio._read_table_fast(path, header, kinds) is not None
+        assert len(assert_readers_agree(path, read, strict)) == 3
+
+    @pytest.mark.parametrize("table", sorted(FAST_TABLES))
+    def test_synth_bundle(self, bundle_dir, table):
+        out, _ = bundle_dir
+        read, strict, _, _ = FAST_TABLES[table]
+        assert len(assert_readers_agree(out / f"{table}.csv", read, strict)) > 0
+
+    @settings(max_examples=100)
+    @given(
+        table=st.sampled_from(sorted(FAST_TABLES)),
+        column=st.integers(0, 7),
+        text=st.text(alphabet="0123456789.eE+-_ \tinfatyINFATYx#\"\x1c١",
+                     max_size=8),
+    )
+    def test_random_field_text(self, tmp_path_factory, table, column, text):
+        read, strict, header, cases = FAST_TABLES[table]
+        rows = cases["valid"]
+        rows = [rows[0], _with_field(rows[1], column % len(header), text)]
+        path = _write_keypoints_text(tmp_path_factory.mktemp("t") / "t.csv", rows,
+                                     header=",".join(header))
+        assert_readers_agree(path, read, strict)
+
+
 # --- every table: typed-column errors and lossless round trips -------------
 
 # reader, header, the type of each column (s text, i integer, f float), a valid row
 TABLES = {
     "detections": (dataio.read_detections, dataio.DETECTIONS_HEADER, "siifffff",
                    "cam0,0,0,1.0,2.0,3.0,4.0,0.9"),
-    "keypoints": (dataio.read_keypoints, KEYPOINT_HEADER.split(","), "siifffff",
+    "keypoints": (lambda path: dataio.read_keypoints(path, {}),
+                  KEYPOINT_HEADER.split(","), "siifffff",
                   KEYPOINT_ROWS[0]),
     "landmarks": (lambda path: dataio.read_landmarks(path, {"cam0": (640, 360)}),
                   dataio.LANDMARKS_HEADER, "siff", "cam0,1,10.0,20.0"),
@@ -533,7 +686,8 @@ class TestRoundTripProperty:
         keypoints = [Keypoint(cam, frame, det, v[:2], v[2:]) for cam, frame, det, v in rows]
         back = _round_trip(tmp_path_factory,
                            lambda path, kps: dataio.write_keypoints(path, kps, length),
-                           dataio.read_keypoints, keypoints)
+                           lambda path: dataio.read_keypoints(path, {}).keypoints(),
+                           keypoints)
         expected = sorted(keypoints, key=lambda k: (
             k.camera_id, k.frame, k.detection_index, k.position[1], k.position[0]))
         assert _bits(back) == _bits(expected)

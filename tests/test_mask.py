@@ -1,5 +1,7 @@
 """Tests for Canny edges, lateral fill, keypoint gating, and PGM I/O."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,31 +178,91 @@ class TestLateralFillMatchesRowLoop:
         assert got.bits.tobytes() == _row_loop_lateral_fill(edges, region).tobytes()
 
 
+def _gate(mask, keypoints):
+    """``gate_keypoints`` on the keypoints' positions, as the kept keypoints."""
+    xy = np.array([kp.position for kp in keypoints]).reshape(-1, 2)
+    return [keypoints[i] for i in gate_keypoints(mask, xy)]
+
+
 class TestGateKeypoints:
     def test_all_on_mask_keeps_everything(self):
         mask = BinaryMask(width=10, height=10, bits=np.ones((10, 10), dtype=bool))
         kps = [_keypoint(1.2, 3.4), _keypoint(9.4, 0.0)]
-        assert gate_keypoints(mask, kps) == kps
+        assert _gate(mask, kps) == kps
 
     def test_all_off_mask_drops_everything(self):
         mask = BinaryMask(width=10, height=10, bits=np.zeros((10, 10), dtype=bool))
-        assert gate_keypoints(mask, [_keypoint(1.2, 3.4)]) == []
+        assert _gate(mask, [_keypoint(1.2, 3.4)]) == []
 
     def test_round_half_up_per_axis(self):
         bits = np.zeros((10, 10), dtype=bool)
         bits[2, 4] = True
         mask = BinaryMask(width=10, height=10, bits=bits)
         on_pixel = _keypoint(3.6, 2.2)
-        assert gate_keypoints(mask, [on_pixel]) == [on_pixel]
-        assert gate_keypoints(mask, [_keypoint(3.4, 2.2)]) == []
+        assert _gate(mask, [on_pixel]) == [on_pixel]
+        assert _gate(mask, [_keypoint(3.4, 2.2)]) == []
 
     def test_preserves_order_and_descriptors(self):
         bits = np.zeros((4, 4), dtype=bool)
         bits[0, 0] = bits[2, 2] = True
         mask = BinaryMask(width=4, height=4, bits=bits)
         kps = [_keypoint(0.0, 0.0), _keypoint(1.0, 1.0), _keypoint(2.0, 2.0)]
-        kept = gate_keypoints(mask, kps)
+        kept = _gate(mask, kps)
         assert kept == [kps[0], kps[2]]
+
+
+def _gate_loop(mask: BinaryMask, xy: np.ndarray) -> list[int]:
+    """The per-keypoint loop ``gate_keypoints`` replaced, as reference."""
+    kept = []
+    for index, (x, y) in enumerate(xy.tolist()):
+        col = int(math.floor(x + 0.5))
+        row = int(math.floor(y + 0.5))
+        if 0 <= col < mask.width and 0 <= row < mask.height and mask.bits[row, col]:
+            kept.append(index)
+    return kept
+
+
+@st.composite
+def _gate_case(draw):
+    width, height = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    bits = np.array(draw(st.lists(st.booleans(), min_size=width * height,
+                                  max_size=width * height))).reshape(height, width)
+
+    def coordinate(size):
+        # Half-pixel ties at every pixel, -0.5 and -0.6, the last
+        # column or row, just past it, huge values, and anything between.
+        return st.one_of(
+            st.integers(-1, size).map(lambda k: k + 0.5),
+            st.integers(-1, size).map(lambda k: k - 0.5),
+            st.sampled_from([-0.5, -0.6, -0.0, size - 1.0, size - 0.5,
+                             np.nextafter(size - 0.5, 0.0), 1e300, -1e300]),
+            st.floats(-2.0, size + 2.0),
+        )
+
+    xy = draw(st.lists(st.tuples(coordinate(width), coordinate(height)), max_size=12))
+    return BinaryMask(width, height, bits), np.array(xy, dtype=float).reshape(-1, 2)
+
+
+class TestGateMatchesLoop:
+    @settings(max_examples=300)
+    @given(case=_gate_case())
+    def test_random_points(self, case):
+        mask, xy = case
+        kept = gate_keypoints(mask, xy)
+        assert kept.dtype.kind == "i"
+        assert kept.tolist() == _gate_loop(mask, xy)
+
+    def test_ties_and_edges(self):
+        bits = np.zeros((3, 4), dtype=bool)
+        bits[0, 0] = bits[2, 3] = bits[1, 2] = True
+        mask = BinaryMask(width=4, height=3, bits=bits)
+        xy = np.array([[-0.5, -0.5], [-0.6, 0.0], [3.49, 2.2], [3.5, 2.0], [1.5, 0.5],
+                       [2.0, 1.4999999999999998], [-0.49, 0.49]])
+        assert gate_keypoints(mask, xy).tolist() == _gate_loop(mask, xy) == [0, 2, 4, 5, 6]
+
+    def test_empty_input(self):
+        mask = BinaryMask(width=2, height=2, bits=np.ones((2, 2), dtype=bool))
+        assert gate_keypoints(mask, np.zeros((0, 2))).tolist() == []
 
 
 def _reference_canny_edges(frame, region, low=CANNY_LOW, high=CANNY_HIGH):

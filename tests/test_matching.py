@@ -16,6 +16,7 @@ from avitrack.matching import (
     Detection,
     FeatureMatch,
     Keypoint,
+    KeypointTable,
     RejectionStats,
     cluster_correspondences,
     knn_distances,
@@ -505,3 +506,48 @@ class TestRejectByLandmarkMatchesLoop:
         assert _outcome(reject_by_landmark, matches, landmarks) == _outcome(
             _reject_by_landmark_loop, matches, landmarks
         )
+
+
+@st.composite
+def _table_case(draw):
+    n = draw(st.integers(0, 12))
+    cameras = draw(st.lists(st.sampled_from(["cam1", "cam0", "c"]), min_size=n, max_size=n))
+    frames = draw(st.lists(st.integers(-2, 3), min_size=n, max_size=n))
+    values = np.arange(n * 5, dtype=float).reshape(n, 5)
+    table = KeypointTable(np.array(cameras, dtype=object), np.array(frames, dtype=np.int64),
+                          np.arange(n, dtype=np.int64) * 7, values[:, :2], values[:, 2:])
+    rows = draw(st.none() | st.permutations(range(n)).flatmap(
+        lambda order: st.integers(0, n).map(lambda k: order[:k])))
+    return table, rows
+
+
+class TestKeypointTable:
+    @settings(max_examples=200)
+    @given(case=_table_case())
+    def test_groups_match_a_dict_loop(self, case):
+        """Row indices per (camera, frame), sorted keys, each group in the
+        order the rows were given."""
+        table, rows = case
+        expected = {}
+        for row in range(len(table)) if rows is None else rows:
+            key = (table.camera[row], int(table.frame[row]))
+            expected.setdefault(key, []).append(row)
+        got = table.groups(rows)
+        assert list(got) == sorted(expected)
+        assert {key: value.tolist() for key, value in got.items()} == expected
+        assert all(type(frame) is int for _, frame in got)
+
+    @settings(max_examples=50)
+    @given(case=_table_case())
+    def test_keypoints_are_views_of_the_rows(self, case):
+        table, rows = case
+        rows = list(range(len(table))) if rows is None else rows
+        keypoints = table.keypoints(None if rows == list(range(len(table))) else rows)
+        assert len(keypoints) == len(rows)
+        for kp, row in zip(keypoints, rows):
+            assert (kp.camera_id, kp.frame, kp.detection_index) == (
+                table.camera[row], int(table.frame[row]), 7 * row)
+            assert type(kp.frame) is int and type(kp.detection_index) is int
+            assert kp.position.base is table.xy.base
+            assert kp.position.tolist() == table.xy[row].tolist()
+            assert kp.descriptor.tolist() == table.desc[row].tolist()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avitrack.errors import EmptyInputError, MissingLabelsError
-from avitrack.matching import KEPT, REJECTED, FeatureMatch, Keypoint
+from avitrack.matching import KEPT, REJECTED, FeatureMatch, Keypoint, pair_matches
 from avitrack.metrics import (
     GroundTruth,
     _match_truth_to_tracks,
@@ -57,7 +57,7 @@ class TestRejectionStats:
         truth = self._truth(
             {("a", 0, 0): 5, ("b", 0, 0): 5, ("a", 0, 1): 6, ("b", 0, 1): 6}
         )
-        record = rejection_stats(matches, truth)
+        record = rejection_stats(pair_matches(matches), truth)
         assert record["avg_rejection_pct"] == 0.0
         assert record["ratio_correct_final_over_initial"] == 1.0
         assert record["ratio_correct_final_over_final"] == 1.0
@@ -69,19 +69,19 @@ class TestRejectionStats:
         for i in range(10):
             labels[("a", 0, i)] = i
             labels[("b", 0, i)] = i
-        record = rejection_stats(matches, self._truth(labels))
+        record = rejection_stats(pair_matches(matches), self._truth(labels))
         assert record["ratio_correct_final_over_initial"] == pytest.approx(0.2)
         assert record["ratio_correct_final_over_final"] == pytest.approx(1.0)
         assert record["avg_rejection_pct"] == pytest.approx(80.0)
 
     def test_ratios_none_without_truth(self):
-        record = rejection_stats([_match(0, 0, 0, KEPT)], truth=None)
+        record = rejection_stats(pair_matches([_match(0, 0, 0, KEPT)]), truth=None)
         assert record["ratio_correct_final_over_initial"] is None
 
     def test_missing_labels_raise(self):
         matches = [_match(0, 0, 0, KEPT)]
         with pytest.raises(MissingLabelsError):
-            rejection_stats(matches, self._truth({("a", 0, 0): 5}))
+            rejection_stats(pair_matches(matches), self._truth({("a", 0, 0): 5}))
 
     def test_ranges(self):
         rng = np.random.default_rng(2)
@@ -89,9 +89,78 @@ class TestRejectionStats:
             _match(int(f), 0, 0, KEPT if rng.uniform() < 0.5 else REJECTED)
             for f in rng.integers(0, 10, size=100)
         ]
-        record = rejection_stats(matches, truth=None)
+        record = rejection_stats(pair_matches(matches), truth=None)
         assert 0.0 <= record["avg_rejection_pct"] <= 100.0
         assert 0.0 <= record["std_rejection_pct"] <= 100.0
+
+
+def _rejection_stats_loop(matches, truth=None):
+    """The per-match ``rejection_stats`` that the summaries replaced, as reference."""
+    undecided = [m for m in matches if m.verdict is None]
+    if undecided:
+        raise ValueError(f"{len(undecided)} matches have no verdict")
+    per_frame = defaultdict(list)
+    for match in matches:
+        per_frame[match.keypoint_a.frame].append(match.verdict != KEPT)
+    pct = np.array([100.0 * sum(v) / len(v) for _, v in sorted(per_frame.items())])
+    kept = [m for m in matches if m.verdict == KEPT]
+    record = {
+        "avg_rejection_pct": float(pct.mean()) if pct.size else 0.0,
+        "std_rejection_pct": float(pct.std()) if pct.size else 0.0,
+        "total_initial_matches": len(matches),
+        "total_final_matches": len(kept),
+        "ratio_correct_final_over_initial": None,
+        "ratio_correct_final_over_final": None,
+    }
+    if truth is not None:
+        correct_final = sum(1 for m in kept if truth.match_is_correct(m))
+        record["ratio_correct_final_over_initial"] = (
+            correct_final / len(matches) if matches else None
+        )
+        record["ratio_correct_final_over_final"] = correct_final / len(kept) if kept else None
+    return record
+
+
+class TestRejectionStatsMatchesLoop:
+    @staticmethod
+    def _outcome(function, *args):
+        try:
+            return repr(function(*args))
+        except Exception as exc:
+            return ("raised", type(exc), str(exc))
+
+    @settings(max_examples=200)
+    @given(
+        rows=st.lists(st.tuples(
+            st.integers(0, 3), st.sampled_from([("a", "b"), ("b", "c"), ("a", "c")]),
+            st.integers(0, 3), st.integers(0, 3),
+            st.sampled_from([KEPT, KEPT, REJECTED, None]),
+        ), max_size=30),
+        labelled=st.sampled_from([None, "all", "some"]),
+        data=st.data(),
+    )
+    def test_random_matches(self, rows, labelled, data):
+        """Frames interleave across pairs; some verdicts are missing, and
+        some labels, which raise at the same first match."""
+        if data.draw(st.booleans()):  # most draws have every verdict
+            rows = [row if row[4] is not None else row[:4] + (REJECTED,) for row in rows]
+        matches = [
+            FeatureMatch(
+                Keypoint(cam_a, frame, det_a, np.zeros(2), np.zeros(1)),
+                Keypoint(cam_b, frame, det_b, np.zeros(2), np.zeros(1)),
+                descriptor_distance=0.0, verdict=verdict,
+            )
+            for frame, (cam_a, cam_b), det_a, det_b, verdict in rows
+        ]
+        truth = None
+        if labelled is not None:
+            keys = [(cam, frame, det) for cam in "abc" for frame in range(4)
+                    for det in range(4)]
+            if labelled == "some":
+                keys = data.draw(st.lists(st.sampled_from(keys), unique=True))
+            truth = GroundTruth({}, {key: data.draw(st.integers(0, 2)) for key in keys})
+        got = self._outcome(rejection_stats, pair_matches(matches), truth)
+        assert got == self._outcome(_rejection_stats_loop, matches, truth)
 
 
 def _tracks_from_ids(ids_per_frame, positions):

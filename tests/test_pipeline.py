@@ -1,6 +1,8 @@
 """Tests for pipeline configuration and orchestration details."""
 
+import gc
 import importlib.util
+import io
 import json
 import pickle
 from concurrent.futures import ProcessPoolExecutor
@@ -12,6 +14,7 @@ import pytest
 from avitrack import dataio, pipeline, reconstruction
 from avitrack.camera import CameraModel
 from avitrack.errors import AvitrackError, ConfigError, DimensionMismatchError, IngestError
+from avitrack.matching import FeatureMatch, Keypoint
 from avitrack.pipeline import PipelineConfig, run_pipeline
 from avitrack.synthworld import SceneConfig, generate
 from avitrack.tracking import TrackerConfig
@@ -306,7 +309,7 @@ def _outputs(config: PipelineConfig, out, parallelism: int) -> dict:
 
 
 class TestProcessPool:
-    """The pool gets the frames once and returns matches by keypoint reference."""
+    """The pool gets the frames once and returns matches as arrays."""
 
     @pytest.mark.parametrize("scene, settings", [
         ("bundle_dir", {"use_mask": True}),
@@ -321,26 +324,44 @@ class TestProcessPool:
         for name in serial:
             assert serial[name] == pooled[name], name
 
-    def test_matches_hold_the_parents_keypoints(self, bundle_dir, tmp_path, monkeypatch):
-        gated, matches = [], []
-        apply_mask_stage, rejection_stats = pipeline.apply_mask_stage, pipeline.rejection_stats
+    def test_pooled_results_hold_no_keypoint(self, bundle_dir, tmp_path, monkeypatch):
+        """Each worker's ``FrameResult`` pickles under a hook that refuses
+        every ``Keypoint`` and ``FeatureMatch``."""
+        with pytest.raises(pickle.PicklingError, match="FeatureMatch"):
+            _pickle_without_keypoints(FeatureMatch(
+                Keypoint("cam0", 0, 0, [0.0, 0.0], [0.0]),
+                Keypoint("cam1", 0, 0, [0.0, 0.0], [0.0]), 0.0,
+            ))
+        summaries = []
+        rejection_stats = pipeline.rejection_stats
 
-        def capture_gated(*args, **kwargs):
-            gated.extend(apply_mask_stage(*args, **kwargs))
-            return gated
+        def capture(frame_summaries, truth):
+            summaries.extend(frame_summaries)
+            return rejection_stats(frame_summaries, truth)
 
-        def capture_matches(all_matches, truth):
-            matches.extend(all_matches)
-            return rejection_stats(all_matches, truth)
-
-        monkeypatch.setattr(pipeline, "apply_mask_stage", capture_gated)
-        monkeypatch.setattr(pipeline, "rejection_stats", capture_matches)
+        monkeypatch.setattr(pipeline, "_process_frame_at", _frame_at_without_keypoints)
+        monkeypatch.setattr(pipeline, "rejection_stats", capture)
         config = PipelineConfig(use_mask=True, parallelism=2, output_dir=str(tmp_path / "out"))
         run_pipeline(config.for_bundle_dir(bundle_dir))
-        assert matches
-        own = {id(kp) for kp in gated}  # ``gated`` keeps every id alive and unique
-        for match in matches:
-            assert id(match.keypoint_a) in own and id(match.keypoint_b) in own
+        assert sum(len(s.detections) for s in summaries) > 0
+
+    def test_parent_holds_no_keypoint_when_the_pool_starts(
+        self, bundle_dir, tmp_path, monkeypatch
+    ):
+        gc.collect()
+        before = {id(obj) for obj in gc.get_objects() if isinstance(obj, Keypoint)}
+        found = []
+
+        class CheckedPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                found.append([obj for obj in gc.get_objects()
+                              if isinstance(obj, Keypoint) and id(obj) not in before])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", CheckedPool)
+        config = PipelineConfig(use_mask=True, parallelism=2, output_dir=str(tmp_path / "out"))
+        run_pipeline(config.for_bundle_dir(bundle_dir))
+        assert found == [[]]
 
     @pytest.mark.parametrize("error, message", [
         (lambda frame: DimensionMismatchError(f"frame {frame}: 12 != 8"), "frame 0: 12 != 8"),
@@ -361,6 +382,29 @@ class TestProcessPool:
             errors.append((type(info.value), str(info.value), vars(info.value)))
         assert errors[0] == errors[1]
         assert errors[0][:2] == (type(error(0)), message)
+
+
+def _pickle_without_keypoints(value) -> bytes:
+    def refuse(obj):
+        if isinstance(obj, (Keypoint, FeatureMatch)):
+            raise pickle.PicklingError(f"a {type(obj).__name__} was pickled")
+        return None
+
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, pickle.HIGHEST_PROTOCOL)
+    pickler.persistent_id = refuse
+    pickler.dump(value)
+    return buffer.getvalue()
+
+
+_process_frame_at = pipeline._process_frame_at
+
+
+def _frame_at_without_keypoints(index):
+    """``_process_frame_at`` in a pool worker, checking how its result pickles."""
+    result = _process_frame_at(index)
+    _pickle_without_keypoints(result)
+    return result
 
 
 @pytest.mark.parametrize("line", [None, 7])
@@ -396,3 +440,27 @@ def test_benchmark_tracer_pins_resolve(tmp_path):
     assert counts["mask_in"] > 0
     assert callable(pipeline._process_frame)
     assert pipeline.ProcessPoolExecutor is ProcessPoolExecutor
+
+
+def test_every_benchmark_span_is_called(tmp_path):
+    """Every ``spans.LAYERS`` span runs on a masked scene with truth, so a
+    moved API cannot zero a per-layer metric unnoticed. ``camera.project``
+    and ``voronoi.nearest_landmark`` are the known exceptions: no stage
+    calls them any more."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    bundle = tmp_path / "bundle"
+    generate(SceneConfig(duration_s=0.5, seed=5, image_size=(640, 360), focal_px=360.0,
+                         emit_frames=True)).write(bundle)
+    tracer = spans.Tracer("guard")
+    for module, attr, name in spans.LAYERS:
+        tracer.wrap(module, attr, name)
+    config = PipelineConfig(use_mask=True, output_dir=str(tmp_path / "out"))
+    tracer.run(config.for_bundle_dir(bundle))
+    _, _, calls = tracer.totals()
+    never = sorted({name for _, _, name in spans.LAYERS if calls[name] == 0})
+    assert never == ["camera.project", "voronoi.nearest_landmark"]
+    assert tracer.counts["rows_in"] > 0

@@ -14,7 +14,7 @@ from avitrack.camera import (
 )
 from avitrack.errors import BehindCameraError, DegenerateRaysError, EmptyInputError
 from avitrack.synthworld import SceneConfig, build_camera_rig
-from avitrack.matching import Correspondence, Detection, FeatureMatch, Keypoint
+from avitrack.matching import Correspondence, Detection, FeatureMatch, Keypoint, pair_matches
 from avitrack.reconstruction import (
     Observation3D,
     detection_centers,
@@ -257,7 +257,7 @@ class TestReconstructionStats:
         points = _sample_points(rng, 40)
         matches = self._matches(default_rig, points)
         obs = [Observation3D(0, points[0], (("cam0", "cam1"),), {})]
-        record = reconstruction_stats(obs, matches, default_rig)
+        record = reconstruction_stats(obs, pair_matches(matches), default_rig)
         assert record["total_keypoints"] == 80
         assert record["avg_reprojection_error_px"] <= 1e-6
         assert record["pct_keypoints_below_threshold"] == 100.0
@@ -267,7 +267,7 @@ class TestReconstructionStats:
         points = _sample_points(rng, 10)
         matches = self._matches(default_rig, points)
         obs = [Observation3D(0, points[0], (("cam0", "cam1"),), {})]
-        record = reconstruction_stats(obs, matches, default_rig)
+        record = reconstruction_stats(obs, pair_matches(matches), default_rig)
         assert set(record) == {
             "total_keypoints",
             "avg_reprojection_error_px",
@@ -280,7 +280,41 @@ class TestReconstructionStats:
 
     def test_empty_observations_raise(self, default_rig):
         with pytest.raises(EmptyInputError):
-            reconstruction_stats([], [], default_rig)
+            reconstruction_stats([], pair_matches([]), default_rig)
+
+
+def test_reconstruction_stats_takes_pairs_sorted_then_rows_in_summary_order(default_rig):
+    """Each camera pair is triangulated once, pairs in sorted order, with
+    its rows concatenated in summary order, whatever order the pairs come in."""
+    rng = np.random.default_rng(9)
+    points = _sample_points(rng, 5)
+    pix = {cam: project_points(default_rig[cam], points)[0] for cam in ("cam0", "cam1", "cam3")}
+    matches = [
+        FeatureMatch(Keypoint(cam_a, frame, i, pix[cam_a][i], np.zeros(1)),
+                     Keypoint(cam_b, frame, i, pix[cam_b][i], np.zeros(1)), 0.0, verdict="kept")
+        for frame, cam_a, cam_b, i in ((1, "cam3", "cam1", 0), (0, "cam0", "cam1", 1),
+                                       (0, "cam3", "cam1", 2), (1, "cam3", "cam1", 3),
+                                       (2, "cam0", "cam1", 4))
+    ]
+    calls = []
+    triangulate = reconstruction.triangulate_batch
+
+    def record(points_a, points_b, cam_a, cam_b):
+        calls.append((cam_a.cam_id, cam_b.cam_id, len(points_a)))
+        return triangulate(points_a, points_b, cam_a, cam_b)
+
+    summaries = pair_matches(matches)
+    assert [(s.frame, s.camera_a) for s in summaries] == [(1, "cam3"), (0, "cam0"),
+                                                         (0, "cam3"), (2, "cam0")]
+    obs = [Observation3D(0, points[0], (("cam0", "cam1"),), {})]
+    with mock.patch.object(reconstruction, "triangulate_batch", record):
+        record_got = reconstruction_stats(obs, summaries, default_rig)
+    assert calls == [("cam0", "cam1", 2), ("cam3", "cam1", 3)]
+    # The matches in summary order: (1, cam3) 0 and 3, (0, cam0) 1, (0, cam3) 2, (2, cam0) 4.
+    in_summary_order = [matches[i] for i in (0, 3, 1, 2, 4)]
+    assert repr(record_got) == repr(
+        _reconstruction_stats_loop(obs, in_summary_order, default_rig)
+    )
 
 
 def _reconstruction_stats_loop(observations, matches, cameras, threshold_px=25.0):
@@ -384,7 +418,8 @@ class TestReconstructionStatsMatchesLoop:
         threshold = cases[0][1]
         obs = [Observation3D(0, np.zeros(3), (("cam0", "cam1"),), {})]
         got = self._outcome(
-            reconstruction_stats, obs, matches, _STATS_CAMERAS, threshold_px=threshold
+            reconstruction_stats, obs, pair_matches(matches), _STATS_CAMERAS,
+            threshold_px=threshold,
         )
         expected = self._outcome(
             _reconstruction_stats_loop, obs, matches, _STATS_CAMERAS,
@@ -412,7 +447,7 @@ class TestReconstructionStatsMatchesLoop:
         assert np.isnan(points[0]).all()
         assert points[1, 2] < 0 and points[2, 2] > 0
         obs = [Observation3D(0, np.zeros(3), (("left", "right"),), {})]
-        record = reconstruction_stats(obs, matches, cams)
+        record = reconstruction_stats(obs, pair_matches(matches), cams)
         assert record["total_keypoints"] == 2
         assert repr(record) == repr(_reconstruction_stats_loop(obs, matches, cams))
 
