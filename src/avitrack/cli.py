@@ -21,8 +21,8 @@ from .mask import write_pgm
 from .metrics import GroundTruth, tracking_metrics
 from .matching import ANCHORS
 from .pipeline import (
-    FUSIONS, STAGES, PipelineConfig, apply_mask_stage, detection_table, run_pipeline,
-    track_observations,
+    FUSIONS, STAGES, PipelineConfig, apply_mask_stage, detection_table,
+    first_frame_sizes, run_pipeline, track_observations,
 )
 from .synthworld import MOTION_MODES, SceneConfig, generate
 from .tracking import ASSOCIATIONS
@@ -112,10 +112,12 @@ def _cmd_mask(args: argparse.Namespace) -> int:
     config = _config(args)
     config.validate()
     detections = dataio.read_detections(config.detections_path)
+    # No calibration is read here: a camera's frames and keypoints are
+    # checked against the size of its first detected frame.
+    image_sizes = first_frame_sizes(config.frames_dir, detections)
     keypoints = None
     if config.keypoints_path:
-        # No calibration is read here, so no keypoint is checked against an image size.
-        keypoints = dataio.read_keypoints(config.keypoints_path, {})
+        keypoints = dataio.read_keypoints(config.keypoints_path, image_sizes)
         detection_table(detections, keypoints, config.keypoints_path)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -124,7 +126,8 @@ def _cmd_mask(args: argparse.Namespace) -> int:
         write_pgm(out_dir / f"mask_{camera_id}_frame{frame}.pgm", mask)
 
     gated = apply_mask_stage(config, keypoints, detections,
-                             on_mask=write_mask if args.emit_masks else None)
+                             on_mask=write_mask if args.emit_masks else None,
+                             image_sizes=image_sizes, calibrated=False)
     if keypoints is not None:
         dataio.write_keypoints(
             out_dir / "keypoints_gated.csv", keypoints.keypoints(gated),

@@ -3,8 +3,10 @@
 Frames are 8-bit grayscale. Masks single out bird pixels inside detection
 boxes so that only keypoints on (or right next to) a bird survive. All
 boxes of a frame go through one Canny pass: their patches are stacked on
-one canvas, filtered together, and thresholded with one connected-component
-labelling, with the same edges as running Canny on each box alone.
+one canvas, filtered together, and thresholded with one hysteresis pass
+over the canvas's weak pixels, with the same edges as running Canny on
+each box alone. Everything here is numpy; the filters give the same bits
+as ``scipy.ndimage.convolve``.
 """
 
 from __future__ import annotations
@@ -73,7 +75,66 @@ _MARGIN = 2
 # 0 = horizontal, 1 = 45 degrees, 2 = vertical, 3 = 135 degrees.
 _NMS_DR = np.array([0, 1, 1, 1])
 _NMS_DC = np.array([1, 1, 0, -1])
-_EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
+
+
+def _convolve(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """``scipy.ndimage.convolve(image, kernel)``, bit for bit, at every
+    pixel at least the kernel's radius in from the border.
+
+    ndimage correlates with the flipped kernel: from 0.0, it adds
+    ``weight * pixel`` over the kernel's nonzero taps in row-major order.
+    Here each tap is one contiguous slice of the raveled image, so pixels
+    nearer the border than the radius read wrapped rows, or stay 0.
+    """
+    height, width = image.shape
+    radius_r, radius_c = kernel.shape[0] // 2, kernel.shape[1] // 2
+    flat = image.ravel()
+    reach = radius_r * width + radius_c
+    out = np.zeros(image.size)
+    body = out[reach : image.size - reach]
+    term = np.empty_like(body)
+    for (dr, dc), weight in np.ndenumerate(kernel[::-1, ::-1]):
+        if weight != 0:
+            start = reach + (dr - radius_r) * width + (dc - radius_c)
+            body += np.multiply(flat[start : start + body.size], weight, out=term)
+    return out.reshape(height, width)
+
+
+def _hysteresis(weak: np.ndarray, strong: np.ndarray) -> np.ndarray:
+    """The weak pixels whose 8-connected weak component holds a strong one.
+
+    Strong pixels must be weak too, and no weak pixel may lie on the
+    image's outer ring, so flat offsets never wrap from one row to the
+    next. Components come from min-label propagation: each round hooks
+    the larger root of every split 8-neighbour pair onto the smaller one,
+    then pointer jumping points every weak pixel straight at its root.
+    """
+    width = weak.shape[1]
+    flat = weak.ravel()
+    steps = (1, width - 1, width, width + 1)
+    near = [np.flatnonzero(flat[:-step] & flat[step:]) for step in steps]
+    # Number the weak pixels 0.. in raster order; ``rank`` maps to them.
+    rank = np.cumsum(flat) - 1
+    a = rank[np.concatenate(near)]
+    b = rank[np.concatenate([pixel + step for pixel, step in zip(near, steps)])]
+    root = np.arange(np.count_nonzero(flat))
+    while True:
+        root_a, root_b = root[a], root[b]
+        split = root_a != root_b
+        if not split.any():
+            break
+        np.minimum.at(root, np.maximum(root_a, root_b)[split],
+                      np.minimum(root_a, root_b)[split])
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+    has_strong = np.zeros(len(root), dtype=bool)
+    has_strong[root[strong.ravel()[flat]]] = True
+    edges = np.zeros(flat.size, dtype=bool)
+    edges[flat] = has_strong[root]
+    return edges.reshape(weak.shape)
 
 
 def _clamp_region(
@@ -103,9 +164,6 @@ def _canny_canvas(
     canvas edge image and, per canvas pixel, the frame (row, col) it was
     copied from: ``rows`` is (R,) and ``cols`` is (R, W).
     """
-    # Imported here so that a run without masks never loads scipy.
-    from scipy import ndimage
-
     x_min, y_min, x_max, y_max = regions.T
     heights, widths = y_max - y_min, x_max - x_min
     tall = heights + 2 * _MARGIN
@@ -121,12 +179,14 @@ def _canny_canvas(
     rows = y_min[box] + near_r
     cols = x_min[box][:, None] + near_c
 
-    smoothed = ndimage.convolve(pixels[rows[:, None], cols].astype(float), _GAUSSIAN)
+    # Every patch pixel lies 2 px in from the canvas border, where
+    # ``_convolve`` is exact, and only patch pixels are read from here on.
+    smoothed = _convolve(pixels[rows[:, None], cols].astype(float), _GAUSSIAN)
     # Sobel reads the 1 px ring around each patch; replicate it from the
     # patch's own smoothed border, as mode="nearest" does for a lone patch.
     smoothed = smoothed[(top[box] + _MARGIN + near_r)[:, None], near_c + _MARGIN]
-    gx = ndimage.convolve(smoothed, _SOBEL_X)
-    gy = ndimage.convolve(smoothed, _SOBEL_Y)
+    gx = _convolve(smoothed, _SOBEL_X)
+    gy = _convolve(smoothed, _SOBEL_Y)
     magnitude = np.where(inside, np.hypot(gx, gy), 0.0)
 
     # Non-maximum suppression along the quantized gradient direction, at
@@ -140,14 +200,11 @@ def _canny_canvas(
     suppressed = np.zeros(magnitude.shape)
     suppressed[r[keep], c[keep]] = mag[keep]
 
-    # Hysteresis: keep the 8-connected weak components that hold a strong
-    # pixel. Strong pixels are weak too, so this is binary dilation of the
-    # strong pixels inside the weak ones, run to convergence.
-    labels, _ = ndimage.label(inside & (suppressed >= low), structure=_EIGHT_CONNECTED)
-    has_strong = np.zeros(labels.max() + 1, dtype=bool)
-    has_strong[labels[inside & (suppressed >= high)]] = True
-    has_strong[0] = False
-    return has_strong[labels], rows, cols
+    # Hysteresis: strong pixels are weak too, so this is binary dilation of
+    # the strong pixels inside the weak ones, run to convergence. Rows of
+    # two patches are 4 canvas rows apart, so no component leaves its patch.
+    edges = _hysteresis(inside & (suppressed >= low), inside & (suppressed >= high))
+    return edges, rows, cols
 
 
 def canny_edges(

@@ -33,7 +33,9 @@ import numpy as np
 from . import dataio
 from .camera import DEFAULT_REPROJ_THRESHOLD_PX, CameraModel
 from .errors import ConfigError, IngestError
-from .mask import CANNY_HIGH, CANNY_LOW, build_frame_mask, gate_keypoints, read_pgm
+from .mask import (
+    CANNY_HIGH, CANNY_LOW, GrayFrame, build_frame_mask, gate_keypoints, read_pgm,
+)
 from .matching import (
     ANCHORS,
     DEFAULT_MIN_SUPPORT,
@@ -314,12 +316,33 @@ def detection_table(
     return table
 
 
+def _read_frame(pgm: Path) -> GrayFrame:
+    if not pgm.exists():
+        raise IngestError(pgm, "frame file missing for mask stage")
+    return read_pgm(pgm)
+
+
+def first_frame_sizes(
+    frames_dir, detections: list[Detection]
+) -> dict[str, tuple[int, int]]:
+    """Each camera's (width, height): that of its first detected frame's PGM."""
+    first: dict[str, int] = {}
+    for det in detections:
+        first[det.camera_id] = min(det.frame, first.get(det.camera_id, det.frame))
+    sizes = {}
+    for camera_id, frame in first.items():
+        gray = _read_frame(dataio.frame_path(frames_dir, camera_id, frame))
+        sizes[camera_id] = (gray.width, gray.height)
+    return sizes
+
+
 def apply_mask_stage(
     config: PipelineConfig,
     keypoints: KeypointTable | None,
     detections: list[Detection],
     on_mask=None,
     image_sizes: dict[str, tuple[int, int]] | None = None,
+    calibrated: bool = True,
 ) -> np.ndarray:
     """The rows of ``keypoints`` on mask-on pixels of the per-frame PGM files.
 
@@ -327,8 +350,10 @@ def apply_mask_stage(
     ``on_mask``, they are built for each (camera, frame) with detections
     instead, and each is passed to ``on_mask(camera_id, frame, mask)``.
     With ``image_sizes``, a frame whose (width, height) differs from its
-    camera's calibrated size is an ``IngestError``. Rows are returned
-    grouped by (camera, frame) in sorted order, each group in row order.
+    camera's size there is an ``IngestError``, which names the size as the
+    calibrated one or, without ``calibrated``, as the camera's frame size.
+    Rows are returned grouped by (camera, frame) in sorted order, each
+    group in row order.
     """
     boxes: dict[tuple[str, int], list] = {}
     for det in detections:
@@ -339,14 +364,13 @@ def apply_mask_stage(
     for key in sorted(grouped if on_mask is None else boxes):
         camera_id, frame = key
         pgm = dataio.frame_path(config.frames_dir, camera_id, frame)
-        if not pgm.exists():
-            raise IngestError(pgm, "frame file missing for mask stage")
-        gray = read_pgm(pgm)
+        gray = _read_frame(pgm)
         expected = (image_sizes or {}).get(camera_id)
         if expected is not None and (gray.width, gray.height) != expected:
+            size = f"{expected[0]}x{expected[1]}"
             raise IngestError(
                 pgm, f"frame is {gray.width}x{gray.height}, but camera {camera_id} "
-                f"is calibrated for {expected[0]}x{expected[1]}"
+                + (f"is calibrated for {size}" if calibrated else f"has frame size {size}"),
             )
         mask = build_frame_mask(
             gray, boxes.get(key, []), low=config.canny_low, high=config.canny_high

@@ -373,6 +373,35 @@ class TestStandaloneCommands:
         err = capsys.readouterr().err
         assert f"error: {missing}: frame file missing for mask stage" in err
 
+    def test_mask_rejects_a_keypoint_outside_the_frame(self, masked_bundle, tmp_path, capsys):
+        """``mask`` checks keypoints against each camera's frame size, as
+        ``run`` checks them against the calibration."""
+        keypoints = masked_bundle / "keypoints.csv"
+        header, first, *rest = keypoints.read_text().splitlines(keepends=True)
+        fields = first.split(",")
+        assert fields[0] == "cam0"
+        fields[3] = "5000.0"
+        keypoints.write_text(header + ",".join(fields) + "".join(rest))
+        message = (f"error: {keypoints}:2: keypoint at (5000.0, {float(fields[4])!r}) "
+                   "outside camera cam0 frame 320x180")
+        out = tmp_path / "masks"
+        assert main(self._mask_args(masked_bundle, out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        run_out = tmp_path / "run"
+        assert main(["run", "--input", str(masked_bundle), "--use-mask",
+                     "--out", str(run_out)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_mask_rejects_a_frame_of_another_size(self, masked_bundle, tmp_path, capsys):
+        path = masked_bundle / "frames" / "cam0_frame3.pgm"
+        write_pgm(path, GrayFrame(4, 2, np.zeros((2, 4))))
+        out = tmp_path / "masks"
+        assert main(self._mask_args(masked_bundle, out)) == 2
+        assert (f"error: {path}: frame is 4x2, but camera cam0 has frame size "
+                "320x180") in capsys.readouterr().err
+        assert not (out / "keypoints_gated.csv").exists()
+
     def test_mask_gating_out_every_keypoint_writes_a_readable_file(
         self, masked_bundle, tmp_path
     ):
@@ -459,27 +488,38 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "sci
 """
 
 
-@pytest.mark.parametrize("flags", [[], ["--use-mask"]], ids=["defaults", "use-mask"])
-def test_run_loads_scipy_only_for_the_mask_stage(tmp_path, flags):
-    """scipy's import is most of ``avitrack run``'s start-up time and memory."""
+@pytest.mark.parametrize("command", [
+    "run", "run --use-mask", "mask --emit-masks", "run --association optimal",
+], ids=["defaults", "use-mask", "mask", "optimal"])
+def test_scipy_loads_only_for_optimal_association(tmp_path, command):
+    """scipy's import is most of ``avitrack run``'s start-up time and
+    memory. Masks need none of it; the optimal tracker needs
+    ``scipy.optimize``."""
     bundle = tmp_path / "bundle"
     assert main(["synth", "--out", str(bundle), "--seed", "3", "--birds", "2",
                  "--cameras", "3", "--duration", "0.3", "--descriptor-length", "8",
                  "--image-size", "320x180", "--emit-frames"]) == 0
+    out = tmp_path / "out"
+    name, *flags = command.split()
+    if name == "mask":
+        inputs = ["--frames", str(bundle / "frames"),
+                  "--detections", str(bundle / "detections.csv"),
+                  "--keypoints", str(bundle / "keypoints.csv")]
+    else:
+        inputs = ["--input", str(bundle)]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     ))
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, "run", "--input", str(bundle),
-         "--out", str(tmp_path / "out"), *flags],
+        [sys.executable, "-c", _IMPORT_PROBE, name, *inputs, "--out", str(out), *flags],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     code, modules = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0
-    assert (tmp_path / "out" / "tracks.csv").is_file()
-    if flags:
-        assert "scipy.ndimage" in modules
-        assert not [m for m in modules if m.startswith("scipy.spatial")]
+    assert (out / ("keypoints_gated.csv" if name == "mask" else "tracks.csv")).is_file()
+    if "optimal" in flags:
+        assert "scipy.optimize" in modules
+        assert not [m for m in modules if m.startswith("scipy.ndimage")]
     else:
         assert modules == []
 

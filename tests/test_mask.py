@@ -14,13 +14,16 @@ from avitrack.errors import EmptyRegionError, IngestError
 from avitrack.mask import (
     _SOBEL_X,
     _SOBEL_Y,
+    _GAUSSIAN,
     CANNY_HIGH,
     CANNY_LOW,
     GAUSSIAN_SIGMA,
     BinaryMask,
     GrayFrame,
     _clamp_region,
+    _convolve,
     _gaussian_kernel_5x5,
+    _hysteresis,
     build_frame_mask,
     canny_edges,
     gate_keypoints,
@@ -397,6 +400,128 @@ class TestBatchedCannyMatchesPerBox:
         assert "tracks.csv" in names
         for name in names:
             assert (fast / name).read_bytes() == (slow / name).read_bytes(), name
+
+
+@st.composite
+def _canvases(draw):
+    """A float canvas of 5 to 40 px a side: normal noise at a drawn scale,
+    or that noise rounded to whole values, which gives ties and -0.0."""
+    shape = draw(st.integers(5, 40)), draw(st.integers(5, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    canvas = rng.standard_normal(shape) * draw(st.sampled_from([1.0, 255.0, 1e6, 1e-300]))
+    return np.round(canvas) if draw(st.booleans()) else canvas
+
+
+class TestConvolveMatchesNdimage:
+    """``_convolve`` against ``ndimage.convolve``: the same bits at every
+    pixel at least the kernel's radius in from the border, where the
+    border mode plays no part."""
+
+    @pytest.mark.parametrize("kernel", [_GAUSSIAN, _SOBEL_X, _SOBEL_Y],
+                             ids=["gaussian", "sobel-x", "sobel-y"])
+    @settings(max_examples=150)
+    @given(canvas=_canvases())
+    def test_random_canvases(self, kernel, canvas):
+        radius = kernel.shape[0] // 2
+        inner = (slice(radius, -radius),) * 2
+        got = _convolve(canvas, kernel)
+        expected = ndimage.convolve(canvas, kernel)
+        assert got.shape == canvas.shape
+        assert got[inner].tobytes() == expected[inner].tobytes()
+
+
+def _reference_hysteresis(weak, strong):
+    return ndimage.binary_dilation(
+        strong, structure=np.ones((3, 3), dtype=bool), iterations=-1, mask=weak
+    )
+
+
+def _serpentine(size: int) -> np.ndarray:
+    """A 1 px path over a ``size`` x ``size`` box on a canvas with a 2 px
+    empty border: full rows two apart, joined at alternate ends."""
+    weak = np.zeros((size + 4, size + 4), dtype=bool)
+    box = weak[2:-2, 2:-2]
+    box[::2] = True
+    box[1::4, -1] = True
+    box[3::4, 0] = True
+    return weak
+
+
+class TestHysteresis:
+    """``_hysteresis`` against binary dilation of the strong pixels inside
+    the weak ones, run to convergence."""
+
+    @pytest.mark.parametrize("cut", [False, True], ids=["whole", "cut"])
+    def test_long_serpentine_from_one_strong_end(self, cut):
+        """A path of ~11,500 px: kept whole, or up to a cut halfway."""
+        weak = _serpentine(151)
+        if cut:
+            weak[2 + 76, 2 + 75] = False
+        strong = np.zeros_like(weak)
+        strong[2, 2] = True
+        got = _hysteresis(weak, strong)
+        assert got.tobytes() == _reference_hysteresis(weak, strong).tobytes()
+        if cut:
+            assert got[:2 + 76].tobytes() == weak[:2 + 76].tobytes()
+            assert not got[2 + 77:].any()
+        else:
+            assert got.tobytes() == weak.tobytes()
+
+    def test_diagonal_chain_connects(self):
+        """A V of diagonal steps, down-right then down-left, with no two
+        pixels side by side, is one 8-connected component."""
+        weak = np.zeros((42, 24), dtype=bool)
+        rows = np.arange(2, 40)
+        weak[rows, np.minimum(rows, 40 - rows)] = True
+        assert not (weak[:, 1:] & weak[:, :-1]).any()
+        assert not (weak[1:] & weak[:-1]).any()
+        strong = np.zeros_like(weak)
+        strong[2, 2] = True
+        got = _hysteresis(weak, strong)
+        assert got.tobytes() == weak.tobytes()
+        assert got.tobytes() == _reference_hysteresis(weak, strong).tobytes()
+
+    @settings(max_examples=150)
+    @given(shape=st.tuples(st.integers(5, 30), st.integers(5, 30)),
+           seed=st.integers(0, 2**32 - 1), weak_share=st.floats(0.2, 0.8))
+    def test_random_canvases(self, shape, seed, weak_share):
+        """Weak pixels at a drawn density, one in eight of them strong, and
+        the outer ring cleared."""
+        draws = np.random.default_rng(seed).random(shape)
+        canvas = np.where(draws < weak_share, 1 + (draws < weak_share / 8), 0)
+        canvas[[0, -1]] = 0
+        canvas[:, [0, -1]] = 0
+        weak, strong = canvas >= 1, canvas == 2
+        got = _hysteresis(weak, strong)
+        assert got.tobytes() == _reference_hysteresis(weak, strong).tobytes()
+
+    def test_low_zero_makes_every_box_pixel_weak(self):
+        """With ``low == 0`` every pixel inside a box is weak, so a box
+        with one strong pixel is all edge and a flat box has none."""
+        rng = np.random.default_rng(9)
+        pixels = rng.integers(0, 30, size=(170, 360))
+        pixels[40:120, 30:140] += 200
+        pixels[:, 190:] = 17
+        frame = _frame(pixels)
+        boxes = [(10.0, 10.0, 170.0, 165.0), (200.0, 5.0, 355.0, 160.0)]
+        edges = canny_edges(frame, boxes[0], low=0.0, high=CANNY_HIGH)
+        assert len(edges) == 160 * 155
+        assert edges.tobytes() == _reference_canny_edges(
+            frame, boxes[0], 0.0, CANNY_HIGH).tobytes()
+        assert len(canny_edges(frame, boxes[1], low=0.0, high=CANNY_HIGH)) == 0
+        got = build_frame_mask(frame, boxes, low=0.0, high=CANNY_HIGH)
+        expected = _reference_frame_mask(frame, boxes, low=0.0, high=CANNY_HIGH)
+        assert got.bits.tobytes() == expected.bits.tobytes()
+
+    @pytest.mark.parametrize("low, high", [(0.0, 0.0), (5.0, 60.0), (20.0, 200.0)])
+    def test_large_box_matches_reference(self, low, high):
+        """A noisy box past 150 px, with components that span it."""
+        rng = np.random.default_rng(13)
+        frame = _frame(rng.integers(0, 256, size=(180, 200)))
+        region = (4, 6, 196, 176)
+        edges = canny_edges(frame, region, low, high)
+        assert len(edges) > 0
+        assert edges.tobytes() == _reference_canny_edges(frame, region, low, high).tobytes()
 
 
 class TestFrameMask:
