@@ -21,7 +21,7 @@ from .mask import write_pgm
 from .metrics import GroundTruth, tracking_metrics
 from .matching import ANCHORS
 from .pipeline import (
-    FUSIONS, STAGES, PipelineConfig, apply_mask_stage, detection_table,
+    FUSIONS, STAGES, PipelineConfig, apply_mask_stage, check_references,
     first_frame_sizes, run_pipeline, track_observations,
 )
 from .synthworld import MOTION_MODES, SceneConfig, generate
@@ -118,16 +118,19 @@ def _cmd_mask(args: argparse.Namespace) -> int:
     keypoints = None
     if config.keypoints_path:
         keypoints = dataio.read_keypoints(config.keypoints_path, image_sizes)
-        detection_table(detections, keypoints, config.keypoints_path)
+        check_references(detections, keypoints, config.keypoints_path)
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
+    # The stage checks every frame before the first mask, so a bad frame
+    # leaves no output directory.
     def write_mask(camera_id, frame, mask):
+        out_dir.mkdir(parents=True, exist_ok=True)
         write_pgm(out_dir / f"mask_{camera_id}_frame{frame}.pgm", mask)
 
     gated = apply_mask_stage(config, keypoints, detections,
                              on_mask=write_mask if args.emit_masks else None,
                              image_sizes=image_sizes, calibrated=False)
+    out_dir.mkdir(parents=True, exist_ok=True)
     if keypoints is not None:
         dataio.write_keypoints(
             out_dir / "keypoints_gated.csv", keypoints.keypoints(gated),

@@ -5,12 +5,16 @@ search with Lowe's ratio test. A candidate survives only if the keypoint
 on each side is nearest to the same global landmark in its own view;
 disagreement means the match pairs two different birds and is rejected.
 Surviving matches are then clustered into detection-level correspondences.
+
+All three stages work on columns: keypoints are rows of a
+``KeypointTable`` and matches rows of a ``MatchTable``. Iterating either
+builds ``Keypoint`` or ``FeatureMatch`` objects, for callers that want them.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,6 +22,9 @@ from .errors import DimensionMismatchError
 # ``nearest_landmark`` stays importable from here for callers that look
 # it up on this module; rejection itself uses the batched form.
 from .voronoi import LandmarkSet, nearest_landmark, nearest_landmarks_many  # noqa: F401
+
+if TYPE_CHECKING:
+    from .reconstruction import FrameCenters
 
 KEPT = "kept"
 REJECTED = "rejected"
@@ -56,7 +63,8 @@ class Detection:
 class Keypoint:
     """A feature point inside a detection box, with its descriptor.
 
-    Compared by identity: pipeline stages pass the same objects through.
+    Compared by identity. The pipeline keeps keypoints as ``KeypointTable``
+    rows; this is one row as an object.
     """
 
     camera_id: str
@@ -81,7 +89,8 @@ class KeypointTable:
     ``camera`` holds camera ids as ``str`` objects; ``frame`` and
     ``detection`` hold integers, int64 unless one does not fit (then
     Python ints as objects); ``xy`` is (N, 2) pixels and ``desc`` (N, L)
-    descriptors.
+    descriptors. Iterating, or indexing with one row, gives ``Keypoint``
+    objects.
     """
 
     camera: np.ndarray
@@ -92,6 +101,18 @@ class KeypointTable:
 
     def __len__(self) -> int:
         return len(self.camera)
+
+    def __iter__(self):
+        return iter(self.keypoints())
+
+    def __getitem__(self, row: int) -> Keypoint:
+        return self.keypoints([row])[0]
+
+    def take(self, rows) -> "KeypointTable":
+        """A table of ``rows``, in order, each column copied once."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return KeypointTable(self.camera[rows], self.frame[rows], self.detection[rows],
+                             self.xy[rows], self.desc[rows])
 
     def keypoints(self, rows=None) -> list[Keypoint]:
         """``Keypoint`` objects for ``rows`` (default: every row), in order;
@@ -138,6 +159,45 @@ class FeatureMatch:
     verdict: str | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class MatchTable:
+    """Candidate matches as columns, one row per match.
+
+    Match i pairs row ``row_a[i]`` of ``a`` with row ``row_b[i]`` of ``b``
+    at descriptor distance ``distance[i]``. ``landmark_a``/``landmark_b``
+    (int64 ids) and ``kept`` (bool) are set once landmark rejection has
+    decided the matches; before that they are None.
+    """
+
+    a: KeypointTable
+    b: KeypointTable
+    row_a: np.ndarray
+    row_b: np.ndarray
+    distance: np.ndarray
+    landmark_a: np.ndarray | None = None
+    landmark_b: np.ndarray | None = None
+    kept: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.row_a)
+
+    def __iter__(self):
+        """The matches as ``FeatureMatch`` objects, in row order."""
+        n = len(self)
+        landmarks_a, landmarks_b, verdicts = (
+            [None] * n if column is None else column.tolist()
+            for column in (self.landmark_a, self.landmark_b, self.kept)
+        )
+        return iter([
+            FeatureMatch(kp_a, kp_b, distance, lm_a, lm_b,
+                         None if kept is None else KEPT if kept else REJECTED)
+            for kp_a, kp_b, distance, lm_a, lm_b, kept in zip(
+                self.a.keypoints(self.row_a), self.b.keypoints(self.row_b),
+                self.distance.tolist(), landmarks_a, landmarks_b, verdicts,
+            )
+        ])
+
+
 @dataclass(frozen=True)
 class PairMatches:
     """The decided matches of one frame between two cameras, as counts and
@@ -161,32 +221,41 @@ class PairMatches:
     xy_b: np.ndarray
 
 
-def pair_matches(matches: list[FeatureMatch]) -> list[PairMatches]:
+def pair_matches(matches: MatchTable) -> list[PairMatches]:
     """One ``PairMatches`` per (frame, camera a, camera b) of ``matches``,
     in the order each first appears."""
-    groups: dict[tuple[int, str, str], list[FeatureMatch]] = {}
-    for match in matches:
-        key = (match.keypoint_a.frame, match.keypoint_a.camera_id,
-               match.keypoint_b.camera_id)
-        groups.setdefault(key, []).append(match)
+    frame = matches.a.frame[matches.row_a]
+    camera_a = matches.a.camera[matches.row_a]
+    camera_b = matches.b.camera[matches.row_b]
     summaries = []
-    for (frame, camera_a, camera_b), group in groups.items():
-        standing = [m for m in group if m.verdict in (None, KEPT)]
+    for (frame_id, cam_a, cam_b), group in _groups_in_order(frame, camera_a, camera_b):
+        standing = group if matches.kept is None else group[matches.kept[group]]
+        rows_a, rows_b = matches.row_a[standing], matches.row_b[standing]
         summaries.append(PairMatches(
-            frame=frame,
-            camera_a=camera_a,
-            camera_b=camera_b,
+            frame=frame_id,
+            camera_a=cam_a,
+            camera_b=cam_b,
             candidates=len(group),
             rejected=len(group) - len(standing),
-            undecided=sum(m.verdict is None for m in standing),
-            detections=np.array(
-                [(m.keypoint_a.detection_index, m.keypoint_b.detection_index)
-                 for m in standing], dtype=np.int64,
-            ).reshape(-1, 2),
-            xy_a=np.array([m.keypoint_a.position for m in standing]).reshape(-1, 2),
-            xy_b=np.array([m.keypoint_b.position for m in standing]).reshape(-1, 2),
+            undecided=len(standing) if matches.kept is None else 0,
+            detections=np.stack([matches.a.detection[rows_a],
+                                 matches.b.detection[rows_b]], axis=1).astype(np.int64),
+            xy_a=matches.a.xy[rows_a],
+            xy_b=matches.b.xy[rows_b],
         ))
     return summaries
+
+
+def _groups_in_order(*columns: np.ndarray) -> list[tuple[tuple, np.ndarray]]:
+    """The distinct rows of equal-length ``columns``, in the order each
+    first appears, each as (values, the indices of its rows in order)."""
+    if len(columns[0]) and all((column == column[0]).all() for column in columns):
+        return [(tuple(column[0:1].tolist()[0] for column in columns),
+                 np.arange(len(columns[0])))]  # one camera, one frame: the usual case
+    groups: dict[tuple, list[int]] = {}
+    for row, key in enumerate(zip(*(column.tolist() for column in columns))):
+        groups.setdefault(key, []).append(row)
+    return [(key, np.array(rows, dtype=np.intp)) for key, rows in groups.items()]
 
 
 @dataclass(frozen=True)
@@ -262,10 +331,8 @@ def knn_distances(desc_a: np.ndarray, desc_b: np.ndarray) -> np.ndarray:
 
 
 def knn_match(
-    keypoints_a: list[Keypoint],
-    keypoints_b: list[Keypoint],
-    ratio: float = DEFAULT_RATIO,
-) -> list[FeatureMatch]:
+    a: KeypointTable, b: KeypointTable, ratio: float = DEFAULT_RATIO
+) -> MatchTable:
     """Brute-force nearest-descriptor candidates with Lowe's ratio test.
 
     For each keypoint in A we take its two nearest descriptors in B by
@@ -274,134 +341,113 @@ def knn_match(
     on the B side the ratio test cannot run and the best match is emitted
     as-is. Distance ties resolve to the lower keypoint index.
     """
-    if not keypoints_a or not keypoints_b:
-        return []
-    lengths = {kp.descriptor.size for kp in keypoints_a} | {
-        kp.descriptor.size for kp in keypoints_b
-    }
+    if not len(a) or not len(b):
+        none = np.zeros(0, dtype=np.intp)
+        return MatchTable(a, b, none, none, np.zeros(0))
+    lengths = {a.desc.shape[1], b.desc.shape[1]}
     if len(lengths) != 1:
         raise DimensionMismatchError(
             f"descriptor lengths differ across keypoints: {sorted(lengths)}"
         )
-
-    desc_a = np.stack([kp.descriptor for kp in keypoints_a])
-    desc_b = np.stack([kp.descriptor for kp in keypoints_b])
-    for side, desc in (("A", desc_a), ("B", desc_b)):
+    for side, desc in (("A", a.desc), ("B", b.desc)):
         if not np.isfinite(desc).all():
             raise ValueError(f"knn_match: non-finite descriptor on side {side}")
-    distances = knn_distances(desc_a, desc_b)
+    distances = knn_distances(a.desc, b.desc)
 
     # argmin's first hit is the lower index on exact ties.
-    rows = np.arange(len(keypoints_a))
+    rows = np.arange(len(a))
     best = np.argmin(distances, axis=1)
     d1 = distances[rows, best]
-    if len(keypoints_b) >= 2:
+    if len(b) >= 2:
         distances[rows, best] = np.inf
         passed = np.flatnonzero(d1 < ratio * distances.min(axis=1))
     else:
         passed = rows
-    return [
-        FeatureMatch(
-            keypoint_a=keypoints_a[i],
-            keypoint_b=keypoints_b[j],
-            descriptor_distance=d,
-        )
-        for i, j, d in zip(passed.tolist(), best[passed].tolist(), d1[passed].tolist())
-    ]
+    return MatchTable(a, b, passed, best[passed], d1[passed])
 
 
 def reject_by_landmark(
-    matches: list[FeatureMatch],
+    matches: MatchTable,
     landmarks: LandmarkSet,
     anchor: str = "keypoint",
-    detections: dict[tuple[str, int, int], Detection] | None = None,
-) -> tuple[list[FeatureMatch], RejectionStats]:
-    """Assign each match its nearest-landmark pair and a kept/rejected verdict.
+    centers: dict[tuple[str, int], FrameCenters] | None = None,
+) -> tuple[MatchTable, RejectionStats]:
+    """Give each match its nearest-landmark pair and a kept/rejected verdict.
 
     ``anchor`` selects where the landmark distance is measured: at the
-    keypoint itself (default) or at the center of the keypoint's detection
-    box (requires ``detections`` keyed by (camera, frame, index)).
+    keypoint itself (default) or at the centre of the keypoint's detection
+    box, read from ``centers``, the run's ``detection_centers`` table.
+    Each side makes one nearest-landmark query per camera, in the order
+    a per-match loop would first meet each (side, camera).
     """
     if anchor not in ANCHORS:
         raise ValueError(f"unknown anchor mode {anchor!r}")
-
-    def anchor_point(kp: Keypoint) -> np.ndarray:
+    points, queries = [], []
+    for side, (table, rows) in enumerate(((matches.a, matches.row_a),
+                                          (matches.b, matches.row_b))):
+        cameras = table.camera[rows]
         if anchor == "keypoint":
-            return kp.position
-        if detections is None:
-            raise ValueError("detection_center anchoring needs the detection table")
-        det = detections[(kp.camera_id, kp.frame, kp.detection_index)]
-        return det.center
+            points.append(table.xy[rows])
+        else:
+            point = np.empty((len(rows), 2))
+            for (camera_id, frame), group in _groups_in_order(cameras, table.frame[rows]):
+                if centers is None:
+                    raise ValueError("detection_center anchoring needs the detection centres")
+                frame_centers = centers[(camera_id, frame)]
+                point[group] = frame_centers.raw[
+                    frame_centers.rows(table.detection[rows[group]])]
+            points.append(point)
+        queries += [(2 * int(group[0]) + side, side, camera_id, group)
+                    for (camera_id,), group in _groups_in_order(cameras)]
+    nearest = np.zeros((2, len(matches)), dtype=np.int64)
+    for _, side, camera_id, group in sorted(queries, key=lambda query: query[0]):
+        nearest[side, group] = nearest_landmarks_many(landmarks, camera_id, points[side][group])
+    kept = nearest[0] == nearest[1]
 
-    # One nearest-landmark query per (side, camera) over all its anchors.
-    queries: dict[tuple[int, str], tuple[list[int], list[np.ndarray]]] = {}
-    for i, match in enumerate(matches):
-        for side, kp in enumerate((match.keypoint_a, match.keypoint_b)):
-            rows, points = queries.setdefault((side, kp.camera_id), ([], []))
-            rows.append(i)
-            points.append(anchor_point(kp))
-    nearest = [[0] * len(matches), [0] * len(matches)]
-    for (side, camera_id), (rows, points) in queries.items():
-        ids = nearest_landmarks_many(landmarks, camera_id, np.array(points))
-        for i, landmark in zip(rows, ids.tolist()):
-            nearest[side][i] = landmark
-
-    decided = []
-    per_frame: dict[int, list[bool]] = defaultdict(list)
-    for match, lm_a, lm_b in zip(matches, *nearest):
-        verdict = KEPT if lm_a == lm_b else REJECTED
-        decided.append(
-            FeatureMatch(
-                keypoint_a=match.keypoint_a,
-                keypoint_b=match.keypoint_b,
-                descriptor_distance=match.descriptor_distance,
-                landmark_a=lm_a,
-                landmark_b=lm_b,
-                verdict=verdict,
-            )
-        )
-        per_frame[match.keypoint_a.frame].append(verdict == REJECTED)
-
+    frames, frame_of = np.unique(matches.a.frame[matches.row_a], return_inverse=True)
+    totals = np.bincount(frame_of, minlength=len(frames))
+    rejected = np.bincount(frame_of[~kept], minlength=len(frames))
     pct = {
-        frame: 100.0 * sum(flags) / len(flags)
-        for frame, flags in sorted(per_frame.items())
+        frame: 100.0 * count / total
+        for frame, count, total in zip(frames.tolist(), rejected.tolist(), totals.tolist())
     }
     values = np.array(list(pct.values())) if pct else np.zeros(0)
     stats = RejectionStats(
         per_frame_pct=pct,
         mean_pct=float(values.mean()) if values.size else 0.0,
         std_pct=float(values.std()) if values.size else 0.0,
-        total=len(decided),
-        rejected=sum(1 for m in decided if m.verdict == REJECTED),
+        total=len(matches),
+        rejected=int(rejected.sum()),
     )
-    return decided, stats
+    return replace(matches, landmark_a=nearest[0], landmark_b=nearest[1], kept=kept), stats
 
 
 def cluster_correspondences(
-    matches: list[FeatureMatch], min_support: int = DEFAULT_MIN_SUPPORT
+    matches: MatchTable, min_support: int = DEFAULT_MIN_SUPPORT
 ) -> list[Correspondence]:
     """Group kept matches by detection pair into one-to-one correspondences.
 
-    Pairs below ``min_support`` are dropped; the rest are assigned greedily
-    by descending support (ties to lower mean descriptor distance, then
-    lower indices) so each detection appears at most once.
+    Undecided matches count as kept. Pairs below ``min_support`` are
+    dropped; the rest are assigned greedily by descending support (ties to
+    lower mean descriptor distance, then lower indices) so each detection
+    appears at most once. A pair's mean is ``np.mean`` of its distances in
+    match order.
     """
-    groups: dict[tuple[int, int], list[float]] = defaultdict(list)
-    for match in matches:
-        if match.verdict is not None and match.verdict != KEPT:
-            continue
-        key = (match.keypoint_a.detection_index, match.keypoint_b.detection_index)
-        groups[key].append(match.descriptor_distance)
-
+    standing = (np.arange(len(matches)) if matches.kept is None
+                else np.flatnonzero(matches.kept))
+    distance = matches.distance[standing]
     candidates = [
         Correspondence(
-            detection_index_a=key[0],
-            detection_index_b=key[1],
-            support=len(dists),
-            mean_descriptor_distance=float(np.mean(dists)),
+            detection_index_a=det_a,
+            detection_index_b=det_b,
+            support=len(group),
+            mean_descriptor_distance=float(np.mean(distance[group])),
         )
-        for key, dists in groups.items()
-        if len(dists) >= min_support
+        for (det_a, det_b), group in _groups_in_order(
+            matches.a.detection[matches.row_a[standing]],
+            matches.b.detection[matches.row_b[standing]],
+        )
+        if len(group) >= min_support
     ]
     candidates.sort(
         key=lambda c: (

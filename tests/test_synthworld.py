@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from avitrack.camera import MIN_DEPTH, CameraModel, project_points
 from avitrack.errors import ConfigError
 from avitrack.matching import knn_match
+from matching_reference import table_of
 from avitrack.synthworld import SceneConfig, _visible_boxes, generate, truth_labels
 
 
@@ -106,7 +107,7 @@ class TestDescriptorAmbiguity:
             b = grouped.get((cam_b, frame), [])
             if not a or not b:
                 continue
-            for match in knn_match(a, b):
+            for match in knn_match(table_of(a), table_of(b)):
                 total += 1
                 correct += truth.match_is_correct(match)
         return correct, total
