@@ -133,7 +133,7 @@ def _cmd_mask(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     if keypoints is not None:
         dataio.write_keypoints(
-            out_dir / "keypoints_gated.csv", keypoints.keypoints(gated),
+            out_dir / "keypoints_gated.csv", keypoints.take(gated),
             keypoints.desc.shape[1],
         )
         logger.info("gated %d of %d keypoints", len(gated), len(keypoints))

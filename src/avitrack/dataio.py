@@ -13,12 +13,15 @@ semantic check) goes to the strict row reader, so errors still name the
 file and line. Keypoints are read as one ``KeypointTable``, not one
 object per row. Writers hand floats to ``csv`` as Python floats, which it
 formats with ``repr``, so files round-trip losslessly and rerunning a
-pipeline yields byte-identical output.
+pipeline yields byte-identical output. ``write_keypoints`` is the one
+exception: it takes a ``KeypointTable`` and formats a block of rows at a
+time in numpy, with the bytes that ``csv`` writes for the same rows.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 from pathlib import Path
@@ -27,7 +30,7 @@ import numpy as np
 
 from .camera import CameraModel, rotation_from_rvec, rvec_from_rotation
 from .errors import IngestError
-from .matching import Correspondence, Detection, Keypoint, KeypointTable
+from .matching import Correspondence, Detection, KeypointTable
 from .voronoi import LandmarkSet
 
 SCHEMA_VERSION = 2
@@ -211,19 +214,120 @@ def keypoints_header(descriptor_length: int) -> list[str]:
     return KEYPOINTS_FIXED_HEADER + [f"d{i}" for i in range(descriptor_length)]
 
 
-def write_keypoints(path, keypoints: list[Keypoint], descriptor_length: int) -> None:
-    """Write keypoints.csv; the header names ``descriptor_length`` descriptor
-    columns even when there are no rows, so the file reads back."""
-    ordered = sorted(
-        keypoints,
-        key=lambda k: (k.camera_id, k.frame, k.detection_index,
-                       k.position[1], k.position[0]),
+def write_keypoints(path, table: KeypointTable, descriptor_length: int) -> None:
+    """Write keypoints.csv, ordered by (camera, frame, detection, y, x) with
+    ties in table order; the header names ``descriptor_length`` descriptor
+    columns even when there are no rows, so the file reads back.
+
+    The bytes are those ``csv.writer`` gives for the rows as Python values.
+    Each camera id is quoted by ``csv`` once, positions are ``repr``'d, and
+    descriptor rows are formatted by ``_format_descriptors`` a block at a
+    time.
+    """
+    names, camera_code = np.unique(table.camera, return_inverse=True)
+    # Python ints beyond int64 sort by their rank among the column's values.
+    frame_key, detection_key = (
+        column if column.dtype == np.int64 else np.unique(column, return_inverse=True)[1]
+        for column in (table.frame, table.detection)
     )
-    _write_table(path, keypoints_header(descriptor_length), (
-        [kp.camera_id, kp.frame, kp.detection_index,
-         *kp.position.tolist(), *kp.descriptor.tolist()]
-        for kp in ordered
-    ))
+    order = np.lexsort((table.xy[:, 0], table.xy[:, 1], detection_key, frame_key, camera_code))
+    quoted = [_csv_cell(name) for name in names.tolist()]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(keypoints_header(descriptor_length))
+        block = max(1, _FORMAT_BLOCK_CELLS // max(1, table.desc.shape[1]))
+        for start in range(0, len(order), block):
+            rows = order[start:start + block]
+            fh.write("".join(
+                f"{quoted[camera]},{frame},{detection},{x!r},{y!r}{descriptors}\r\n"
+                for camera, frame, detection, (x, y), descriptors in zip(
+                    camera_code[rows].tolist(), table.frame[rows].tolist(),
+                    table.detection[rows].tolist(), table.xy[rows].tolist(),
+                    _format_descriptors(table.desc[rows]),
+                )
+            ))
+
+
+# Descriptor cells formatted per block: bounds the formatter's temporary
+# arrays, whatever the table's size.
+_FORMAT_BLOCK_CELLS = 1 << 15
+
+
+def _fraction_halves() -> tuple[np.ndarray, np.ndarray]:
+    """Per n in 0-999, the high and the low three fraction digits as one
+    4-byte word each, byte 0 standing for a byte left out.
+
+    A high word is "." and n's digits, zero-padded: written whole when the
+    low half is not zero (words 0-999), and without trailing zeros but the
+    first digit when it is (words 1000-1999). A low word is n's digits
+    without trailing zeros, then byte 0.
+    """
+    n = np.arange(1000)[:, None]
+    digits = n // [100, 10, 1] % 10 + ord("0")
+    not_trailing = n % [1000, 100, 10] != 0  # a nonzero digit here or later
+    point, nothing = np.full((1000, 1), ord(".")), np.zeros((1000, 1))
+
+    def words(*columns):
+        return np.hstack(columns).astype(np.uint8).view(np.uint32)[:, 0]
+
+    high = np.concatenate([words(point, digits),
+                           words(point, digits * (not_trailing | [True, False, False]))])
+    return high, words(digits * not_trailing, nothing)
+
+
+_HIGH_HALF, _LOW_HALF = _fraction_halves()
+
+
+def _csv_cell(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one field of a longer row."""
+    out = io.StringIO()
+    csv.writer(out).writerow([text, ""])
+    return out.getvalue()[:-3]  # drop the empty last field and "\r\n"
+
+
+def _format_descriptors(values: np.ndarray) -> list[str]:
+    """Each row of ``values`` as the text that follows the position cells:
+    a comma and ``repr`` of each value.
+
+    A value ``v`` that is exactly ``k / 1e6`` with ``100 <= |k| < 10**15``,
+    or a zero, is formatted from the integer ``k``: the sign, the integer
+    digits and the six fraction digits with trailing zeros stripped,
+    keeping ``.0``. That decimal has at most 15 significant digits, so no
+    other decimal as short names ``v``, and from ``1e-4`` up to ``1e16``
+    ``repr`` writes positional notation: the text is ``repr(v)``. A row
+    holding any other value (below ``1e-4``, unquantised or non-finite) is
+    formatted by ``repr``.
+    """
+    rows, length = values.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.rint(values * 1e6)
+        magnitude = np.abs(scaled)
+        exact = ((scaled / 1e6 == values) & (magnitude < 1e15)
+                 & ((magnitude >= 100) | (values == 0)))
+    micros = np.where(exact, magnitude, 0.0).astype(np.int64)
+    integer = micros // 10**6
+    fraction = micros - integer * 10**6
+    high = fraction // 1000
+    low = fraction - high * 1000
+    width = len(str(integer.max(initial=0)))
+    lead = (2 + width + 3) // 4  # words for ",", the sign and the integer digits
+    # Per row: each cell is ",", the sign, the integer digits right-aligned,
+    # then the two fraction words; then a newline. Byte 0 is left out.
+    cells = np.zeros((rows, length, 4 * (lead + 2)), dtype=np.uint8)
+    cells[..., 0] = ord(",")
+    cells[..., 1] = np.signbit(values) * ord("-")
+    for place in range(width):  # from the ones digit; no leading zeros
+        quotient = integer // 10
+        digit = (integer - quotient * 10).astype(np.uint8) + ord("0")
+        cells[..., 4 * lead - 1 - place] = digit if place == 0 else digit * (integer > 0)
+        integer = quotient
+    words = cells.view(np.uint32)
+    words[..., lead] = _HIGH_HALF[high + 1000 * (low == 0)]
+    words[..., lead + 1] = _LOW_HALF[low]
+    text = np.column_stack([cells.reshape(rows, -1), np.full(rows, ord("\n"), np.uint8)])
+    formatted = text.tobytes().translate(None, b"\0").decode("ascii").split("\n")
+    for row in np.flatnonzero(~exact.all(axis=1)).tolist():
+        formatted[row] = "".join(f",{value!r}" for value in values[row].tolist())
+    return formatted[:rows]
 
 
 def keypoints_descriptor_length(path) -> int:

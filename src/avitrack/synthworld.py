@@ -19,7 +19,7 @@ from . import dataio
 from .camera import MIN_DEPTH, CameraModel, project_points
 from .errors import ConfigError
 from .mask import GrayFrame, write_pgm
-from .matching import Detection, Keypoint
+from .matching import Detection, KeypointTable
 from .metrics import GroundTruth
 from .voronoi import LandmarkSet
 
@@ -129,7 +129,7 @@ class DatasetBundle:
     config: SceneConfig
     cameras: dict[str, CameraModel]
     detections: list[Detection]
-    keypoints: list[Keypoint]
+    keypoints: KeypointTable
     landmark_set: LandmarkSet
     landmarks_3d: np.ndarray
     truth_positions: dict[int, dict[int, np.ndarray]]
@@ -488,12 +488,23 @@ def generate(config: SceneConfig) -> DatasetBundle:
     dt = 1.0 / config.fps
 
     detections: list[Detection] = []
-    keypoints: list[Keypoint] = []
     truth_positions: dict[int, dict[int, np.ndarray]] = {}
     detection_identities: dict[tuple[str, int, int], int] = {}
     frames: dict[tuple[str, int], GrayFrame] = {}
 
+    # Keypoints are drawn straight into row arrays. The row bound is every
+    # bird seen by every camera in every frame; pages of ``np.empty`` that
+    # no row reaches are never touched.
     kmin, kmax = config.keypoints_per_detection
+    bound = config.frame_count * len(camera_ids) * config.bird_count * kmax
+    descriptors = np.empty((bound, config.descriptor_length))
+    offsets = np.empty((bound, 2))
+    jitter = np.empty((bound, 2))
+    counts: list[int] = []
+    centers_px: list[list[float]] = []
+    halves_px: list[list[float]] = []
+    boxes_px: list[list[float]] = []
+    n = 0
     for frame in range(config.frame_count):
         if frame > 0:
             for bird in birds:
@@ -508,9 +519,10 @@ def generate(config: SceneConfig) -> DatasetBundle:
                 cameras[cam_id], positions, config, rng
             )
             boxes = np.hstack([centers - halves, centers + halves]).tolist()
-            for det_index, (identity, center, (half_w, half_h), box) in enumerate(
-                zip(identities.tolist(), centers, halves, boxes)
-            ):
+            centers_px += centers.tolist()
+            halves_px += halves.tolist()
+            boxes_px += boxes
+            for det_index, (identity, box) in enumerate(zip(identities.tolist(), boxes)):
                 detections.append(
                     Detection(
                         camera_id=cam_id,
@@ -526,46 +538,42 @@ def generate(config: SceneConfig) -> DatasetBundle:
                 detection_identities[(cam_id, frame, det_index)] = identity
 
                 count = int(rng.integers(kmin, kmax + 1))
-                offsets = rng.uniform(-0.8, 0.8, size=(count, 2))
-                kp_positions = np.column_stack(
-                    [
-                        center[0] + offsets[:, 0] * half_w,
-                        center[1] + offsets[:, 1] * half_h,
-                    ]
-                )
+                rows = slice(n, n + count)
+                offsets[rows] = rng.uniform(-0.8, 0.8, size=(count, 2))
                 if config.pixel_noise > 0:
-                    kp_positions = kp_positions + rng.normal(
-                        0.0, config.pixel_noise, size=kp_positions.shape
-                    )
-                kp_positions[:, 0] = np.clip(
-                    kp_positions[:, 0], box[0], np.nextafter(box[2], -np.inf)
-                )
-                kp_positions[:, 1] = np.clip(
-                    kp_positions[:, 1], box[1], np.nextafter(box[3], -np.inf)
-                )
+                    jitter[rows] = rng.normal(0.0, config.pixel_noise, size=(count, 2))
                 slots = rng.choice(config.feature_pool_size, size=count, replace=False)
-                noise = rng.standard_normal((count, config.descriptor_length))
-                # Quantized to 1e-6: keeps emitted CSVs compact, far below
-                # any meaningful descriptor-noise scale.
-                descriptors = np.round(
-                    bases[identity]
-                    + feature_pool[slots]
-                    + config.descriptor_noise * noise,
-                    6,
-                )
-                for k in range(count):
-                    keypoints.append(
-                        Keypoint(
-                            camera_id=cam_id,
-                            frame=frame,
-                            detection_index=det_index,
-                            position=kp_positions[k],
-                            descriptor=descriptors[k],
-                        )
-                    )
+                # base + shared features + noise, the noise term first: the
+                # sum is commutative, so the bits are those of the written order.
+                drawn = descriptors[rows]
+                rng.standard_normal(out=drawn)
+                drawn *= config.descriptor_noise
+                drawn += bases[identity] + feature_pool[slots]
+                counts.append(count)
+                n += count
 
             if config.emit_frames:
                 frames[(cam_id, frame)] = _render_frame(config, boxes)
+
+    # Quantized to 1e-6: keeps emitted CSVs compact, far below any
+    # meaningful descriptor-noise scale.
+    descriptors = descriptors[:n]
+    np.round(descriptors, 6, out=descriptors)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    center = np.array(centers_px).reshape(-1, 2)[owner]
+    half = np.array(halves_px).reshape(-1, 2)[owner]
+    box = np.array(boxes_px).reshape(-1, 4)[owner]
+    xy = center + offsets[:n] * half
+    if config.pixel_noise > 0:
+        xy += jitter[:n]
+    np.clip(xy, box[:, :2], np.nextafter(box[:, 2:], -np.inf), out=xy)
+    keypoints = KeypointTable(
+        np.array([d.camera_id for d in detections], dtype=object)[owner],
+        np.array([d.frame for d in detections], dtype=np.int64)[owner],
+        np.array([d.index for d in detections], dtype=np.int64)[owner],
+        xy,
+        descriptors,
+    )
 
     return DatasetBundle(
         config=config,

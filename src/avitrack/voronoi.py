@@ -33,12 +33,15 @@ class LandmarkSet:
 
     Landmark ids are shared across cameras (they name the same physical
     feature); positions are per camera. Within one camera, ids are unique
-    and positions lie inside the frame and are pairwise distinct.
+    and positions lie inside the frame and are pairwise distinct. Each
+    camera's landmarks are held as two read-only arrays sorted by id, which
+    ``add`` rebuilds: the ids (int64, or Python ints as objects when one
+    does not fit) and the (n, 2) sites.
     """
 
     def __init__(self, image_sizes: dict[str, tuple[int, int]]):
         self.image_sizes = {k: (int(w), int(h)) for k, (w, h) in image_sizes.items()}
-        self._by_camera: dict[str, list[tuple[int, np.ndarray]]] = {}
+        self._arrays: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def add(self, camera_id: str, global_id: int, position) -> None:
         position = np.asarray(position, dtype=float).reshape(2)
@@ -50,7 +53,7 @@ class LandmarkSet:
                 f"landmark {global_id} at {tuple(position)} outside "
                 f"camera {camera_id} frame {w}x{h}"
             )
-        entries = self._by_camera.setdefault(camera_id, [])
+        entries = self.entries(camera_id)
         for gid, pos in entries:
             if gid == global_id:
                 raise ValueError(
@@ -63,16 +66,33 @@ class LandmarkSet:
                 )
         entries.append((global_id, position))
         entries.sort(key=lambda e: e[0])
+        ids = [gid for gid, _ in entries]
+        try:
+            ids = np.array(ids, dtype=np.int64)
+        except OverflowError:
+            ids = np.array(ids, dtype=object)
+        sites = np.array([pos for _, pos in entries])
+        ids.flags.writeable = sites.flags.writeable = False
+        self._arrays[camera_id] = ids, sites
 
     def cameras(self) -> list[str]:
-        return sorted(self._by_camera)
+        return sorted(self._arrays)
 
     def entries(self, camera_id: str) -> list[tuple[int, np.ndarray]]:
         """(global_id, position) pairs sorted by id; empty if none."""
-        return list(self._by_camera.get(camera_id, []))
+        if camera_id not in self._arrays:
+            return []
+        ids, sites = self._arrays[camera_id]
+        return list(zip(ids.tolist(), sites))
+
+    def arrays(self, camera_id: str) -> tuple[np.ndarray, np.ndarray]:
+        """(ids (n,), sites (n, 2)) sorted by id; ``NoLandmarksError`` if none."""
+        if camera_id not in self._arrays:
+            raise NoLandmarksError(f"no landmarks registered for camera {camera_id!r}")
+        return self._arrays[camera_id]
 
     def count(self, camera_id: str) -> int:
-        return len(self._by_camera.get(camera_id, ()))
+        return len(self._arrays[camera_id][0]) if camera_id in self._arrays else 0
 
 
 def nearest_landmark(landmarks: LandmarkSet, camera_id: str, query) -> int:
@@ -89,11 +109,7 @@ def nearest_landmarks_many(
     landmarks: LandmarkSet, camera_id: str, queries: np.ndarray
 ) -> np.ndarray:
     """Vectorized nearest-landmark ids for (N, 2) queries."""
-    entries = landmarks.entries(camera_id)
-    if not entries:
-        raise NoLandmarksError(f"no landmarks registered for camera {camera_id!r}")
-    ids = np.array([gid for gid, _ in entries])
-    sites = np.array([pos for _, pos in entries])
+    ids, sites = landmarks.arrays(camera_id)
     queries = np.asarray(queries, dtype=float).reshape(-1, 2)
     d2 = ((queries[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2)
     # Entries are sorted by id, so argmin's first-hit rule is the tie-break.
@@ -203,13 +219,9 @@ def build_bounded_diagram(landmarks: LandmarkSet, camera_id: str) -> BoundedVoro
     virtual, then clipped to the image rectangle. O(n^2) in the site count,
     which stays small for landmark use.
     """
-    entries = landmarks.entries(camera_id)
-    if not entries:
-        raise NoLandmarksError(f"no landmarks registered for camera {camera_id!r}")
+    ids, sites = landmarks.arrays(camera_id)
     w, h = landmarks.image_sizes[camera_id]
     pad = math.hypot(w, h)
-    ids = tuple(gid for gid, _ in entries)
-    sites = np.asarray([pos for _, pos in entries])
     virtual = _virtual_sites(float(w), float(h), pad)
     all_sites = np.vstack([sites, virtual])
 
@@ -250,7 +262,7 @@ def build_bounded_diagram(landmarks: LandmarkSet, camera_id: str) -> BoundedVoro
     return BoundedVoronoi(
         camera_id=camera_id,
         image_size=(w, h),
-        site_ids=ids,
+        site_ids=tuple(ids.tolist()),
         sites=sites,
         virtual_sites=virtual,
         cells=tuple(cells),

@@ -16,6 +16,7 @@ from avitrack import dataio, pipeline
 from avitrack.cli import build_parser, main, pipeline_config
 from avitrack.mask import GrayFrame, read_pgm, write_pgm
 from avitrack.pipeline import PipelineConfig, run_pipeline
+from dataio_reference import write_keypoints_reference
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -351,6 +352,17 @@ class TestStandaloneCommands:
         assert main(self._mask_args(masked_bundle, out)) == 0
         assert (out / "keypoints_gated.csv").exists()
         assert list(out.glob("mask_*.pgm"))
+
+    def test_mask_writes_the_reference_writer_bytes(self, masked_bundle, tmp_path):
+        """keypoints_gated.csv holds exactly the bytes that the per-object
+        writer makes of the keypoints kept."""
+        out = tmp_path / "masks"
+        assert main(self._mask_args(masked_bundle, out)) == 0
+        gated = dataio.read_keypoints(out / "keypoints_gated.csv", {})
+        assert 0 < len(gated) < len(dataio.read_keypoints(masked_bundle / "keypoints.csv", {}))
+        write_keypoints_reference(tmp_path / "reference.csv", gated.keypoints(), 8)
+        assert ((out / "keypoints_gated.csv").read_bytes()
+                == (tmp_path / "reference.csv").read_bytes())
 
     def test_mask_command_emits_a_mask_per_detection_frame(self, masked_bundle, tmp_path):
         out = tmp_path / "masks"

@@ -1,6 +1,7 @@
 """Tests for strict file ingestion and lossless round trips."""
 
 import json
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from avitrack.errors import IngestError
 from avitrack.matching import Detection, Keypoint, KeypointTable
 from avitrack.synthworld import SceneConfig, generate
 from avitrack.voronoi import LandmarkSet
+from dataio_reference import write_keypoints_reference
 
 
 @pytest.fixture
@@ -685,7 +687,8 @@ class TestRoundTripProperty:
                                   min_size=0, max_size=6))
         keypoints = [Keypoint(cam, frame, det, v[:2], v[2:]) for cam, frame, det, v in rows]
         back = _round_trip(tmp_path_factory,
-                           lambda path, kps: dataio.write_keypoints(path, kps, length),
+                           lambda path, kps: dataio.write_keypoints(
+                               path, _table(kps, length), length),
                            lambda path: dataio.read_keypoints(path, {}).keypoints(),
                            keypoints)
         expected = sorted(keypoints, key=lambda k: (
@@ -745,3 +748,78 @@ class TestRoundTripProperty:
     def test_tracks(self, tmp_path_factory, rows):
         back = _round_trip(tmp_path_factory, dataio.write_tracks, dataio.read_tracks, rows)
         assert _bits(back) == _bits(rows)
+
+
+def _table(keypoints: list[Keypoint], length: int, objects=(False, False)) -> KeypointTable:
+    """The keypoints as a table; a frame or detection column is Python ints
+    as objects when ``objects`` says so or when a value does not fit int64."""
+    def ints(values, as_objects):
+        return (np.array(values, dtype=object) if as_objects
+                else dataio._int_array(values))
+
+    n = len(keypoints)
+    return KeypointTable(
+        np.array([kp.camera_id for kp in keypoints], dtype=object),
+        ints([kp.frame for kp in keypoints], objects[0]),
+        ints([kp.detection_index for kp in keypoints], objects[1]),
+        np.array([kp.position for kp in keypoints], dtype=float).reshape(n, 2),
+        np.array([kp.descriptor for kp in keypoints], dtype=float).reshape(n, length),
+    )
+
+
+def _micro(k: int) -> float:
+    return k / 1e6
+
+
+# Quantised cells as the generator writes them, the zeros, values below
+# 1e-4 (``repr`` writes ``1e-05``), the 10**15 bound on either side and
+# whole numbers of up to 18 digits, next to any float at all.
+_DESCRIPTOR_VALUE = st.one_of(
+    st.integers(-(10**9), 10**9).map(_micro),
+    st.integers(-99, 99).map(_micro),
+    st.sampled_from([0.0, -0.0, 100 / 1e6, -100 / 1e6, (10**15 - 1) / 1e6,
+                     -(10**15 - 1) / 1e6, 10**15 / 1e6, (10**15 + 1) / 1e6,
+                     1e16, 123456789.0, float("inf"), float("-inf"), float("nan")]),
+    st.integers(-(10**18), 10**18).map(_micro),
+    _FLOAT,
+)
+# Few values, so rows tie on every sort key.
+_POSITION = st.one_of(st.sampled_from([0.0, -0.0, 1.5, 2.0]), _FLOAT)
+_SMALL_INT = st.one_of(st.integers(-1, 2), _INT)
+_CAMERA = st.sampled_from(["cam0", "cam1", "a,b", 'q"t', "n\nl", "r\rl", "é", ""])
+
+
+class TestWriteKeypointsMatchesReference:
+    """The block writer writes exactly the bytes of the per-object writer."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(length=st.integers(1, 5), objects=st.tuples(st.booleans(), st.booleans()),
+           block=st.integers(1, 40), data=st.data())
+    def test_random_tables(self, tmp_path_factory, length, objects, block, data):
+        rows = data.draw(st.lists(
+            st.tuples(_CAMERA, _SMALL_INT, _SMALL_INT, _POSITION, _POSITION,
+                      st.lists(_DESCRIPTOR_VALUE, min_size=length, max_size=length)),
+            max_size=12,
+        ))
+        keypoints = [Keypoint(cam, frame, det, [x, y], desc)
+                     for cam, frame, det, x, y, desc in rows]
+        directory = tmp_path_factory.mktemp("kp")
+        write_keypoints_reference(directory / "reference.csv", keypoints, length)
+        with patch.object(dataio, "_FORMAT_BLOCK_CELLS", block):
+            dataio.write_keypoints(directory / "table.csv",
+                                   _table(keypoints, length, objects), length)
+        assert ((directory / "table.csv").read_bytes()
+                == (directory / "reference.csv").read_bytes())
+
+    def test_cells_formatted_from_micros_are_repr(self, tmp_path):
+        """Every cell shape of the integer path next to the repr fallback:
+        signs, 1-9 integer digits, 1-6 fraction digits and the bounds."""
+        values = [0.0, -0.0, 1e-4, -1e-4, 9.9e-05, 0.5, -0.000101, 1.000001, 10.25,
+                  -123.4, 999999999.999999, 1e9 - 1, 42.0, 1e-05, 0.1 + 0.2, 3e15]
+        keypoints = [Keypoint("cam0", 0, i, [0.0, float(i)], [v, -v])
+                     for i, v in enumerate(values)]
+        dataio.write_keypoints(tmp_path / "table.csv", _table(keypoints, 2), 2)
+        lines = (tmp_path / "table.csv").read_bytes().split(b"\r\n")
+        assert lines[1:-1] == [f"cam0,0,{i},0.0,{float(i)!r},{v!r},{-v!r}".encode()
+                               for i, v in enumerate(values)]
+        assert lines[-1] == b""

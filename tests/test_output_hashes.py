@@ -1,9 +1,13 @@
-"""Pinned output bytes: ``avitrack run`` must write exactly the recorded files.
+"""Pinned output bytes: ``avitrack run`` and ``DatasetBundle.write`` must write
+exactly the recorded files.
 
-Each case generates a small ``crowded``-like scene (40 birds, 8-d
+Each run case generates a small ``crowded``-like scene (40 birds, 8-d
 descriptors, 0.5 s), runs ``avitrack run`` on it and compares the SHA-256
-of every output file with ``tests/data/run_output_sha256.json``. A change
-that alters outputs on purpose re-records the hashes with
+of every output file with ``tests/data/run_output_sha256.json``. Each bundle
+case generates a small scene and compares the SHA-256 of every file that
+``generate(...).write`` makes, frames included, with
+``tests/data/bundle_sha256.json``. A change that alters outputs on purpose
+re-records both files with
 
     PYTHONPATH=src python tests/test_output_hashes.py
 
@@ -21,6 +25,7 @@ from avitrack.cli import main
 from avitrack.synthworld import SceneConfig, generate
 
 HASHES = Path(__file__).resolve().parent / "data" / "run_output_sha256.json"
+BUNDLE_HASHES = Path(__file__).resolve().parent / "data" / "bundle_sha256.json"
 SCENE = SceneConfig(seed=3, bird_count=40, duration_s=0.5, descriptor_length=8,
                     keypoints_per_detection=(3, 6), descriptor_noise=0.05,
                     pixel_noise=0.5)
@@ -29,6 +34,16 @@ CASES = {
     "crowded-detection-center": ["--parallelism", "2", "--landmark-anchor",
                                  "detection_center", "--min-support", "1"],
 }
+# Small versions of the benchmark scenes: the quickstart (128-d), crowded
+# (8-d, pixel noise), masked (frames drawn) and look-alike birds.
+BUNDLE_SCENES = {
+    "quickstart": SceneConfig(seed=42, bird_count=5, duration_s=0.5),
+    "crowded": SCENE,
+    "masked": SceneConfig(seed=42, bird_count=5, duration_s=0.3, image_size=(320, 180),
+                          emit_frames=True),
+    "ambiguous": SceneConfig(seed=1, bird_count=10, duration_s=0.3, ambiguity=0.5,
+                             descriptor_noise=0.05, pixel_noise=0.5),
+}
 
 
 def run_hashes(bundle: Path, out: Path, flags: list[str]) -> dict[str, str]:
@@ -36,6 +51,14 @@ def run_hashes(bundle: Path, out: Path, flags: list[str]) -> dict[str, str]:
     assert main(["run", "--input", str(bundle), "--out", str(out), *flags]) == 0
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out.iterdir())}
+
+
+def bundle_hashes(scene: SceneConfig, out: Path) -> dict[str, str]:
+    """The SHA-256 of every file the bundle of ``scene`` writes, frames
+    included, by path relative to ``out``."""
+    generate(scene).write(out)
+    return {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.rglob("*")) if path.is_file()}
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +74,12 @@ def test_run_writes_the_recorded_bytes(bundle, tmp_path, case):
     assert run_hashes(bundle, tmp_path / "out", CASES[case]) == expected
 
 
+@pytest.mark.parametrize("scene", sorted(BUNDLE_SCENES))
+def test_bundle_writes_the_recorded_bytes(tmp_path, scene):
+    expected = json.loads(BUNDLE_HASHES.read_text())[scene]
+    assert bundle_hashes(BUNDLE_SCENES[scene], tmp_path / "bundle") == expected
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -59,5 +88,8 @@ if __name__ == "__main__":
         generate(SCENE).write(work / "bundle")
         record = {case: run_hashes(work / "bundle", work / case, flags)
                   for case, flags in sorted(CASES.items())}
+        bundles = {scene: bundle_hashes(config, work / f"bundle-{scene}")
+                   for scene, config in sorted(BUNDLE_SCENES.items())}
     HASHES.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {HASHES}", file=sys.stderr)
+    BUNDLE_HASHES.write_text(json.dumps(bundles, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {HASHES} and {BUNDLE_HASHES}", file=sys.stderr)

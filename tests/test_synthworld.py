@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from avitrack.camera import MIN_DEPTH, CameraModel, project_points
 from avitrack.errors import ConfigError
-from avitrack.matching import knn_match
+from avitrack import synthworld
+from avitrack.matching import Keypoint, KeypointTable, knn_match
 from matching_reference import table_of
 from avitrack.synthworld import SceneConfig, _visible_boxes, generate, truth_labels
 
@@ -52,6 +53,39 @@ class TestDeterminism:
         assert len(a.detections) != len(b.detections) or any(
             det_a != det_b for det_a, det_b in zip(a.detections, b.detections)
         )
+
+
+class TestKeypointColumns:
+    def test_generate_builds_no_keypoint(self, monkeypatch):
+        """``generate`` draws keypoints into the table's arrays: on the
+        README quickstart scene it constructs no ``Keypoint``."""
+        built = []
+
+        def tracked(self, *args, _init=Keypoint.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Keypoint, "__init__", tracked)
+        Keypoint("cam0", 0, 0, [0.0, 0.0], [0.0])
+        assert built == ["Keypoint"]  # the count works
+        built.clear()
+        bundle = generate(SceneConfig(seed=42, bird_count=5, duration_s=2.0))
+        assert built == []
+        assert isinstance(bundle.keypoints, KeypointTable)
+        assert len(bundle.keypoints) > 0
+        assert not hasattr(synthworld, "Keypoint")
+
+    def test_rows_follow_the_detections(self):
+        """Rows come in detection order, each detection's keypoints together."""
+        bundle = generate(_small_config(pixel_noise=0.5, descriptor_noise=0.05))
+        table = bundle.keypoints
+        keys = list(zip(table.camera.tolist(), table.frame.tolist(),
+                        table.detection.tolist()))
+        order = {(d.camera_id, d.frame, d.index): i for i, d in enumerate(bundle.detections)}
+        runs = [key for i, key in enumerate(keys) if i == 0 or keys[i - 1] != key]
+        assert runs == sorted(set(keys), key=order.__getitem__)
+        assert table.desc.shape == (len(table), 16)
+        assert np.array_equal(table.desc, np.round(table.desc, 6))
 
 
 class TestSelfConsistency:

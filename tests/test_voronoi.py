@@ -147,6 +147,44 @@ class TestLandmarkSetValidation:
         assert landmarks.count("cam1") == 1
 
 
+class TestLandmarkArrays:
+    def test_add_keeps_the_arrays_sorted_by_id(self):
+        landmarks = LandmarkSet({"cam0": (100, 80), "cam1": (100, 80)})
+        for gid, position in ((7, (10.0, 10.0)), (2, (50.0, 20.0)), (5, (30.0, 60.0))):
+            landmarks.add("cam0", gid, position)
+            ids, sites = landmarks.arrays("cam0")
+            entries = landmarks.entries("cam0")
+            assert ids.tolist() == [gid for gid, _ in entries]
+            assert np.array_equal(sites, [pos for _, pos in entries])
+        assert ids.tolist() == [2, 5, 7]
+        assert not ids.flags.writeable and not sites.flags.writeable
+        with pytest.raises(NoLandmarksError, match="'cam1'"):
+            landmarks.arrays("cam1")
+
+    def test_ids_beyond_int64_stay_exact(self):
+        """Mixed-sign ids beyond int64 are held as Python ints, not floats."""
+        landmarks = LandmarkSet({"cam0": (100, 80)})
+        landmarks.add("cam0", -1, (10.0, 10.0))
+        landmarks.add("cam0", 2**63 + 1, (90.0, 70.0))
+        assert [gid for gid, _ in landmarks.entries("cam0")] == [-1, 2**63 + 1]
+        assert nearest_landmark(landmarks, "cam0", (80.0, 60.0)) == 2**63 + 1
+        assert landmarks.count("cam0") == 2
+
+    def test_queries_read_the_held_arrays(self, two_landmarks, monkeypatch):
+        """Nearest-landmark queries and diagrams build nothing from entries."""
+        expected = build_bounded_diagram(two_landmarks, "cam0")
+
+        def entries(self, camera_id):
+            raise AssertionError("entries() called")
+
+        monkeypatch.setattr(LandmarkSet, "entries", entries)
+        queries = np.array([[10.0, 40.0], [90.0, 40.0], [50.0, 40.0]])
+        assert nearest_landmarks_many(two_landmarks, "cam0", queries).tolist() == [1, 2, 1]
+        diagram = build_bounded_diagram(two_landmarks, "cam0")
+        assert diagram.site_ids == expected.site_ids == (1, 2)
+        assert all(np.array_equal(a, b) for a, b in zip(diagram.cells, expected.cells))
+
+
 class TestBoundedDiagram:
     def test_single_site_owns_whole_frame(self):
         landmarks = LandmarkSet({"cam0": (100, 80)})
