@@ -11,6 +11,8 @@ as ``scipy.ndimage.convolve``.
 
 from __future__ import annotations
 
+import mmap
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,10 +313,10 @@ def gate_keypoints(mask: BinaryMask, xy: np.ndarray) -> np.ndarray:
     return inside[on]
 
 
-def read_pgm(path) -> GrayFrame:
-    """Read a binary (P5) PGM file with maxval <= 255."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _pgm_header(path, data) -> tuple[int, int, int]:
+    """(width, height, pixel offset) of a binary (P5) PGM whose bytes are
+    ``data``. Only the header is parsed, so ``data`` may be a memory map of
+    the file; its length is the file's, checked against width x height."""
     tokens: list[bytes] = []
     idx = 0
     while len(tokens) < 4:
@@ -344,8 +346,26 @@ def read_pgm(path) -> GrayFrame:
             path, f"pixel data truncated: {max(0, len(data) - idx)} of "
             f"{width * height} bytes for {width}x{height}"
         )
-    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=idx)
+    return width, height, idx
+
+
+def read_pgm(path) -> GrayFrame:
+    """Read a binary (P5) PGM file with maxval <= 255."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    width, height, offset = _pgm_header(path, data)
+    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=offset)
     return GrayFrame(width=width, height=height, pixels=pixels.reshape(height, width))
+
+
+def read_pgm_size(path) -> tuple[int, int]:
+    """The (width, height) of a PGM file, with the checks of ``read_pgm``,
+    reading only its header's pages."""
+    with open(path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size == 0:
+            return _pgm_header(path, b"")[:2]
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
+            return _pgm_header(path, data)[:2]
 
 
 def write_pgm(path, image: GrayFrame | BinaryMask) -> None:
@@ -357,4 +377,4 @@ def write_pgm(path, image: GrayFrame | BinaryMask) -> None:
     header = f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(pixels.tobytes())
+        fh.write(np.ascontiguousarray(pixels))

@@ -37,7 +37,7 @@ from . import dataio
 from .camera import DEFAULT_REPROJ_THRESHOLD_PX, CameraModel
 from .errors import ConfigError, IngestError
 from .mask import (
-    CANNY_HIGH, CANNY_LOW, GrayFrame, build_frame_mask, gate_keypoints, read_pgm,
+    CANNY_HIGH, CANNY_LOW, build_frame_mask, gate_keypoints, read_pgm, read_pgm_size,
 )
 from .matching import (
     ANCHORS,
@@ -312,10 +312,11 @@ def check_references(
             raise IngestError(keypoints_path, f"keypoint references missing detection {key}")
 
 
-def _read_frame(pgm: Path) -> GrayFrame:
+def _frame_file(frames_dir, camera_id: str, frame: int) -> Path:
+    pgm = dataio.frame_path(frames_dir, camera_id, frame)
     if not pgm.exists():
         raise IngestError(pgm, "frame file missing for mask stage")
-    return read_pgm(pgm)
+    return pgm
 
 
 def first_frame_sizes(
@@ -325,11 +326,10 @@ def first_frame_sizes(
     first: dict[str, int] = {}
     for det in detections:
         first[det.camera_id] = min(det.frame, first.get(det.camera_id, det.frame))
-    sizes = {}
-    for camera_id, frame in first.items():
-        gray = _read_frame(dataio.frame_path(frames_dir, camera_id, frame))
-        sizes[camera_id] = (gray.width, gray.height)
-    return sizes
+    return {
+        camera_id: read_pgm_size(_frame_file(frames_dir, camera_id, frame))
+        for camera_id, frame in first.items()
+    }
 
 
 def apply_mask_stage(
@@ -345,8 +345,9 @@ def apply_mask_stage(
     Masks are built for each (camera, frame) with keypoints. With
     ``on_mask``, they are built for each (camera, frame) with detections
     instead, and each is passed to ``on_mask(camera_id, frame, mask)``;
-    every frame is then read and checked before the first mask is built,
-    so a missing or bad frame fails before ``on_mask`` sees any mask.
+    every frame's header is then checked before the first mask is built,
+    so a missing or bad frame fails before ``on_mask`` sees any mask, and
+    each frame's pixels are still read once.
     With ``image_sizes``, a frame whose (width, height) differs from its
     camera's size there is an ``IngestError``, which names the size as the
     calibrated one or, without ``calibrated``, as the camera's frame size.
@@ -357,26 +358,27 @@ def apply_mask_stage(
     for det in detections:
         boxes.setdefault((det.camera_id, det.frame), []).append(det.box)
 
-    def checked_frame(camera_id: str, frame: int) -> GrayFrame:
-        pgm = dataio.frame_path(config.frames_dir, camera_id, frame)
-        gray = _read_frame(pgm)
+    def check_size(pgm: Path, camera_id: str, width: int, height: int) -> None:
         expected = (image_sizes or {}).get(camera_id)
-        if expected is not None and (gray.width, gray.height) != expected:
+        if expected is not None and (width, height) != expected:
             size = f"{expected[0]}x{expected[1]}"
             raise IngestError(
-                pgm, f"frame is {gray.width}x{gray.height}, but camera {camera_id} "
+                pgm, f"frame is {width}x{height}, but camera {camera_id} "
                 + (f"is calibrated for {size}" if calibrated else f"has frame size {size}"),
             )
-        return gray
 
     grouped = {} if keypoints is None else keypoints.groups()
     keys = sorted(grouped if on_mask is None else boxes)
     if on_mask is not None:
         for key in keys:
-            checked_frame(*key)
+            pgm = _frame_file(config.frames_dir, *key)
+            check_size(pgm, key[0], *read_pgm_size(pgm))
     gated: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]
     for key in keys:
-        mask = build_frame_mask(checked_frame(*key), boxes.get(key, []),
+        pgm = _frame_file(config.frames_dir, *key)
+        gray = read_pgm(pgm)
+        check_size(pgm, key[0], gray.width, gray.height)
+        mask = build_frame_mask(gray, boxes.get(key, []),
                                 low=config.canny_low, high=config.canny_high)
         if on_mask is not None:
             on_mask(*key, mask)

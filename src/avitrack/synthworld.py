@@ -10,6 +10,7 @@ for matching, reconstruction, and tracking tests.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -85,6 +86,10 @@ class SceneConfig:
             raise ConfigError("bird_count must be at least 1")
         if self.fps <= 0 or self.duration_s <= 0:
             raise ConfigError("fps and duration_s must be positive")
+        if self.frame_count == 0:
+            raise ConfigError(
+                f"duration_s {self.duration_s} at fps {self.fps} gives no frame"
+            )
         if not (0.0 <= self.ambiguity <= 1.0):
             raise ConfigError(f"ambiguity must be in [0, 1], got {self.ambiguity}")
         if self.pixel_noise < 0 or self.descriptor_noise < 0:
@@ -122,9 +127,32 @@ class SceneConfig:
         return 0.546875 * self.image_size[0]  # 1050 px at width 1920
 
 
+class RenderedFrames(Mapping):
+    """The frames of a scene, keyed by (camera id, frame), rendered on access.
+
+    Holds each (camera, frame)'s detection boxes, not its pixels: every
+    lookup renders a fresh ``GrayFrame`` and nothing is cached, so a caller
+    that drops each frame after use holds one frame at a time.
+    """
+
+    def __init__(self, config: SceneConfig, boxes: dict[tuple[str, int], list]):
+        self._config = config
+        self._boxes = boxes
+
+    def __getitem__(self, key: tuple[str, int]) -> GrayFrame:
+        return _render_frame(self._config, self._boxes[key])
+
+    def __iter__(self):
+        return iter(self._boxes)
+
+    def __len__(self) -> int:
+        return len(self._boxes)
+
+
 @dataclass
 class DatasetBundle:
-    """Everything one scene produces, in memory."""
+    """Everything one scene produces. Tables are held in memory; frames
+    are rendered from their boxes when read (see ``RenderedFrames``)."""
 
     config: SceneConfig
     cameras: dict[str, CameraModel]
@@ -134,7 +162,7 @@ class DatasetBundle:
     landmarks_3d: np.ndarray
     truth_positions: dict[int, dict[int, np.ndarray]]
     detection_identities: dict[tuple[str, int, int], int]
-    frames: dict[tuple[str, int], GrayFrame] = field(default_factory=dict)
+    frames: Mapping[tuple[str, int], GrayFrame] = field(default_factory=dict)
 
     def write(self, out_dir) -> None:
         out = Path(out_dir)
@@ -150,8 +178,9 @@ class DatasetBundle:
         if self.frames:
             frames_dir = out / "frames"
             frames_dir.mkdir(exist_ok=True)
-            for (camera_id, frame), image in sorted(self.frames.items()):
-                write_pgm(dataio.frame_path(frames_dir, camera_id, frame), image)
+            for camera_id, frame in sorted(self.frames):
+                write_pgm(dataio.frame_path(frames_dir, camera_id, frame),
+                          self.frames[camera_id, frame])
 
 
 def _look_at_rotation(eye: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -490,7 +519,7 @@ def generate(config: SceneConfig) -> DatasetBundle:
     detections: list[Detection] = []
     truth_positions: dict[int, dict[int, np.ndarray]] = {}
     detection_identities: dict[tuple[str, int, int], int] = {}
-    frames: dict[tuple[str, int], GrayFrame] = {}
+    frame_boxes: dict[tuple[str, int], list[list[float]]] = {}
 
     # Keypoints are drawn straight into row arrays. The row bound is every
     # bird seen by every camera in every frame; pages of ``np.empty`` that
@@ -553,7 +582,7 @@ def generate(config: SceneConfig) -> DatasetBundle:
                 n += count
 
             if config.emit_frames:
-                frames[(cam_id, frame)] = _render_frame(config, boxes)
+                frame_boxes[(cam_id, frame)] = boxes
 
     # Quantized to 1e-6: keeps emitted CSVs compact, far below any
     # meaningful descriptor-noise scale.
@@ -584,7 +613,7 @@ def generate(config: SceneConfig) -> DatasetBundle:
         landmarks_3d=landmarks_3d,
         truth_positions=truth_positions,
         detection_identities=detection_identities,
-        frames=frames,
+        frames=RenderedFrames(config, frame_boxes),
     )
 
 

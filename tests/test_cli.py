@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -69,6 +70,12 @@ class TestSynth:
         out = tmp_path / "bundle"
         assert main(["synth", "--out", str(out), "--duration", "0.2", *argv]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_duration_of_no_frame_fails_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        assert main(["synth", "--out", str(out), "--duration", "0.01"]) == 2
+        assert "error: duration_s 0.01 at fps 30.0 gives no frame" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -363,6 +370,19 @@ class TestStandaloneCommands:
         write_keypoints_reference(tmp_path / "reference.csv", gated.keypoints(), 8)
         assert ((out / "keypoints_gated.csv").read_bytes()
                 == (tmp_path / "reference.csv").read_bytes())
+
+    def test_mask_reads_each_frame_once(self, masked_bundle, tmp_path, monkeypatch):
+        reads = Counter()
+
+        def counting_read_pgm(path):
+            reads[Path(path).name] += 1
+            return read_pgm(path)
+
+        monkeypatch.setattr(pipeline, "read_pgm", counting_read_pgm)
+        assert main(self._mask_args(masked_bundle, tmp_path / "masks")) == 0
+        rows = (masked_bundle / "detections.csv").read_text().splitlines()[1:]
+        frames = {"{}_frame{}.pgm".format(*row.split(",")[:2]) for row in rows}
+        assert reads == Counter(frames)
 
     def test_mask_command_emits_a_mask_per_detection_frame(self, masked_bundle, tmp_path):
         out = tmp_path / "masks"

@@ -29,6 +29,7 @@ from avitrack.mask import (
     gate_keypoints,
     lateral_fill,
     read_pgm,
+    read_pgm_size,
     write_pgm,
 )
 from avitrack.matching import Keypoint
@@ -549,6 +550,19 @@ class TestPgm:
         assert loaded.width == frame.width
         assert loaded.height == frame.height
         assert np.array_equal(loaded.pixels, frame.pixels)
+        assert read_pgm_size(path) == (23, 17)
+
+    def test_size_read_skips_comments_and_extra_bytes(self, tmp_path):
+        path = tmp_path / "cam0_frame0.pgm"
+        path.write_bytes(b"P5\n# made by hand\n3  2\n# maxval next\n255\n" + bytes(9))
+        assert read_pgm_size(path) == (3, 2)
+        assert read_pgm(path).pixels.shape == (2, 3)
+
+    def test_non_contiguous_pixels_are_written_in_order(self, tmp_path):
+        pixels = np.arange(24, dtype=np.uint8).reshape(4, 6)
+        path = tmp_path / "cam0_frame0.pgm"
+        write_pgm(path, GrayFrame(width=3, height=4, pixels=pixels[:, ::2]))
+        assert np.array_equal(read_pgm(path).pixels, pixels[:, ::2])
 
     def test_mask_written_as_0_255(self, tmp_path):
         bits = np.zeros((4, 5), dtype=bool)
@@ -570,6 +584,9 @@ BAD_PGMS = {
         b"P5\n4 3.5\n255\n" + bytes(12),
         "width, height and maxval must be positive integers, got '4 3.5 255'",
     ),
+    "empty": (b"", "not a binary PGM (P5) file"),
+    "truncated after a comment": (b"P5\n# one row short\n4 3\n255\n" + bytes(8),
+                                  "pixel data truncated: 8 of 12 bytes for 4x3"),
 }
 
 
@@ -590,6 +607,15 @@ class TestBadFrameFiles:
         path.write_bytes(content)
         with pytest.raises(IngestError) as exc:
             read_pgm(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("case", sorted(BAD_PGMS))
+    def test_read_pgm_size_gives_the_same_message(self, tmp_path, case):
+        content, message = BAD_PGMS[case]
+        path = tmp_path / "cam0_frame0.pgm"
+        path.write_bytes(content)
+        with pytest.raises(IngestError) as exc:
+            read_pgm_size(path)
         assert str(exc.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("case", sorted(BAD_PGMS))

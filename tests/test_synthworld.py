@@ -1,5 +1,7 @@
 """Tests for the synthetic scene generator and its self-consistency."""
 
+import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -245,6 +247,11 @@ class TestConfigValidation:
     def test_frame_count_arithmetic(self):
         assert SceneConfig(duration_s=60.0, fps=30.0).frame_count == 1800
 
+    def test_a_duration_of_no_frame_is_rejected(self):
+        assert SceneConfig(duration_s=0.01, fps=30.0).frame_count == 0
+        with pytest.raises(ConfigError, match="duration_s 0.01 at fps 30.0 gives no frame"):
+            generate(_small_config(duration_s=0.01))
+
     def test_default_rig_mirrors_reference_setup(self):
         """Five cameras, 1920x1080, 30 FPS, 27.2 m^3 box."""
         config = SceneConfig()
@@ -255,18 +262,81 @@ class TestConfigValidation:
         assert volume == pytest.approx(27.2)
 
 
+# One bird thrown about by 120 px of box noise: its box leaves some views.
+def _frames_config(**overrides) -> SceneConfig:
+    return _small_config(emit_frames=True, duration_s=0.2, bird_count=1,
+                         pixel_noise=120.0, **overrides)
+
+
 class TestFrames:
     def test_emitted_frames_cover_detections(self):
-        bundle = generate(_small_config(emit_frames=True, duration_s=0.2))
-        assert bundle.frames
+        bundle = generate(_frames_config())
+        assert bundle.detections
         for (camera_id, frame), image in bundle.frames.items():
-            assert image.width, image.height == bundle.cameras[camera_id].image_size
+            assert (image.width, image.height) == bundle.cameras[camera_id].image_size
+        for det in bundle.detections:
+            pixels = bundle.frames[det.camera_id, det.frame].pixels
+            col = math.floor((det.x_min + det.x_max) / 2.0 + 0.5)
+            row = math.floor((det.y_min + det.y_max) / 2.0 + 0.5)
+            assert pixels[row, col] == 215
+
+    def test_every_camera_frame_is_a_frame(self, tmp_path):
+        config = _frames_config()
+        bundle = generate(config)
+        detected = {(det.camera_id, det.frame) for det in bundle.detections}
+        keys = {(camera_id, frame) for camera_id in bundle.cameras
+                for frame in range(config.frame_count)}
+        assert keys - detected, "the scene should have a frame without a detection"
+        assert len(bundle.frames) == config.frame_count * config.camera_count
+        assert set(bundle.frames) == keys
+        empty = next(iter(sorted(keys - detected)))
+        assert np.all(bundle.frames[empty].pixels == 30)
+        bundle.write(tmp_path)
+        assert {p.name for p in (tmp_path / "frames").glob("*.pgm")} == {
+            f"{camera_id}_frame{frame}.pgm" for camera_id, frame in keys
+        }
 
     def test_frame_files_written(self, tmp_path):
         bundle = generate(_small_config(emit_frames=True, duration_s=0.2))
         bundle.write(tmp_path)
         pgms = list((tmp_path / "frames").glob("cam*_frame*.pgm"))
         assert len(pgms) == len(bundle.frames)
+
+    def test_frames_are_rendered_on_each_read(self):
+        bundle = generate(_small_config(emit_frames=True, duration_s=0.2))
+        key = next(iter(bundle.frames))
+        first, again = bundle.frames[key], bundle.frames[key]
+        assert first is not again
+        np.testing.assert_array_equal(first.pixels, again.pixels)
+        with pytest.raises(TypeError):
+            bundle.frames[key] = first
+
+    def test_no_frames_without_emit_frames(self, tmp_path):
+        bundle = generate(_small_config(duration_s=0.2))
+        assert len(bundle.frames) == 0
+        bundle.write(tmp_path)
+        assert not (tmp_path / "frames").exists()
+
+    def test_set_up_holds_a_few_frames_at_a_time(self, tmp_path):
+        """Numpy reports its buffers to ``tracemalloc``. A 0.2-s scene at
+        1920x1080 has 30 frames; holding them all would peak above 30
+        frames' bytes in ``generate`` and in ``write``, whose peak counts
+        the bundle it writes."""
+        config = SceneConfig(duration_s=0.2, bird_count=3, emit_frames=True)
+        frame_bytes = config.image_size[0] * config.image_size[1]
+        assert config.frame_count * config.camera_count == 30
+        tracemalloc.start()
+        try:
+            bundle = generate(config)
+            generate_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            bundle.write(tmp_path)
+            write_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert generate_peak < 4 * frame_bytes
+        assert write_peak < 8 * frame_bytes
+        assert len(list((tmp_path / "frames").glob("*.pgm"))) == 30
 
 
 def _visible_loop(cam, positions, config, rng):
