@@ -10,7 +10,7 @@ from .matching import (
     knn_match,
     reject_by_landmark,
 )
-from .reconstruction import Observation3D, reconstruct_frame, triangulate
+from .reconstruction import Observation3D, reconstruct_frame
 from .synthworld import DatasetBundle, SceneConfig, generate, truth_labels
 from .tracking import MultiObjectTracker, TrackerConfig, TrackState
 from .voronoi import BoundedVoronoi, LandmarkSet, build_bounded_diagram, nearest_landmark
@@ -40,6 +40,5 @@ __all__ = [
     "projection_matrix",
     "reconstruct_frame",
     "reject_by_landmark",
-    "triangulate",
     "truth_labels",
 ]

@@ -21,7 +21,7 @@ from .mask import write_pgm
 from .metrics import GroundTruth, tracking_metrics
 from .matching import ANCHORS
 from .pipeline import (
-    FUSIONS, STAGES, PipelineConfig, apply_mask_stage, check_references,
+    STAGES, PipelineConfig, apply_mask_stage, check_references,
     first_frame_sizes, run_pipeline, track_observations,
 )
 from .synthworld import MOTION_MODES, SceneConfig, generate
@@ -203,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("--pair", "camera_pairs", action="append", type=lambda text: text.split(","),
         metavar="CAMA,CAMB", help="camera pair to match (repeatable; default all pairs)")
     add("--use-mask")
-    add("--fusion", choices=FUSIONS)
     add("--ratio")
     add("--min-support")
     add("--landmark-anchor", choices=ANCHORS)

@@ -29,10 +29,6 @@ class DegenerateRaysError(AvitrackError):
     """Triangulation rays are parallel or identical."""
 
 
-class NonFiniteResultError(AvitrackError):
-    """A computation produced a point at or near infinity."""
-
-
 class SingularInnovationError(AvitrackError):
     """Kalman innovation covariance is numerically singular."""
 

@@ -49,12 +49,6 @@ class Detection:
     confidence: float = 1.0
 
     @property
-    def center(self) -> np.ndarray:
-        return np.array(
-            [(self.x_min + self.x_max) / 2.0, (self.y_min + self.y_max) / 2.0]
-        )
-
-    @property
     def box(self) -> tuple[float, float, float, float]:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
 

@@ -67,7 +67,6 @@ from .voronoi import LandmarkSet, build_bounded_diagram, render_overlay
 logger = logging.getLogger(__name__)
 
 STAGES = ("voronoi-overlay", "match", "reconstruct", "all")
-FUSIONS = ("all-pairs", "pairwise")
 
 
 def _has_type(value, kind: type) -> bool:
@@ -98,7 +97,6 @@ class PipelineConfig:
 
     camera_pairs: list[list[str]] | None = None
     use_mask: bool = False
-    fusion: str = "all-pairs"
     stage: str = "all"
 
     ratio: float = DEFAULT_RATIO
@@ -120,13 +118,30 @@ class PipelineConfig:
     aviary_size: list[float] = field(default_factory=lambda: [4.0, 3.4, 2.0])
     parallelism: int = 1
 
+    @classmethod
+    def _type_mismatch(cls, name: str, value) -> str | None:
+        """The type field ``name`` takes, if ``value`` is not of it; else None."""
+        if name == "camera_pairs":
+            ok = value is None or isinstance(value, list) and all(
+                isinstance(pair, list) and all(isinstance(cam, str) for cam in pair)
+                for pair in value
+            )
+            return None if ok else "null or a list of [CAMA, CAMB] pairs of strings"
+        if name == "aviary_size":
+            ok = isinstance(value, list) and all(_has_type(v, float) for v in value)
+            return None if ok else "a list of numbers"
+        kind = type(cls.__dataclass_fields__[name].default)
+        return None if _has_type(value, kind) else kind.__name__
+
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (expected := self._type_mismatch(f.name, value)) is not None:
+                expected = "a finite number" if expected == "float" else expected
+                raise ConfigError(f"{f.name} must be {expected}, got {value!r}")
         pairs = self.camera_pairs or []
         for name, ok, rule in (
-            *[(f.name, _has_type(getattr(self, f.name), float), "a finite number")
-              for f in fields(self) if type(f.default) is float],
             ("stage", self.stage in STAGES, f"one of {STAGES}"),
-            ("fusion", self.fusion in FUSIONS, f"one of {FUSIONS}"),
             ("association", self.association in ASSOCIATIONS, f"one of {ASSOCIATIONS}"),
             ("landmark_anchor", self.landmark_anchor in ANCHORS, f"one of {ANCHORS}"),
             ("camera_pairs", all(len(pair) == len(set(pair)) == 2 for pair in pairs)
@@ -167,22 +182,8 @@ class PipelineConfig:
         unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise IngestError(path, f"unknown config keys: {sorted(unknown)}")
-        defaults = cls()
         for name, value in doc.items():
-            if name == "camera_pairs":
-                expected = "null or a list of [CAMA, CAMB] pairs of strings"
-                ok = value is None or isinstance(value, list) and all(
-                    isinstance(pair, list) and len(pair) == 2
-                    and all(isinstance(cam, str) for cam in pair)
-                    for pair in value
-                )
-            elif name == "aviary_size":
-                expected = "a list of numbers"
-                ok = isinstance(value, list) and all(_has_type(v, float) for v in value)
-            else:
-                kind = type(getattr(defaults, name))
-                expected, ok = kind.__name__, _has_type(value, kind)
-            if not ok:
+            if (expected := cls._type_mismatch(name, value)) is not None:
                 raise IngestError(
                     path, f"config key {name!r}: expected {expected}, got {value!r}"
                 )
@@ -277,7 +278,6 @@ def _process_frame(payload: _FramePayload) -> FrameResult:
         payload.centers,
         payload.cameras,
         fuse_radius=cfg.fuse_radius_m,
-        fuse=cfg.fusion == "all-pairs",
         bounds=bounds,
     )
     return FrameResult(
@@ -451,7 +451,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
         _write_overlays(out_dir, landmarks)
         return {}
 
-    # A bad detection, keypoint or frame fails before any output is written.
+    # A camera without landmarks, or a bad detection, keypoint or frame,
+    # fails before any output is written.
+    unmarked = sorted({cam for pair in pairs for cam in pair} - set(landmarks.cameras()))
+    if unmarked:
+        raise IngestError(config.landmarks_path,
+                          f"no landmarks registered for camera {unmarked[0]!r}")
     detections = dataio.read_detections(config.detections_path)
     keypoints = dataio.read_keypoints(config.keypoints_path, image_sizes)
     check_references(detections, keypoints, config.keypoints_path)

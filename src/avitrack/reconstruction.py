@@ -15,7 +15,7 @@ from .camera import (
     project_points,
     projection_matrix,
 )
-from .errors import DegenerateRaysError, EmptyInputError, NonFiniteResultError
+from .errors import DegenerateRaysError, EmptyInputError
 from .matching import Correspondence, Detection, PairMatches
 
 FUSE_RADIUS_M = 0.15
@@ -102,7 +102,7 @@ def triangulate_from_matrices(
     points2: np.ndarray,
     p1: np.ndarray,
     p2: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Batched homogeneous DLT from pinhole pixels and 3x4 matrices.
 
     For each camera two rows x*p3 - p1 and y*p3 - p2 form a 4x4 system
@@ -110,23 +110,16 @@ def triangulate_from_matrices(
     normal matrix. Matrices are normalized to unit Frobenius norm first,
     so any nonzero rescaling of an input matrix leaves results unchanged.
 
-    Returns (positions (N, 3), degenerate (N,), at_infinity (N,)); the
-    boolean rows flag parallel/identical rays and vanishing homogeneous w,
-    and their positions are NaN.
+    Returns (N, 3) positions. Rows whose rays are parallel or identical,
+    or whose homogeneous w vanishes (a point at infinity), are NaN.
     """
     points1 = np.asarray(points1, dtype=float).reshape(-1, 2)
     points2 = np.asarray(points2, dtype=float).reshape(-1, 2)
     if points1.shape != points2.shape:
         raise ValueError("point lists must have equal length")
     n = points1.shape[0]
-    if n == 0:
-        empty = np.zeros(0, dtype=bool)
-        return np.zeros((0, 3)), empty, empty
-
-    p1 = np.asarray(p1, dtype=float).reshape(3, 4)
-    p2 = np.asarray(p2, dtype=float).reshape(3, 4)
-    p1 = p1 / np.linalg.norm(p1)
-    p2 = p2 / np.linalg.norm(p2)
+    p1, p2 = (np.asarray(p, dtype=float).reshape(3, 4) for p in (p1, p2))
+    p1, p2 = p1 / np.linalg.norm(p1), p2 / np.linalg.norm(p2)
 
     rows = np.empty((n, 4, 4))
     rows[:, 0, :] = points1[:, 0:1] * p1[2] - p1[0]
@@ -141,12 +134,11 @@ def triangulate_from_matrices(
     scale = np.maximum(eigenvalues[:, 3], 1.0)
     degenerate = (eigenvalues[:, 1] - eigenvalues[:, 0]) <= 1e-12 * scale
     w = solutions[:, 3]
-    at_infinity = ~degenerate & (np.abs(w) <= 1e-12)
 
     positions = np.full((n, 3), np.nan)
-    good = ~(degenerate | at_infinity)
+    good = ~(degenerate | (np.abs(w) <= 1e-12))
     positions[good] = solutions[good, :3] / w[good, None]
-    return positions, degenerate, at_infinity
+    return positions
 
 
 def triangulate_batch(
@@ -155,45 +147,27 @@ def triangulate_batch(
     cam1: CameraModel,
     cam2: CameraModel,
 ) -> np.ndarray:
-    """Triangulate (N, 2) pinhole pixel pairs; returns (N, 3), NaN rows on failure.
-
-    The pixels must already be undistorted (``ideal_pixels``). Rows where
-    the rays are parallel or the point lies at infinity come back as NaN.
-    """
+    """Triangulate (N, 2) pinhole pixel pairs, already undistorted by
+    ``ideal_pixels``; returns (N, 3), with NaN rows where the rays are
+    parallel or the point lies at infinity."""
     if cam1.cam_id == cam2.cam_id:
         raise DegenerateRaysError(
             f"triangulation needs two distinct cameras, got {cam1.cam_id} twice"
         )
-    positions, _, _ = triangulate_from_matrices(
+    return triangulate_from_matrices(
         points1, points2, projection_matrix(cam1), projection_matrix(cam2)
     )
-    return positions
 
 
-def triangulate(
-    point1: np.ndarray,
-    point2: np.ndarray,
-    cam1: CameraModel,
-    cam2: CameraModel,
-) -> np.ndarray:
-    """Triangulate one pixel pair; raises on degenerate or infinite results."""
-    if cam1.cam_id == cam2.cam_id:
-        raise DegenerateRaysError(
-            f"triangulation needs two distinct cameras, got {cam1.cam_id} twice"
-        )
-    positions, degenerate, at_infinity = triangulate_from_matrices(
-        ideal_pixels(cam1, np.asarray(point1, dtype=float).reshape(1, 2)),
-        ideal_pixels(cam2, np.asarray(point2, dtype=float).reshape(1, 2)),
-        projection_matrix(cam1),
-        projection_matrix(cam2),
-    )
-    if degenerate[0]:
-        raise DegenerateRaysError(
-            f"rays from {cam1.cam_id} and {cam2.cam_id} are parallel or identical"
-        )
-    if at_infinity[0]:
-        raise NonFiniteResultError("triangulated point lies at infinity")
-    return positions[0]
+def reprojection_errors(
+    cam: CameraModel, points: np.ndarray, observed: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's pixel distance from its projection to its ``observed``
+    pixel, and whether the point lies in front of ``cam``; the distance of
+    a point behind it is NaN."""
+    pixels, depth = project_points(cam, points)
+    delta = pixels - observed
+    return np.sqrt(np.vecdot(delta, delta)), depth > MIN_DEPTH
 
 
 def reconstruct_frame(
@@ -202,7 +176,6 @@ def reconstruct_frame(
     centers: dict[tuple[str, int], FrameCenters],
     cameras: dict[str, CameraModel],
     fuse_radius: float = FUSE_RADIUS_M,
-    fuse: bool = True,
     bounds: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[Observation3D]:
     """Triangulate detection centers per camera pair, then fuse nearby points.
@@ -246,19 +219,16 @@ def reconstruct_frame(
     # row's first hit is the component's lowest index, so components come
     # out in order of their first member.
     linked = np.eye(len(positions), dtype=bool)
-    if fuse:
-        linked |= np.linalg.norm(positions[None] - positions[:, None], axis=2) <= fuse_radius
-        while not np.array_equal(closure := linked @ linked, linked):
-            linked = closure
+    linked |= np.linalg.norm(positions[None] - positions[:, None], axis=2) <= fuse_radius
+    while not np.array_equal(closure := linked @ linked, linked):
+        linked = closure
 
     groups = []
     for root in np.unique(linked.argmax(axis=1)):
         members = np.flatnonzero(linked[root])
         position = np.mean(positions[members], axis=0)
-        if bounds is not None:
-            lo, hi = bounds
-            if np.any(position < lo) or np.any(position > hi):
-                continue
+        if bounds is not None and (np.any(position < bounds[0]) or np.any(position > bounds[1])):
+            continue
         groups.append((position, members))
     if not groups:
         return []
@@ -278,10 +248,9 @@ def reconstruct_frame(
     in_front = np.empty(cams.shape, dtype=bool)
     for cam in np.unique(cams):
         hit = cams == cam
-        pixels, depth = project_points(cameras[names[cam]], fused[owner[np.nonzero(hit)[0]]])
-        delta = pixels - observed[hit]
-        errors[hit] = np.sqrt(np.vecdot(delta, delta))
-        in_front[hit] = depth > MIN_DEPTH
+        errors[hit], in_front[hit] = reprojection_errors(
+            cameras[names[cam]], fused[owner[np.nonzero(hit)[0]]], observed[hit]
+        )
 
     observations = []
     stop = 0
@@ -340,10 +309,9 @@ def reconstruction_stats(
         pair_errors = np.empty((int(finite.sum()), 2))
         in_front = np.empty(pair_errors.shape, dtype=bool)
         for col, cam_id, observed in ((0, cam_a, pts_a), (1, cam_b, pts_b)):
-            pixels, depth = project_points(cameras[cam_id], points[finite])
-            delta = pixels - observed[finite]
-            pair_errors[:, col] = np.sqrt(np.vecdot(delta, delta))
-            in_front[:, col] = depth > MIN_DEPTH
+            pair_errors[:, col], in_front[:, col] = reprojection_errors(
+                cameras[cam_id], points[finite], observed[finite]
+            )
         errors.append(pair_errors[in_front])
 
     arr = np.concatenate(errors) if errors else np.zeros(0)

@@ -25,6 +25,7 @@ from .metrics import GroundTruth
 from .voronoi import LandmarkSet
 
 MOTION_MODES = ("free", "anchored", "crossing")
+_WALL_GAP_M = 0.05  # between a bird's body and a wall
 
 
 @dataclass
@@ -72,49 +73,55 @@ class SceneConfig:
     emit_frames: bool = False
 
     def validate(self) -> None:
+        """Raise ``ConfigError`` for any setting ``generate`` cannot honour;
+        runs before the first random draw."""
         for f in fields(self):
             value = getattr(self, f.name)
+            if f.name in ("image_size", "keypoints_per_detection"):
+                kind = "a pair of ints"
+                ok = isinstance(value, (tuple, list)) and list(map(type, value)) == [int, int]
+            else:
+                kind, ok = "an int", type(f.default) is not int or type(value) is int
+            if not ok:
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
             if isinstance(value, (float, tuple, list)) and not np.all(
                 np.isfinite(np.asarray(value, dtype=float))
             ):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
-        if any(v <= 0 for v in self.aviary_size):
-            raise ConfigError(f"aviary_size must be positive, got {self.aviary_size}")
-        if self.camera_count < 2:
-            raise ConfigError("camera_count must be at least 2")
-        if self.bird_count < 1:
-            raise ConfigError("bird_count must be at least 1")
-        if self.fps <= 0 or self.duration_s <= 0:
-            raise ConfigError("fps and duration_s must be positive")
-        if self.frame_count == 0:
-            raise ConfigError(
-                f"duration_s {self.duration_s} at fps {self.fps} gives no frame"
-            )
-        if not (0.0 <= self.ambiguity <= 1.0):
-            raise ConfigError(f"ambiguity must be in [0, 1], got {self.ambiguity}")
-        if self.pixel_noise < 0 or self.descriptor_noise < 0:
-            raise ConfigError("noise sigmas must be non-negative")
-        if self.motion not in MOTION_MODES:
-            raise ConfigError(f"motion must be one of {MOTION_MODES}")
         kmin, kmax = self.keypoints_per_detection
-        if not (1 <= kmin <= kmax):
-            raise ConfigError(
-                f"keypoints_per_detection must be an increasing pair, "
-                f"got {self.keypoints_per_detection}"
-            )
-        if self.feature_pool_size < kmax:
-            raise ConfigError(
-                f"feature_pool_size ({self.feature_pool_size}) must cover the "
-                f"largest keypoint count ({kmax})"
-            )
-        if self.landmarks is None and self.landmark_count < 1:
-            raise ConfigError("landmark_count must be at least 1")
-        if self.landmarks is not None and len(self.landmarks) == 0:
-            raise ConfigError("explicit landmark list may not be empty")
-        if self.wander_radius_m <= 0 or self.max_speed <= 0 or self.max_accel <= 0:
-            raise ConfigError(
-                "wander_radius_m, max_speed, and max_accel must be positive"
-            )
+        for ok, problem in (
+            (min(self.aviary_size) > 0, f"aviary_size must be positive, got {self.aviary_size}"),
+            (min(self.image_size) > 0, f"image_size must be positive, got {self.image_size}"),
+            (self.focal_px is None or self.focal_px > 0,
+             f"focal_px must be positive, got {self.focal_px}"),
+            (0 < self.body_radius_m and 2 * (self.body_radius_m + _WALL_GAP_M)
+             < min(self.aviary_size),
+             f"body_radius_m must be > 0 with 2 x (body_radius_m + {_WALL_GAP_M}) below "
+             f"every aviary side {self.aviary_size}, got {self.body_radius_m}"),
+            (self.descriptor_length >= 1,
+             f"descriptor_length must be at least 1, got {self.descriptor_length}"),
+            (self.camera_count >= 2, "camera_count must be at least 2"),
+            (self.bird_count >= 1, "bird_count must be at least 1"),
+            (self.fps > 0 and self.duration_s > 0, "fps and duration_s must be positive"),
+            (self.frame_count != 0,
+             f"duration_s {self.duration_s} at fps {self.fps} gives no frame"),
+            (0.0 <= self.ambiguity <= 1.0, f"ambiguity must be in [0, 1], got {self.ambiguity}"),
+            (self.pixel_noise >= 0 and self.descriptor_noise >= 0,
+             "noise sigmas must be non-negative"),
+            (self.motion in MOTION_MODES, f"motion must be one of {MOTION_MODES}"),
+            (1 <= kmin <= kmax, "keypoints_per_detection must be an increasing pair, "
+             f"got {self.keypoints_per_detection}"),
+            (self.feature_pool_size >= kmax, f"feature_pool_size ({self.feature_pool_size}) "
+             f"must cover the largest keypoint count ({kmax})"),
+            (self.landmarks is not None or self.landmark_count >= 1,
+             "landmark_count must be at least 1"),
+            (self.landmarks is None or len(self.landmarks) > 0,
+             "explicit landmark list may not be empty"),
+            (self.wander_radius_m > 0 and self.max_speed > 0 and self.max_accel > 0,
+             "wander_radius_m, max_speed, and max_accel must be positive"),
+        ):
+            if not ok:
+                raise ConfigError(problem)
 
     @property
     def frame_count(self) -> int:
@@ -347,7 +354,7 @@ def _make_birds(
     rng: np.random.Generator,
 ) -> list[_BirdMotion]:
     size = np.asarray(config.aviary_size, dtype=float)
-    margin = config.body_radius_m + 0.05
+    margin = config.body_radius_m + _WALL_GAP_M
     box_lo = np.full(3, margin)
     box_hi = size - margin
 

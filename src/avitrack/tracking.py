@@ -59,10 +59,6 @@ class TrackState:
     def velocity(self) -> np.ndarray:
         return self.state[3:6]
 
-    @property
-    def acceleration(self) -> np.ndarray:
-        return self.state[6:9]
-
 
 def transition_matrix(dt: float) -> np.ndarray:
     f = np.eye(9)

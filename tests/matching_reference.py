@@ -99,6 +99,11 @@ def knn_match_loop(keypoints_a, keypoints_b, ratio=0.75):
     return matches
 
 
+def box_center(det):
+    """A detection box's centre, with the bits of ``detection_centers``' raw column."""
+    return np.array([(det.x_min + det.x_max) / 2.0, (det.y_min + det.y_max) / 2.0])
+
+
 def reject_by_landmark_loop(matches, landmarks, anchor="keypoint", detections=None):
     """``detections`` maps (camera, frame, index) to a ``Detection``."""
     if anchor not in ("keypoint", "detection_center"):
@@ -110,7 +115,7 @@ def reject_by_landmark_loop(matches, landmarks, anchor="keypoint", detections=No
         if detections is None:
             raise ValueError("detection_center anchoring needs the detection centres")
         det = detections[(kp.camera_id, kp.frame, kp.detection_index)]
-        return det.center
+        return box_center(det)
 
     decided = []
     per_frame = defaultdict(list)

@@ -64,7 +64,11 @@ class TestSynth:
         (["--descriptor-noise", "inf"], "descriptor_noise must be finite, got inf"),
         (["--pixel-noise", "nan"], "pixel_noise must be finite, got nan"),
         (["--focal", "inf"], "focal_px must be finite, got inf"),
-    ], ids=["duration-nan", "descriptor-noise-inf", "pixel-noise-nan", "focal-inf"])
+        (["--image-size", "0x0"], "image_size must be positive, got (0, 0)"),
+        (["--focal", "-500"], "focal_px must be positive, got -500.0"),
+        (["--descriptor-length", "0"], "descriptor_length must be at least 1, got 0"),
+    ], ids=["duration-nan", "descriptor-noise-inf", "pixel-noise-nan", "focal-inf",
+            "image-size-zero", "focal-negative", "descriptor-length-zero"])
     def test_setting_out_of_range_fails_before_any_output(self, tmp_path, capsys, argv,
                                                           message):
         out = tmp_path / "bundle"
@@ -157,6 +161,38 @@ class TestRun:
         assert code == 2
         assert "error: camera_pairs must be CAMA,CAMB pairs" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def _landmarks_without(bundle, camera_id, path):
+        lines = (bundle / "landmarks.csv").read_text().splitlines(keepends=True)
+        path.write_text("".join(line for line in lines if not line.startswith(camera_id + ",")))
+        return path
+
+    def test_a_camera_without_landmarks_fails_before_any_output(
+        self, small_bundle, tmp_path, capsys, monkeypatch
+    ):
+        """Checked before any frame is processed, so it fails even when no
+        candidate match would have reached the camera."""
+        monkeypatch.setattr(pipeline, "_process_frame", None)
+        landmarks = self._landmarks_without(small_bundle, "cam2", tmp_path / "lm.csv")
+        out = tmp_path / "out"
+        code = main(["run", "--input", str(small_bundle), "--landmarks", str(landmarks),
+                     "--out", str(out)])
+        assert code == 2
+        assert (f"error: {landmarks}: no landmarks registered for camera 'cam2'"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_pairs_of_cameras_with_landmarks_run_without_the_others(
+        self, small_bundle, tmp_path
+    ):
+        landmarks = self._landmarks_without(small_bundle, "cam2", tmp_path / "lm.csv")
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(small_bundle), "--landmarks", str(landmarks),
+                     "--out", str(out), "--pair", "cam0,cam1"]) == 0
+        assert (out / "tracks.csv").exists()
+        assert sorted(path.name for path in out.glob("voronoi_*.svg")) == [
+            "voronoi_cam0.svg", "voronoi_cam1.svg"]
 
     @pytest.mark.parametrize("argv", [
         ["match"], ["reconstruct"], ["overlay"], ["run", "--stage", "track"],

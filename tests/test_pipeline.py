@@ -96,7 +96,7 @@ class TestConfig:
         {"max_misses": 2.5},
         {"max_misses": True},  # a bool is not an int
         {"use_mask": 1},
-        {"fusion": None},
+        {"stage": None},
         {"camera_pairs": "cam0,cam1"},
         {"aviary_size": 4.0},
     ], ids=lambda doc: "-".join(f"{k}={v!r}" for k, v in doc.items()))
@@ -121,6 +121,35 @@ class TestConfig:
         with pytest.raises(IngestError, match=f"config key '{name}': expected"):
             PipelineConfig.from_file(config_path)
 
+    def test_a_removed_setting_is_an_unknown_key(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"fusion": "pairwise"}))
+        with pytest.raises(IngestError, match=r"unknown config keys: \['fusion'\]"):
+            PipelineConfig.from_file(config_path)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(PipelineConfig)])
+    def test_every_field_is_type_checked(self, tmp_path, name):
+        """A value of another type is a ``ConfigError`` from ``validate`` and
+        an ``IngestError`` from a config file."""
+        kind = type(getattr(PipelineConfig(), name))
+        wrong = {str: 5, bool: 1, int: 1.5, float: "1.0", list: "4,3,2"}.get(kind, "cam0,cam1")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({name: wrong}))
+        with pytest.raises(IngestError, match=f"config key '{name}': expected "):
+            PipelineConfig.from_file(config_path)
+        with pytest.raises(ConfigError, match=f"^{name} must be .*, got {wrong!r}$"):
+            PipelineConfig(**{name: wrong}).validate()
+
+    @pytest.mark.parametrize("bad", [
+        {"min_support": "2"}, {"parallelism": 2.5}, {"confirm_hits": 1.5},
+        {"max_misses": True}, {"use_mask": "yes"}, {"camera_pairs": [("cam0", "cam1")]},
+        {"aviary_size": (4.0, 3.4, 2.0)},
+    ], ids=lambda bad: "-".join(f"{k}={v!r}" for k, v in bad.items()))
+    def test_validate_checks_types_before_ranges(self, bad):
+        """A wrong type names its field; no range rule meets it as a ``TypeError``."""
+        with pytest.raises(ConfigError, match=f"^{next(iter(bad))} must be "):
+            PipelineConfig(**bad).validate()
+
     def test_config_must_be_an_object(self, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps([["fps", 30.0]]))
@@ -131,7 +160,7 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PipelineConfig(ratio=1.5).validate()
         with pytest.raises(ConfigError):
-            PipelineConfig(fusion="sometimes").validate()
+            PipelineConfig(stage="sometimes").validate()
         with pytest.raises(ConfigError):
             PipelineConfig(parallelism=0).validate()
 
@@ -269,13 +298,6 @@ class TestRunPipeline:
         assert frames == 60
         assert 0 < made("project_points", "reconstruct_frame") <= cameras * frames
 
-    def test_pairwise_fusion_mode(self, bundle_dir, tmp_path):
-        config = PipelineConfig().for_bundle_dir(bundle_dir).with_overrides(
-            {"output_dir": str(tmp_path / "pairwise"), "fusion": "pairwise"}
-        )
-        report = run_pipeline(config)
-        assert "table5" in report
-
     def test_orphan_keypoint_rejected(self, bundle_dir, tmp_path):
         keypoints_path = tmp_path / "keypoints.csv"
         lines = (bundle_dir / "keypoints.csv").read_text().splitlines()
@@ -313,7 +335,7 @@ class TestProcessPool:
 
     @pytest.mark.parametrize("scene, settings", [
         ("bundle_dir", {"use_mask": True}),
-        ("crowded_dir", {"validate_bounds": True, "fusion": "pairwise"}),
+        ("crowded_dir", {"validate_bounds": True}),
     ])
     def test_pooled_run_writes_the_serial_bytes(self, request, tmp_path, scene, settings):
         config = PipelineConfig(**settings).for_bundle_dir(request.getfixturevalue(scene))

@@ -1,0 +1,186 @@
+"""Reach guard: every avitrack function runs under some CLI command, or is
+listed here with the reason it does not.
+
+``cli.main`` runs every subcommand and the ``run`` variants on a 0.3-s,
+320x180 scene with frames, plus one malformed file per fast-path reader,
+in a fresh interpreter under ``sys.setprofile``, so functions that run at
+import count too. The functions that no command reaches must be exactly
+``UNREACHED``. Code that nothing runs then cannot pile up unnoticed:
+deleting such a function, or giving it a caller, means updating the list,
+and so does adding one that no command reaches.
+"""
+
+import inspect
+import json
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+pytestmark = pytest.mark.skipif(sys.version_info < (3, 11), reason="needs co_qualname")
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGE = SRC / "avitrack"
+
+PIN = "pin: perfbench/spans.py wraps or iterates it (ROADMAP item 1, step 2)"
+POOL = "pool: runs only in pool workers"
+PICKLE = "pickling: runs only when an error crosses the process pool"
+ACCESSOR = "accessor: state that only tests read"
+
+
+def _criterion(number: int, what: str) -> str:
+    return f"criterion {number}: tests/test_acceptance.py {what}"
+
+
+UNREACHED = {
+    "avitrack.camera.project": PIN,
+    "avitrack.errors.IngestError.__reduce__": PICKLE,
+    "avitrack.mask.canny_edges": _criterion(9, "checks Canny on its own"),
+    "avitrack.mask.lateral_fill": _criterion(9, "checks the lateral fill on its own"),
+    "avitrack.matching.Keypoint.__post_init__": PIN,
+    "avitrack.matching.KeypointTable.__getitem__": PIN,
+    "avitrack.matching.KeypointTable.__iter__": PIN,
+    "avitrack.matching.KeypointTable.keypoints": PIN,
+    "avitrack.matching.MatchTable.__iter__": PIN,
+    "avitrack.metrics.GroundTruth.match_is_correct": _criterion(3, "scores single matches"),
+    "avitrack.pipeline._init_worker": POOL,
+    "avitrack.pipeline._process_frame_at": POOL,
+    "avitrack.synthworld.truth_labels": _criterion(3, "takes the truth of a bundle in memory"),
+    "avitrack.tracking.MultiObjectTracker.all_tracks": ACCESSOR,
+    "avitrack.tracking.TrackState.velocity": ACCESSOR,
+    "avitrack.tracking.predict": _criterion(7, "runs the Kalman prediction on its own"),
+    "avitrack.voronoi.BoundedVoronoi.cell_for": ACCESSOR,
+    "avitrack.voronoi.LandmarkSet.count": ACCESSOR,
+    "avitrack.voronoi.nearest_landmark": PIN,
+    "avitrack.voronoi.polygon_contains": _criterion(1, "checks each cell against a grid"),
+}
+
+# Runs ``main`` on each JSON-encoded argv in a fresh interpreter, profiled
+# from before the first avitrack import, and writes the exit codes and the
+# (file, qualified name) of every avitrack function called.
+_PROFILED_MAIN = """
+import json, sys
+from pathlib import Path
+
+root, result, *commands = sys.argv[1:]
+called = set()
+
+def profile(frame, event, arg):
+    code = frame.f_code
+    if event == "call" and code.co_filename.startswith(root):
+        called.add((Path(code.co_filename).stem, code.co_qualname))
+
+sys.setprofile(profile)
+from avitrack.cli import main
+codes = [main(json.loads(argv)) for argv in commands]
+sys.setprofile(None)
+Path(result).write_text(json.dumps({"codes": codes, "called": sorted(called)}))
+"""
+
+
+def _qualified(stem: str, qualname: str) -> str:
+    return f"avitrack.{qualname}" if stem == "__init__" else f"avitrack.{stem}.{qualname}"
+
+
+def _defined_functions() -> set[str]:
+    """The qualified name of every named function in the package source."""
+    names = set()
+
+    def visit(code: types.CodeType, stem: str) -> None:
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                # Class bodies run at import; lambdas and comprehensions have no name.
+                if const.co_flags & inspect.CO_OPTIMIZED and not const.co_name.startswith("<"):
+                    names.add(_qualified(stem, const.co_qualname))
+                visit(const, stem)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(compile(path.read_text(), str(path), "exec"), path.stem)
+    return names
+
+
+def _profiled(commands: list[list[str]], result: Path) -> tuple[list[int], set[str]]:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    ))
+    subprocess.run(
+        [sys.executable, "-c", _PROFILED_MAIN, str(PACKAGE), str(result),
+         *map(json.dumps, commands)],
+        capture_output=True, env=env, timeout=120, check=True,
+    )
+    done = json.loads(result.read_text())
+    return done["codes"], {_qualified(*called) for called in done["called"]}
+
+
+def _rewritten(path: Path, out: Path, row: int, edit) -> Path:
+    """``path`` with line ``row`` replaced by ``edit(line)``."""
+    lines = path.read_text().splitlines()
+    lines[row] = edit(lines[row])
+    out.write_text("\n".join(lines) + "\n")
+    return out
+
+
+@pytest.fixture(scope="module")
+def reached(tmp_path_factory) -> set[str]:
+    tmp = tmp_path_factory.mktemp("reach")
+    bundle, out = tmp / "bundle", tmp / "out"
+    scene = ["--duration", "0.3", "--image-size", "320x180", "--emit-frames",
+             "--descriptor-length", "16"]
+    codes, synth_reached = _profiled([
+        ["synth", "--out", str(bundle), "--motion", "anchored", *scene],
+        ["synth", "--out", str(tmp / "crossing"), "--motion", "crossing", *scene],
+    ], tmp / "synth.json")
+    assert codes == [0, 0]
+
+    config = tmp / "config.json"
+    config.write_text(json.dumps({"ratio": 0.8, "camera_pairs": [["cam0", "cam2"]]}))
+    run = ["run", "--input", str(bundle)]
+    commands = [
+        [*run, "--out", str(out)],
+        [*run, "--out", str(tmp / "masked"), "--use-mask"],
+        *[[*run, "--out", str(tmp / stage), "--stage", stage]
+          for stage in ("voronoi-overlay", "match", "reconstruct", "all")],
+        [*run, "--out", str(tmp / "pair"), "--pair", "cam0,cam1"],
+        [*run, "--out", str(tmp / "config"), "--config", str(config)],
+        [*run, "--out", str(tmp / "options"), "--association", "optimal",
+         "--landmark-anchor", "detection_center", "--validate-bounds"],
+        ["mask", "--frames", str(bundle / "frames"), "--detections",
+         str(bundle / "detections.csv"), "--keypoints", str(bundle / "keypoints.csv"),
+         "--out", str(tmp / "masks"), "--emit-masks"],
+        ["track", "--observations", str(out / "observations.csv"),
+         "--out", str(tmp / "tracked")],
+        ["eval", "--tracks", str(out / "tracks.csv"), "--truth", str(bundle / "truth.csv"),
+         "--out", str(tmp / "eval.json")],
+    ]
+    expected = [0] * len(commands)
+    # A non-number in a row: each fast-path reader hands the file to its
+    # strict reader, which names the row.
+    for flag, name in (("--detections", "detections.csv"), ("--keypoints", "keypoints.csv"),
+                       ("--match-truth", "match_truth.csv")):
+        bad = _rewritten(bundle / name, tmp / f"bad_{name}", 1,
+                         lambda line: line.rsplit(",", 1)[0] + ",x")
+        commands.append([*run, "--out", str(tmp / f"bad_{name}.out"), flag, str(bad)])
+        expected.append(2)
+    # A quoted camera id is valid CSV that only the strict reader takes.
+    quoted = _rewritten(bundle / "keypoints.csv", tmp / "quoted_keypoints.csv", 1,
+                        lambda line: '"{}",{}'.format(*line.split(",", 1)))
+    commands.append([*run, "--out", str(tmp / "quoted"), "--keypoints", str(quoted)])
+    expected.append(0)
+
+    codes, run_reached = _profiled(commands, tmp / "run.json")
+    assert codes == expected
+    return synth_reached | run_reached
+
+
+def test_unreached_functions_are_the_listed_ones(reached):
+    unreached = _defined_functions() - reached
+    assert sorted(unreached - UNREACHED.keys()) == [], "reached by no command; list or delete"
+    assert sorted(UNREACHED.keys() - unreached) == [], "listed, but a command reaches it now"
+
+
+def test_every_reason_is_a_known_one():
+    kinds = ("pin: ", "pool: ", "pickling: ", "accessor: ", "criterion ")
+    assert all(reason.startswith(kinds) for reason in UNREACHED.values())

@@ -21,11 +21,10 @@ from avitrack.reconstruction import (
     ideal_pixels,
     reconstruct_frame,
     reconstruction_stats,
-    triangulate,
     triangulate_batch,
     triangulate_from_matrices,
 )
-from matching_reference import pair_matches_loop as pair_matches
+from matching_reference import box_center, pair_matches_loop as pair_matches
 
 
 def _sample_points(rng, count):
@@ -36,7 +35,8 @@ class TestTriangulate:
     def test_symmetric_stereo_disparity(self, stereo_pair):
         """Baseline 1, f=1, disparity 0.5 puts the point at depth 2."""
         left, right = stereo_pair
-        point = triangulate([0.25, 0.0], [-0.25, 0.0], left, right)
+        [point] = triangulate_batch(ideal_pixels(left, np.array([[0.25, 0.0]])),
+                                    ideal_pixels(right, np.array([[-0.25, 0.0]])), left, right)
         np.testing.assert_allclose(point, [0.0, 0.0, 2.0], atol=1e-9)
 
     def test_round_trip_through_rig(self, default_rig):
@@ -88,16 +88,16 @@ class TestTriangulate:
     def test_same_camera_twice_raises(self, default_rig):
         cam = default_rig["cam0"]
         with pytest.raises(DegenerateRaysError):
-            triangulate([10.0, 10.0], [10.0, 10.0], cam, cam)
+            triangulate_batch(np.array([[10.0, 10.0]]), np.array([[10.0, 10.0]]), cam, cam)
 
     def test_identical_rays_flagged_degenerate(self, default_rig):
-        """Duplicated projection matrix gives coincident rays."""
+        """Duplicated projection matrix gives coincident rays: a NaN row."""
         cam = default_rig["cam0"]
         p = projection_matrix(cam)
-        _, degenerate, _ = triangulate_from_matrices(
-            [[400.0, 300.0]], [[400.0, 300.0]], p, p
+        positions = triangulate_from_matrices(
+            [[400.0, 300.0], [400.0, 300.0]], [[400.0, 300.0], [400.0, 300.0]], p, p
         )
-        assert degenerate[0]
+        assert positions.shape == (2, 3) and np.isnan(positions).all()
 
     def test_projective_invariance(self, default_rig):
         """Scaling a projection matrix by any constant changes nothing."""
@@ -114,9 +114,9 @@ class TestTriangulate:
         zero_b = _strip_distortion(cam_b)
         ideal_a, _ = project_points(zero_a, points)
         ideal_b, _ = project_points(zero_b, points)
-        base, _, _ = triangulate_from_matrices(ideal_a, ideal_b, p_a, p_b)
+        base = triangulate_from_matrices(ideal_a, ideal_b, p_a, p_b)
         for scale in (-3.0, 1e-4, 87.5):
-            scaled, _, _ = triangulate_from_matrices(
+            scaled = triangulate_from_matrices(
                 ideal_a, ideal_b, scale * p_a, p_b
             )
             np.testing.assert_allclose(scaled, base, atol=1e-9)
@@ -477,7 +477,7 @@ def _connected_components(n, links):
 
 
 def _reconstruct_frame_union_find(
-    frame, correspondences, detections, cameras, fuse_radius, fuse=True, bounds=None
+    frame, correspondences, detections, cameras, fuse_radius, bounds=None
 ):
     estimates = []
     for pair in sorted(correspondences):
@@ -485,12 +485,14 @@ def _reconstruct_frame_union_find(
         pair_corrs = correspondences[pair]
         if not pair_corrs:
             continue
-        centers_a = np.array(
-            [detections[(cam_a, frame, c.detection_index_a)].center for c in pair_corrs]
-        )
-        centers_b = np.array(
-            [detections[(cam_b, frame, c.detection_index_b)].center for c in pair_corrs]
-        )
+        centers_a = np.array([
+            box_center(detections[(cam_a, frame, c.detection_index_a)])
+            for c in pair_corrs
+        ])
+        centers_b = np.array([
+            box_center(detections[(cam_b, frame, c.detection_index_b)])
+            for c in pair_corrs
+        ])
         points = reconstruction.triangulate_batch(
             centers_a, centers_b, cameras[cam_a], cameras[cam_b]
         )
@@ -502,16 +504,13 @@ def _reconstruct_frame_union_find(
     if not estimates:
         return []
 
-    if fuse:
-        positions = np.array([e[0] for e in estimates])
-        links = []
-        for i in range(len(estimates)):
-            deltas = positions[i + 1 :] - positions[i]
-            close = np.linalg.norm(deltas, axis=1) <= fuse_radius
-            links.extend((i, i + 1 + int(j)) for j in np.nonzero(close)[0])
-        components = _connected_components(len(estimates), links)
-    else:
-        components = [[i] for i in range(len(estimates))]
+    positions = np.array([e[0] for e in estimates])
+    links = []
+    for i in range(len(estimates)):
+        deltas = positions[i + 1 :] - positions[i]
+        close = np.linalg.norm(deltas, axis=1) <= fuse_radius
+        links.extend((i, i + 1 + int(j)) for j in np.nonzero(close)[0])
+    components = _connected_components(len(estimates), links)
 
     observations = []
     for members in components:
@@ -570,7 +569,7 @@ def _fusion_case(draw):
         i, j = draw(st.lists(st.integers(0, len(finite) - 1), min_size=2, max_size=2))
         radius = float(np.linalg.norm((finite[j] - finite[i])[None], axis=1)[0])
     bounds = draw(st.sampled_from([None, (np.full(3, 1.05), np.full(3, 1.25))]))
-    return points, correspondences, detections, radius, draw(st.booleans()), bounds
+    return points, correspondences, detections, radius, bounds
 
 
 def _observation_bits(observations):
@@ -581,14 +580,14 @@ def _observation_bits(observations):
 
 
 class TestFusionMatchesUnionFind:
-    def _both(self, points, correspondences, detections, radius, fuse, bounds):
+    def _both(self, points, correspondences, detections, radius, bounds):
         def fixed_points(centers_a, centers_b, cam_a, cam_b):
             return np.array(points[(cam_a.cam_id, cam_b.cam_id)], dtype=float).reshape(-1, 3)
 
         with mock.patch.object(reconstruction, "triangulate_batch", fixed_points):
             return [
                 _observation_bits(function(0, correspondences, table, _RIG, radius,
-                                           fuse=fuse, bounds=bounds))
+                                           bounds=bounds))
                 for function, table in (
                     (reconstruct_frame, detection_centers(detections.values(), _RIG)),
                     (_reconstruct_frame_union_find, detections),
@@ -599,7 +598,7 @@ class TestFusionMatchesUnionFind:
     @given(case=_fusion_case())
     def test_random_estimates(self, case):
         """Same observations, bit for bit: at-radius distances, chains,
-        duplicates, failed rows, both fusion modes and the bounds."""
+        duplicates, failed rows and the bounds."""
         got, expected = self._both(*case)
         assert got == expected
 
@@ -620,7 +619,7 @@ class TestFusionMatchesUnionFind:
             pair: [Correspondence(i, i, 2, 0.0) for i in range(len(estimates))]
             for pair, estimates in points.items()
         }
-        got, expected = self._both(points, correspondences, detections, 0.125, True, None)
+        got, expected = self._both(points, correspondences, detections, 0.125, None)
         assert got == expected
         assert [pairs for _, _, pairs, _ in got] == [
             (("cam0", "cam1"), ("cam0", "cam2")), (("cam1", "cam3"),),
@@ -632,7 +631,7 @@ class TestFusionMatchesUnionFind:
 
 
 def _reconstruct_frame_per_member(
-    frame, correspondences, detections, cameras, fuse_radius=0.15, fuse=True, bounds=None
+    frame, correspondences, detections, cameras, fuse_radius=0.15, bounds=None
 ):
     """Each pair undistorts its own centres, and each member reprojects the
     fused position with ``project``."""
@@ -642,12 +641,14 @@ def _reconstruct_frame_per_member(
         pair_corrs = correspondences[pair]
         if not pair_corrs:
             continue
-        centers_a = np.array(
-            [detections[(cam_a, frame, c.detection_index_a)].center for c in pair_corrs]
-        )
-        centers_b = np.array(
-            [detections[(cam_b, frame, c.detection_index_b)].center for c in pair_corrs]
-        )
+        centers_a = np.array([
+            box_center(detections[(cam_a, frame, c.detection_index_a)])
+            for c in pair_corrs
+        ])
+        centers_b = np.array([
+            box_center(detections[(cam_b, frame, c.detection_index_b)])
+            for c in pair_corrs
+        ])
         points = triangulate_batch(
             ideal_pixels(cameras[cam_a], centers_a), ideal_pixels(cameras[cam_b], centers_b),
             cameras[cam_a], cameras[cam_b],
@@ -663,11 +664,10 @@ def _reconstruct_frame_per_member(
         return []
 
     linked = np.eye(len(estimates), dtype=bool)
-    if fuse:
-        positions = np.array([e[0] for e in estimates])
-        linked |= np.linalg.norm(positions[None] - positions[:, None], axis=2) <= fuse_radius
-        while not np.array_equal(closure := linked @ linked, linked):
-            linked = closure
+    positions = np.array([e[0] for e in estimates])
+    linked |= np.linalg.norm(positions[None] - positions[:, None], axis=2) <= fuse_radius
+    while not np.array_equal(closure := linked @ linked, linked):
+        linked = closure
 
     observations = []
     for root in np.unique(linked.argmax(axis=1)):
@@ -789,7 +789,7 @@ def _frame_case(draw):
     radius = draw(st.sampled_from([0.0, 0.05, 0.15, 0.5]))
     bounds = draw(st.sampled_from([None, (np.zeros(3), np.array([4.0, 3.4, 2.0]))]))
     cameras = {name: _RIG[name] for name in names}
-    return frame, correspondences, detections, cameras, radius, draw(st.booleans()), bounds
+    return frame, correspondences, detections, cameras, radius, bounds
 
 
 class TestReconstructFrameMatchesPerMember:
@@ -798,12 +798,12 @@ class TestReconstructFrameMatchesPerMember:
     def test_random_frames(self, case):
         """Same observations, bit for bit, as per-pair undistortion and one
         ``project`` call per member, unmocked on the distorted rig."""
-        frame, correspondences, detections, cameras, radius, fuse, bounds = case
+        frame, correspondences, detections, cameras, radius, bounds = case
         got = reconstruct_frame(frame, correspondences,
                                 detection_centers(detections.values(), cameras),
-                                cameras, radius, fuse=fuse, bounds=bounds)
+                                cameras, radius, bounds=bounds)
         expected = _reconstruct_frame_per_member(frame, correspondences, detections,
-                                                 cameras, radius, fuse=fuse, bounds=bounds)
+                                                 cameras, radius, bounds=bounds)
         assert _observation_bits(got) == _observation_bits(expected)
 
     def test_member_behind_a_camera_and_parallel_rays(self):
@@ -849,7 +849,7 @@ class TestDetectionCenters:
     @given(detections=_shuffled_detections())
     def test_rows_equal_per_row_ideal_pixels(self, detections):
         """Each (camera, frame) holds its ascending indices, and row for
-        row the ``center`` and its ``ideal_pixels``, bit for bit; all of a
+        row the box centre and its ``ideal_pixels``, bit for bit; all of a
         camera's rows are read-only views of one array."""
         table = detection_centers(detections, _RIG)
         expected = {}
@@ -860,8 +860,8 @@ class TestDetectionCenters:
         for (cam, frame), dets in expected.items():
             entry = table[(cam, frame)]
             assert entry.indices.tolist() == [d.index for d in dets]
-            raw = np.array([d.center for d in dets])
-            ideal = np.array([ideal_pixels(_RIG[cam], d.center) for d in dets])
+            raw = np.array([box_center(d) for d in dets])
+            ideal = np.array([ideal_pixels(_RIG[cam], box_center(d)) for d in dets])
             assert entry.raw.tobytes() == raw.tobytes()
             assert entry.ideal.tobytes() == ideal.tobytes()
             for column in (entry.indices, entry.raw, entry.ideal):

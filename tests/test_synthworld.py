@@ -1,6 +1,7 @@
 """Tests for the synthetic scene generator and its self-consistency."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -14,6 +15,7 @@ from avitrack.errors import ConfigError
 from avitrack import synthworld
 from avitrack.matching import Keypoint, KeypointTable, knn_match
 from matching_reference import table_of
+from avitrack.reconstruction import detection_centers
 from avitrack.synthworld import SceneConfig, _visible_boxes, generate, truth_labels
 
 
@@ -94,12 +96,15 @@ class TestSelfConsistency:
     def test_zero_pixel_noise_centers_match_truth_projection(self):
         """Detection centers equal reprojected truth to 1e-9 px."""
         bundle = generate(_small_config(pixel_noise=0.0))
+        centers = detection_centers(bundle.detections, bundle.cameras)
         for det in bundle.detections:
             identity = bundle.detection_identities[(det.camera_id, det.frame, det.index)]
             truth_pos = bundle.truth_positions[det.frame][identity]
             pixels, depth = project_points(bundle.cameras[det.camera_id], truth_pos[None])
             assert depth[0] > MIN_DEPTH
-            np.testing.assert_allclose(det.center, pixels[0], atol=1e-9)
+            frame_centers = centers[(det.camera_id, det.frame)]
+            center = frame_centers.raw[frame_centers.rows([det.index])[0]]
+            np.testing.assert_allclose(center, pixels[0], atol=1e-9)
 
     def test_keypoints_inside_their_boxes(self):
         bundle = generate(_small_config(pixel_noise=1.5))
@@ -204,6 +209,25 @@ class TestMotionModes:
             generate(_small_config(motion="anchored", bird_count=5, landmark_count=3))
 
 
+_BAD_SCENES = [  # (setting, value, ConfigError message)
+    ("image_size", (0, 0), "image_size must be positive, got (0, 0)"),
+    ("image_size", (640, -360), "image_size must be positive"),
+    ("image_size", (640.0, 360), "image_size must be a pair of ints, got (640.0, 360)"),
+    ("focal_px", 0.0, "focal_px must be positive, got 0.0"),
+    ("focal_px", -360.0, "focal_px must be positive"),
+    ("body_radius_m", 1.0, "body_radius_m must be > 0 with 2 x"),
+    ("body_radius_m", 0.95, "body_radius_m must be > 0 with 2 x"),  # 2 x 1.0 m: no room
+    ("body_radius_m", 0.0, "body_radius_m must be > 0"),
+    ("body_radius_m", -0.1, "body_radius_m must be > 0"),
+    ("aviary_size", (4.0, 3.4, 0.4), "body_radius_m must be > 0 with 2 x"),
+    ("descriptor_length", 0, "descriptor_length must be at least 1, got 0"),
+    ("camera_count", 2.5, "camera_count must be an int, got 2.5"),
+    ("bird_count", True, "bird_count must be an int, got True"),
+    ("seed", "1", "seed must be an int, got '1'"),
+    ("keypoints_per_detection", (3, 6.0), "keypoints_per_detection must be a pair"),
+]
+
+
 class TestConfigValidation:
     def test_bad_ambiguity(self):
         with pytest.raises(ConfigError):
@@ -243,6 +267,19 @@ class TestConfigValidation:
     def test_non_finite_setting_rejected(self, bad):
         with pytest.raises(ConfigError, match=f"{next(iter(bad))} must be finite"):
             generate(_small_config(**bad))
+
+    @pytest.mark.parametrize("name, value, message", _BAD_SCENES,
+                             ids=[f"{name}={value!r}" for name, value, _ in _BAD_SCENES])
+    def test_bad_setting_fails_before_any_draw(self, monkeypatch, name, value, message):
+        def no_rng(*args, **kwargs):
+            raise AssertionError("a random generator was made")
+
+        monkeypatch.setattr(synthworld.np.random, "default_rng", no_rng)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            generate(_small_config(**{name: value}))
+
+    def test_a_body_that_fits_is_accepted(self):
+        _small_config(body_radius_m=0.9, duration_s=0.1).validate()
 
     def test_frame_count_arithmetic(self):
         assert SceneConfig(duration_s=60.0, fps=30.0).frame_count == 1800
