@@ -1,10 +1,9 @@
 """Command-line interface.
 
-Subcommands cover the whole workflow: ``synth`` writes a synthetic
-dataset bundle, ``run`` executes the pipeline (``--stage`` stops it after
-the Voronoi overlays, matching or reconstruction), ``mask`` builds
-detection masks from frames, ``track`` and ``eval`` operate on
-intermediate files. Flag precedence is CLI > config file > defaults.
+Two subcommands cover the whole workflow: ``synth`` writes a synthetic
+dataset bundle and ``run`` executes the pipeline (``--stage`` stops it
+after the Voronoi overlays, matching or reconstruction). Flag precedence
+is CLI > config file > defaults.
 """
 
 from __future__ import annotations
@@ -13,17 +12,10 @@ import argparse
 import logging
 import sys
 from dataclasses import fields
-from pathlib import Path
 
-from . import dataio
 from .errors import AvitrackError, ConfigError
-from .mask import write_pgm
-from .metrics import GroundTruth, tracking_metrics
 from .matching import ANCHORS
-from .pipeline import (
-    STAGES, PipelineConfig, apply_mask_stage, check_references,
-    first_frame_sizes, run_pipeline, track_observations,
-)
+from .pipeline import STAGES, PipelineConfig, run_pipeline
 from .synthworld import MOTION_MODES, SceneConfig, generate
 from .tracking import ASSOCIATIONS
 
@@ -53,27 +45,11 @@ def _given(args: argparse.Namespace, config_cls) -> dict:
     return {f.name: getattr(args, f.name) for f in fields(config_cls) if hasattr(args, f.name)}
 
 
-def _config(args: argparse.Namespace) -> PipelineConfig:
-    """The ``--config`` file, or the defaults, overridden by every flag given."""
-    path = getattr(args, "config", None)
-    config = PipelineConfig.from_file(path) if path else PipelineConfig()
-    return config.with_overrides(_given(args, PipelineConfig))
-
-
-def _add_tracker_arguments(parser: argparse.ArgumentParser) -> None:
-    add = _settings(parser)
-    add("--gate", "gate_m")
-    add("--jerk-sigma")
-    add("--meas-sigma", "meas_sigma_m")
-    add("--confirm-hits")
-    add("--max-misses")
-    add("--association", choices=ASSOCIATIONS)
-    add("--fps")
-
-
 def pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    """The config ``run``'s parsed ``args`` ask for."""
-    config = _config(args)
+    """The config ``run``'s parsed ``args`` ask for: the ``--config`` file,
+    or the defaults, overridden by every flag given."""
+    config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
+    config = config.with_overrides(_given(args, PipelineConfig))
     if args.input:
         config = config.for_bundle_dir(args.input)
     for name in ("detections_path", "keypoints_path", "landmarks_path", "calibration_path"):
@@ -106,59 +82,6 @@ def _parse_size(text: str) -> tuple[int, int]:
         return int(w), int(h)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expects WxH, got {text!r}")
-
-
-def _cmd_mask(args: argparse.Namespace) -> int:
-    config = _config(args)
-    config.validate()
-    detections = dataio.read_detections(config.detections_path)
-    # No calibration is read here: a camera's frames and keypoints are
-    # checked against the size of its first detected frame.
-    image_sizes = first_frame_sizes(config.frames_dir, detections)
-    keypoints = None
-    if config.keypoints_path:
-        keypoints = dataio.read_keypoints(config.keypoints_path, image_sizes)
-        check_references(detections, keypoints, config.keypoints_path)
-    out_dir = Path(config.output_dir)
-
-    # The stage checks every frame before the first mask, so a bad frame
-    # leaves no output directory.
-    def write_mask(camera_id, frame, mask):
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_pgm(out_dir / f"mask_{camera_id}_frame{frame}.pgm", mask)
-
-    gated = apply_mask_stage(config, keypoints, detections,
-                             on_mask=write_mask if args.emit_masks else None,
-                             image_sizes=image_sizes, calibrated=False)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if keypoints is not None:
-        dataio.write_keypoints(
-            out_dir / "keypoints_gated.csv", keypoints.take(gated),
-            keypoints.desc.shape[1],
-        )
-        logger.info("gated %d of %d keypoints", len(gated), len(keypoints))
-    return 0
-
-
-def _cmd_track(args: argparse.Namespace) -> int:
-    config = _config(args)
-    config.validate()
-    rows = dataio.read_observations(args.observations)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    track_observations(rows, config, out_dir)
-    return 0
-
-
-def _cmd_eval(args: argparse.Namespace) -> int:
-    config = _config(args)
-    config.validate()
-    track_rows = dataio.read_tracks(args.tracks)
-    truth = GroundTruth(positions=dataio.read_truth(args.truth), identities={})
-    table5 = tracking_metrics(track_rows, truth, fps=config.fps, gate=config.gate_m,
-                              gap_tolerance_frames=config.gap_tolerance_frames)
-    dataio.write_metrics(args.out, {"table5": table5})
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,7 +130,13 @@ def build_parser() -> argparse.ArgumentParser:
     add("--min-support")
     add("--landmark-anchor", choices=ANCHORS)
     add("--fuse-radius", "fuse_radius_m")
-    _add_tracker_arguments(run)
+    add("--gate", "gate_m")
+    add("--jerk-sigma")
+    add("--meas-sigma", "meas_sigma_m")
+    add("--confirm-hits")
+    add("--max-misses")
+    add("--association", choices=ASSOCIATIONS)
+    add("--fps")
     add("--canny-low")
     add("--canny-high")
     add("--reproj-threshold", "reproj_threshold_px")
@@ -216,34 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("--parallelism")
     add("--stage", choices=STAGES)
     run.set_defaults(func=_cmd_run)
-
-    mask = sub.add_parser("mask", help="build masks from frames and gate keypoints")
-    add = _settings(mask)
-    add("--frames", "frames_dir", required=True)
-    add("--detections", "detections_path", required=True)
-    add("--keypoints", "keypoints_path")
-    add("--out", "output_dir", required=True)
-    add("--canny-low")
-    add("--canny-high")
-    mask.add_argument("--emit-masks", action="store_true")
-    mask.set_defaults(func=_cmd_mask)
-
-    track = sub.add_parser("track", help="track an observations.csv file")
-    track.add_argument("--config", help="pipeline config JSON (tracker settings)")
-    track.add_argument("--observations", required=True)
-    track.add_argument("--out", required=True)
-    _add_tracker_arguments(track)
-    track.set_defaults(func=_cmd_track)
-
-    evaluate = sub.add_parser("eval", help="tracking metrics from tracks + truth")
-    evaluate.add_argument("--tracks", required=True)
-    evaluate.add_argument("--truth", required=True)
-    evaluate.add_argument("--out", required=True)
-    add = _settings(evaluate)
-    add("--fps")
-    add("--gate", "gate_m")
-    add("--gap-tolerance", "gap_tolerance_frames")
-    evaluate.set_defaults(func=_cmd_eval)
 
     return parser
 

@@ -2,7 +2,7 @@
 
 Every CSV table is written by ``_write_table`` and read by ``_read_table``,
 which checks the header and the column count and parses each column as
-text, an integer or a finite float, optionally empty. Readers reject any
+text, an int64 integer or a finite float. Readers reject any
 row that deviates from its schema instead of coercing, and report the
 offending file and line; each public reader adds only its own semantic
 checks. Keypoints, detections and match labels, the bulk of every bundle,
@@ -61,11 +61,17 @@ def _write_table(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 def _parse_int(path, line_no: int, text: str, column: str) -> int:
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise IngestError(path, f"column {column!r}: {text!r} is not an integer", line_no)
+    if not _INT64.min <= value <= _INT64.max:
+        raise IngestError(path, f"column {column!r}: {text!r} is outside int64", line_no)
+    return value
 
 
 def _parse_float(path, line_no: int, text: str, column: str) -> float:
@@ -78,18 +84,14 @@ def _parse_float(path, line_no: int, text: str, column: str) -> float:
     return value
 
 
-def _parse_optional_float(path, line_no: int, text: str, column: str) -> float | None:
-    return None if text == "" else _parse_float(path, line_no, text, column)
-
-
-_PARSERS = {"s": None, "i": _parse_int, "f": _parse_float, "F": _parse_optional_float}
+_PARSERS = {"s": None, "i": _parse_int, "f": _parse_float}
 
 
 def _read_table(path, header: list[str], kinds: str):
     """``(line_no, values)`` for each non-blank row of a CSV table.
 
-    ``kinds`` types each column of ``header``: ``s`` text, ``i`` integer,
-    ``f`` finite float, ``F`` finite float or ``None`` for an empty cell.
+    ``kinds`` types each column of ``header``: ``s`` text, ``i`` int64
+    integer, ``f`` finite float.
     The file's header must start with ``header`` and every row must have
     exactly its columns.
     """
@@ -225,12 +227,8 @@ def write_keypoints(path, table: KeypointTable, descriptor_length: int) -> None:
     time.
     """
     names, camera_code = np.unique(table.camera, return_inverse=True)
-    # Python ints beyond int64 sort by their rank among the column's values.
-    frame_key, detection_key = (
-        column if column.dtype == np.int64 else np.unique(column, return_inverse=True)[1]
-        for column in (table.frame, table.detection)
-    )
-    order = np.lexsort((table.xy[:, 0], table.xy[:, 1], detection_key, frame_key, camera_code))
+    order = np.lexsort((table.xy[:, 0], table.xy[:, 1], table.detection, table.frame,
+                        camera_code))
     quoted = [_csv_cell(name) for name in names.tolist()]
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(keypoints_header(descriptor_length))
@@ -400,17 +398,9 @@ def _read_keypoints_strict(
         values.append(numbers)
     array = np.array(values, dtype=float).reshape(len(values), 2 + descriptor_length)
     return KeypointTable(
-        np.array(cameras, dtype=object), _int_array(frames), _int_array(detections),
-        array[:, :2], array[:, 2:],
+        np.array(cameras, dtype=object), np.array(frames, dtype=np.int64),
+        np.array(detections, dtype=np.int64), array[:, :2], array[:, 2:],
     )
-
-
-def _int_array(values: list[int]) -> np.ndarray:
-    """int64, or the Python ints as objects when one does not fit."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
 
 
 def write_landmarks(path, landmarks: LandmarkSet) -> None:
@@ -578,46 +568,11 @@ def write_observations(path, rows: list) -> None:
     ))
 
 
-def read_observations(path) -> list[tuple[int, int, np.ndarray | None,
-                                          float | None, float | None]]:
-    """Rows as ``write_observations`` takes them. A row's empty cells must
-    agree with its ``n_cameras``: the error cells are empty exactly when it
-    is 0, and the position cells are all empty or all filled, empty only
-    when it is 0."""
-    rows = []
-    for line_no, (frame, n_cameras, *values) in _read_table(
-        path, OBSERVATIONS_HEADER, "iiFFFFF"
-    ):
-        if n_cameras < 0:
-            raise IngestError(path, f"n_cameras {n_cameras} is negative", line_no)
-        empty = [v is None for v in values]
-        position_ok = not any(empty[:3]) or (n_cameras == 0 and all(empty[:3]))
-        if empty[3:] != [n_cameras == 0] * 2 or not position_ok:
-            names = [name for name, e in zip(OBSERVATIONS_HEADER[2:], empty) if e]
-            raise IngestError(
-                path, f"n_cameras {n_cameras} disagrees with the empty cells {names}", line_no
-            )
-        position = None if empty[0] else np.array(values[:3])
-        rows.append((frame, n_cameras, position, *values[3:]))
-    return rows
-
-
 def write_tracks(path, track_rows: list[tuple[int, int, str, np.ndarray]]) -> None:
     _write_table(path, TRACKS_HEADER, (
         [frame, track_id, status, *map(float, position)]
         for frame, track_id, status, position in track_rows
     ))
-
-
-def read_tracks(path) -> list[tuple[int, int, str, np.ndarray]]:
-    rows = []
-    for line_no, (frame, track_id, status, *position) in _read_table(
-        path, TRACKS_HEADER, "iisfff"
-    ):
-        if status not in ("tentative", "confirmed", "dead"):
-            raise IngestError(path, f"unknown track status {status!r}", line_no)
-        rows.append((frame, track_id, status, np.array(position)))
-    return rows
 
 
 def write_metrics(path, report: dict) -> None:

@@ -11,8 +11,6 @@ as ``scipy.ndimage.convolve``.
 
 from __future__ import annotations
 
-import mmap
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,8 +313,7 @@ def gate_keypoints(mask: BinaryMask, xy: np.ndarray) -> np.ndarray:
 
 def _pgm_header(path, data) -> tuple[int, int, int]:
     """(width, height, pixel offset) of a binary (P5) PGM whose bytes are
-    ``data``. Only the header is parsed, so ``data`` may be a memory map of
-    the file; its length is the file's, checked against width x height."""
+    ``data``; their length is checked against width x height."""
     tokens: list[bytes] = []
     idx = 0
     while len(tokens) < 4:
@@ -358,23 +355,9 @@ def read_pgm(path) -> GrayFrame:
     return GrayFrame(width=width, height=height, pixels=pixels.reshape(height, width))
 
 
-def read_pgm_size(path) -> tuple[int, int]:
-    """The (width, height) of a PGM file, with the checks of ``read_pgm``,
-    reading only its header's pages."""
-    with open(path, "rb") as fh:
-        if os.fstat(fh.fileno()).st_size == 0:
-            return _pgm_header(path, b"")[:2]
-        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
-            return _pgm_header(path, data)[:2]
-
-
-def write_pgm(path, image: GrayFrame | BinaryMask) -> None:
-    """Write a frame, or a mask as {0, 255}, to a binary PGM file."""
-    if isinstance(image, BinaryMask):
-        pixels = np.where(image.bits, 255, 0).astype(np.uint8)
-    else:
-        pixels = image.pixels
-    header = f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
+def write_pgm(path, frame: GrayFrame) -> None:
+    """Write a frame to a binary PGM file."""
+    header = f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(pixels))
+        fh.write(np.ascontiguousarray(frame.pixels))

@@ -81,10 +81,9 @@ class KeypointTable:
     """Keypoints as columns, one row per keypoint.
 
     ``camera`` holds camera ids as ``str`` objects; ``frame`` and
-    ``detection`` hold integers, int64 unless one does not fit (then
-    Python ints as objects); ``xy`` is (N, 2) pixels and ``desc`` (N, L)
-    descriptors. Iterating, or indexing with one row, gives ``Keypoint``
-    objects.
+    ``detection`` hold int64 integers; ``xy`` is (N, 2) pixels and
+    ``desc`` (N, L) descriptors. Iterating, or indexing with one row, gives
+    ``Keypoint`` objects.
     """
 
     camera: np.ndarray

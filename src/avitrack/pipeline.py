@@ -36,9 +36,7 @@ import numpy as np
 from . import dataio
 from .camera import DEFAULT_REPROJ_THRESHOLD_PX, CameraModel
 from .errors import ConfigError, IngestError
-from .mask import (
-    CANNY_HIGH, CANNY_LOW, build_frame_mask, gate_keypoints, read_pgm, read_pgm_size,
-)
+from .mask import CANNY_HIGH, CANNY_LOW, build_frame_mask, gate_keypoints, read_pgm
 from .matching import (
     ANCHORS,
     DEFAULT_MIN_SUPPORT,
@@ -194,7 +192,7 @@ class PipelineConfig:
         return replace(self, **clean)
 
     def tracker_config(self) -> TrackerConfig:
-        """The tracker settings of this config, shared by ``run`` and ``track``."""
+        """The tracker settings of this config."""
         return TrackerConfig(
             dt=1.0 / self.fps,
             jerk_sigma=self.jerk_sigma,
@@ -319,72 +317,38 @@ def _frame_file(frames_dir, camera_id: str, frame: int) -> Path:
     return pgm
 
 
-def first_frame_sizes(
-    frames_dir, detections: list[Detection]
-) -> dict[str, tuple[int, int]]:
-    """Each camera's (width, height): that of its first detected frame's PGM."""
-    first: dict[str, int] = {}
-    for det in detections:
-        first[det.camera_id] = min(det.frame, first.get(det.camera_id, det.frame))
-    return {
-        camera_id: read_pgm_size(_frame_file(frames_dir, camera_id, frame))
-        for camera_id, frame in first.items()
-    }
-
-
 def apply_mask_stage(
     config: PipelineConfig,
-    keypoints: KeypointTable | None,
+    keypoints: KeypointTable,
     detections: list[Detection],
-    on_mask=None,
-    image_sizes: dict[str, tuple[int, int]] | None = None,
-    calibrated: bool = True,
+    image_sizes: dict[str, tuple[int, int]],
 ) -> np.ndarray:
     """The rows of ``keypoints`` on mask-on pixels of the per-frame PGM files.
 
-    Masks are built for each (camera, frame) with keypoints. With
-    ``on_mask``, they are built for each (camera, frame) with detections
-    instead, and each is passed to ``on_mask(camera_id, frame, mask)``;
-    every frame's header is then checked before the first mask is built,
-    so a missing or bad frame fails before ``on_mask`` sees any mask, and
-    each frame's pixels are still read once.
-    With ``image_sizes``, a frame whose (width, height) differs from its
-    camera's size there is an ``IngestError``, which names the size as the
-    calibrated one or, without ``calibrated``, as the camera's frame size.
-    Rows are returned grouped by (camera, frame) in sorted order, each
-    group in row order.
+    Masks are built for each (camera, frame) with keypoints, each frame
+    read once. A frame whose (width, height) differs from its camera's
+    calibrated size in ``image_sizes`` is an ``IngestError``. Rows are
+    returned grouped by (camera, frame) in sorted order, each group in row
+    order.
     """
     boxes: dict[tuple[str, int], list] = {}
     for det in detections:
         boxes.setdefault((det.camera_id, det.frame), []).append(det.box)
-
-    def check_size(pgm: Path, camera_id: str, width: int, height: int) -> None:
-        expected = (image_sizes or {}).get(camera_id)
-        if expected is not None and (width, height) != expected:
-            size = f"{expected[0]}x{expected[1]}"
-            raise IngestError(
-                pgm, f"frame is {width}x{height}, but camera {camera_id} "
-                + (f"is calibrated for {size}" if calibrated else f"has frame size {size}"),
-            )
-
-    grouped = {} if keypoints is None else keypoints.groups()
-    keys = sorted(grouped if on_mask is None else boxes)
-    if on_mask is not None:
-        for key in keys:
-            pgm = _frame_file(config.frames_dir, *key)
-            check_size(pgm, key[0], *read_pgm_size(pgm))
+    grouped = keypoints.groups()
     gated: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]
-    for key in keys:
-        pgm = _frame_file(config.frames_dir, *key)
+    for camera_id, frame in sorted(grouped):
+        pgm = _frame_file(config.frames_dir, camera_id, frame)
         gray = read_pgm(pgm)
-        check_size(pgm, key[0], gray.width, gray.height)
-        mask = build_frame_mask(gray, boxes.get(key, []),
+        expected = image_sizes.get(camera_id)
+        if expected is not None and (gray.width, gray.height) != expected:
+            raise IngestError(
+                pgm, f"frame is {gray.width}x{gray.height}, but camera {camera_id} "
+                f"is calibrated for {expected[0]}x{expected[1]}",
+            )
+        mask = build_frame_mask(gray, boxes.get((camera_id, frame), []),
                                 low=config.canny_low, high=config.canny_high)
-        if on_mask is not None:
-            on_mask(*key, mask)
-        rows = grouped.get(key)
-        if rows is not None:
-            gated.append(rows[gate_keypoints(mask, keypoints.xy[rows])])
+        rows = grouped[camera_id, frame]
+        gated.append(rows[gate_keypoints(mask, keypoints.xy[rows])])
     return np.concatenate(gated)
 
 
@@ -406,8 +370,7 @@ def track_observations(rows: list[tuple], config: PipelineConfig, out_dir: Path)
     """Track ``observations.csv`` rows; writes tracks.csv and trajectories.svg.
 
     Every frame with a row is stepped, so a frame without observations
-    counts a miss for each live track. ``run`` calls this on the rows it
-    writes and ``track`` on the rows it reads, so both give the same tracks.
+    counts a miss for each live track.
     """
     by_frame: dict[int, list[np.ndarray]] = {}
     for frame, _, position, _, _ in rows:

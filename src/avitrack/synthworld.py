@@ -26,6 +26,25 @@ from .voronoi import LandmarkSet
 
 MOTION_MODES = ("free", "anchored", "crossing")
 _WALL_GAP_M = 0.05  # between a bird's body and a wall
+# The array-valued scene settings: the shape each must have, None standing
+# for any positive length, and its wording.
+_ARRAY_SETTINGS = {
+    "aviary_size": ((3,), "three numbers"),
+    "distortion": ((5,), "five numbers"),
+    "landmarks": ((None, 3), "None or a non-empty list of (x, y, z) points"),
+}
+
+
+def _has_shape(value, shape: tuple) -> bool:
+    """``value`` is an array of real numbers of ``shape``."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        return False
+    return array.dtype.kind in "iuf" and array.ndim == len(shape) and all(
+        length == want if want is not None else length > 0
+        for length, want in zip(array.shape, shape)
+    )
 
 
 @dataclass
@@ -74,17 +93,25 @@ class SceneConfig:
 
     def validate(self) -> None:
         """Raise ``ConfigError`` for any setting ``generate`` cannot honour;
-        runs before the first random draw."""
+        runs before the first random draw. Types and shapes are checked
+        before any range."""
         for f in fields(self):
             value = getattr(self, f.name)
+            unset = value is None and f.default is None
             if f.name in ("image_size", "keypoints_per_detection"):
                 kind = "a pair of ints"
                 ok = isinstance(value, (tuple, list)) and list(map(type, value)) == [int, int]
+            elif f.name in _ARRAY_SETTINGS:
+                shape, kind = _ARRAY_SETTINGS[f.name]
+                ok = unset or _has_shape(value, shape)
+            elif type(f.default) is float or f.name == "focal_px":
+                kind = "a number"
+                ok = unset or isinstance(value, (int, float)) and not isinstance(value, bool)
             else:
                 kind, ok = "an int", type(f.default) is not int or type(value) is int
             if not ok:
                 raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
-            if isinstance(value, (float, tuple, list)) and not np.all(
+            if isinstance(value, (float, tuple, list, np.ndarray)) and not np.all(
                 np.isfinite(np.asarray(value, dtype=float))
             ):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
@@ -115,8 +142,6 @@ class SceneConfig:
              f"must cover the largest keypoint count ({kmax})"),
             (self.landmarks is not None or self.landmark_count >= 1,
              "landmark_count must be at least 1"),
-            (self.landmarks is None or len(self.landmarks) > 0,
-             "explicit landmark list may not be empty"),
             (self.wander_radius_m > 0 and self.max_speed > 0 and self.max_accel > 0,
              "wander_radius_m, max_speed, and max_accel must be positive"),
         ):

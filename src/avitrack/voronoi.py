@@ -35,8 +35,7 @@ class LandmarkSet:
     feature); positions are per camera. Within one camera, ids are unique
     and positions lie inside the frame and are pairwise distinct. Each
     camera's landmarks are held as two read-only arrays sorted by id, which
-    ``add`` rebuilds: the ids (int64, or Python ints as objects when one
-    does not fit) and the (n, 2) sites.
+    ``add`` rebuilds: the int64 ids and the (n, 2) sites.
     """
 
     def __init__(self, image_sizes: dict[str, tuple[int, int]]):
@@ -70,7 +69,7 @@ class LandmarkSet:
         try:
             ids = np.array(ids, dtype=np.int64)
         except OverflowError:
-            ids = np.array(ids, dtype=object)
+            raise ValueError(f"landmark id {global_id} is outside int64")
         sites = np.array([pos for _, pos in entries])
         ids.flags.writeable = sites.flags.writeable = False
         self._arrays[camera_id] = ids, sites

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: synth, run, stage limits, and error reporting."""
 
 import argparse
+import csv
 import importlib.util
 import json
 import os
@@ -13,11 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avitrack import dataio, pipeline
+from avitrack import pipeline
 from avitrack.cli import build_parser, main, pipeline_config
 from avitrack.mask import GrayFrame, read_pgm, write_pgm
 from avitrack.pipeline import PipelineConfig, run_pipeline
-from dataio_reference import write_keypoints_reference
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -113,6 +113,21 @@ class TestRun:
         err = capsys.readouterr().err
         assert "missing.json" in err
 
+    def test_a_frame_beyond_int64_fails_before_any_output(self, small_bundle, tmp_path, capsys):
+        """Detection (cam0, 0, 0) and its keypoints moved to frame 2**70: an
+        input error, not a crash after the overlays are written."""
+        huge = str(2**70)
+        for name in ("detections.csv", "keypoints.csv"):
+            path = small_bundle / name
+            text = path.read_text()
+            assert "\ncam0,0,0," in text
+            path.write_text(text.replace("\ncam0,0,0,", f"\ncam0,{huge},0,"))
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(small_bundle), "--out", str(out)]) == 2
+        assert (f"error: {small_bundle / 'detections.csv'}:2: column 'frame': '{huge}' "
+                "is outside int64") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overlay_stage_emits_only_svgs(self, small_bundle, tmp_path):
         out = tmp_path / "overlay_only"
         code = main(
@@ -196,9 +211,13 @@ class TestRun:
 
     @pytest.mark.parametrize("argv", [
         ["match"], ["reconstruct"], ["overlay"], ["run", "--stage", "track"],
-    ], ids=["match", "reconstruct", "overlay", "stage-track"])
+        ["mask"], ["track"], ["eval"],
+    ], ids=["match", "reconstruct", "overlay", "stage-track", "mask-command",
+            "track-command", "eval-command"])
     def test_stage_aliases_are_invalid_choices(self, tmp_path, capsys, argv):
-        """Each stage is reached through ``run --stage`` alone."""
+        """Each stage is reached through ``run --stage`` alone, and ``synth``
+        and ``run`` are the only commands: ``mask``, ``track`` and ``eval``
+        are unknown."""
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--input", str(tmp_path), "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
@@ -261,70 +280,10 @@ class TestRun:
 
 
 class TestStandaloneCommands:
-    def test_track_and_eval_from_files(self, small_bundle, tmp_path):
-        out = tmp_path / "out"
-        assert main(["run", "--input", str(small_bundle), "--out", str(out)]) == 0
+    """``run`` end to end on small bundles of its own, with and without
+    ``--use-mask``."""
 
-        track_dir = tmp_path / "tracked"
-        code = main(
-            [
-                "track", "--observations", str(out / "observations.csv"),
-                "--out", str(track_dir),
-            ]
-        )
-        assert code == 0
-        assert (track_dir / "tracks.csv").exists()
-
-        metrics_path = tmp_path / "eval.json"
-        code = main(
-            [
-                "eval", "--tracks", str(track_dir / "tracks.csv"),
-                "--truth", str(small_bundle / "truth.csv"),
-                "--out", str(metrics_path),
-            ]
-        )
-        assert code == 0
-        report = json.loads(metrics_path.read_text())
-        assert "total_id_switches" in report["table5"]
-
-    TUNED = {"confirm_hits": 5, "max_misses": 4, "jerk_sigma": 12.0}
     TUNED_FLAGS = ["--confirm-hits", "5", "--max-misses", "4", "--jerk-sigma", "12"]
-
-    @pytest.fixture(scope="class")
-    def tuned_runs(self, tmp_path_factory):
-        """The README quickstart bundle run in full and up to reconstruction,
-        both with non-default tracker settings."""
-        root = tmp_path_factory.mktemp("tuned")
-        bundle = root / "quickstart"
-        assert main(["synth", "--out", str(bundle), "--seed", "42", "--birds", "5",
-                     "--duration", "2.0"]) == 0
-        for name, extra in (("full", []), ("staged", ["--stage", "reconstruct"])):
-            assert main(["run", "--input", str(bundle), "--out", str(root / name),
-                         *self.TUNED_FLAGS, *extra]) == 0
-        return root
-
-    @pytest.mark.parametrize("settings_from", ["flags", "config", "defaults"])
-    def test_track_equals_run_with_tuned_tracker(
-        self, tuned_runs, settings_from, tmp_path
-    ):
-        """``run`` writes the same tracks as ``run --stage reconstruct``
-        followed by ``track`` given the same tracker settings, by flag or
-        by config file; ``track`` at the defaults differs."""
-        config = tmp_path / "tracker.json"
-        config.write_text(json.dumps(self.TUNED))
-        tracker_args = {
-            "flags": self.TUNED_FLAGS,
-            "config": ["--config", str(config)],
-            "defaults": [],
-        }[settings_from]
-        tracked = tmp_path / "tracked"
-        assert main(["track", "--observations",
-                     str(tuned_runs / "staged" / "observations.csv"),
-                     "--out", str(tracked), *tracker_args]) == 0
-        same = (tracked / "tracks.csv").read_bytes() == (
-            tuned_runs / "full" / "tracks.csv"
-        ).read_bytes()
-        assert same == (settings_from != "defaults")
 
     @pytest.fixture(scope="class")
     def sparse_bundle(self, tmp_path_factory):
@@ -340,20 +299,30 @@ class TestStandaloneCommands:
         self, sparse_bundle, tmp_path, tracker_flags
     ):
         """Each frame ``run`` steps has a row in observations.csv, so
-        ``track`` misses the same frames and coasts the same tracks."""
+        tracking the rows of a ``--stage reconstruct`` run misses the same
+        frames and coasts the same tracks as the full run."""
         flags = ["--input", str(sparse_bundle), "--validate-bounds", *tracker_flags]
-        assert main(["run", "--out", str(tmp_path / "full"), *flags]) == 0
+        full = tmp_path / "full"
+        assert main(["run", "--out", str(full), *flags]) == 0
         staged = tmp_path / "staged"
         assert main(["run", "--out", str(staged), "--stage", "reconstruct", *flags]) == 0
-        rows = dataio.read_observations(staged / "observations.csv")
-        empty = [frame for frame, _, position, _, _ in rows if position is None]
-        assert len(empty) == 17 and len({row[0] for row in rows}) == 60
-        assert main(["track", "--observations", str(staged / "observations.csv"),
-                     "--out", str(tmp_path / "tracked"), *tracker_flags]) == 0
+        with open(staged / "observations.csv", newline="") as fh:
+            cells = list(csv.reader(fh))[1:]
+        empty = [row for row in cells if row[1:] == ["0", "", "", "", "", ""]]
+        assert len(empty) == 17 and len({row[0] for row in cells}) == 60
+        rows = [
+            (int(row[0]), int(row[1]),
+             None if row[2] == "" else np.array([float(v) for v in row[2:5]]),
+             None, None)
+            for row in cells
+        ]
+        tracked = tmp_path / "tracked"
+        tracked.mkdir()
+        config = pipeline_config(build_parser().parse_args(
+            ["run", "--out", str(tracked), *flags]))
+        pipeline.track_observations(rows, config, tracked)
         for name in ("tracks.csv", "trajectories.svg"):
-            assert (tmp_path / "tracked" / name).read_bytes() == (
-                tmp_path / "full" / name
-            ).read_bytes(), name
+            assert (tracked / name).read_bytes() == (full / name).read_bytes(), name
 
     def test_overlay_stage_needs_no_bundle(self, small_bundle, tmp_path):
         out = tmp_path / "overlays"
@@ -382,32 +351,9 @@ class TestStandaloneCommands:
         assert code == 0
         return bundle_dir
 
-    def _mask_args(self, bundle_dir, out):
-        return [
-            "mask", "--frames", str(bundle_dir / "frames"),
-            "--detections", str(bundle_dir / "detections.csv"),
-            "--keypoints", str(bundle_dir / "keypoints.csv"),
-            "--out", str(out), "--emit-masks",
-        ]
-
-    def test_mask_command(self, masked_bundle, tmp_path):
-        out = tmp_path / "masks"
-        assert main(self._mask_args(masked_bundle, out)) == 0
-        assert (out / "keypoints_gated.csv").exists()
-        assert list(out.glob("mask_*.pgm"))
-
-    def test_mask_writes_the_reference_writer_bytes(self, masked_bundle, tmp_path):
-        """keypoints_gated.csv holds exactly the bytes that the per-object
-        writer makes of the keypoints kept."""
-        out = tmp_path / "masks"
-        assert main(self._mask_args(masked_bundle, out)) == 0
-        gated = dataio.read_keypoints(out / "keypoints_gated.csv", {})
-        assert 0 < len(gated) < len(dataio.read_keypoints(masked_bundle / "keypoints.csv", {}))
-        write_keypoints_reference(tmp_path / "reference.csv", gated.keypoints(), 8)
-        assert ((out / "keypoints_gated.csv").read_bytes()
-                == (tmp_path / "reference.csv").read_bytes())
-
     def test_mask_reads_each_frame_once(self, masked_bundle, tmp_path, monkeypatch):
+        """``run --use-mask`` reads the PGM of each (camera, frame) with
+        keypoints exactly once."""
         reads = Counter()
 
         def counting_read_pgm(path):
@@ -415,62 +361,29 @@ class TestStandaloneCommands:
             return read_pgm(path)
 
         monkeypatch.setattr(pipeline, "read_pgm", counting_read_pgm)
-        assert main(self._mask_args(masked_bundle, tmp_path / "masks")) == 0
-        rows = (masked_bundle / "detections.csv").read_text().splitlines()[1:]
-        frames = {"{}_frame{}.pgm".format(*row.split(",")[:2]) for row in rows}
-        assert reads == Counter(frames)
-
-    def test_mask_command_emits_a_mask_per_detection_frame(self, masked_bundle, tmp_path):
-        out = tmp_path / "masks"
-        args = self._mask_args(masked_bundle, out)
-        args.remove("--keypoints")
-        args.remove(str(masked_bundle / "keypoints.csv"))
-        assert main(args) == 0
-        rows = (masked_bundle / "detections.csv").read_text().splitlines()[1:]
-        expected = {"mask_{}_frame{}.pgm".format(*row.split(",")[:2]) for row in rows}
-        assert {p.name for p in out.glob("mask_*.pgm")} == expected
-        assert not (out / "keypoints_gated.csv").exists()
-
-    def test_mask_command_missing_frame_is_ingest_error(
-        self, masked_bundle, tmp_path, capsys
-    ):
-        missing = masked_bundle / "frames" / "cam1_frame3.pgm"
-        missing.unlink()
-        code = main(self._mask_args(masked_bundle, tmp_path / "masks"))
-        assert code == 2
-        err = capsys.readouterr().err
-        assert f"error: {missing}: frame file missing for mask stage" in err
+        assert main(["run", "--input", str(masked_bundle), "--use-mask",
+                     "--out", str(tmp_path / "out")]) == 0
+        with open(masked_bundle / "keypoints.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert reads == Counter({f"{camera}_frame{frame}.pgm" for camera, frame, *_ in rows})
 
     def test_mask_rejects_a_keypoint_outside_the_frame(self, masked_bundle, tmp_path, capsys):
-        """``mask`` checks keypoints against each camera's frame size, as
-        ``run`` checks them against the calibration."""
+        """``run --use-mask`` checks keypoints against the calibrated frame
+        size before it writes any output."""
         keypoints = masked_bundle / "keypoints.csv"
         header, first, *rest = keypoints.read_text().splitlines(keepends=True)
         fields = first.split(",")
         assert fields[0] == "cam0"
         fields[3] = "5000.0"
         keypoints.write_text(header + ",".join(fields) + "".join(rest))
-        message = (f"error: {keypoints}:2: keypoint at (5000.0, {float(fields[4])!r}) "
-                   "outside camera cam0 frame 320x180")
-        out = tmp_path / "masks"
-        assert main(self._mask_args(masked_bundle, out)) == 2
-        assert message in capsys.readouterr().err
-        assert not out.exists()
-        run_out = tmp_path / "run"
+        out = tmp_path / "run"
         assert main(["run", "--input", str(masked_bundle), "--use-mask",
-                     "--out", str(run_out)]) == 2
-        assert message in capsys.readouterr().err
+                     "--out", str(out)]) == 2
+        assert (f"error: {keypoints}:2: keypoint at (5000.0, {float(fields[4])!r}) "
+                "outside camera cam0 frame 320x180") in capsys.readouterr().err
+        assert not out.exists()
 
-    def test_mask_rejects_a_frame_of_another_size(self, masked_bundle, tmp_path, capsys):
-        path = masked_bundle / "frames" / "cam0_frame3.pgm"
-        write_pgm(path, GrayFrame(4, 2, np.zeros((2, 4))))
-        out = tmp_path / "masks"
-        assert main(self._mask_args(masked_bundle, out)) == 2
-        assert (f"error: {path}: frame is 4x2, but camera cam0 has frame size "
-                "320x180") in capsys.readouterr().err
-        assert not (out / "keypoints_gated.csv").exists()
-
-    @pytest.mark.parametrize("command", ["mask", "run"])
+    @pytest.mark.parametrize("command", ["run"])
     @pytest.mark.parametrize("fault", ["missing", "resized"])
     def test_a_bad_frame_leaves_no_output(self, masked_bundle, tmp_path, capsys,
                                           command, fault):
@@ -482,12 +395,10 @@ class TestStandaloneCommands:
             message = "frame file missing for mask stage"
         else:
             write_pgm(path, GrayFrame(4, 2, np.zeros((2, 4))))
-            message = "frame is 4x2, but camera cam1 " + (
-                "has frame size 320x180" if command == "mask" else "is calibrated for 320x180")
+            message = "frame is 4x2, but camera cam1 is calibrated for 320x180"
         out = tmp_path / "out"
-        args = (self._mask_args(masked_bundle, out) if command == "mask" else
-                ["run", "--input", str(masked_bundle), "--use-mask", "--out", str(out)])
-        assert main(args) == 2
+        assert main([command, "--input", str(masked_bundle), "--use-mask",
+                     "--out", str(out)]) == 2
         assert f"error: {path}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
@@ -507,32 +418,38 @@ class TestStandaloneCommands:
     def test_mask_gating_out_every_keypoint_writes_a_readable_file(
         self, masked_bundle, tmp_path
     ):
+        """On black frames the mask keeps no keypoint; ``run --use-mask`` still
+        writes every output, with a row without a position for each frame."""
         for path in (masked_bundle / "frames").glob("*.pgm"):
             frame = read_pgm(path)
             write_pgm(path, GrayFrame(frame.width, frame.height, np.zeros_like(frame.pixels)))
-        out = tmp_path / "masks"
-        assert main(self._mask_args(masked_bundle, out)) == 0
-        gated = out / "keypoints_gated.csv"
-        assert gated.read_text().splitlines() == [",".join(dataio.keypoints_header(8))]
-        assert len(dataio.read_keypoints(gated, {})) == 0
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(masked_bundle), "--use-mask",
+                     "--out", str(out)]) == 0
+        with open(out / "observations.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows == [[str(frame), "0", "", "", "", "", ""] for frame in range(6)]
+        assert (out / "tracks.csv").read_text().splitlines() == [
+            "frame,track_id,status,x_m,y_m,z_m"]
 
     def test_mask_on_header_only_keypoints_writes_an_empty_file(
-        self, masked_bundle, tmp_path
+        self, masked_bundle, tmp_path, monkeypatch
     ):
+        """Without keypoints, ``run --use-mask`` reads no frame and tracks
+        nothing."""
         keypoints = masked_bundle / "keypoints.csv"
         keypoints.write_text(keypoints.read_text().splitlines()[0] + "\n")
-        out = tmp_path / "masks"
-        args = self._mask_args(masked_bundle, out)
-        args.remove("--emit-masks")
-        assert main(args) == 0
-        gated = out / "keypoints_gated.csv"
-        assert gated.read_text().splitlines() == [",".join(dataio.keypoints_header(8))]
-        assert len(dataio.read_keypoints(gated, {})) == 0
+        monkeypatch.setattr(pipeline, "read_pgm", None)
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(masked_bundle), "--use-mask",
+                     "--out", str(out)]) == 0
+        assert (out / "tracks.csv").read_text().splitlines() == [
+            "frame,track_id,status,x_m,y_m,z_m"]
 
     def test_mask_thresholds_are_validated(self, masked_bundle, tmp_path, capsys):
-        out = tmp_path / "masks"
-        args = self._mask_args(masked_bundle, out) + ["--canny-low", "200", "--canny-high", "100"]
-        assert main(args) == 2
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(masked_bundle), "--use-mask", "--out", str(out),
+                     "--canny-low", "200", "--canny-high", "100"]) == 2
         assert "error: canny_low must be in [0, canny_high], got 200.0" in capsys.readouterr().err
         assert not out.exists()
 
@@ -544,15 +461,12 @@ class TestStandaloneCommands:
     def test_eval_settings_are_validated(
         self, masked_bundle, tmp_path, capsys, flags, message
     ):
+        """The settings of ``run``'s tracking metrics (table5) fail before
+        any output."""
         out = tmp_path / "out"
-        assert main(["run", "--input", str(masked_bundle), "--out", str(out)]) == 0
-        metrics_path = tmp_path / "eval.json"
-        code = main(["eval", "--tracks", str(out / "tracks.csv"),
-                     "--truth", str(masked_bundle / "truth.csv"),
-                     "--out", str(metrics_path), *flags])
-        assert code == 2
+        assert main(["run", "--input", str(masked_bundle), "--out", str(out), *flags]) == 2
         assert f"error: {message}" in capsys.readouterr().err
-        assert not metrics_path.exists()
+        assert not out.exists()
 
     @pytest.fixture
     def unreferenced_bundle(self, masked_bundle):
@@ -563,21 +477,17 @@ class TestStandaloneCommands:
         path.write_bytes(b"".join(r for r in rows if not r.startswith(b"cam0,2,")))
         return masked_bundle
 
-    @pytest.mark.parametrize("command", ["run", "run --use-mask", "mask"])
+    @pytest.mark.parametrize("command", ["run", "run --use-mask"])
     def test_missing_detection_reference_is_reported(
         self, unreferenced_bundle, tmp_path, capsys, command
     ):
         out = tmp_path / "out"
-        if command == "mask":
-            args = self._mask_args(unreferenced_bundle, out)
-        else:
-            args = [*command.split(), "--input", str(unreferenced_bundle), "--out", str(out)]
-        assert main(args) == 2
+        assert main([*command.split(), "--input", str(unreferenced_bundle),
+                     "--out", str(out)]) == 2
         keypoints = unreferenced_bundle / "keypoints.csv"
         assert (f"error: {keypoints}: keypoint references missing detection "
                 "('cam0', 2, 0)") in capsys.readouterr().err
-        assert not (out / "keypoints_gated.csv").exists()
-        assert not list(out.glob("mask_*.pgm"))
+        assert not out.exists()
 
 
 # Runs the CLI in a fresh interpreter and prints its exit code and the
@@ -591,8 +501,8 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "sci
 
 
 @pytest.mark.parametrize("command", [
-    "run", "run --use-mask", "mask --emit-masks", "run --association optimal",
-], ids=["defaults", "use-mask", "mask", "optimal"])
+    "run", "run --use-mask", "run --association optimal",
+], ids=["defaults", "use-mask", "optimal"])
 def test_scipy_loads_only_for_optimal_association(tmp_path, command):
     """scipy's import is most of ``avitrack run``'s start-up time and
     memory. Masks need none of it; the optimal tracker needs
@@ -602,24 +512,18 @@ def test_scipy_loads_only_for_optimal_association(tmp_path, command):
                  "--cameras", "3", "--duration", "0.3", "--descriptor-length", "8",
                  "--image-size", "320x180", "--emit-frames"]) == 0
     out = tmp_path / "out"
-    name, *flags = command.split()
-    if name == "mask":
-        inputs = ["--frames", str(bundle / "frames"),
-                  "--detections", str(bundle / "detections.csv"),
-                  "--keypoints", str(bundle / "keypoints.csv")]
-    else:
-        inputs = ["--input", str(bundle)]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     ))
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, name, *inputs, "--out", str(out), *flags],
+        [sys.executable, "-c", _IMPORT_PROBE, *command.split(), "--input", str(bundle),
+         "--out", str(out)],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     code, modules = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0
-    assert (out / ("keypoints_gated.csv" if name == "mask" else "tracks.csv")).is_file()
-    if "optimal" in flags:
+    assert (out / "tracks.csv").is_file()
+    if "optimal" in command:
         assert "scipy.optimize" in modules
         assert not [m for m in modules if m.startswith("scipy.ndimage")]
     else:

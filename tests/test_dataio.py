@@ -1,5 +1,6 @@
 """Tests for strict file ingestion and lossless round trips."""
 
+import csv
 import json
 from unittest.mock import patch
 
@@ -91,19 +92,15 @@ class TestRoundTrips:
     def test_observations_and_tracks(self, tmp_path):
         obs = [(0, 2, np.array([1.0, 2.0, 3.0]), 0.5, 0.75), (1, 0, None, None, None)]
         dataio.write_observations(tmp_path / "o.csv", obs)
-        assert (tmp_path / "o.csv").read_text().splitlines()[1:] == [
-            "0,2,1.0,2.0,3.0,0.5,0.75", "1,0,,,,,",
+        assert (tmp_path / "o.csv").read_text().splitlines() == [
+            ",".join(dataio.OBSERVATIONS_HEADER), "0,2,1.0,2.0,3.0,0.5,0.75", "1,0,,,,,",
         ]
-        loaded = dataio.read_observations(tmp_path / "o.csv")
-        assert loaded[0][:2] == (0, 2) and loaded[0][3:] == (0.5, 0.75)
-        np.testing.assert_array_equal(loaded[0][2], obs[0][2])
-        assert loaded[1] == (1, 0, None, None, None)
 
         rows = [(0, 1, "tentative", np.array([0.1, 0.2, 0.3]))]
         dataio.write_tracks(tmp_path / "t.csv", rows)
-        back = dataio.read_tracks(tmp_path / "t.csv")
-        assert back[0][:3] == (0, 1, "tentative")
-        np.testing.assert_array_equal(back[0][3], rows[0][3])
+        assert (tmp_path / "t.csv").read_text().splitlines() == [
+            ",".join(dataio.TRACKS_HEADER), "0,1,tentative,0.1,0.2,0.3",
+        ]
 
 
 class TestStrictness:
@@ -186,35 +183,6 @@ class TestStrictness:
         path.write_text("camera_id,frame,detection_index,x_px,y_px\n")
         with pytest.raises(IngestError, match="descriptor"):
             dataio.read_keypoints(path, {})
-
-    @pytest.mark.parametrize("row, problem", [
-        ("0,2,,,,,", "['x_m', 'y_m', 'z_m', 'mean_err_px', 'max_err_px']"),
-        ("0,0,1.0,2.0,3.0,0.5,0.75", "[]"),
-        ("0,1,1.0,2.0,3.0,,0.75", "['mean_err_px']"),
-        ("0,3,,2.0,3.0,0.5,0.75", "['x_m']"),
-        ("0,0,1.0,,3.0,,", "['y_m', 'mean_err_px', 'max_err_px']"),
-        ("0,-1,,,,,", None),
-    ])
-    def test_observation_cells_must_agree_with_n_cameras(self, tmp_path, row, problem):
-        """Errors are empty exactly when ``n_cameras`` is 0; the position is
-        all there, or all empty for a frame without observations."""
-        path = tmp_path / "o.csv"
-        path.write_text("\n".join([",".join(dataio.OBSERVATIONS_HEADER),
-                                   "0,0,,,,,", "0,0,1.0,2.0,3.0,,", row]))
-        with pytest.raises(IngestError) as exc:
-            dataio.read_observations(path)
-        n_cameras = row.split(",")[1]
-        assert str(exc.value) == f"{path}:4: n_cameras {n_cameras} " + (
-            "is negative" if problem is None else f"disagrees with the empty cells {problem}"
-        )
-
-    def test_bad_track_status_rejected(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text(
-            ",".join(dataio.TRACKS_HEADER) + "\n0,1,zombie,1.0,2.0,3.0\n"
-        )
-        with pytest.raises(IngestError, match="status"):
-            dataio.read_tracks(path)
 
 
 class TestFloatFormatting:
@@ -590,16 +558,12 @@ TABLES = {
     "truth": (dataio.read_truth, dataio.TRUTH_HEADER, "iifff", "0,1,1.0,2.0,3.0"),
     "match_truth": (dataio.read_match_truth, dataio.MATCH_TRUTH_HEADER, "siii",
                     "cam0,0,0,1"),
-    "observations": (dataio.read_observations, dataio.OBSERVATIONS_HEADER, "iiFFFFF",
-                     "0,2,1.0,2.0,3.0,0.5,0.25"),
-    "tracks": (dataio.read_tracks, dataio.TRACKS_HEADER, "iisfff",
-               "0,1,tentative,1.0,2.0,3.0"),
 }
 BAD_VALUES = {
-    "i": [("1.5", "is not an integer"), ("x", "is not an integer")],
+    "i": [("1.5", "is not an integer"), ("x", "is not an integer"),
+          (str(2**63), "is outside int64"), (str(-(2**63) - 1), "is outside int64")],
     "f": [("x", "is not a number"), ("inf", "is not finite"), ("nan", "is not finite")],
 }
-BAD_VALUES["F"] = BAD_VALUES["f"]  # a float cell that may also be empty
 BAD_CELLS = [
     (table, column, text, problem)
     for table, (_, header, kinds, _) in TABLES.items()
@@ -647,10 +611,16 @@ def _bits(value):
 
 # Any finite float: signed zeros, subnormals and the extremes included.
 _FLOAT = st.floats(allow_nan=False, allow_infinity=False)
-_INT = st.integers(-(2**70), 2**70)
+_INT = st.integers(-(2**63), 2**63 - 1)
 # Commas, quotes and line breaks make csv quote the field.
 _TEXT = st.text(alphabet='ab0 ,"\né', min_size=1, max_size=4)
 _POINT = st.lists(_FLOAT, min_size=3, max_size=3).map(np.array)
+
+
+def _read_csv(path) -> list[list[str]]:
+    """Every row of a CSV file, header included, as ``csv`` splits it."""
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 def _round_trip(tmp_path_factory, write, read, value, name="table.csv"):
@@ -737,31 +707,37 @@ class TestRoundTripProperty:
         st.tuples(_INT, st.just(0), st.one_of(st.none(), _POINT), st.none(), st.none()),
     ), max_size=6))
     def test_observations(self, tmp_path_factory, rows):
-        back = _round_trip(tmp_path_factory, dataio.write_observations,
-                           dataio.read_observations, rows)
-        assert _bits(back) == _bits(rows)
+        back = _round_trip(tmp_path_factory, dataio.write_observations, _read_csv, rows)
+        assert back[0] == dataio.OBSERVATIONS_HEADER
+        parsed = [
+            (int(frame), int(n_cameras),
+             None if x == "" else np.array([float(x), float(y), float(z)]),
+             *(None if cell == "" else float(cell) for cell in (mean_err, max_err)))
+            for frame, n_cameras, x, y, z, mean_err, max_err in back[1:]
+        ]
+        assert _bits(parsed) == _bits(rows)
 
     @settings(max_examples=50, deadline=None)
     @given(rows=st.lists(st.tuples(
         _INT, _INT, st.sampled_from(["tentative", "confirmed", "dead"]), _POINT,
     ), max_size=6))
     def test_tracks(self, tmp_path_factory, rows):
-        back = _round_trip(tmp_path_factory, dataio.write_tracks, dataio.read_tracks, rows)
-        assert _bits(back) == _bits(rows)
+        back = _round_trip(tmp_path_factory, dataio.write_tracks, _read_csv, rows)
+        assert back[0] == dataio.TRACKS_HEADER
+        parsed = [
+            (int(frame), int(track_id), status, np.array([float(v) for v in position]))
+            for frame, track_id, status, *position in back[1:]
+        ]
+        assert _bits(parsed) == _bits(rows)
 
 
-def _table(keypoints: list[Keypoint], length: int, objects=(False, False)) -> KeypointTable:
-    """The keypoints as a table; a frame or detection column is Python ints
-    as objects when ``objects`` says so or when a value does not fit int64."""
-    def ints(values, as_objects):
-        return (np.array(values, dtype=object) if as_objects
-                else dataio._int_array(values))
-
+def _table(keypoints: list[Keypoint], length: int) -> KeypointTable:
+    """The keypoints as a table."""
     n = len(keypoints)
     return KeypointTable(
         np.array([kp.camera_id for kp in keypoints], dtype=object),
-        ints([kp.frame for kp in keypoints], objects[0]),
-        ints([kp.detection_index for kp in keypoints], objects[1]),
+        np.array([kp.frame for kp in keypoints], dtype=np.int64),
+        np.array([kp.detection_index for kp in keypoints], dtype=np.int64),
         np.array([kp.position for kp in keypoints], dtype=float).reshape(n, 2),
         np.array([kp.descriptor for kp in keypoints], dtype=float).reshape(n, length),
     )
@@ -793,9 +769,8 @@ class TestWriteKeypointsMatchesReference:
     """The block writer writes exactly the bytes of the per-object writer."""
 
     @settings(max_examples=300, deadline=None)
-    @given(length=st.integers(1, 5), objects=st.tuples(st.booleans(), st.booleans()),
-           block=st.integers(1, 40), data=st.data())
-    def test_random_tables(self, tmp_path_factory, length, objects, block, data):
+    @given(length=st.integers(1, 5), block=st.integers(1, 40), data=st.data())
+    def test_random_tables(self, tmp_path_factory, length, block, data):
         rows = data.draw(st.lists(
             st.tuples(_CAMERA, _SMALL_INT, _SMALL_INT, _POSITION, _POSITION,
                       st.lists(_DESCRIPTOR_VALUE, min_size=length, max_size=length)),
@@ -807,7 +782,7 @@ class TestWriteKeypointsMatchesReference:
         write_keypoints_reference(directory / "reference.csv", keypoints, length)
         with patch.object(dataio, "_FORMAT_BLOCK_CELLS", block):
             dataio.write_keypoints(directory / "table.csv",
-                                   _table(keypoints, length, objects), length)
+                                   _table(keypoints, length), length)
         assert ((directory / "table.csv").read_bytes()
                 == (directory / "reference.csv").read_bytes())
 

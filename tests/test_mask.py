@@ -29,7 +29,6 @@ from avitrack.mask import (
     gate_keypoints,
     lateral_fill,
     read_pgm,
-    read_pgm_size,
     write_pgm,
 )
 from avitrack.matching import Keypoint
@@ -550,12 +549,10 @@ class TestPgm:
         assert loaded.width == frame.width
         assert loaded.height == frame.height
         assert np.array_equal(loaded.pixels, frame.pixels)
-        assert read_pgm_size(path) == (23, 17)
 
     def test_size_read_skips_comments_and_extra_bytes(self, tmp_path):
         path = tmp_path / "cam0_frame0.pgm"
         path.write_bytes(b"P5\n# made by hand\n3  2\n# maxval next\n255\n" + bytes(9))
-        assert read_pgm_size(path) == (3, 2)
         assert read_pgm(path).pixels.shape == (2, 3)
 
     def test_non_contiguous_pixels_are_written_in_order(self, tmp_path):
@@ -563,15 +560,6 @@ class TestPgm:
         path = tmp_path / "cam0_frame0.pgm"
         write_pgm(path, GrayFrame(width=3, height=4, pixels=pixels[:, ::2]))
         assert np.array_equal(read_pgm(path).pixels, pixels[:, ::2])
-
-    def test_mask_written_as_0_255(self, tmp_path):
-        bits = np.zeros((4, 5), dtype=bool)
-        bits[1, 2] = True
-        path = tmp_path / "mask.pgm"
-        write_pgm(path, BinaryMask(width=5, height=4, bits=bits))
-        loaded = read_pgm(path)
-        assert set(np.unique(loaded.pixels)) == {0, 255}
-        assert loaded.pixels[1, 2] == 255
 
 
 # Frame files that ``read_pgm`` must refuse, with the message it gives.
@@ -607,15 +595,6 @@ class TestBadFrameFiles:
         path.write_bytes(content)
         with pytest.raises(IngestError) as exc:
             read_pgm(path)
-        assert str(exc.value) == f"{path}: {message}"
-
-    @pytest.mark.parametrize("case", sorted(BAD_PGMS))
-    def test_read_pgm_size_gives_the_same_message(self, tmp_path, case):
-        content, message = BAD_PGMS[case]
-        path = tmp_path / "cam0_frame0.pgm"
-        path.write_bytes(content)
-        with pytest.raises(IngestError) as exc:
-            read_pgm_size(path)
         assert str(exc.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("case", sorted(BAD_PGMS))

@@ -1,7 +1,7 @@
 """Reach guard: every avitrack function runs under some CLI command, or is
 listed here with the reason it does not.
 
-``cli.main`` runs every subcommand and the ``run`` variants on a 0.3-s,
+``cli.main`` runs both subcommands and the ``run`` variants on a 0.3-s,
 320x180 scene with frames, plus one malformed file per fast-path reader,
 in a fresh interpreter under ``sys.setprofile``, so functions that run at
 import count too. The functions that no command reaches must be exactly
@@ -147,13 +147,6 @@ def reached(tmp_path_factory) -> set[str]:
         [*run, "--out", str(tmp / "config"), "--config", str(config)],
         [*run, "--out", str(tmp / "options"), "--association", "optimal",
          "--landmark-anchor", "detection_center", "--validate-bounds"],
-        ["mask", "--frames", str(bundle / "frames"), "--detections",
-         str(bundle / "detections.csv"), "--keypoints", str(bundle / "keypoints.csv"),
-         "--out", str(tmp / "masks"), "--emit-masks"],
-        ["track", "--observations", str(out / "observations.csv"),
-         "--out", str(tmp / "tracked")],
-        ["eval", "--tracks", str(out / "tracks.csv"), "--truth", str(bundle / "truth.csv"),
-         "--out", str(tmp / "eval.json")],
     ]
     expected = [0] * len(commands)
     # A non-number in a row: each fast-path reader hands the file to its

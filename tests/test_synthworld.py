@@ -225,6 +225,12 @@ _BAD_SCENES = [  # (setting, value, ConfigError message)
     ("bird_count", True, "bird_count must be an int, got True"),
     ("seed", "1", "seed must be an int, got '1'"),
     ("keypoints_per_detection", (3, 6.0), "keypoints_per_detection must be a pair"),
+    ("aviary_size", (4.0, 3.4), "aviary_size must be three numbers, got (4.0, 3.4)"),
+    ("landmarks", [(1.0, 1.0)], "landmarks must be None or a non-empty list of (x, y, z) "
+     "points, got [(1.0, 1.0)]"),
+    ("landmarks", [], "landmarks must be None or a non-empty list"),
+    ("fps", "30", "fps must be a number, got '30'"),
+    ("duration_s", "2", "duration_s must be a number, got '2'"),
 ]
 
 

@@ -161,13 +161,16 @@ class TestLandmarkArrays:
         with pytest.raises(NoLandmarksError, match="'cam1'"):
             landmarks.arrays("cam1")
 
-    def test_ids_beyond_int64_stay_exact(self):
-        """Mixed-sign ids beyond int64 are held as Python ints, not floats."""
+    def test_ids_beyond_int64_are_rejected(self):
+        """Ids are int64: the limits stay exact, and an id beyond them is a
+        ``ValueError`` that leaves the set as it was."""
         landmarks = LandmarkSet({"cam0": (100, 80)})
-        landmarks.add("cam0", -1, (10.0, 10.0))
-        landmarks.add("cam0", 2**63 + 1, (90.0, 70.0))
-        assert [gid for gid, _ in landmarks.entries("cam0")] == [-1, 2**63 + 1]
-        assert nearest_landmark(landmarks, "cam0", (80.0, 60.0)) == 2**63 + 1
+        landmarks.add("cam0", -(2**63), (10.0, 10.0))
+        landmarks.add("cam0", 2**63 - 1, (90.0, 70.0))
+        with pytest.raises(ValueError, match=f"landmark id {2**63} is outside int64"):
+            landmarks.add("cam0", 2**63, (50.0, 40.0))
+        assert [gid for gid, _ in landmarks.entries("cam0")] == [-(2**63), 2**63 - 1]
+        assert nearest_landmark(landmarks, "cam0", (80.0, 60.0)) == 2**63 - 1
         assert landmarks.count("cam0") == 2
 
     def test_queries_read_the_held_arrays(self, two_landmarks, monkeypatch):
