@@ -82,8 +82,7 @@ class KeypointTable:
 
     ``camera`` holds camera ids as ``str`` objects; ``frame`` and
     ``detection`` hold int64 integers; ``xy`` is (N, 2) pixels and
-    ``desc`` (N, L) descriptors. Iterating, or indexing with one row, gives
-    ``Keypoint`` objects.
+    ``desc`` (N, L) descriptors. Iterating gives ``Keypoint`` objects.
     """
 
     camera: np.ndarray
@@ -97,9 +96,6 @@ class KeypointTable:
 
     def __iter__(self):
         return iter(self.keypoints())
-
-    def __getitem__(self, row: int) -> Keypoint:
-        return self.keypoints([row])[0]
 
     def take(self, rows) -> "KeypointTable":
         """A table of ``rows``, in order, each column copied once."""
@@ -261,17 +257,6 @@ class Correspondence:
     mean_descriptor_distance: float
 
 
-@dataclass(frozen=True)
-class RejectionStats:
-    """Per-frame rejection percentages and their aggregate."""
-
-    per_frame_pct: dict[int, float]
-    mean_pct: float
-    std_pct: float
-    total: int
-    rejected: int
-
-
 def knn_distances(desc_a: np.ndarray, desc_b: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of ``desc_a`` and ``desc_b``
     (non-empty), exact where a row's best or second-best distance can be,
@@ -364,8 +349,10 @@ def reject_by_landmark(
     landmarks: LandmarkSet,
     anchor: str = "keypoint",
     centers: dict[tuple[str, int], FrameCenters] | None = None,
-) -> tuple[MatchTable, RejectionStats]:
+) -> tuple[MatchTable, list[PairMatches]]:
     """Give each match its nearest-landmark pair and a kept/rejected verdict.
+
+    Returns the decided matches and their ``pair_matches`` summaries.
 
     ``anchor`` selects where the landmark distance is measured: at the
     keypoint itself (default) or at the centre of the keypoint's detection
@@ -396,23 +383,8 @@ def reject_by_landmark(
     for _, side, camera_id, group in sorted(queries, key=lambda query: query[0]):
         nearest[side, group] = nearest_landmarks_many(landmarks, camera_id, points[side][group])
     kept = nearest[0] == nearest[1]
-
-    frames, frame_of = np.unique(matches.a.frame[matches.row_a], return_inverse=True)
-    totals = np.bincount(frame_of, minlength=len(frames))
-    rejected = np.bincount(frame_of[~kept], minlength=len(frames))
-    pct = {
-        frame: 100.0 * count / total
-        for frame, count, total in zip(frames.tolist(), rejected.tolist(), totals.tolist())
-    }
-    values = np.array(list(pct.values())) if pct else np.zeros(0)
-    stats = RejectionStats(
-        per_frame_pct=pct,
-        mean_pct=float(values.mean()) if values.size else 0.0,
-        std_pct=float(values.std()) if values.size else 0.0,
-        total=len(matches),
-        rejected=int(rejected.sum()),
-    )
-    return replace(matches, landmark_a=nearest[0], landmark_b=nearest[1], kept=kept), stats
+    decided = replace(matches, landmark_a=nearest[0], landmark_b=nearest[1], kept=kept)
+    return decided, pair_matches(decided)
 
 
 def cluster_correspondences(

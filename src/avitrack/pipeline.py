@@ -1,15 +1,14 @@
 """End-to-end pipeline: ingest, mask, match, reject, reconstruct, track, report.
 
 Per-frame work (matching through reconstruction, ``_process_frame``) is
-pure, so with ``parallelism`` > 1 it fans out over a process pool. The
-frame payloads are handed to the workers once, as the pool's initializer
-arguments: under the ``fork`` start method the workers inherit them and
-nothing is pickled. A payload holds its own frame's keypoint rows per
-camera; everything else in it is one run-level object that every
-payload shares: the ``KeypointTable`` of the whole run, the camera
-pairs, landmarks, cameras and config, and the ``detection_centers``
-table, in which every detection centre is undistorted once per run. Each
-task is then a frame index. No process builds a ``Keypoint`` or a
+pure, so with ``parallelism`` > 1 it fans out over a process pool. What
+every frame reads is one ``_Run`` per run: the ``KeypointTable`` of the
+whole run and its rows per frame and camera, the ``detection_centers``
+table, in which every detection centre is undistorted once per run, and
+the camera pairs, landmarks, cameras and config. The ``_Run`` is handed
+to each worker once, as the pool's initializer argument: under the
+``fork`` start method the workers inherit it and nothing is pickled.
+Each task is then a frame number. No process builds a ``Keypoint`` or a
 ``FeatureMatch``: a worker copies each camera's rows of its frame out of
 the table once, matches, rejects and clusters on those columns (a
 ``MatchTable`` per camera pair), and returns a ``FrameResult`` holding
@@ -47,7 +46,6 @@ from .matching import (
     PairMatches,
     cluster_correspondences,
     knn_match,
-    pair_matches,
     reject_by_landmark,
 )
 from .metrics import GroundTruth, keypoint_stats, rejection_stats, tracking_metrics
@@ -227,10 +225,9 @@ class PipelineConfig:
 
 
 @dataclass
-class _FramePayload:
-    frame: int
-    rows: dict[str, np.ndarray]  # this frame's rows of ``keypoints``, per camera
+class _Run:
     keypoints: KeypointTable
+    rows: dict[int, dict[str, np.ndarray]]  # rows of ``keypoints`` per frame and camera
     centers: dict[tuple[str, int], FrameCenters]
     pairs: list[tuple[str, str]]
     landmarks: LandmarkSet
@@ -246,22 +243,22 @@ class FrameResult:
     observations: list[Observation3D]
 
 
-def _process_frame(payload: _FramePayload) -> FrameResult:
-    cfg = payload.config
-    tables = {camera: payload.keypoints.take(rows) for camera, rows in payload.rows.items()}
+def _process_frame(run: _Run, frame: int) -> FrameResult:
+    cfg = run.config
+    tables = {cam: run.keypoints.take(rows) for cam, rows in run.rows.get(frame, {}).items()}
     summaries: list[PairMatches] = []
     correspondences: dict[tuple[str, str], list[Correspondence]] = {}
-    for cam_a, cam_b in payload.pairs:
+    for cam_a, cam_b in run.pairs:
         if cam_a not in tables or cam_b not in tables:
             continue
         candidates = knn_match(tables[cam_a], tables[cam_b], ratio=cfg.ratio)
-        decided, _ = reject_by_landmark(
+        decided, matches = reject_by_landmark(
             candidates,
-            payload.landmarks,
+            run.landmarks,
             anchor=cfg.landmark_anchor,
-            centers=payload.centers,
+            centers=run.centers,
         )
-        summaries += pair_matches(decided)
+        summaries += matches
         correspondences[(cam_a, cam_b)] = cluster_correspondences(
             decided, min_support=cfg.min_support
         )
@@ -271,32 +268,32 @@ def _process_frame(payload: _FramePayload) -> FrameResult:
         bounds = (np.zeros(3), np.asarray(cfg.aviary_size, dtype=float))
     # ``run --stage match`` reads no observation.
     observations = [] if cfg.stage == "match" else reconstruct_frame(
-        payload.frame,
+        frame,
         correspondences,
-        payload.centers,
-        payload.cameras,
+        run.centers,
+        run.cameras,
         fuse_radius=cfg.fuse_radius_m,
         bounds=bounds,
     )
     return FrameResult(
-        frame=payload.frame,
+        frame=frame,
         matches=summaries,
         correspondences=correspondences,
         observations=observations,
     )
 
 
-# The payloads of the run a pool worker serves, set once by ``_init_worker``.
-_worker_payloads: list[_FramePayload] = []
+# The run a pool worker serves, set once by ``_init_worker``.
+_worker_run: _Run | None = None
 
 
-def _init_worker(payloads: list[_FramePayload]) -> None:
-    global _worker_payloads
-    _worker_payloads = payloads
+def _init_worker(run: _Run) -> None:
+    global _worker_run
+    _worker_run = run
 
 
-def _process_frame_at(index: int) -> FrameResult:
-    return _process_frame(_worker_payloads[index])
+def _process_frame_at(frame: int) -> FrameResult:
+    return _process_frame(_worker_run, frame)
 
 
 def check_references(
@@ -429,39 +426,35 @@ def run_pipeline(config: PipelineConfig) -> dict:
         logger.info("mask stage kept %d of %d keypoints", len(kept), len(keypoints))
     _write_overlays(out_dir, landmarks)
 
+    # Every camera of the selected pairs is in table2, with or without keypoints.
     rows_by_frame: dict[int, dict[str, np.ndarray]] = {}
-    counts: dict[str, dict[int, int]] = {}
+    counts: dict[str, dict[int, int]] = {cam: {} for pair in pairs for cam in pair}
     for (camera_id, frame), rows in keypoints.groups(kept).items():
         rows_by_frame.setdefault(frame, {})[camera_id] = rows
         counts.setdefault(camera_id, {})[frame] = len(rows)
 
     frames = sorted(set(rows_by_frame) | {det.frame for det in detections})
-    centers = detection_centers(detections, cameras)
-    payloads = [
-        _FramePayload(
-            frame=frame,
-            rows=rows_by_frame.get(frame, {}),
-            keypoints=keypoints,
-            centers=centers,
-            pairs=pairs,
-            landmarks=landmarks,
-            cameras=cameras,
-            config=config,
-        )
-        for frame in frames
-    ]
+    run = _Run(
+        keypoints=keypoints,
+        rows=rows_by_frame,
+        centers=detection_centers(detections, cameras),
+        pairs=pairs,
+        landmarks=landmarks,
+        cameras=cameras,
+        config=config,
+    )
 
     logger.info(
         "processing %d frames over %d camera pairs (parallelism %d)",
         len(frames), len(pairs), config.parallelism,
     )
-    if config.parallelism > 1 and len(payloads) > 1:
+    if config.parallelism > 1 and len(frames) > 1:
         with ProcessPoolExecutor(
-            max_workers=config.parallelism, initializer=_init_worker, initargs=(payloads,)
+            max_workers=config.parallelism, initializer=_init_worker, initargs=(run,)
         ) as pool:
-            results = list(pool.map(_process_frame_at, range(len(payloads)), chunksize=8))
+            results = list(pool.map(_process_frame_at, frames, chunksize=8))
     else:
-        results = [_process_frame(p) for p in payloads]
+        results = [_process_frame(run, frame) for frame in frames]
 
     summaries = [s for r in results for s in r.matches]
     observations = [obs for r in results for obs in r.observations]
@@ -475,8 +468,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     report: dict = {}
     if frames:
-        interval = list(range(frames[0], frames[-1] + 1))
-        report["table2"] = keypoint_stats(counts, interval)
+        report["table2"] = keypoint_stats(counts, frames)
     if summaries:
         report["table3"] = rejection_stats(summaries, truth)
 
@@ -492,7 +484,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     if observations:
         report["table4"] = reconstruction_stats(
-            observations, summaries, cameras, threshold_px=config.reproj_threshold_px
+            summaries, cameras, threshold_px=config.reproj_threshold_px
         )
     obs_rows = [
         row for result in results

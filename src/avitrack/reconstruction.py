@@ -274,7 +274,6 @@ def reconstruct_frame(
 
 
 def reconstruction_stats(
-    observations: list[Observation3D],
     summaries: list[PairMatches],
     cameras: dict[str, CameraModel],
     threshold_px: float = DEFAULT_REPROJ_THRESHOLD_PX,
@@ -287,9 +286,8 @@ def reconstruction_stats(
     pair's matches are taken together, in summary order. Fields mirror
     the standard reconstruction-quality table: total keypoints,
     mean/std/min/max reprojection error, and the share below threshold.
+    Without a reprojectable keypoint it raises ``EmptyInputError``.
     """
-    if not observations:
-        raise EmptyInputError("reconstruction_stats: no observations")
     by_pair: dict[tuple[str, str], list[PairMatches]] = {}
     for summary in summaries:
         if len(summary.detections):

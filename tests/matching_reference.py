@@ -22,7 +22,6 @@ from avitrack.matching import (
     KeypointTable,
     MatchTable,
     PairMatches,
-    RejectionStats,
 )
 from avitrack.voronoi import nearest_landmark
 
@@ -118,7 +117,6 @@ def reject_by_landmark_loop(matches, landmarks, anchor="keypoint", detections=No
         return box_center(det)
 
     decided = []
-    per_frame = defaultdict(list)
     for match in matches:
         lm_a = nearest_landmark(
             landmarks, match.keypoint_a.camera_id, anchor_point(match.keypoint_a)
@@ -130,21 +128,7 @@ def reject_by_landmark_loop(matches, landmarks, anchor="keypoint", detections=No
         decided.append(
             replace(match, landmark_a=lm_a, landmark_b=lm_b, verdict=verdict)
         )
-        per_frame[match.keypoint_a.frame].append(verdict == REJECTED)
-
-    pct = {
-        frame: 100.0 * sum(flags) / len(flags)
-        for frame, flags in sorted(per_frame.items())
-    }
-    values = np.array(list(pct.values())) if pct else np.zeros(0)
-    stats = RejectionStats(
-        per_frame_pct=pct,
-        mean_pct=float(values.mean()) if values.size else 0.0,
-        std_pct=float(values.std()) if values.size else 0.0,
-        total=len(decided),
-        rejected=sum(1 for m in decided if m.verdict == REJECTED),
-    )
-    return decided, stats
+    return decided, pair_matches_loop(decided)
 
 
 def cluster_correspondences_loop(matches, min_support=2):

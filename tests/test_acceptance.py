@@ -11,7 +11,7 @@ import pytest
 
 from avitrack.camera import MIN_DEPTH, project_points
 from avitrack.cli import main
-from avitrack.matching import KEPT, knn_match, pair_matches, reject_by_landmark
+from avitrack.matching import KEPT, knn_match, reject_by_landmark
 from avitrack.mask import GrayFrame, canny_edges, lateral_fill
 from avitrack.metrics import GroundTruth, rejection_stats, tracking_metrics
 from avitrack.reconstruction import ideal_pixels, reconstruction_stats, triangulate_batch
@@ -59,9 +59,9 @@ def ambiguous_scene():
         if not kps_a or not kps_b:
             continue
         candidates = knn_match(table_of(kps_a), table_of(kps_b))
-        frame_decided, _ = reject_by_landmark(candidates, bundle.landmark_set)
+        frame_decided, frame_summaries = reject_by_landmark(candidates, bundle.landmark_set)
         decided.extend(frame_decided)
-        summaries += pair_matches(frame_decided)
+        summaries += frame_summaries
     return bundle, decided, summaries
 
 
@@ -278,11 +278,7 @@ def test_criterion_6_triangulation_under_noise():
                 descriptor_distance=0.0, verdict=KEPT,
             )
         )
-    from avitrack.reconstruction import Observation3D
-
-    record = reconstruction_stats(
-        [Observation3D(0, points[0], (("cam0", "cam2"),), {})], pair_matches_loop(matches), rig
-    )
+    record = reconstruction_stats(pair_matches_loop(matches), rig)
     for field in (
         "total_keypoints", "avg_reprojection_error_px", "std_reprojection_error_px",
         "min_reprojection_error_px", "max_reprojection_error_px",

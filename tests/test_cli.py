@@ -431,6 +431,9 @@ class TestStandaloneCommands:
         assert rows == [[str(frame), "0", "", "", "", "", ""] for frame in range(6)]
         assert (out / "tracks.csv").read_text().splitlines() == [
             "frame,track_id,status,x_m,y_m,z_m"]
+        zero = {"min": 0, "max": 0, "mean": 0.0, "std": 0.0}
+        table2 = json.loads((out / "metrics.json").read_text())["table2"]
+        assert table2 == {"cam0": zero, "cam1": zero}
 
     def test_mask_on_header_only_keypoints_writes_an_empty_file(
         self, masked_bundle, tmp_path, monkeypatch

@@ -154,10 +154,8 @@ class TestRejectByLandmark:
             self._match((40, 40), (70, 50)),       # kept
             self._match((40, 40), (150, 150)),     # rejected
         ]
-        _, stats = self._reject(matches, landmarks)
-        assert stats.total == 2
-        assert stats.rejected == 1
-        assert stats.per_frame_pct == {0: 50.0}
+        _, (summary,) = self._reject(matches, landmarks)
+        assert (summary.frame, summary.candidates, summary.rejected) == (0, 2, 1)
 
     def test_missing_landmarks_raise(self):
         empty = LandmarkSet({"a": (200, 200), "b": (200, 200)})
@@ -279,8 +277,8 @@ def _outcome(function, *args, **kwargs):
         result = function(*args, **kwargs)
     except Exception as exc:
         return ("raised", type(exc), str(exc))
-    matches, stats = result if isinstance(result, tuple) else (result, None)
-    return _records(matches), repr(stats)
+    matches, summaries = result if isinstance(result, tuple) else (result, None)
+    return _records(matches), None if summaries is None else _summaries(summaries)
 
 
 def _summaries(summaries):
@@ -476,10 +474,11 @@ class TestRejectByLandmarkMatchesLoop:
         assert got == _outcome(reject_by_landmark_loop, matches, landmarks,
                                anchor=anchor, detections=detections)
         if got[0] != "raised":
-            decided, _ = reject_by_landmark(match_table(matches), landmarks,
-                                            anchor=anchor, centers=centers)
+            decided, summaries = reject_by_landmark(match_table(matches), landmarks,
+                                                    anchor=anchor, centers=centers)
             expected, _ = reject_by_landmark_loop(matches, landmarks, anchor=anchor,
                                                   detections=detections)
+            assert _summaries(summaries) == _summaries(pair_matches(decided))
             assert _summaries(pair_matches(decided)) == _summaries(
                 pair_matches_loop(expected))
             assert repr(cluster_correspondences(decided, 1)) == repr(
@@ -518,9 +517,9 @@ class TestRejectByLandmarkMatchesLoop:
         landmarks = LandmarkSet({"a": (100, 100), "b": (100, 100)})
         for cam in "ab":
             landmarks.add(cam, 1, (20.0, 20.0))
-        empty, stats = reject_by_landmark(match_table([]), landmarks,
-                                          anchor="detection_center")
-        assert (len(empty), stats.total, stats.per_frame_pct) == (0, 0, {})
+        empty, summaries = reject_by_landmark(match_table([]), landmarks,
+                                              anchor="detection_center")
+        assert (len(empty), summaries) == (0, [])
         one = match_table([FeatureMatch(_kp("a", [0.0]), _kp("b", [0.0]), 0.0)])
         with pytest.raises(ValueError, match="needs the detection centres"):
             reject_by_landmark(one, landmarks, anchor="detection_center")
@@ -595,13 +594,13 @@ class TestColumnarChainMatchesObjects:
         assert _summaries(pair_matches(candidates)) == _summaries(
             pair_matches_loop(expected_candidates))  # undecided matches
 
-        decided, stats = reject_by_landmark(
+        decided, summaries = reject_by_landmark(
             candidates, landmarks, anchor=anchor,
             centers=detection_centers(detections.values(), _CAMERAS))
-        expected, expected_stats = reject_by_landmark_loop(
+        expected, expected_summaries = reject_by_landmark_loop(
             expected_candidates, landmarks, anchor=anchor, detections=detections)
         assert _records(decided) == _records(expected)
-        assert repr(stats) == repr(expected_stats)
+        assert _summaries(summaries) == _summaries(expected_summaries)
         assert repr(cluster_correspondences(decided, min_support)) == repr(
             cluster_correspondences_loop(expected, min_support))
         assert _summaries(pair_matches(decided)) == _summaries(pair_matches_loop(expected))
@@ -663,4 +662,4 @@ class TestKeypointTable:
             assert column.tolist() == source[rows].tolist()
             assert not np.shares_memory(column, source)
         assert [kp.detection_index for kp in taken] == [7 * row for row in rows]
-        assert [taken[i].frame for i in range(len(rows))] == table.frame[rows].tolist()
+        assert [kp.frame for kp in taken] == table.frame[rows].tolist()

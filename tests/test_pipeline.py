@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import pickle
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from pathlib import Path
@@ -15,6 +16,7 @@ from avitrack import dataio, pipeline, reconstruction
 from avitrack.camera import CameraModel
 from avitrack.errors import AvitrackError, ConfigError, DimensionMismatchError, IngestError
 from avitrack.matching import FeatureMatch, Keypoint
+from avitrack.metrics import keypoint_stats
 from avitrack.pipeline import PipelineConfig, run_pipeline
 from avitrack.synthworld import SceneConfig, generate
 from avitrack.tracking import TrackerConfig
@@ -195,7 +197,7 @@ class TestConfig:
             PipelineConfig(**bad).validate()
 
     def test_bad_value_fails_before_any_frame(self, bundle_dir, tmp_path, monkeypatch):
-        def no_frames(payload):
+        def no_frames(run, frame):
             raise AssertionError("a frame was processed")
 
         monkeypatch.setattr("avitrack.pipeline._process_frame", no_frames)
@@ -324,6 +326,37 @@ class TestRunPipeline:
         )
         run_pipeline(config)  # should not raise
 
+    def test_table2_covers_the_frames_the_run_steps(self, quickstart_dir, tmp_path):
+        """A detection moved far ahead adds one frame to table2 and to the
+        tracked frames, not every frame number up to it."""
+        bundle = tmp_path / "bundle"
+        bundle.mkdir()
+        moved = 0
+        for name in ("calibration.json", "landmarks.csv", "detections.csv", "keypoints.csv"):
+            lines = (quickstart_dir / name).read_text().splitlines(keepends=True)
+            far = ["cam0,300000," + line[len("cam0,59,"):] if line.startswith("cam0,59,")
+                   else line for line in lines]
+            moved += sum(a != b for a, b in zip(lines, far))
+            (bundle / name).write_text("".join(far))
+        out = tmp_path / "out"
+        run_pipeline(PipelineConfig(output_dir=str(out)).for_bundle_dir(bundle))
+
+        def rows(name):
+            return [line.split(",")[:2] for line in
+                    (bundle / name).read_text().splitlines()[1:]]
+
+        counts = {}
+        for (camera, frame), count in Counter(map(tuple, rows("keypoints.csv"))).items():
+            counts.setdefault(camera, {})[int(frame)] = count
+        present = rows("detections.csv") + rows("keypoints.csv")
+        frames = sorted({int(frame) for _, frame in present})
+        assert moved > 1 and len(frames) == 61 and frames[-1] == 300000
+        table2 = json.loads((out / "metrics.json").read_text())["table2"]
+        assert table2 == keypoint_stats(counts, frames)
+        stepped = [line.split(",")[0] for line in
+                   (out / "observations.csv").read_text().splitlines()[1:]]
+        assert sorted(set(map(int, stepped))) == frames
+
 
 def _outputs(config: PipelineConfig, out, parallelism: int) -> dict:
     run_pipeline(config.with_overrides({"output_dir": str(out), "parallelism": parallelism}))
@@ -388,11 +421,11 @@ class TestProcessPool:
         frames = []
         process_frame = pipeline._process_frame
 
-        def watched(payload):
-            frames.append(payload.frame)
-            inside.append(payload.frame)
+        def watched(run, frame):
+            frames.append(frame)
+            inside.append(frame)
             try:
-                return process_frame(payload)
+                return process_frame(run, frame)
             finally:
                 inside.pop()
 
@@ -428,7 +461,7 @@ class TestProcessPool:
         self, bundle_dir, tmp_path, monkeypatch, error, message
     ):
         def failing_knn(keypoints_a, keypoints_b, ratio):
-            raise error(keypoints_a[0].frame)
+            raise error(int(keypoints_a.frame[0]))
 
         monkeypatch.setattr(pipeline, "knn_match", failing_knn)
         config = PipelineConfig().for_bundle_dir(bundle_dir)
@@ -457,9 +490,9 @@ def _pickle_without_keypoints(value) -> bytes:
 _process_frame_at = pipeline._process_frame_at
 
 
-def _frame_at_without_keypoints(index):
+def _frame_at_without_keypoints(frame):
     """``_process_frame_at`` in a pool worker, checking how its result pickles."""
-    result = _process_frame_at(index)
+    result = _process_frame_at(frame)
     _pickle_without_keypoints(result)
     return result
 

@@ -10,6 +10,7 @@ deleting such a function, or giving it a caller, means updating the list,
 and so does adding one that no command reaches.
 """
 
+import importlib.util
 import inspect
 import json
 import os
@@ -20,9 +21,13 @@ from pathlib import Path
 
 import pytest
 
+from avitrack.pipeline import PipelineConfig
+from avitrack.synthworld import SceneConfig, generate
+
 pytestmark = pytest.mark.skipif(sys.version_info < (3, 11), reason="needs co_qualname")
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 PACKAGE = SRC / "avitrack"
 
 PIN = "pin: perfbench/spans.py wraps or iterates it (ROADMAP item 1, step 2)"
@@ -41,7 +46,6 @@ UNREACHED = {
     "avitrack.mask.canny_edges": _criterion(9, "checks Canny on its own"),
     "avitrack.mask.lateral_fill": _criterion(9, "checks the lateral fill on its own"),
     "avitrack.matching.Keypoint.__post_init__": PIN,
-    "avitrack.matching.KeypointTable.__getitem__": PIN,
     "avitrack.matching.KeypointTable.__iter__": PIN,
     "avitrack.matching.KeypointTable.keypoints": PIN,
     "avitrack.matching.MatchTable.__iter__": PIN,
@@ -177,3 +181,54 @@ def test_unreached_functions_are_the_listed_ones(reached):
 def test_every_reason_is_a_known_one():
     kinds = ("pin: ", "pool: ", "pickling: ", "accessor: ", "criterion ")
     assert all(reason.startswith(kinds) for reason in UNREACHED.values())
+
+
+def _resolve(name: str):
+    """The object a qualified ``avitrack.<module>.<attribute...>`` name names."""
+    module, *attributes = name.split(".")[1:]
+    found = importlib.import_module(f"avitrack.{module}")
+    for attribute in attributes:
+        found = getattr(found, attribute)
+    return found
+
+
+def test_every_pin_is_wrapped_or_counted(tmp_path):
+    """A ``PIN`` entry is the object that a ``spans.LAYERS`` entry wraps,
+    or a function that the tracer's counters call over a traced run, so a
+    pin that the benchmark no longer holds cannot stay listed."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    bundle = tmp_path / "bundle"
+    generate(SceneConfig(duration_s=0.5, seed=5, image_size=(640, 360), focal_px=360.0,
+                         emit_frames=True)).write(bundle)
+
+    wrapped = [getattr(module, attr) for module, attr, _ in spans.LAYERS]
+    tracer = spans.Tracer("pins")
+    for module, attr, name in spans.LAYERS:
+        tracer.wrap(module, attr, name)
+    count = spans.Tracer._count.__code__
+    counting, counted = [], set()
+
+    def profile(frame, event, arg):
+        if frame.f_code is count:
+            if event == "call":
+                counting.append(frame)
+            elif event == "return":
+                counting.pop()
+        elif event == "call" and counting:
+            counted.add(frame.f_code)
+
+    config = PipelineConfig(use_mask=True, output_dir=str(tmp_path / "out"))
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        tracer.run(config.for_bundle_dir(bundle))
+    finally:
+        sys.setprofile(previous)
+    pins = [name for name, reason in UNREACHED.items() if reason == PIN]
+    assert counted and len(pins) > 1
+    assert [name for name in pins
+            if not any(_resolve(name) is held for held in wrapped)
+            and _resolve(name).__code__ not in counted] == []

@@ -257,8 +257,7 @@ class TestReconstructionStats:
         rng = np.random.default_rng(6)
         points = _sample_points(rng, 40)
         matches = self._matches(default_rig, points)
-        obs = [Observation3D(0, points[0], (("cam0", "cam1"),), {})]
-        record = reconstruction_stats(obs, pair_matches(matches), default_rig)
+        record = reconstruction_stats(pair_matches(matches), default_rig)
         assert record["total_keypoints"] == 80
         assert record["avg_reprojection_error_px"] <= 1e-6
         assert record["pct_keypoints_below_threshold"] == 100.0
@@ -267,8 +266,7 @@ class TestReconstructionStats:
         rng = np.random.default_rng(8)
         points = _sample_points(rng, 10)
         matches = self._matches(default_rig, points)
-        obs = [Observation3D(0, points[0], (("cam0", "cam1"),), {})]
-        record = reconstruction_stats(obs, pair_matches(matches), default_rig)
+        record = reconstruction_stats(pair_matches(matches), default_rig)
         assert set(record) == {
             "total_keypoints",
             "avg_reprojection_error_px",
@@ -279,9 +277,9 @@ class TestReconstructionStats:
             "threshold_px",
         }
 
-    def test_empty_observations_raise(self, default_rig):
-        with pytest.raises(EmptyInputError):
-            reconstruction_stats([], pair_matches([]), default_rig)
+    def test_no_standing_matches_raise(self, default_rig):
+        with pytest.raises(EmptyInputError, match="no reprojectable keypoints"):
+            reconstruction_stats(pair_matches([]), default_rig)
 
 
 def test_reconstruction_stats_takes_pairs_sorted_then_rows_in_summary_order(default_rig):
@@ -307,21 +305,18 @@ def test_reconstruction_stats_takes_pairs_sorted_then_rows_in_summary_order(defa
     summaries = pair_matches(matches)
     assert [(s.frame, s.camera_a) for s in summaries] == [(1, "cam3"), (0, "cam0"),
                                                          (0, "cam3"), (2, "cam0")]
-    obs = [Observation3D(0, points[0], (("cam0", "cam1"),), {})]
     with mock.patch.object(reconstruction, "triangulate_batch", record):
-        record_got = reconstruction_stats(obs, summaries, default_rig)
+        record_got = reconstruction_stats(summaries, default_rig)
     assert calls == [("cam0", "cam1", 2), ("cam3", "cam1", 3)]
     # The matches in summary order: (1, cam3) 0 and 3, (0, cam0) 1, (0, cam3) 2, (2, cam0) 4.
     in_summary_order = [matches[i] for i in (0, 3, 1, 2, 4)]
     assert repr(record_got) == repr(
-        _reconstruction_stats_loop(obs, in_summary_order, default_rig)
+        _reconstruction_stats_loop(in_summary_order, default_rig)
     )
 
 
-def _reconstruction_stats_loop(observations, matches, cameras, threshold_px=25.0):
+def _reconstruction_stats_loop(matches, cameras, threshold_px=25.0):
     """The per-keypoint loop ``reconstruction_stats`` replaced, as reference."""
-    if not observations:
-        raise EmptyInputError("reconstruction_stats: no observations")
     errors = []
     kept = [m for m in matches if m.verdict in (None, "kept")]
     by_pair = {}
@@ -417,13 +412,12 @@ class TestReconstructionStatsMatchesLoop:
         error, over pairs with behind-camera, NaN and noisy points."""
         matches = [m for case in cases for m in case[0]]
         threshold = cases[0][1]
-        obs = [Observation3D(0, np.zeros(3), (("cam0", "cam1"),), {})]
         got = self._outcome(
-            reconstruction_stats, obs, pair_matches(matches), _STATS_CAMERAS,
+            reconstruction_stats, pair_matches(matches), _STATS_CAMERAS,
             threshold_px=threshold,
         )
         expected = self._outcome(
-            _reconstruction_stats_loop, obs, matches, _STATS_CAMERAS,
+            _reconstruction_stats_loop, matches, _STATS_CAMERAS,
             threshold_px=threshold,
         )
         assert got == expected
@@ -447,10 +441,9 @@ class TestReconstructionStatsMatchesLoop:
         )
         assert np.isnan(points[0]).all()
         assert points[1, 2] < 0 and points[2, 2] > 0
-        obs = [Observation3D(0, np.zeros(3), (("left", "right"),), {})]
-        record = reconstruction_stats(obs, pair_matches(matches), cams)
+        record = reconstruction_stats(pair_matches(matches), cams)
         assert record["total_keypoints"] == 2
-        assert repr(record) == repr(_reconstruction_stats_loop(obs, matches, cams))
+        assert repr(record) == repr(_reconstruction_stats_loop(matches, cams))
 
 
 # --- the union-find fusion the link-matrix closure replaced, as reference ---
