@@ -458,11 +458,16 @@ def read_calibration(path) -> dict[str, CameraModel]:
             cam_id = str(entry["id"])
             width, height = entry["image_size"]
             k = np.asarray(entry["K"], dtype=float)
-            dist = list(entry["dist"])
+            dist = np.asarray(list(entry["dist"]), dtype=float)
             rvec = np.asarray(entry["rvec"], dtype=float)
             tvec = np.asarray(entry["tvec"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise IngestError(path, f"malformed camera entry: {exc}")
+        if not all(type(size) is int for size in (width, height)):
+            raise IngestError(path, f"camera {cam_id}: image_size must be two integers")
+        for field, values in (("K", k), ("dist", dist), ("rvec", rvec), ("tvec", tvec)):
+            if not np.isfinite(values).all():
+                raise IngestError(path, f"camera {cam_id}: {field} holds a non-finite number")
         if len(dist) != 5:
             raise IngestError(
                 path,
@@ -480,7 +485,7 @@ def read_calibration(path) -> dict[str, CameraModel]:
                 fy=float(k[1, 1]),
                 cx=float(k[0, 2]),
                 cy=float(k[1, 2]),
-                dist=np.asarray(dist, dtype=float),
+                dist=dist,
                 rotation=rotation_from_rvec(rvec),
                 translation=tvec,
                 image_size=(int(width), int(height)),

@@ -6,9 +6,9 @@ on each side is nearest to the same global landmark in its own view;
 disagreement means the match pairs two different birds and is rejected.
 Surviving matches are then clustered into detection-level correspondences.
 
-All three stages work on columns: keypoints are rows of a
-``KeypointTable`` and matches rows of a ``MatchTable``. Iterating either
-builds ``Keypoint`` or ``FeatureMatch`` objects, for callers that want them.
+All three stages work on columns: keypoints are rows of a ``KeypointTable``
+and matches rows of a ``MatchTable``, of one frame between two cameras from
+rejection on. Iterating either builds ``Keypoint`` or ``FeatureMatch`` objects.
 """
 
 from __future__ import annotations
@@ -192,11 +192,9 @@ class PairMatches:
     """The decided matches of one frame between two cameras, as counts and
     arrays: what the run's reports read of them.
 
-    ``rejected`` counts the matches that are neither kept nor undecided
-    (``verdict`` None), and ``undecided`` those without a verdict. The
-    rest stand: the kept and the undecided ones, in match order, whose
-    detection indices (a, b) are the rows of ``detections`` and whose
-    pixels are the rows of ``xy_a`` and ``xy_b``.
+    ``rejected`` counts the matches that are not kept. The kept ones, in
+    match order, have their detection indices (a, b) as the rows of
+    ``detections`` and their pixels as the rows of ``xy_a`` and ``xy_b``.
     """
 
     frame: int
@@ -204,47 +202,42 @@ class PairMatches:
     camera_b: str
     candidates: int
     rejected: int
-    undecided: int
     detections: np.ndarray
     xy_a: np.ndarray
     xy_b: np.ndarray
 
 
+def _one_frame_one_pair(matches: MatchTable) -> tuple[int, str, str]:
+    """The frame, camera A and camera B of non-empty ``matches``; a
+    ``ValueError`` when a side spans cameras or the matches span frames."""
+    cameras = (matches.a.camera[matches.row_a], matches.b.camera[matches.row_b])
+    frames = np.concatenate([matches.a.frame[matches.row_a], matches.b.frame[matches.row_b]])
+    if any((side != side[0]).any() for side in cameras) or (frames != frames[0]).any():
+        raise ValueError("a match table must hold one frame of one camera pair")
+    return int(frames[0]), cameras[0][0], cameras[1][0]
+
+
 def pair_matches(matches: MatchTable) -> list[PairMatches]:
-    """One ``PairMatches`` per (frame, camera a, camera b) of ``matches``,
-    in the order each first appears."""
-    frame = matches.a.frame[matches.row_a]
-    camera_a = matches.a.camera[matches.row_a]
-    camera_b = matches.b.camera[matches.row_b]
-    summaries = []
-    for (frame_id, cam_a, cam_b), group in _groups_in_order(frame, camera_a, camera_b):
-        standing = group if matches.kept is None else group[matches.kept[group]]
-        rows_a, rows_b = matches.row_a[standing], matches.row_b[standing]
-        summaries.append(PairMatches(
-            frame=frame_id,
-            camera_a=cam_a,
-            camera_b=cam_b,
-            candidates=len(group),
-            rejected=len(group) - len(standing),
-            undecided=len(standing) if matches.kept is None else 0,
-            detections=np.stack([matches.a.detection[rows_a],
-                                 matches.b.detection[rows_b]], axis=1).astype(np.int64),
-            xy_a=matches.a.xy[rows_a],
-            xy_b=matches.b.xy[rows_b],
-        ))
-    return summaries
-
-
-def _groups_in_order(*columns: np.ndarray) -> list[tuple[tuple, np.ndarray]]:
-    """The distinct rows of equal-length ``columns``, in the order each
-    first appears, each as (values, the indices of its rows in order)."""
-    if len(columns[0]) and all((column == column[0]).all() for column in columns):
-        return [(tuple(column[0:1].tolist()[0] for column in columns),
-                 np.arange(len(columns[0])))]  # one camera, one frame: the usual case
-    groups: dict[tuple, list[int]] = {}
-    for row, key in enumerate(zip(*(column.tolist() for column in columns))):
-        groups.setdefault(key, []).append(row)
-    return [(key, np.array(rows, dtype=np.intp)) for key, rows in groups.items()]
+    """The decided ``matches`` of one frame between two cameras: no
+    ``PairMatches`` for an empty table, else one."""
+    if matches.kept is None:
+        raise ValueError("pair_matches: the matches have no verdict")
+    if not len(matches):
+        return []
+    frame, camera_a, camera_b = _one_frame_one_pair(matches)
+    kept = np.flatnonzero(matches.kept)
+    rows_a, rows_b = matches.row_a[kept], matches.row_b[kept]
+    return [PairMatches(
+        frame=frame,
+        camera_a=camera_a,
+        camera_b=camera_b,
+        candidates=len(matches),
+        rejected=len(matches) - len(kept),
+        detections=np.stack([matches.a.detection[rows_a],
+                             matches.b.detection[rows_b]], axis=1).astype(np.int64),
+        xy_a=matches.a.xy[rows_a],
+        xy_b=matches.b.xy[rows_b],
+    )]
 
 
 @dataclass(frozen=True)
@@ -350,38 +343,29 @@ def reject_by_landmark(
     anchor: str = "keypoint",
     centers: dict[tuple[str, int], FrameCenters] | None = None,
 ) -> tuple[MatchTable, list[PairMatches]]:
-    """Give each match its nearest-landmark pair and a kept/rejected verdict.
+    """Give each match of one frame between two cameras its nearest-landmark
+    pair and a kept/rejected verdict.
 
     Returns the decided matches and their ``pair_matches`` summaries.
 
     ``anchor`` selects where the landmark distance is measured: at the
     keypoint itself (default) or at the centre of the keypoint's detection
     box, read from ``centers``, the run's ``detection_centers`` table.
-    Each side makes one nearest-landmark query per camera, in the order
-    a per-match loop would first meet each (side, camera).
+    Each non-empty side makes one nearest-landmark query, side A first.
     """
     if anchor not in ANCHORS:
         raise ValueError(f"unknown anchor mode {anchor!r}")
-    points, queries = [], []
-    for side, (table, rows) in enumerate(((matches.a, matches.row_a),
-                                          (matches.b, matches.row_b))):
-        cameras = table.camera[rows]
-        if anchor == "keypoint":
-            points.append(table.xy[rows])
-        else:
-            point = np.empty((len(rows), 2))
-            for (camera_id, frame), group in _groups_in_order(cameras, table.frame[rows]):
-                if centers is None:
-                    raise ValueError("detection_center anchoring needs the detection centres")
-                frame_centers = centers[(camera_id, frame)]
-                point[group] = frame_centers.raw[
-                    frame_centers.rows(table.detection[rows[group]])]
-            points.append(point)
-        queries += [(2 * int(group[0]) + side, side, camera_id, group)
-                    for (camera_id,), group in _groups_in_order(cameras)]
     nearest = np.zeros((2, len(matches)), dtype=np.int64)
-    for _, side, camera_id, group in sorted(queries, key=lambda query: query[0]):
-        nearest[side, group] = nearest_landmarks_many(landmarks, camera_id, points[side][group])
+    sides = ((matches.a, matches.row_a), (matches.b, matches.row_b))
+    frame, *cameras = _one_frame_one_pair(matches) if len(matches) else (None,)
+    for side, ((table, rows), camera_id) in enumerate(zip(sides, cameras)):
+        points = table.xy[rows]
+        if anchor == "detection_center":
+            if centers is None:
+                raise ValueError("detection_center anchoring needs the detection centres")
+            frame_centers = centers[(camera_id, frame)]
+            points = frame_centers.raw[frame_centers.rows(table.detection[rows])]
+        nearest[side] = nearest_landmarks_many(landmarks, camera_id, points)
     kept = nearest[0] == nearest[1]
     decided = replace(matches, landmark_a=nearest[0], landmark_b=nearest[1], kept=kept)
     return decided, pair_matches(decided)
@@ -392,27 +376,29 @@ def cluster_correspondences(
 ) -> list[Correspondence]:
     """Group kept matches by detection pair into one-to-one correspondences.
 
-    Undecided matches count as kept. Pairs below ``min_support`` are
+    Undecided matches are a ``ValueError``. Pairs below ``min_support`` are
     dropped; the rest are assigned greedily by descending support (ties to
     lower mean descriptor distance, then lower indices) so each detection
     appears at most once. A pair's mean is ``np.mean`` of its distances in
     match order.
     """
-    standing = (np.arange(len(matches)) if matches.kept is None
-                else np.flatnonzero(matches.kept))
-    distance = matches.distance[standing]
+    if matches.kept is None:
+        raise ValueError("cluster_correspondences: the matches have no verdict")
+    kept = np.flatnonzero(matches.kept)
+    distance = matches.distance[kept]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for row, pair in enumerate(zip(matches.a.detection[matches.row_a[kept]].tolist(),
+                                   matches.b.detection[matches.row_b[kept]].tolist())):
+        groups.setdefault(pair, []).append(row)
     candidates = [
         Correspondence(
             detection_index_a=det_a,
             detection_index_b=det_b,
-            support=len(group),
-            mean_descriptor_distance=float(np.mean(distance[group])),
+            support=len(rows),
+            mean_descriptor_distance=float(np.mean(distance[rows])),
         )
-        for (det_a, det_b), group in _groups_in_order(
-            matches.a.detection[matches.row_a[standing]],
-            matches.b.detection[matches.row_b[standing]],
-        )
-        if len(group) >= min_support
+        for (det_a, det_b), rows in groups.items()
+        if len(rows) >= min_support
     ]
     candidates.sort(
         key=lambda c: (

@@ -75,10 +75,6 @@ def rejection_stats(
     with ground truth, also the ratios of correct kept matches against
     all initial and all kept matches.
     """
-    undecided = sum(s.undecided for s in summaries)
-    if undecided:
-        raise ValueError(f"{undecided} matches have no verdict")
-
     per_frame: dict[int, list[int]] = defaultdict(lambda: [0, 0])
     for s in summaries:
         per_frame[s.frame][0] += s.rejected

@@ -280,12 +280,12 @@ def reconstruction_stats(
 ) -> dict:
     """Keypoint-level reconstruction quality record.
 
-    Each standing match of the ``pair_matches`` summaries (kept, or without
-    a verdict) is triangulated from its keypoint pair and reprojected into
-    both cameras; every keypoint contributes one pixel error. A camera
-    pair's matches are taken together, in summary order. Fields mirror
-    the standard reconstruction-quality table: total keypoints,
-    mean/std/min/max reprojection error, and the share below threshold.
+    Each kept match of the ``pair_matches`` summaries is triangulated from
+    its keypoint pair and reprojected into both cameras; every keypoint
+    contributes one pixel error. A camera pair's matches are taken
+    together, in summary order. Fields mirror the standard
+    reconstruction-quality table: total keypoints, mean/std/min/max
+    reprojection error, and the share below threshold.
     Without a reprojectable keypoint it raises ``EmptyInputError``.
     """
     by_pair: dict[tuple[str, str], list[PairMatches]] = {}

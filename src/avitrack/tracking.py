@@ -55,10 +55,6 @@ class TrackState:
     def position(self) -> np.ndarray:
         return self.state[:3]
 
-    @property
-    def velocity(self) -> np.ndarray:
-        return self.state[3:6]
-
 
 def transition_matrix(dt: float) -> np.ndarray:
     f = np.eye(9)

@@ -205,10 +205,6 @@ class BoundedVoronoi:
     virtual_sites: np.ndarray
     cells: tuple[np.ndarray, ...]
 
-    def cell_for(self, global_id: int) -> np.ndarray:
-        idx = self.site_ids.index(global_id)
-        return self.cells[idx]
-
 
 def build_bounded_diagram(landmarks: LandmarkSet, camera_id: str) -> BoundedVoronoi:
     """Tessellate one camera's frame by its landmarks.

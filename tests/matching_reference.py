@@ -134,7 +134,7 @@ def reject_by_landmark_loop(matches, landmarks, anchor="keypoint", detections=No
 def cluster_correspondences_loop(matches, min_support=2):
     groups = defaultdict(list)
     for match in matches:
-        if match.verdict is not None and match.verdict != KEPT:
+        if match.verdict != KEPT:
             continue
         key = (match.keypoint_a.detection_index, match.keypoint_b.detection_index)
         groups[key].append(match.descriptor_distance)
@@ -170,6 +170,12 @@ def cluster_correspondences_loop(matches, min_support=2):
 
 
 def pair_matches_loop(matches):
+    """One ``PairMatches`` per (frame, camera a, camera b) of decided
+    ``matches``, in the order each first appears; a match without a
+    verdict is a ``ValueError``."""
+    undecided = [m for m in matches if m.verdict is None]
+    if undecided:
+        raise ValueError(f"{len(undecided)} matches have no verdict")
     groups = {}
     for match in matches:
         key = (match.keypoint_a.frame, match.keypoint_a.camera_id,
@@ -177,19 +183,18 @@ def pair_matches_loop(matches):
         groups.setdefault(key, []).append(match)
     summaries = []
     for (frame, camera_a, camera_b), group in groups.items():
-        standing = [m for m in group if m.verdict in (None, KEPT)]
+        kept = [m for m in group if m.verdict == KEPT]
         summaries.append(PairMatches(
             frame=frame,
             camera_a=camera_a,
             camera_b=camera_b,
             candidates=len(group),
-            rejected=len(group) - len(standing),
-            undecided=sum(m.verdict is None for m in standing),
+            rejected=len(group) - len(kept),
             detections=np.array(
                 [(m.keypoint_a.detection_index, m.keypoint_b.detection_index)
-                 for m in standing], dtype=np.int64,
+                 for m in kept], dtype=np.int64,
             ).reshape(-1, 2),
-            xy_a=np.array([m.keypoint_a.position for m in standing]).reshape(-1, 2),
-            xy_b=np.array([m.keypoint_b.position for m in standing]).reshape(-1, 2),
+            xy_a=np.array([m.keypoint_a.position for m in kept]).reshape(-1, 2),
+            xy_b=np.array([m.keypoint_b.position for m in kept]).reshape(-1, 2),
         ))
     return summaries

@@ -18,6 +18,7 @@ from avitrack import pipeline
 from avitrack.cli import build_parser, main, pipeline_config
 from avitrack.mask import GrayFrame, read_pgm, write_pgm
 from avitrack.pipeline import PipelineConfig, run_pipeline
+from avitrack.synthworld import SceneConfig, generate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -34,6 +35,15 @@ def small_bundle(tmp_path):
         ]
     )
     assert code == 0
+    return bundle_dir
+
+
+@pytest.fixture(scope="module")
+def masked_bundle(tmp_path_factory):
+    """A small 5-camera scene with frames, for ``--use-mask`` runs."""
+    bundle_dir = tmp_path_factory.mktemp("masked")
+    generate(SceneConfig(seed=42, bird_count=5, duration_s=0.3, image_size=(320, 180),
+                         emit_frames=True)).write(bundle_dir)
     return bundle_dir
 
 
@@ -126,6 +136,30 @@ class TestRun:
         assert main(["run", "--input", str(small_bundle), "--out", str(out)]) == 2
         assert (f"error: {small_bundle / 'detections.csv'}:2: column 'frame': '{huge}' "
                 "is outside int64") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("camera, field, edit", [
+        ("cam0", "tvec", lambda entry: entry["tvec"].__setitem__(2, float("nan"))),
+        ("cam3", "dist", lambda entry: entry["dist"].__setitem__(0, float("nan"))),
+        ("cam2", "K", lambda entry: entry["K"][0].__setitem__(0, float("inf"))),
+        ("cam1", "rvec", lambda entry: entry["rvec"].__setitem__(1, float("nan"))),
+        ("cam4", "image_size", lambda entry: entry["image_size"].__setitem__(0, 320.9)),
+    ], ids=["nan-tvec", "nan-dist", "infinite-k", "nan-rvec", "fractional-width"])
+    def test_a_non_finite_or_fractional_calibration_fails_before_any_output(
+        self, masked_bundle, tmp_path, capsys, camera, field, edit
+    ):
+        """JSON reads NaN and Infinity: a camera holding one, or a
+        fractional image size, is an input error, not a crash or a
+        truncated size after the overlays are written."""
+        doc = json.loads((masked_bundle / "calibration.json").read_text())
+        edit(next(entry for entry in doc if entry["id"] == camera))
+        calibration = tmp_path / "calibration.json"
+        calibration.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(masked_bundle), "--calibration", str(calibration),
+                     "--use-mask", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {calibration}: camera {camera}: {field} " in err
         assert not out.exists()
 
     def test_overlay_stage_emits_only_svgs(self, small_bundle, tmp_path):

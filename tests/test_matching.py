@@ -1,5 +1,7 @@
 """Tests for kNN matching, landmark rejection, and correspondence clustering."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -199,7 +201,8 @@ class TestClusterCorrespondences:
         assert chosen[0].support == 3
 
     def test_no_kept_matches_empty(self):
-        assert cluster_correspondences(self._matches([])) == []
+        no_matches = replace(self._matches([]), kept=np.zeros(0, dtype=bool))
+        assert cluster_correspondences(no_matches) == []
         assert cluster_correspondences(self._matches([(0, 1, 0.1)], REJECTED)) == []
 
     def test_one_to_one_with_distance_tiebreak(self):
@@ -243,13 +246,15 @@ class TestClusterCorrespondences:
         assert chosen.mean_descriptor_distance == float(np.mean(distances))
         assert chosen.support == 9
 
-    def test_undecided_matches_count_as_kept(self):
-        """Before rejection every match stands, as in the per-object form."""
+    def test_undecided_matches_raise(self):
+        """Clustering and the summaries take decided matches only."""
         rows = [(0, 1, 0.2), (0, 1, 0.4), (2, 1, 0.1)]
-        undecided = self._matches(rows, verdict=None)
-        assert undecided.kept is None
-        assert cluster_correspondences(undecided, 1) == cluster_correspondences(
-            self._matches(rows), 1)
+        for undecided in (self._matches(rows, verdict=None), self._matches([])):
+            assert undecided.kept is None
+            with pytest.raises(ValueError, match="no verdict"):
+                cluster_correspondences(undecided, 1)
+            with pytest.raises(ValueError, match="no verdict"):
+                pair_matches(undecided)
 
 
 def _key(kp):
@@ -286,8 +291,7 @@ def _summaries(summaries):
     shape and bytes."""
     return [
         (type(s.frame), s.frame, s.camera_a, s.camera_b, s.candidates, s.rejected,
-         s.undecided, *[(v.dtype.str, v.shape, v.tobytes())
-                        for v in (s.detections, s.xy_a, s.xy_b)])
+         *[(v.dtype.str, v.shape, v.tobytes()) for v in (s.detections, s.xy_a, s.xy_b)])
         for s in summaries
     ]
 
@@ -444,15 +448,19 @@ def _rejection_case(draw):
         for x, y, w, h in [boxes[c, frame, index].tolist()]
     }
 
+    # One frame of one camera pair, as the run matches them.
+    frame = draw(st.integers(0, 2))
+    cam_a, cam_b = draw(st.sampled_from("abc")), draw(st.sampled_from("abc"))
     position = st.one_of(_GRID, st.floats(-10.0, 110.0, allow_nan=False))
-    keypoint = st.builds(
-        lambda cam, frame, det, x, y: _kp(cam, [0.0], x=x, y=y, det=det, frame=frame),
-        st.sampled_from("abc"), st.integers(0, 2), st.integers(0, 1), position, position,
-    )
+
+    def keypoint(cam):
+        return st.builds(lambda det, x, y: _kp(cam, [0.0], x=x, y=y, det=det, frame=frame),
+                         st.integers(0, 1), position, position)
+
     matches = [
         FeatureMatch(kp_a, kp_b, float(i))
         for i, (kp_a, kp_b) in enumerate(
-            draw(st.lists(st.tuples(keypoint, keypoint), max_size=12))
+            draw(st.lists(st.tuples(keypoint(cam_a), keypoint(cam_b)), max_size=12))
         )
     ]
     anchor = draw(st.sampled_from(["keypoint", "detection_center"]))
@@ -464,8 +472,9 @@ class TestRejectByLandmarkMatchesLoop:
     @settings(max_examples=100)
     @given(case=_rejection_case())
     def test_random_matches(self, case):
-        """Cameras and frames mix on each side; rejection, and then the
-        summaries and clustering of its matches, agree with the loops."""
+        """Over one frame of any camera pair, rejection, and then the
+        summaries and clustering of its matches, agree with the loops; the
+        summaries it returns are ``pair_matches`` of its matches."""
         matches, landmarks, anchor, detections = case
         centers = None if detections is None else detection_centers(
             detections.values(), _CAMERAS)
@@ -485,14 +494,16 @@ class TestRejectByLandmarkMatchesLoop:
                 cluster_correspondences_loop(expected, 1))
 
     def test_equidistant_landmarks_and_two_cameras_in_one_call(self):
-        landmarks = LandmarkSet({"a": (100, 100), "b": (100, 100), "c": (100, 100)})
-        for cam in "abc":
+        """Both A keypoints lie on the bisector of landmarks 9 and 3: the
+        tie goes to 3, as in the loop."""
+        landmarks = LandmarkSet({"a": (100, 100), "b": (100, 100)})
+        for cam in "ab":
             landmarks.add(cam, 9, (20.0, 50.0))
             landmarks.add(cam, 3, (80.0, 50.0))
         on_bisector = _kp("a", [0.0], x=50.0, y=10.0)
         matches = [
             FeatureMatch(on_bisector, _kp("b", [0.0], x=70.0, y=50.0), 0.0),
-            FeatureMatch(_kp("c", [0.0], x=50.0, y=90.0),
+            FeatureMatch(_kp("a", [0.0], x=50.0, y=90.0),
                          _kp("b", [0.0], x=30.0, y=50.0), 0.0),
         ]
         decided, _ = reject_by_landmark(match_table(matches), landmarks)
@@ -502,16 +513,37 @@ class TestRejectByLandmarkMatchesLoop:
         )
 
     def test_first_camera_without_landmarks_is_named(self):
-        """With several cameras unregistered, the error names the one a
-        per-match loop meets first: match 0's B side here."""
+        """With both cameras unregistered, the error names side A's, the
+        one a per-match loop meets first."""
         landmarks = LandmarkSet({cam: (100, 100) for cam in "abc"})
         landmarks.add("a", 1, (20.0, 20.0))
-        matches = [FeatureMatch(_kp("a", [0.0]), _kp("c", [0.0]), 0.0),
-                   FeatureMatch(_kp("b", [0.0]), _kp("a", [0.0]), 0.0)]
-        with pytest.raises(NoLandmarksError, match="'c'"):
+        matches = [FeatureMatch(_kp("b", [0.0]), _kp("c", [0.0]), 0.0),
+                   FeatureMatch(_kp("b", [0.0], det=1), _kp("c", [0.0]), 0.0)]
+        with pytest.raises(NoLandmarksError, match="'b'"):
             reject_by_landmark(match_table(matches), landmarks)
         assert _outcome(reject_by_landmark, match_table(matches), landmarks) == _outcome(
             reject_by_landmark_loop, matches, landmarks)
+
+    @pytest.mark.parametrize("sides", [
+        [(("a", 0), ("b", 0)), (("c", 0), ("b", 0))],
+        [(("a", 0), ("b", 0)), (("a", 0), ("c", 0))],
+        [(("a", 0), ("b", 0)), (("a", 1), ("b", 1))],
+        [(("a", 0), ("b", 1))],
+    ], ids=["two-cameras-on-a", "two-cameras-on-b", "two-frames", "frames-differ"])
+    def test_tables_beyond_one_frame_of_one_pair_raise(self, sides):
+        landmarks = LandmarkSet({cam: (100, 100) for cam in "abc"})
+        for cam in "abc":
+            landmarks.add(cam, 1, (20.0, 20.0))
+        matches = [
+            FeatureMatch(_kp(cam_a, [0.0], frame=frame_a), _kp(cam_b, [0.0], frame=frame_b),
+                         0.0, verdict=KEPT)
+            for (cam_a, frame_a), (cam_b, frame_b) in sides
+        ]
+        with pytest.raises(ValueError, match="one frame of one camera pair"):
+            reject_by_landmark(match_table([replace(m, verdict=None) for m in matches]),
+                               landmarks)
+        with pytest.raises(ValueError, match="one frame of one camera pair"):
+            pair_matches(match_table(matches))
 
     def test_detection_centres_are_needed_only_with_matches(self):
         landmarks = LandmarkSet({"a": (100, 100), "b": (100, 100)})
@@ -591,8 +623,8 @@ class TestColumnarChainMatchesObjects:
         candidates = knn_match(table_of(a), table_of(b), ratio=ratio)
         expected_candidates = knn_match_loop(a, b, ratio=ratio)
         assert _records(candidates) == _records(expected_candidates)
-        assert _summaries(pair_matches(candidates)) == _summaries(
-            pair_matches_loop(expected_candidates))  # undecided matches
+        with pytest.raises(ValueError, match="no verdict"):
+            pair_matches(candidates)  # undecided matches
 
         decided, summaries = reject_by_landmark(
             candidates, landmarks, anchor=anchor,

@@ -141,8 +141,9 @@ class TestRejectionStatsMatchesLoop:
         data=st.data(),
     )
     def test_random_matches(self, rows, labelled, data):
-        """Frames interleave across pairs; some verdicts are missing, and
-        some labels, which raise at the same first match."""
+        """Frames interleave across pairs; some verdicts are missing, which
+        the summaries raise on, and some labels, which raise at the same
+        first match."""
         if data.draw(st.booleans()):  # most draws have every verdict
             rows = [row if row[4] is not None else row[:4] + (REJECTED,) for row in rows]
         matches = [
@@ -160,7 +161,7 @@ class TestRejectionStatsMatchesLoop:
             if labelled == "some":
                 keys = data.draw(st.lists(st.sampled_from(keys), unique=True))
             truth = GroundTruth({}, {key: data.draw(st.integers(0, 2)) for key in keys})
-        got = self._outcome(rejection_stats, pair_matches(matches), truth)
+        got = self._outcome(lambda: rejection_stats(pair_matches(matches), truth))
         assert got == self._outcome(_rejection_stats_loop, matches, truth)
 
 

@@ -1,8 +1,9 @@
 """Pinned output bytes: ``avitrack run`` and ``DatasetBundle.write`` must write
 exactly the recorded files.
 
-Each run case generates a small ``crowded``-like scene (40 birds, 8-d
-descriptors, 0.5 s), runs ``avitrack run`` on it and compares the SHA-256
+Each run case generates a small scene of ``BUNDLE_SCENES`` (the
+``crowded``-like one: 40 birds, 8-d descriptors, 0.5 s; or the ``masked``
+one, with frames), runs ``avitrack run`` on it and compares the SHA-256
 of every output file with ``tests/data/run_output_sha256.json``. Each bundle
 case generates a small scene and compares the SHA-256 of every file that
 ``generate(...).write`` makes, frames included, with
@@ -29,10 +30,12 @@ BUNDLE_HASHES = Path(__file__).resolve().parent / "data" / "bundle_sha256.json"
 SCENE = SceneConfig(seed=3, bird_count=40, duration_s=0.5, descriptor_length=8,
                     keypoints_per_detection=(3, 6), descriptor_noise=0.05,
                     pixel_noise=0.5)
+# Run case: (scene of ``BUNDLE_SCENES``, ``avitrack run`` flags).
 CASES = {
-    "crowded-parallelism-2": ["--parallelism", "2"],
-    "crowded-detection-center": ["--parallelism", "2", "--landmark-anchor",
-                                 "detection_center", "--min-support", "1"],
+    "crowded-parallelism-2": ("crowded", ["--parallelism", "2"]),
+    "crowded-detection-center": ("crowded", ["--parallelism", "2", "--landmark-anchor",
+                                             "detection_center", "--min-support", "1"]),
+    "masked-use-mask": ("masked", ["--use-mask"]),
 }
 # Small versions of the benchmark scenes: the quickstart (128-d), crowded
 # (8-d, pixel noise), masked (frames drawn) and look-alike birds.
@@ -62,16 +65,23 @@ def bundle_hashes(scene: SceneConfig, out: Path) -> dict[str, str]:
 
 
 @pytest.fixture(scope="module")
-def bundle(tmp_path_factory):
-    out = tmp_path_factory.mktemp("crowded")
-    generate(SCENE).write(out)
-    return out
+def bundles(tmp_path_factory):
+    """The bundle of a scene of ``BUNDLE_SCENES``, written once per module."""
+    written = {}
+
+    def bundle(scene: str) -> Path:
+        if scene not in written:
+            written[scene] = tmp_path_factory.mktemp(scene)
+            generate(BUNDLE_SCENES[scene]).write(written[scene])
+        return written[scene]
+    return bundle
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_run_writes_the_recorded_bytes(bundle, tmp_path, case):
+def test_run_writes_the_recorded_bytes(bundles, tmp_path, case):
     expected = json.loads(HASHES.read_text())[case]
-    assert run_hashes(bundle, tmp_path / "out", CASES[case]) == expected
+    scene, flags = CASES[case]
+    assert run_hashes(bundles(scene), tmp_path / "out", flags) == expected
 
 
 @pytest.mark.parametrize("scene", sorted(BUNDLE_SCENES))
@@ -85,9 +95,10 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
-        generate(SCENE).write(work / "bundle")
-        record = {case: run_hashes(work / "bundle", work / case, flags)
-                  for case, flags in sorted(CASES.items())}
+        for scene in sorted({scene for scene, _ in CASES.values()}):
+            generate(BUNDLE_SCENES[scene]).write(work / f"run-{scene}")
+        record = {case: run_hashes(work / f"run-{scene}", work / case, flags)
+                  for case, (scene, flags) in sorted(CASES.items())}
         bundles = {scene: bundle_hashes(config, work / f"bundle-{scene}")
                    for scene, config in sorted(BUNDLE_SCENES.items())}
     HASHES.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

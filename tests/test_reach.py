@@ -30,7 +30,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 PACKAGE = SRC / "avitrack"
 
-PIN = "pin: perfbench/spans.py wraps or iterates it (ROADMAP item 1, step 2)"
+PIN = "pin: perfbench/spans.py wraps or iterates it (ROADMAP item 2, step 2)"
 POOL = "pool: runs only in pool workers"
 PICKLE = "pickling: runs only when an error crosses the process pool"
 ACCESSOR = "accessor: state that only tests read"
@@ -54,9 +54,7 @@ UNREACHED = {
     "avitrack.pipeline._process_frame_at": POOL,
     "avitrack.synthworld.truth_labels": _criterion(3, "takes the truth of a bundle in memory"),
     "avitrack.tracking.MultiObjectTracker.all_tracks": ACCESSOR,
-    "avitrack.tracking.TrackState.velocity": ACCESSOR,
     "avitrack.tracking.predict": _criterion(7, "runs the Kalman prediction on its own"),
-    "avitrack.voronoi.BoundedVoronoi.cell_for": ACCESSOR,
     "avitrack.voronoi.LandmarkSet.count": ACCESSOR,
     "avitrack.voronoi.nearest_landmark": PIN,
     "avitrack.voronoi.polygon_contains": _criterion(1, "checks each cell against a grid"),

@@ -318,7 +318,7 @@ def test_reconstruction_stats_takes_pairs_sorted_then_rows_in_summary_order(defa
 def _reconstruction_stats_loop(matches, cameras, threshold_px=25.0):
     """The per-keypoint loop ``reconstruction_stats`` replaced, as reference."""
     errors = []
-    kept = [m for m in matches if m.verdict in (None, "kept")]
+    kept = [m for m in matches if m.verdict == "kept"]
     by_pair = {}
     for match in kept:
         key = (match.keypoint_a.camera_id, match.keypoint_b.camera_id)
@@ -383,7 +383,7 @@ def _stats_case(draw):
         pixel = st.tuples(coord, coord)
     else:
         pixel = st.tuples(st.floats(0.0, 1919.0), st.floats(0.0, 1079.0))
-    verdict = st.sampled_from([None, "kept", "rejected"])
+    verdict = st.sampled_from(["kept", "rejected"])
     matches = [
         FeatureMatch(
             keypoint_a=Keypoint(pair[0], 0, i, np.array(pa), np.zeros(1)),
@@ -431,7 +431,7 @@ class TestReconstructionStatsMatchesLoop:
         matches = [
             FeatureMatch(Keypoint("left", 0, i, np.array(pa), np.zeros(1)),
                          Keypoint("right", 0, i, np.array(pb), np.zeros(1)),
-                         0.0)
+                         0.0, verdict="kept")
             for i, (pa, pb) in enumerate(pixels)
         ]
         points = triangulate_batch(

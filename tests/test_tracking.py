@@ -45,7 +45,7 @@ class TestPredict:
     def test_acceleration_term(self):
         track = predict(_track(accel=(2.0, 0.0, 0.0)), dt=1.0)
         np.testing.assert_allclose(track.position, [1.0, 0.0, 0.0])
-        np.testing.assert_allclose(track.velocity, [2.0, 0.0, 0.0])
+        np.testing.assert_allclose(track.state[3:6], [2.0, 0.0, 0.0])  # velocity
 
     def test_covariance_trace_grows_with_noise(self):
         before = _track()

@@ -200,7 +200,7 @@ class TestBoundedDiagram:
         diagram = build_bounded_diagram(two_landmarks, "cam0")
         for cell in diagram.cells:
             assert polygon_area(cell) == pytest.approx(100 * 80 / 2, rel=1e-9)
-        cell_left = diagram.cell_for(1)
+        cell_left = diagram.cells[diagram.site_ids.index(1)]
         assert np.max(cell_left[:, 0]) == pytest.approx(50.0)
 
     def test_partition_matches_brute_force_on_grid(self):
