@@ -3,7 +3,7 @@
 from .camera import CameraModel, project, projection_matrix
 from .matching import (
     Correspondence,
-    Detection,
+    DetectionTable,
     FeatureMatch,
     Keypoint,
     cluster_correspondences,
@@ -22,7 +22,7 @@ __all__ = [
     "CameraModel",
     "Correspondence",
     "DatasetBundle",
-    "Detection",
+    "DetectionTable",
     "FeatureMatch",
     "Keypoint",
     "LandmarkSet",

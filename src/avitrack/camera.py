@@ -72,7 +72,8 @@ class CameraModel:
     """Calibrated camera: intrinsics, 5-coefficient distortion, pose.
 
     ``dist`` holds (k1, k2, p1, p2, k3). Raises ValueError at construction
-    if the rotation is not orthonormal or the intrinsics are out of range.
+    if a number is not finite, the rotation is not orthonormal or the
+    intrinsics are out of range.
     """
 
     cam_id: str
@@ -94,6 +95,9 @@ class CameraModel:
             self, "translation", np.asarray(self.translation, dtype=float).reshape(3)
         )
         object.__setattr__(self, "image_size", tuple(int(v) for v in self.image_size))
+        for name in ("fx", "fy", "cx", "cy", "dist", "rotation", "translation"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"camera {self.cam_id}: {name} holds a non-finite number")
         r = self.rotation
         if np.max(np.abs(r.T @ r - np.eye(3))) > _ORTHONORMAL_TOL:
             raise ValueError(f"camera {self.cam_id}: rotation is not orthonormal")

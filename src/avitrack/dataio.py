@@ -10,12 +10,13 @@ have a vectorised fast path: one streamed check of the bytes and one
 ``np.loadtxt`` for every column. Any file the fast path cannot take whole
 (unusual text, a parse failure, a non-finite value, a row that breaks a
 semantic check) goes to the strict row reader, so errors still name the
-file and line. Keypoints are read as one ``KeypointTable``, not one
-object per row. Writers hand floats to ``csv`` as Python floats, which it
-formats with ``repr``, so files round-trip losslessly and rerunning a
-pipeline yields byte-identical output. ``write_keypoints`` is the one
-exception: it takes a ``KeypointTable`` and formats a block of rows at a
-time in numpy, with the bytes that ``csv`` writes for the same rows.
+file and line. Keypoints and detections are each read as one table
+(``KeypointTable``, ``DetectionTable``), not one object per row. Writers
+hand floats to ``csv`` as Python floats, which it formats with ``repr``,
+so files round-trip losslessly and rerunning a pipeline yields
+byte-identical output. ``write_keypoints`` is the one exception: it
+formats a block of rows at a time in numpy, with the bytes that ``csv``
+writes for the same rows.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .camera import CameraModel, rotation_from_rvec, rvec_from_rotation
 from .errors import IngestError
-from .matching import Correspondence, Detection, KeypointTable
+from .matching import Correspondence, DetectionTable, KeypointTable
 from .voronoi import LandmarkSet
 
 SCHEMA_VERSION = 2
@@ -170,31 +171,35 @@ def _read_table_fast(path, header: list[str], kinds: str) -> list[np.ndarray] | 
     return columns
 
 
-def write_detections(path, detections: list[Detection]) -> None:
+def write_detections(path, table: DetectionTable) -> None:
+    """Write detections.csv, ordered by (camera, frame, index)."""
+    _, camera_code = np.unique(table.camera, return_inverse=True)
+    order = np.lexsort((table.index, table.frame, camera_code))
     _write_table(path, DETECTIONS_HEADER, (
-        [d.camera_id, d.frame, d.index, *map(float, d.box), float(d.confidence)]
-        for d in sorted(detections, key=lambda d: (d.camera_id, d.frame, d.index))
+        [camera_id, frame, index, *box, confidence]
+        for camera_id, frame, index, box, confidence in zip(
+            table.camera[order].tolist(), table.frame[order].tolist(),
+            table.index[order].tolist(), table.box[order].tolist(),
+            table.confidence[order].tolist(),
+        )
     ))
 
 
-def read_detections(path) -> list[Detection]:
+def read_detections(path) -> DetectionTable:
     columns = _read_table_fast(path, DETECTIONS_HEADER, "siifffff")
     if columns is not None:
         cameras, ints, values = columns
-        detections = [
-            Detection(camera_id, frame, index, *box)
-            for (camera_id,), (frame, index), box
-            in zip(cameras.tolist(), ints.tolist(), values.tolist())
-        ]
+        table = DetectionTable(cameras[:, 0], ints[:, 0], ints[:, 1], values[:, :4], values[:, 4])
         degenerate = (values[:, 2] <= values[:, 0]) | (values[:, 3] <= values[:, 1])
-        keys = {(d.camera_id, d.frame, d.index) for d in detections}
-        if not degenerate.any() and len(keys) == len(detections):
-            return detections
+        keys = set(zip(table.camera.tolist(), table.frame.tolist(), table.index.tolist()))
+        if not degenerate.any() and len(keys) == len(table):
+            return table
     return _read_detections_strict(path)
 
 
-def _read_detections_strict(path) -> list[Detection]:
-    detections = []
+def _read_detections_strict(path) -> DetectionTable:
+    """Row-by-row reader: the reference for the fast path, and its errors."""
+    rows = []
     seen = set()
     for line_no, (camera_id, frame, index, *values) in _read_table(
         path, DETECTIONS_HEADER, "siifffff"
@@ -205,8 +210,10 @@ def _read_detections_strict(path) -> list[Detection]:
         if key in seen:
             raise IngestError(path, f"duplicate detection {key}", line_no)
         seen.add(key)
-        detections.append(Detection(camera_id, frame, index, *values))
-    return detections
+        rows.append([*key, *values])
+    cells = np.array(rows, dtype=object).reshape(-1, len(DETECTIONS_HEADER))
+    return DetectionTable(cells[:, 0], cells[:, 1].astype(np.int64), cells[:, 2].astype(np.int64),
+                          cells[:, 3:7].astype(float), cells[:, 7].astype(float))
 
 
 KEYPOINTS_FIXED_HEADER = ["camera_id", "frame", "detection_index", "x_px", "y_px"]

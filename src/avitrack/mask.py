@@ -100,14 +100,32 @@ def _convolve(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out.reshape(height, width)
 
 
+def component_roots(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per node 0..``count``-1, its component's lowest node; edge i joins
+    nodes ``a[i]`` and ``b[i]``. Min-label propagation: each round hooks the
+    larger root of every split edge onto the smaller one, then pointer
+    jumping points every node straight at its root."""
+    root = np.arange(count)
+    while True:
+        root_a, root_b = root[a], root[b]
+        split = root_a != root_b
+        if not split.any():
+            return root
+        np.minimum.at(root, np.maximum(root_a, root_b)[split],
+                      np.minimum(root_a, root_b)[split])
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+
+
 def _hysteresis(weak: np.ndarray, strong: np.ndarray) -> np.ndarray:
     """The weak pixels whose 8-connected weak component holds a strong one.
 
     Strong pixels must be weak too, and no weak pixel may lie on the
     image's outer ring, so flat offsets never wrap from one row to the
-    next. Components come from min-label propagation: each round hooks
-    the larger root of every split 8-neighbour pair onto the smaller one,
-    then pointer jumping points every weak pixel straight at its root.
+    next. Components are the ``component_roots`` of the weak 8-neighbours.
     """
     width = weak.shape[1]
     flat = weak.ravel()
@@ -117,19 +135,7 @@ def _hysteresis(weak: np.ndarray, strong: np.ndarray) -> np.ndarray:
     rank = np.cumsum(flat) - 1
     a = rank[np.concatenate(near)]
     b = rank[np.concatenate([pixel + step for pixel, step in zip(near, steps)])]
-    root = np.arange(np.count_nonzero(flat))
-    while True:
-        root_a, root_b = root[a], root[b]
-        split = root_a != root_b
-        if not split.any():
-            break
-        np.minimum.at(root, np.maximum(root_a, root_b)[split],
-                      np.minimum(root_a, root_b)[split])
-        while True:
-            jumped = root[root]
-            if np.array_equal(jumped, root):
-                break
-            root = jumped
+    root = component_roots(np.count_nonzero(flat), a, b)
     has_strong = np.zeros(len(root), dtype=bool)
     has_strong[root[strong.ravel()[flat]]] = True
     edges = np.zeros(flat.size, dtype=bool)

@@ -6,9 +6,11 @@ on each side is nearest to the same global landmark in its own view;
 disagreement means the match pairs two different birds and is rejected.
 Surviving matches are then clustered into detection-level correspondences.
 
-All three stages work on columns: keypoints are rows of a ``KeypointTable``
-and matches rows of a ``MatchTable``, of one frame between two cameras from
-rejection on. Iterating either builds ``Keypoint`` or ``FeatureMatch`` objects.
+All three stages work on columns: detections are rows of a
+``DetectionTable``, keypoints rows of a ``KeypointTable`` and matches rows
+of a ``MatchTable``, of one frame between two cameras from rejection on.
+Iterating a keypoint or match table builds ``Keypoint`` or ``FeatureMatch``
+objects; a detection table has no row object.
 """
 
 from __future__ import annotations
@@ -35,22 +37,23 @@ _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 _TINY = np.finfo(float).tiny  # smallest normal float; bounds underflow error
 
 
-@dataclass(frozen=True)
-class Detection:
-    """One detector bounding box in one camera frame."""
+@dataclass(frozen=True, eq=False)
+class DetectionTable:
+    """Detector bounding boxes as columns, one row per box.
 
-    camera_id: str
-    frame: int
-    index: int
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
-    confidence: float = 1.0
+    ``camera`` holds camera ids as ``str`` objects; ``frame`` and ``index``
+    hold int64 integers; ``box`` is (N, 4) pixels (x_min, y_min, x_max,
+    y_max) and ``confidence`` (N,) detector scores.
+    """
 
-    @property
-    def box(self) -> tuple[float, float, float, float]:
-        return (self.x_min, self.y_min, self.x_max, self.y_max)
+    camera: np.ndarray
+    frame: np.ndarray
+    index: np.ndarray
+    box: np.ndarray
+    confidence: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.camera)
 
 
 @dataclass(frozen=True, eq=False)

@@ -41,7 +41,7 @@ from .matching import (
     DEFAULT_MIN_SUPPORT,
     DEFAULT_RATIO,
     Correspondence,
-    Detection,
+    DetectionTable,
     KeypointTable,
     PairMatches,
     cluster_correspondences,
@@ -297,10 +297,11 @@ def _process_frame_at(frame: int) -> FrameResult:
 
 
 def check_references(
-    detections: list[Detection], keypoints: KeypointTable, keypoints_path
+    detections: DetectionTable, keypoints: KeypointTable, keypoints_path
 ) -> None:
     """Every keypoint must reference a detection (camera, frame, index)."""
-    known = {(d.camera_id, d.frame, d.index) for d in detections}
+    known = set(zip(detections.camera.tolist(), detections.frame.tolist(),
+                    detections.index.tolist()))
     for key in zip(keypoints.camera.tolist(), keypoints.frame.tolist(),
                    keypoints.detection.tolist()):
         if key not in known:
@@ -317,7 +318,7 @@ def _frame_file(frames_dir, camera_id: str, frame: int) -> Path:
 def apply_mask_stage(
     config: PipelineConfig,
     keypoints: KeypointTable,
-    detections: list[Detection],
+    detections: DetectionTable,
     image_sizes: dict[str, tuple[int, int]],
 ) -> np.ndarray:
     """The rows of ``keypoints`` on mask-on pixels of the per-frame PGM files.
@@ -329,8 +330,9 @@ def apply_mask_stage(
     order.
     """
     boxes: dict[tuple[str, int], list] = {}
-    for det in detections:
-        boxes.setdefault((det.camera_id, det.frame), []).append(det.box)
+    for key, box in zip(zip(detections.camera.tolist(), detections.frame.tolist()),
+                        detections.box.tolist()):
+        boxes.setdefault(key, []).append(box)
     grouped = keypoints.groups()
     gated: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]
     for camera_id, frame in sorted(grouped):
@@ -361,24 +363,6 @@ def _observation_rows(frame: int, observations: list[Observation3D]) -> list[tup
                      sum(errors) / len(errors) if errors else None,
                      max(errors, default=None)))
     return rows
-
-
-def track_observations(rows: list[tuple], config: PipelineConfig, out_dir: Path) -> list:
-    """Track ``observations.csv`` rows; writes tracks.csv and trajectories.svg.
-
-    Every frame with a row is stepped, so a frame without observations
-    counts a miss for each live track.
-    """
-    by_frame: dict[int, list[np.ndarray]] = {}
-    for frame, _, position, _, _ in rows:
-        positions = by_frame.setdefault(frame, [])
-        if position is not None:
-            positions.append(position)
-    track_rows = run_tracker(by_frame, config.tracker_config())
-    dataio.write_tracks(out_dir / "tracks.csv", track_rows)
-    (out_dir / "trajectories.svg").write_text(render_trajectories(track_rows))
-    logger.info("tracked %d row(s) over %d frame(s)", len(track_rows), len(by_frame))
-    return track_rows
 
 
 def _write_overlays(out_dir: Path, landmarks: LandmarkSet) -> None:
@@ -433,7 +417,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         rows_by_frame.setdefault(frame, {})[camera_id] = rows
         counts.setdefault(camera_id, {})[frame] = len(rows)
 
-    frames = sorted(set(rows_by_frame) | {det.frame for det in detections})
+    frames = sorted(set(rows_by_frame) | set(detections.frame.tolist()))
     run = _Run(
         keypoints=keypoints,
         rows=rows_by_frame,
@@ -495,7 +479,14 @@ def run_pipeline(config: PipelineConfig) -> dict:
         dataio.write_metrics(out_dir / "metrics.json", report)
         return report
 
-    track_rows = track_observations(obs_rows, config, out_dir)
+    # A stepped frame without observations counts a miss for each live track.
+    track_rows = run_tracker(
+        {result.frame: [obs.position for obs in result.observations] for result in results},
+        config.tracker_config(),
+    )
+    dataio.write_tracks(out_dir / "tracks.csv", track_rows)
+    (out_dir / "trajectories.svg").write_text(render_trajectories(track_rows))
+    logger.info("tracked %d row(s) over %d frame(s)", len(track_rows), len(results))
     if truth is not None:
         report["table5"] = tracking_metrics(
             track_rows,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,8 @@ from .camera import (
     projection_matrix,
 )
 from .errors import DegenerateRaysError, EmptyInputError
-from .matching import Correspondence, Detection, PairMatches
+from .mask import component_roots
+from .matching import Correspondence, DetectionTable, PairMatches
 
 FUSE_RADIUS_M = 0.15
 
@@ -64,7 +64,7 @@ class FrameCenters:
 
 
 def detection_centers(
-    detections: Iterable[Detection], cameras: dict[str, CameraModel]
+    detections: DetectionTable, cameras: dict[str, CameraModel]
 ) -> dict[tuple[str, int], FrameCenters]:
     """Every detection's box centre, raw and undistorted, by (camera, frame).
 
@@ -73,26 +73,20 @@ def detection_centers(
     gets read-only views of its rows. Detections of uncalibrated cameras
     are left out.
     """
-    by_camera: dict[str, list[tuple]] = {}
-    for det in detections:
-        if det.camera_id in cameras:
-            by_camera.setdefault(det.camera_id, []).append(
-                (det.frame, det.index, det.x_min, det.y_min, det.x_max, det.y_max)
-            )
     table: dict[tuple[str, int], FrameCenters] = {}
-    for cam_id, records in sorted(by_camera.items()):
-        keys = np.array([r[:2] for r in records], dtype=np.int64)
-        boxes = np.array([r[2:] for r in records], dtype=float)
-        order = np.lexsort((keys[:, 1], keys[:, 0]))
-        keys, boxes = keys[order], boxes[order]
+    for cam_id in sorted(set(detections.camera.tolist()) & cameras.keys()):
+        rows = np.flatnonzero(detections.camera == cam_id)
+        rows = rows[np.lexsort((detections.index[rows], detections.frame[rows]))]
+        boxes = detections.box[rows]
+        indices = detections.index[rows]
         raw = (boxes[:, 0:2] + boxes[:, 2:4]) / 2.0
         ideal = ideal_pixels(cameras[cam_id], raw)
-        for shared in (keys, raw, ideal):  # every frame's views share them
+        for shared in (indices, raw, ideal):  # every frame's views share them
             shared.setflags(write=False)
-        frames, starts = np.unique(keys[:, 0], return_index=True)
-        for frame, start, stop in zip(frames, starts, [*starts[1:], len(keys)]):
+        frames, starts = np.unique(detections.frame[rows], return_index=True)
+        for frame, start, stop in zip(frames, starts, [*starts[1:], len(rows)]):
             table[(cam_id, int(frame))] = FrameCenters(
-                keys[start:stop, 1], raw[start:stop], ideal[start:stop]
+                indices[start:stop], raw[start:stop], ideal[start:stop]
             )
     return table
 
@@ -214,18 +208,15 @@ def reconstruct_frame(
         return []
     positions = np.concatenate(points)
 
-    # linked[i, j]: estimates i and j are within fuse_radius (or i == j).
-    # Its transitive closure links each estimate to its whole component; a
-    # row's first hit is the component's lowest index, so components come
-    # out in order of their first member.
-    linked = np.eye(len(positions), dtype=bool)
-    linked |= np.linalg.norm(positions[None] - positions[:, None], axis=2) <= fuse_radius
-    while not np.array_equal(closure := linked @ linked, linked):
-        linked = closure
+    # Estimates within fuse_radius of each other are linked. A component's
+    # root is its lowest index, so components come out in order of their
+    # first member, each with its members ascending.
+    near = np.linalg.norm(positions[None] - positions[:, None], axis=2) <= fuse_radius
+    roots = component_roots(len(positions), *np.nonzero(near))
 
     groups = []
-    for root in np.unique(linked.argmax(axis=1)):
-        members = np.flatnonzero(linked[root])
+    for root in np.unique(roots):
+        members = np.flatnonzero(roots == root)
         position = np.mean(positions[members], axis=0)
         if bounds is not None and (np.any(position < bounds[0]) or np.any(position > bounds[1])):
             continue

@@ -20,12 +20,16 @@ from . import dataio
 from .camera import MIN_DEPTH, CameraModel, project_points
 from .errors import ConfigError
 from .mask import GrayFrame, write_pgm
-from .matching import Detection, KeypointTable
+from .matching import DetectionTable, KeypointTable
 from .metrics import GroundTruth
 from .voronoi import LandmarkSet
 
 MOTION_MODES = ("free", "anchored", "crossing")
 _WALL_GAP_M = 0.05  # between a bird's body and a wall
+FEATURE_POOL_SIZE = 40  # shared feature vectors of a scene
+FEATURE_SCALE = 0.3  # sigma of a shared feature vector
+BASE_SCALE = 0.6  # sigma of a per-bird base vector
+MAX_ACCEL = 4.0  # m/s^2 per axis, the largest acceleration of a flight segment
 # The array-valued scene settings: the shape each must have, None standing
 # for any positive length, and its wording.
 _ARRAY_SETTINGS = {
@@ -52,7 +56,7 @@ class SceneConfig:
     """Knobs for one synthetic scene.
 
     Descriptors follow an appearance model with three layers: a per-bird
-    base vector, a library of ``feature_pool_size`` shared feature
+    base vector, a library of ``FEATURE_POOL_SIZE`` shared feature
     vectors of which each camera view observes a random 5-15 subset per
     detection, and per-observation Gaussian noise (``descriptor_noise``).
     ``ambiguity`` is the probability that a bird uses the shared base
@@ -73,9 +77,6 @@ class SceneConfig:
     descriptor_noise: float = 0.0
     ambiguity: float = 0.0
     descriptor_length: int = 128
-    feature_pool_size: int = 40
-    feature_scale: float = 0.3
-    base_scale: float = 0.6
     body_radius_m: float = 0.15
     keypoints_per_detection: tuple[int, int] = (5, 15)
     focal_px: float | None = None  # default scales with image width
@@ -86,8 +87,6 @@ class SceneConfig:
     motion: str = "free"
     wander_radius_m: float = 0.3
     max_speed: float = 3.0
-    max_accel: float = 4.0
-    jerk_burst_rate: float = 0.0
     occlusion: bool = True
     emit_frames: bool = False
 
@@ -107,8 +106,9 @@ class SceneConfig:
             elif type(f.default) is float or f.name == "focal_px":
                 kind = "a number"
                 ok = unset or isinstance(value, (int, float)) and not isinstance(value, bool)
-            else:
-                kind, ok = "an int", type(f.default) is not int or type(value) is int
+            else:  # an int, a bool or text setting takes exactly its default's type
+                kind = {bool: "a bool", str: "text"}.get(type(f.default), "an int")
+                ok = type(value) is type(f.default)
             if not ok:
                 raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
             if isinstance(value, (float, tuple, list, np.ndarray)) and not np.all(
@@ -138,12 +138,12 @@ class SceneConfig:
             (self.motion in MOTION_MODES, f"motion must be one of {MOTION_MODES}"),
             (1 <= kmin <= kmax, "keypoints_per_detection must be an increasing pair, "
              f"got {self.keypoints_per_detection}"),
-            (self.feature_pool_size >= kmax, f"feature_pool_size ({self.feature_pool_size}) "
+            (FEATURE_POOL_SIZE >= kmax, f"the feature pool ({FEATURE_POOL_SIZE}) "
              f"must cover the largest keypoint count ({kmax})"),
             (self.landmarks is not None or self.landmark_count >= 1,
              "landmark_count must be at least 1"),
-            (self.wander_radius_m > 0 and self.max_speed > 0 and self.max_accel > 0,
-             "wander_radius_m, max_speed, and max_accel must be positive"),
+            (self.wander_radius_m > 0 and self.max_speed > 0,
+             "wander_radius_m and max_speed must be positive"),
         ):
             if not ok:
                 raise ConfigError(problem)
@@ -188,7 +188,7 @@ class DatasetBundle:
 
     config: SceneConfig
     cameras: dict[str, CameraModel]
-    detections: list[Detection]
+    detections: DetectionTable
     keypoints: KeypointTable
     landmark_set: LandmarkSet
     landmarks_3d: np.ndarray
@@ -343,9 +343,7 @@ class _BirdMotion:
 
     def _new_segment(self, rng: np.random.Generator) -> None:
         self.segment_left = float(rng.uniform(0.5, 2.0))
-        self.acceleration = rng.uniform(
-            -self.config.max_accel, self.config.max_accel, size=3
-        )
+        self.acceleration = rng.uniform(-MAX_ACCEL, MAX_ACCEL, size=3)
         speed = float(np.linalg.norm(self.velocity))
         if speed > self.config.max_speed:
             self.velocity *= self.config.max_speed / speed
@@ -355,9 +353,6 @@ class _BirdMotion:
             if self.segment_left <= 0.0:
                 self._new_segment(rng)
             self.segment_left -= dt
-            if self.config.jerk_burst_rate > 0.0:
-                if rng.uniform() < self.config.jerk_burst_rate:
-                    self.velocity += rng.normal(0.0, 1.0, size=3)
         self.position = (
             self.position + self.velocity * dt + 0.5 * self.acceleration * dt * dt
         )
@@ -428,20 +423,13 @@ def _make_birds(
 
 
 def _base_descriptors(config: SceneConfig, rng: np.random.Generator) -> np.ndarray:
-    shared = rng.normal(0.0, config.base_scale, config.descriptor_length)
+    shared = rng.normal(0.0, BASE_SCALE, config.descriptor_length)
     bases = np.empty((config.bird_count, config.descriptor_length))
     for i in range(config.bird_count):
         use_shared = rng.uniform() < config.ambiguity
-        own = rng.normal(0.0, config.base_scale, config.descriptor_length)
+        own = rng.normal(0.0, BASE_SCALE, config.descriptor_length)
         bases[i] = shared if use_shared else own
     return bases
-
-
-def _feature_pool(config: SceneConfig, rng: np.random.Generator) -> np.ndarray:
-    return rng.normal(
-        0.0, config.feature_scale,
-        (config.feature_pool_size, config.descriptor_length),
-    )
 
 
 def _render_frame(
@@ -544,11 +532,10 @@ def generate(config: SceneConfig) -> DatasetBundle:
                 raise ConfigError(str(exc))
 
     bases = _base_descriptors(config, rng)
-    feature_pool = _feature_pool(config, rng)
+    feature_pool = rng.normal(0.0, FEATURE_SCALE, (FEATURE_POOL_SIZE, config.descriptor_length))
     birds = _make_birds(config, landmarks_3d, rng)
     dt = 1.0 / config.fps
 
-    detections: list[Detection] = []
     truth_positions: dict[int, dict[int, np.ndarray]] = {}
     detection_identities: dict[tuple[str, int, int], int] = {}
     frame_boxes: dict[tuple[str, int], list[list[float]]] = {}
@@ -565,6 +552,7 @@ def generate(config: SceneConfig) -> DatasetBundle:
     centers_px: list[list[float]] = []
     halves_px: list[list[float]] = []
     boxes_px: list[list[float]] = []
+    confidences: list[float] = []
     n = 0
     for frame in range(config.frame_count):
         if frame > 0:
@@ -583,19 +571,8 @@ def generate(config: SceneConfig) -> DatasetBundle:
             centers_px += centers.tolist()
             halves_px += halves.tolist()
             boxes_px += boxes
-            for det_index, (identity, box) in enumerate(zip(identities.tolist(), boxes)):
-                detections.append(
-                    Detection(
-                        camera_id=cam_id,
-                        frame=frame,
-                        index=det_index,
-                        x_min=box[0],
-                        y_min=box[1],
-                        x_max=box[2],
-                        y_max=box[3],
-                        confidence=float(rng.uniform(0.8, 1.0)),
-                    )
-                )
+            for det_index, identity in enumerate(identities.tolist()):
+                confidences.append(rng.uniform(0.8, 1.0))
                 detection_identities[(cam_id, frame, det_index)] = identity
 
                 count = int(rng.integers(kmin, kmax + 1))
@@ -603,7 +580,7 @@ def generate(config: SceneConfig) -> DatasetBundle:
                 offsets[rows] = rng.uniform(-0.8, 0.8, size=(count, 2))
                 if config.pixel_noise > 0:
                     jitter[rows] = rng.normal(0.0, config.pixel_noise, size=(count, 2))
-                slots = rng.choice(config.feature_pool_size, size=count, replace=False)
+                slots = rng.choice(FEATURE_POOL_SIZE, size=count, replace=False)
                 # base + shared features + noise, the noise term first: the
                 # sum is commutative, so the bits are those of the written order.
                 drawn = descriptors[rows]
@@ -616,6 +593,12 @@ def generate(config: SceneConfig) -> DatasetBundle:
             if config.emit_frames:
                 frame_boxes[(cam_id, frame)] = boxes
 
+    # ``detection_identities`` holds each detection's key in draw order.
+    keys = np.array(list(detection_identities), dtype=object).reshape(-1, 3)
+    detections = DetectionTable(
+        keys[:, 0], keys[:, 1].astype(np.int64), keys[:, 2].astype(np.int64),
+        np.array(boxes_px).reshape(-1, 4), np.array(confidences, dtype=float),
+    )
     # Quantized to 1e-6: keeps emitted CSVs compact, far below any
     # meaningful descriptor-noise scale.
     descriptors = descriptors[:n]
@@ -623,17 +606,14 @@ def generate(config: SceneConfig) -> DatasetBundle:
     owner = np.repeat(np.arange(len(counts)), counts)
     center = np.array(centers_px).reshape(-1, 2)[owner]
     half = np.array(halves_px).reshape(-1, 2)[owner]
-    box = np.array(boxes_px).reshape(-1, 4)[owner]
+    box = detections.box[owner]
     xy = center + offsets[:n] * half
     if config.pixel_noise > 0:
         xy += jitter[:n]
     np.clip(xy, box[:, :2], np.nextafter(box[:, 2:], -np.inf), out=xy)
     keypoints = KeypointTable(
-        np.array([d.camera_id for d in detections], dtype=object)[owner],
-        np.array([d.frame for d in detections], dtype=np.int64)[owner],
-        np.array([d.index for d in detections], dtype=np.int64)[owner],
-        xy,
-        descriptors,
+        detections.camera[owner], detections.frame[owner], detections.index[owner],
+        xy, descriptors,
     )
 
     return DatasetBundle(

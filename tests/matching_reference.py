@@ -4,10 +4,14 @@ and ``pair_matches`` in ``avitrack.matching`` are tested against.
 
 Each takes and returns lists of ``Keypoint`` and ``FeatureMatch`` objects.
 ``table_of`` and ``match_table`` turn such lists into the columnar inputs.
+Detections, which the library holds only as a ``DetectionTable``, are
+``DetectionRow`` tuples here; ``detection_table`` and ``detection_rows``
+convert between the two.
 """
 
 from collections import defaultdict
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -17,6 +21,7 @@ from avitrack.matching import (
     KEPT,
     REJECTED,
     Correspondence,
+    DetectionTable,
     FeatureMatch,
     Keypoint,
     KeypointTable,
@@ -24,6 +29,37 @@ from avitrack.matching import (
     PairMatches,
 )
 from avitrack.voronoi import nearest_landmark
+
+
+class DetectionRow(NamedTuple):
+    """One row of a ``DetectionTable``."""
+
+    camera_id: str
+    frame: int
+    index: int
+    x_min: float
+    y_min: float
+    x_max: float
+    y_max: float
+    confidence: float = 1.0
+
+
+def detection_table(rows) -> DetectionTable:
+    """``DetectionRow``s as one table, row i being the i-th row."""
+    cells = np.array(list(rows), dtype=object).reshape(-1, len(DetectionRow._fields))
+    return DetectionTable(cells[:, 0], cells[:, 1].astype(np.int64), cells[:, 2].astype(np.int64),
+                          cells[:, 3:7].astype(float), cells[:, 7].astype(float))
+
+
+def detection_rows(table: DetectionTable) -> list[DetectionRow]:
+    """The rows of ``table``, in order, as Python values."""
+    return [
+        DetectionRow(camera_id, frame, index, *box, confidence)
+        for camera_id, frame, index, box, confidence in zip(
+            table.camera.tolist(), table.frame.tolist(), table.index.tolist(),
+            table.box.tolist(), table.confidence.tolist(),
+        )
+    ]
 
 
 def table_of(keypoints: list[Keypoint]) -> KeypointTable:
@@ -104,7 +140,7 @@ def box_center(det):
 
 
 def reject_by_landmark_loop(matches, landmarks, anchor="keypoint", detections=None):
-    """``detections`` maps (camera, frame, index) to a ``Detection``."""
+    """``detections`` maps (camera, frame, index) to a ``DetectionRow``."""
     if anchor not in ("keypoint", "detection_center"):
         raise ValueError(f"unknown anchor mode {anchor!r}")
 

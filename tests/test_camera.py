@@ -1,5 +1,7 @@
 """Tests for the camera model, projection, and Rodrigues conversions."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,7 +36,38 @@ def _camera(**overrides) -> CameraModel:
     return CameraModel(**defaults)
 
 
+def _with_entry(shape, value):
+    """The identity-like array of ``shape`` (zeros for a vector) with its
+    first entry set to ``value``."""
+    array = np.eye(3) if shape == (3, 3) else np.zeros(shape)
+    array.flat[0] = value
+    return array
+
+
+_NON_FINITE = [  # (field, value)
+    ("fx", np.nan), ("fy", np.inf), ("cx", np.nan), ("cy", -np.inf),
+    ("dist", _with_entry(5, np.nan)), ("dist", _with_entry(5, np.inf)),
+    ("rotation", np.full((3, 3), np.nan)), ("rotation", _with_entry((3, 3), np.inf)),
+    ("translation", _with_entry(3, np.nan)), ("translation", _with_entry(3, -np.inf)),
+]
+
+
 class TestConstruction:
+    @pytest.mark.parametrize("field, value", _NON_FINITE, ids=[
+        f"{field}-{'nan' if np.isnan(value).any() else 'inf'}" for field, value in _NON_FINITE])
+    def test_rejects_a_non_finite_number_before_any_other_check(self, field, value):
+        """The field is named, and no range or determinant check warns on it."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=f"^camera c: {field} holds a non-finite number$"):
+                _camera(**{field: value})
+
+    def test_names_the_first_non_finite_field(self):
+        with pytest.raises(ValueError, match="^camera x: fx holds a non-finite number$"):
+            CameraModel("x", np.nan, 100.0, 50.0, 50.0, np.zeros(5), np.full((3, 3), np.nan),
+                        np.zeros(3), (100, 100))
+
     def test_rejects_non_orthonormal_rotation(self):
         bad = np.eye(3)
         bad[0, 1] = 1e-3

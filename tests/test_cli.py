@@ -14,11 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avitrack import pipeline
+from avitrack import dataio, pipeline
 from avitrack.cli import build_parser, main, pipeline_config
 from avitrack.mask import GrayFrame, read_pgm, write_pgm
 from avitrack.pipeline import PipelineConfig, run_pipeline
 from avitrack.synthworld import SceneConfig, generate
+from avitrack.tracking import render_trajectories, run_tracker
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -333,8 +334,9 @@ class TestStandaloneCommands:
         self, sparse_bundle, tmp_path, tracker_flags
     ):
         """Each frame ``run`` steps has a row in observations.csv, so
-        tracking the rows of a ``--stage reconstruct`` run misses the same
-        frames and coasts the same tracks as the full run."""
+        tracking the positions of a ``--stage reconstruct`` run, frame by
+        frame, misses the same frames and coasts the same tracks as the
+        full run."""
         flags = ["--input", str(sparse_bundle), "--validate-bounds", *tracker_flags]
         full = tmp_path / "full"
         assert main(["run", "--out", str(full), *flags]) == 0
@@ -344,17 +346,18 @@ class TestStandaloneCommands:
             cells = list(csv.reader(fh))[1:]
         empty = [row for row in cells if row[1:] == ["0", "", "", "", "", ""]]
         assert len(empty) == 17 and len({row[0] for row in cells}) == 60
-        rows = [
-            (int(row[0]), int(row[1]),
-             None if row[2] == "" else np.array([float(v) for v in row[2:5]]),
-             None, None)
-            for row in cells
-        ]
+        by_frame: dict[int, list[np.ndarray]] = {}
+        for row in cells:
+            positions = by_frame.setdefault(int(row[0]), [])
+            if row[2] != "":
+                positions.append(np.array([float(v) for v in row[2:5]]))
         tracked = tmp_path / "tracked"
         tracked.mkdir()
         config = pipeline_config(build_parser().parse_args(
             ["run", "--out", str(tracked), *flags]))
-        pipeline.track_observations(rows, config, tracked)
+        track_rows = run_tracker(by_frame, config.tracker_config())
+        dataio.write_tracks(tracked / "tracks.csv", track_rows)
+        (tracked / "trajectories.svg").write_text(render_trajectories(track_rows))
         for name in ("tracks.csv", "trajectories.svg"):
             assert (tracked / name).read_bytes() == (full / name).read_bytes(), name
 

@@ -13,7 +13,6 @@ from avitrack.errors import DimensionMismatchError, NoLandmarksError
 from avitrack.matching import (
     KEPT,
     REJECTED,
-    Detection,
     FeatureMatch,
     Keypoint,
     KeypointTable,
@@ -26,7 +25,9 @@ from avitrack.matching import (
 from avitrack.reconstruction import detection_centers
 from avitrack.voronoi import LandmarkSet, nearest_landmark
 from matching_reference import (
+    DetectionRow,
     cluster_correspondences_loop,
+    detection_table,
     knn_match_loop,
     match_table,
     pair_matches_loop,
@@ -441,7 +442,7 @@ def _rejection_case(draw):
         0, 21, size=(3, 3, 2, 4)
     )
     detections = {
-        (cam, frame, index): Detection(cam, frame, index, x, y, x + w, y + h)
+        (cam, frame, index): DetectionRow(cam, frame, index, x, y, x + w, y + h)
         for c, cam in enumerate("abc")
         for frame in range(3)
         for index in range(2)
@@ -477,7 +478,7 @@ class TestRejectByLandmarkMatchesLoop:
         summaries it returns are ``pair_matches`` of its matches."""
         matches, landmarks, anchor, detections = case
         centers = None if detections is None else detection_centers(
-            detections.values(), _CAMERAS)
+            detection_table(detections.values()), _CAMERAS)
         got = _outcome(reject_by_landmark, match_table(matches), landmarks,
                        anchor=anchor, centers=centers)
         assert got == _outcome(reject_by_landmark_loop, matches, landmarks,
@@ -585,7 +586,7 @@ def _chain_case(draw):
         0, 4, size=(2, n_det, 4)
     )
     detections = {
-        (cam, 0, index): Detection(cam, 0, index, x, y, x + w, y + h)
+        (cam, 0, index): DetectionRow(cam, 0, index, x, y, x + w, y + h)
         for c, cam in enumerate("ab")
         for index in range(n_det)
         for x, y, w, h in [boxes[c, index].tolist()]
@@ -628,7 +629,7 @@ class TestColumnarChainMatchesObjects:
 
         decided, summaries = reject_by_landmark(
             candidates, landmarks, anchor=anchor,
-            centers=detection_centers(detections.values(), _CAMERAS))
+            centers=detection_centers(detection_table(detections.values()), _CAMERAS))
         expected, expected_summaries = reject_by_landmark_loop(
             expected_candidates, landmarks, anchor=anchor, detections=detections)
         assert _records(decided) == _records(expected)

@@ -14,7 +14,7 @@ from avitrack.camera import (
 )
 from avitrack.errors import BehindCameraError, DegenerateRaysError, EmptyInputError
 from avitrack.synthworld import SceneConfig, build_camera_rig
-from avitrack.matching import Correspondence, Detection, FeatureMatch, Keypoint
+from avitrack.matching import Correspondence, FeatureMatch, Keypoint
 from avitrack.reconstruction import (
     Observation3D,
     detection_centers,
@@ -24,7 +24,9 @@ from avitrack.reconstruction import (
     triangulate_batch,
     triangulate_from_matrices,
 )
-from matching_reference import box_center, pair_matches_loop as pair_matches
+from matching_reference import (
+    DetectionRow, box_center, detection_table, pair_matches_loop as pair_matches,
+)
 
 
 def _sample_points(rng, count):
@@ -140,7 +142,7 @@ def _strip_distortion(cam):
 
 
 def _detection(cam_id, frame, index, center, half=5.0):
-    return Detection(
+    return DetectionRow(
         camera_id=cam_id, frame=frame, index=index,
         x_min=center[0] - half, y_min=center[1] - half,
         x_max=center[0] + half, y_max=center[1] + half,
@@ -148,7 +150,7 @@ def _detection(cam_id, frame, index, center, half=5.0):
 
 
 def _centers(detections, cameras):
-    return detection_centers(detections.values(), cameras)
+    return detection_centers(detection_table(detections.values()), cameras)
 
 
 class TestReconstructFrame:
@@ -582,7 +584,7 @@ class TestFusionMatchesUnionFind:
                 _observation_bits(function(0, correspondences, table, _RIG, radius,
                                            bounds=bounds))
                 for function, table in (
-                    (reconstruct_frame, detection_centers(detections.values(), _RIG)),
+                    (reconstruct_frame, _centers(detections, _RIG)),
                     (_reconstruct_frame_union_find, detections),
                 )
             ]
@@ -793,7 +795,7 @@ class TestReconstructFrameMatchesPerMember:
         ``project`` call per member, unmocked on the distorted rig."""
         frame, correspondences, detections, cameras, radius, bounds = case
         got = reconstruct_frame(frame, correspondences,
-                                detection_centers(detections.values(), cameras),
+                                _centers(detections, cameras),
                                 cameras, radius, bounds=bounds)
         expected = _reconstruct_frame_per_member(frame, correspondences, detections,
                                                  cameras, radius, bounds=bounds)
@@ -816,7 +818,7 @@ class TestReconstructFrameMatchesPerMember:
             ("cam2", "cam3"): [Correspondence(7, 7, 2, 0.0)],
         }
         got = reconstruct_frame(0, correspondences,
-                                detection_centers(detections.values(), cameras), cameras)
+                                _centers(detections, cameras), cameras)
         expected = _reconstruct_frame_per_member(0, correspondences, detections, cameras)
         assert _observation_bits(got) == _observation_bits(expected)
         [obs] = got
@@ -844,7 +846,7 @@ class TestDetectionCenters:
         """Each (camera, frame) holds its ascending indices, and row for
         row the box centre and its ``ideal_pixels``, bit for bit; all of a
         camera's rows are read-only views of one array."""
-        table = detection_centers(detections, _RIG)
+        table = detection_centers(detection_table(detections), _RIG)
         expected = {}
         for det in sorted(detections, key=lambda d: d.index):
             if det.camera_id in _RIG:
@@ -863,8 +865,8 @@ class TestDetectionCenters:
             assert entry.rows(shuffled).tolist() == list(range(len(dets)))[::-1]
 
     def test_missing_index_raises(self, default_rig):
-        table = detection_centers(
-            [_detection("cam0", 2, index, (100.0, 200.0)) for index in (1, 4)], default_rig
+        table = detection_centers(detection_table(
+            [_detection("cam0", 2, index, (100.0, 200.0)) for index in (1, 4)]), default_rig
         )
         for missing in ([0], [2], [5], [4, 3]):
             with pytest.raises(KeyError):

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from avitrack.camera import MIN_DEPTH, CameraModel, project_points
 from avitrack.errors import ConfigError
 from avitrack import synthworld
-from avitrack.matching import Keypoint, KeypointTable, knn_match
-from matching_reference import table_of
+from avitrack.matching import DetectionTable, Keypoint, KeypointTable, knn_match
+from matching_reference import detection_rows, table_of
 from avitrack.reconstruction import detection_centers
 from avitrack.synthworld import SceneConfig, _visible_boxes, generate, truth_labels
 
@@ -32,9 +32,8 @@ class TestDeterminism:
     def test_identical_seed_gives_identical_bundle(self):
         a = generate(_small_config())
         b = generate(_small_config())
-        assert len(a.detections) == len(b.detections)
-        for det_a, det_b in zip(a.detections, b.detections):
-            assert det_a == det_b
+        assert len(a.detections) > 0
+        assert detection_rows(a.detections) == detection_rows(b.detections)
         assert len(a.keypoints) == len(b.keypoints)
         for kp_a, kp_b in zip(a.keypoints, b.keypoints):
             np.testing.assert_array_equal(kp_a.position, kp_b.position)
@@ -54,9 +53,7 @@ class TestDeterminism:
     def test_different_seeds_differ(self):
         a = generate(_small_config(seed=1))
         b = generate(_small_config(seed=2))
-        assert len(a.detections) != len(b.detections) or any(
-            det_a != det_b for det_a, det_b in zip(a.detections, b.detections)
-        )
+        assert detection_rows(a.detections) != detection_rows(b.detections)
 
 
 class TestKeypointColumns:
@@ -85,7 +82,14 @@ class TestKeypointColumns:
         table = bundle.keypoints
         keys = list(zip(table.camera.tolist(), table.frame.tolist(),
                         table.detection.tolist()))
-        order = {(d.camera_id, d.frame, d.index): i for i, d in enumerate(bundle.detections)}
+        detections = bundle.detections
+        assert isinstance(detections, DetectionTable)
+        assert [column.dtype for column in (detections.camera, detections.frame,
+                detections.index, detections.box, detections.confidence)] == [
+            object, np.int64, np.int64, np.float64, np.float64]
+        assert detections.box.shape == (len(detections), 4)
+        order = {(d.camera_id, d.frame, d.index): i
+                 for i, d in enumerate(detection_rows(detections))}
         runs = [key for i, key in enumerate(keys) if i == 0 or keys[i - 1] != key]
         assert runs == sorted(set(keys), key=order.__getitem__)
         assert table.desc.shape == (len(table), 16)
@@ -97,7 +101,7 @@ class TestSelfConsistency:
         """Detection centers equal reprojected truth to 1e-9 px."""
         bundle = generate(_small_config(pixel_noise=0.0))
         centers = detection_centers(bundle.detections, bundle.cameras)
-        for det in bundle.detections:
+        for det in detection_rows(bundle.detections):
             identity = bundle.detection_identities[(det.camera_id, det.frame, det.index)]
             truth_pos = bundle.truth_positions[det.frame][identity]
             pixels, depth = project_points(bundle.cameras[det.camera_id], truth_pos[None])
@@ -109,7 +113,7 @@ class TestSelfConsistency:
     def test_keypoints_inside_their_boxes(self):
         bundle = generate(_small_config(pixel_noise=1.5))
         boxes = {
-            (d.camera_id, d.frame, d.index): d.box for d in bundle.detections
+            (d.camera_id, d.frame, d.index): d[3:7] for d in detection_rows(bundle.detections)
         }
         for kp in bundle.keypoints:
             x_min, y_min, x_max, y_max = boxes[
@@ -120,7 +124,7 @@ class TestSelfConsistency:
 
     def test_every_detection_labeled(self):
         bundle = generate(_small_config())
-        for det in bundle.detections:
+        for det in detection_rows(bundle.detections):
             assert (det.camera_id, det.frame, det.index) in bundle.detection_identities
 
     def test_truth_positions_inside_aviary(self):
@@ -231,6 +235,10 @@ _BAD_SCENES = [  # (setting, value, ConfigError message)
     ("landmarks", [], "landmarks must be None or a non-empty list"),
     ("fps", "30", "fps must be a number, got '30'"),
     ("duration_s", "2", "duration_s must be a number, got '2'"),
+    ("emit_frames", "no", "emit_frames must be a bool, got 'no'"),
+    ("occlusion", "off", "occlusion must be a bool, got 'off'"),
+    ("occlusion", 0, "occlusion must be a bool, got 0"),
+    ("motion", 0, "motion must be text, got 0"),
 ]
 
 
@@ -314,10 +322,10 @@ def _frames_config(**overrides) -> SceneConfig:
 class TestFrames:
     def test_emitted_frames_cover_detections(self):
         bundle = generate(_frames_config())
-        assert bundle.detections
+        assert len(bundle.detections)
         for (camera_id, frame), image in bundle.frames.items():
             assert (image.width, image.height) == bundle.cameras[camera_id].image_size
-        for det in bundle.detections:
+        for det in detection_rows(bundle.detections):
             pixels = bundle.frames[det.camera_id, det.frame].pixels
             col = math.floor((det.x_min + det.x_max) / 2.0 + 0.5)
             row = math.floor((det.y_min + det.y_max) / 2.0 + 0.5)
@@ -326,7 +334,7 @@ class TestFrames:
     def test_every_camera_frame_is_a_frame(self, tmp_path):
         config = _frames_config()
         bundle = generate(config)
-        detected = {(det.camera_id, det.frame) for det in bundle.detections}
+        detected = {(det.camera_id, det.frame) for det in detection_rows(bundle.detections)}
         keys = {(camera_id, frame) for camera_id in bundle.cameras
                 for frame in range(config.frame_count)}
         assert keys - detected, "the scene should have a frame without a detection"
