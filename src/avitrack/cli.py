@@ -1,8 +1,7 @@
 """Command-line interface.
 
 Two subcommands cover the whole workflow: ``synth`` writes a synthetic
-dataset bundle and ``run`` executes the pipeline (``--stage`` stops it
-after the Voronoi overlays, matching or reconstruction). Flag precedence
+dataset bundle and ``run`` executes the whole pipeline. Flag precedence
 is CLI > config file > defaults.
 """
 
@@ -15,7 +14,7 @@ from dataclasses import fields
 
 from .errors import AvitrackError, ConfigError
 from .matching import ANCHORS
-from .pipeline import STAGES, PipelineConfig, run_pipeline
+from .pipeline import PipelineConfig, run_pipeline
 from .synthworld import MOTION_MODES, SceneConfig, generate
 from .tracking import ASSOCIATIONS
 
@@ -53,11 +52,10 @@ def pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     if args.input:
         config = config.for_bundle_dir(args.input)
     for name in ("detections_path", "keypoints_path", "landmarks_path", "calibration_path"):
-        if config.stage != "voronoi-overlay" or name in ("landmarks_path", "calibration_path"):
-            if not getattr(config, name):
-                raise ConfigError(
-                    f"missing required input {name}; pass --input or the explicit flag"
-                )
+        if not getattr(config, name):
+            raise ConfigError(
+                f"missing required input {name}; pass --input or the explicit flag"
+            )
     return config
 
 
@@ -111,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("--emit-frames")
     synth.set_defaults(func=_cmd_synth)
 
-    run = sub.add_parser("run", help="run the pipeline, in full or up to --stage")
+    run = sub.add_parser("run", help="run the whole pipeline")
     run.add_argument("--config", help="pipeline config JSON")
     run.add_argument("--input", help="dataset bundle directory (fills input paths)")
     add = _settings(run)
@@ -143,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("--gap-tolerance", "gap_tolerance_frames")
     add("--validate-bounds")
     add("--parallelism")
-    add("--stage", choices=STAGES)
     run.set_defaults(func=_cmd_run)
 
     return parser

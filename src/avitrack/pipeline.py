@@ -34,7 +34,7 @@ import numpy as np
 
 from . import dataio
 from .camera import DEFAULT_REPROJ_THRESHOLD_PX, CameraModel
-from .errors import ConfigError, IngestError
+from .errors import ConfigError, EmptyInputError, IngestError
 from .mask import CANNY_HIGH, CANNY_LOW, build_frame_mask, gate_keypoints, read_pgm
 from .matching import (
     ANCHORS,
@@ -61,8 +61,6 @@ from .tracking import (
 from .voronoi import LandmarkSet, build_bounded_diagram, render_overlay
 
 logger = logging.getLogger(__name__)
-
-STAGES = ("voronoi-overlay", "match", "reconstruct", "all")
 
 
 def _has_type(value, kind: type) -> bool:
@@ -93,7 +91,6 @@ class PipelineConfig:
 
     camera_pairs: list[list[str]] | None = None
     use_mask: bool = False
-    stage: str = "all"
 
     ratio: float = DEFAULT_RATIO
     min_support: int = DEFAULT_MIN_SUPPORT
@@ -137,7 +134,6 @@ class PipelineConfig:
                 raise ConfigError(f"{f.name} must be {expected}, got {value!r}")
         pairs = self.camera_pairs or []
         for name, ok, rule in (
-            ("stage", self.stage in STAGES, f"one of {STAGES}"),
             ("association", self.association in ASSOCIATIONS, f"one of {ASSOCIATIONS}"),
             ("landmark_anchor", self.landmark_anchor in ANCHORS, f"one of {ANCHORS}"),
             ("camera_pairs", all(len(pair) == len(set(pair)) == 2 for pair in pairs)
@@ -266,8 +262,7 @@ def _process_frame(run: _Run, frame: int) -> FrameResult:
     bounds = None
     if cfg.validate_bounds:
         bounds = (np.zeros(3), np.asarray(cfg.aviary_size, dtype=float))
-    # ``run --stage match`` reads no observation.
-    observations = [] if cfg.stage == "match" else reconstruct_frame(
+    observations = reconstruct_frame(
         frame,
         correspondences,
         run.centers,
@@ -365,17 +360,8 @@ def _observation_rows(frame: int, observations: list[Observation3D]) -> list[tup
     return rows
 
 
-def _write_overlays(out_dir: Path, landmarks: LandmarkSet) -> None:
-    """Make ``out_dir`` and write each landmark camera's Voronoi overlay."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for camera_id in landmarks.cameras():
-        diagram = build_bounded_diagram(landmarks, camera_id)
-        (out_dir / f"voronoi_{camera_id}.svg").write_text(render_overlay(diagram))
-    logger.info("wrote Voronoi overlays for %d cameras", len(landmarks.cameras()))
-
-
 def run_pipeline(config: PipelineConfig) -> dict:
-    """Execute the configured stages and write outputs; returns the report."""
+    """Run every stage and write every output; returns the report."""
     config.validate()
     logger.info("ingesting calibration from %s", config.calibration_path)
     cameras = dataio.read_calibration(config.calibration_path)
@@ -390,10 +376,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
             )
     image_sizes = {cam_id: cam.image_size for cam_id, cam in cameras.items()}
     landmarks = dataio.read_landmarks(config.landmarks_path, image_sizes)
-    out_dir = Path(config.output_dir)
-    if config.stage == "voronoi-overlay":
-        _write_overlays(out_dir, landmarks)
-        return {}
 
     # A camera without landmarks, or a bad detection, keypoint or frame,
     # fails before any output is written.
@@ -408,7 +390,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
     if config.use_mask:
         kept = apply_mask_stage(config, keypoints, detections, image_sizes=image_sizes)
         logger.info("mask stage kept %d of %d keypoints", len(kept), len(keypoints))
-    _write_overlays(out_dir, landmarks)
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for camera_id in landmarks.cameras():
+        diagram = build_bounded_diagram(landmarks, camera_id)
+        (out_dir / f"voronoi_{camera_id}.svg").write_text(render_overlay(diagram))
+    logger.info("wrote Voronoi overlays for %d cameras", len(landmarks.cameras()))
 
     # Every camera of the selected pairs is in table2, with or without keypoints.
     rows_by_frame: dict[int, dict[str, np.ndarray]] = {}
@@ -441,7 +428,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
         results = [_process_frame(run, frame) for frame in frames]
 
     summaries = [s for r in results for s in r.matches]
-    observations = [obs for r in results for obs in r.observations]
 
     truth = None
     if config.truth_path and config.match_truth_path:
@@ -462,22 +448,17 @@ def run_pipeline(config: PipelineConfig) -> dict:
         for (cam_a, cam_b), corrs in sorted(result.correspondences.items())
         for corr in corrs
     ])
-    if config.stage == "match":
-        dataio.write_metrics(out_dir / "metrics.json", report)
-        return report
-
-    if observations:
+    try:
         report["table4"] = reconstruction_stats(
             summaries, cameras, threshold_px=config.reproj_threshold_px
         )
+    except EmptyInputError:  # no kept keypoint pair reprojects
+        pass
     obs_rows = [
         row for result in results
         for row in _observation_rows(result.frame, result.observations)
     ]
     dataio.write_observations(out_dir / "observations.csv", obs_rows)
-    if config.stage == "reconstruct":
-        dataio.write_metrics(out_dir / "metrics.json", report)
-        return report
 
     # A stepped frame without observations counts a miss for each live track.
     track_rows = run_tracker(

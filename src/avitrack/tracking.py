@@ -204,13 +204,12 @@ class MultiObjectTracker:
     """Sequential tracking-by-detection over 3D observations.
 
     Feed frames in increasing order through :meth:`step`. Track ids are
-    assigned once and never reused; dead tracks are retained for output.
+    assigned once and never reused; a track that dies is dropped.
     """
 
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
         self.tracks: list[TrackState] = []
-        self.dead_tracks: list[TrackState] = []
         self._next_id = 1
         self._last_frame: int | None = None
 
@@ -277,22 +276,15 @@ class MultiObjectTracker:
                 status=status,
             )
 
-        survivors = []
-        for idx in range(len(self.tracks)):
-            track = updated[idx]
-            if track.status == DEAD:
-                self.dead_tracks.append(track)
-            else:
-                survivors.append(track)
+        survivors = [
+            updated[idx] for idx in range(len(self.tracks)) if updated[idx].status != DEAD
+        ]
 
         for obs_idx in unmatched_obs:
             survivors.append(self._spawn(observations[obs_idx]))
 
         self.tracks = survivors
         return list(self.tracks)
-
-    def all_tracks(self) -> list[TrackState]:
-        return self.dead_tracks + self.tracks
 
 
 def run_tracker(

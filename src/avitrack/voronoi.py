@@ -90,9 +90,6 @@ class LandmarkSet:
             raise NoLandmarksError(f"no landmarks registered for camera {camera_id!r}")
         return self._arrays[camera_id]
 
-    def count(self, camera_id: str) -> int:
-        return len(self._arrays[camera_id][0]) if camera_id in self._arrays else 0
-
 
 def nearest_landmark(landmarks: LandmarkSet, camera_id: str, query) -> int:
     """Id of the landmark nearest to ``query`` in this camera's view.

@@ -1,4 +1,4 @@
-"""End-to-end CLI tests: synth, run, stage limits, and error reporting."""
+"""End-to-end CLI tests: synth, run, its one set of outputs, and error reporting."""
 
 import argparse
 import csv
@@ -45,6 +45,14 @@ def masked_bundle(tmp_path_factory):
     bundle_dir = tmp_path_factory.mktemp("masked")
     generate(SceneConfig(seed=42, bird_count=5, duration_s=0.3, image_size=(320, 180),
                          emit_frames=True)).write(bundle_dir)
+    return bundle_dir
+
+
+@pytest.fixture(scope="module")
+def quickstart_bundle(tmp_path_factory):
+    """The README quickstart scene, cut to 0.5 s."""
+    bundle_dir = tmp_path_factory.mktemp("quickstart")
+    generate(SceneConfig(seed=42, bird_count=5, duration_s=0.5)).write(bundle_dir)
     return bundle_dir
 
 
@@ -109,6 +117,26 @@ class TestRun:
         assert report["schema_version"] == 2
         assert "table2" in report and "table5" in report
 
+    @pytest.mark.parametrize("case", ["quickstart", "one-pair", "masked", "no-keypoints"])
+    def test_run_writes_one_set_of_files(self, quickstart_bundle, masked_bundle, tmp_path,
+                                         case):
+        """``run`` has one path: every run writes the same files, one
+        Voronoi overlay per camera with landmarks."""
+        bundle = masked_bundle if case == "masked" else quickstart_bundle
+        flags = {"one-pair": ["--pair", "cam0,cam1"], "masked": ["--use-mask"]}.get(case, [])
+        if case == "no-keypoints":
+            keypoints = tmp_path / "keypoints.csv"
+            keypoints.write_text((bundle / "keypoints.csv").read_text().splitlines()[0] + "\n")
+            flags = ["--keypoints", str(keypoints)]
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(bundle), "--out", str(out), *flags]) == 0
+        with open(bundle / "landmarks.csv", newline="") as fh:
+            cameras = {row[0] for row in list(csv.reader(fh))[1:]}
+        assert sorted(path.name for path in out.iterdir()) == sorted([
+            "correspondences.csv", "metrics.json", "observations.csv", "tracks.csv",
+            "trajectories.svg", *(f"voronoi_{camera}.svg" for camera in cameras),
+        ])
+
     def test_missing_calibration_fails_with_path(self, small_bundle, tmp_path, capsys):
         code = main(
             [
@@ -162,30 +190,6 @@ class TestRun:
         err = capsys.readouterr().err
         assert f"error: {calibration}: camera {camera}: {field} " in err
         assert not out.exists()
-
-    def test_overlay_stage_emits_only_svgs(self, small_bundle, tmp_path):
-        out = tmp_path / "overlay_only"
-        code = main(
-            [
-                "run", "--input", str(small_bundle), "--out", str(out),
-                "--stage", "voronoi-overlay",
-            ]
-        )
-        assert code == 0
-        assert (out / "voronoi_cam0.svg").exists()
-        assert not (out / "tracks.csv").exists()
-        assert not (out / "metrics.json").exists()
-
-    def test_match_stage_reports_tables_2_and_3(self, small_bundle, tmp_path):
-        out = tmp_path / "match_only"
-        code = main(["run", "--input", str(small_bundle), "--out", str(out),
-                     "--stage", "match"])
-        assert code == 0
-        report = json.loads((out / "metrics.json").read_text())
-        assert "table2" in report
-        assert "table3" in report
-        assert "table4" not in report
-        assert not (out / "tracks.csv").exists()
 
     def test_explicit_pair_selection(self, small_bundle, tmp_path):
         out = tmp_path / "paired"
@@ -250,13 +254,14 @@ class TestRun:
     ], ids=["match", "reconstruct", "overlay", "stage-track", "mask-command",
             "track-command", "eval-command"])
     def test_stage_aliases_are_invalid_choices(self, tmp_path, capsys, argv):
-        """Each stage is reached through ``run --stage`` alone, and ``synth``
-        and ``run`` are the only commands: ``mask``, ``track`` and ``eval``
-        are unknown."""
+        """``synth`` and ``run`` are the only commands, and ``run`` has no
+        ``--stage``: it always runs every stage."""
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--input", str(tmp_path), "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
-        assert f"invalid choice: '{argv[-1]}'" in capsys.readouterr().err
+        expected = ("unrecognized arguments: --stage track" if argv[0] == "run"
+                    else f"invalid choice: '{argv[-1]}'")
+        assert expected in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("doc, message", [
@@ -334,15 +339,12 @@ class TestStandaloneCommands:
         self, sparse_bundle, tmp_path, tracker_flags
     ):
         """Each frame ``run`` steps has a row in observations.csv, so
-        tracking the positions of a ``--stage reconstruct`` run, frame by
-        frame, misses the same frames and coasts the same tracks as the
-        full run."""
+        tracking its positions, frame by frame, misses the same frames and
+        coasts the same tracks as the run."""
         flags = ["--input", str(sparse_bundle), "--validate-bounds", *tracker_flags]
         full = tmp_path / "full"
         assert main(["run", "--out", str(full), *flags]) == 0
-        staged = tmp_path / "staged"
-        assert main(["run", "--out", str(staged), "--stage", "reconstruct", *flags]) == 0
-        with open(staged / "observations.csv", newline="") as fh:
+        with open(full / "observations.csv", newline="") as fh:
             cells = list(csv.reader(fh))[1:]
         empty = [row for row in cells if row[1:] == ["0", "", "", "", "", ""]]
         assert len(empty) == 17 and len({row[0] for row in cells}) == 60
@@ -361,18 +363,24 @@ class TestStandaloneCommands:
         for name in ("tracks.csv", "trajectories.svg"):
             assert (tracked / name).read_bytes() == (full / name).read_bytes(), name
 
-    def test_overlay_stage_needs_no_bundle(self, small_bundle, tmp_path):
-        out = tmp_path / "overlays"
-        code = main(
-            [
-                "run", "--stage", "voronoi-overlay",
-                "--landmarks", str(small_bundle / "landmarks.csv"),
-                "--calibration", str(small_bundle / "calibration.json"),
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
-        assert (out / "voronoi_cam0.svg").exists()
+    def test_table4_does_not_need_observations(self, tmp_path):
+        """table4 reprojects the kept keypoint pairs, not the observations:
+        bounds that drop every observation leave it as it is."""
+        bundle = tmp_path / "bundle"
+        assert main(["synth", "--out", str(bundle), "--seed", "3", "--birds", "3",
+                     "--cameras", "3", "--duration", "0.5", "--descriptor-length", "8"]) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"aviary_size": [0.01, 0.01, 0.01]}))
+        table4 = {}
+        for name, flags in (("bounded", ["--validate-bounds"]), ("unbounded", [])):
+            out = tmp_path / name
+            assert main(["run", "--input", str(bundle), "--out", str(out),
+                         "--config", str(config), *flags]) == 0
+            table4[name] = json.loads((out / "metrics.json").read_text()).get("table4")
+        with open(tmp_path / "bounded" / "observations.csv", newline="") as fh:
+            assert all(row[2] == "" for row in list(csv.reader(fh))[1:])
+        assert table4["unbounded"]["total_keypoints"] == 294
+        assert table4["bounded"] == table4["unbounded"]
 
     @pytest.fixture
     def masked_bundle(self, tmp_path):

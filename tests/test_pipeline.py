@@ -98,7 +98,7 @@ class TestConfig:
         {"max_misses": 2.5},
         {"max_misses": True},  # a bool is not an int
         {"use_mask": 1},
-        {"stage": None},
+        {"association": None},
         {"camera_pairs": "cam0,cam1"},
         {"aviary_size": 4.0},
     ], ids=lambda doc: "-".join(f"{k}={v!r}" for k, v in doc.items()))
@@ -125,9 +125,10 @@ class TestConfig:
 
     def test_a_removed_setting_is_an_unknown_key(self, tmp_path):
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"fusion": "pairwise"}))
-        with pytest.raises(IngestError, match=r"unknown config keys: \['fusion'\]"):
-            PipelineConfig.from_file(config_path)
+        for name, value in (("fusion", "pairwise"), ("stage", "match")):
+            config_path.write_text(json.dumps({name: value}))
+            with pytest.raises(IngestError, match=rf"unknown config keys: \['{name}'\]"):
+                PipelineConfig.from_file(config_path)
 
     @pytest.mark.parametrize("name", [f.name for f in fields(PipelineConfig)])
     def test_every_field_is_type_checked(self, tmp_path, name):
@@ -162,7 +163,7 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PipelineConfig(ratio=1.5).validate()
         with pytest.raises(ConfigError):
-            PipelineConfig(stage="sometimes").validate()
+            PipelineConfig(association="sometimes").validate()
         with pytest.raises(ConfigError):
             PipelineConfig(parallelism=0).validate()
 
@@ -178,7 +179,7 @@ class TestConfig:
         {"camera_pairs": [["cam0", "cam0"]]},
         {"camera_pairs": [["cam0", "cam1"], ["cam1", "cam0"]]},
         {"camera_pairs": [["cam0", "cam1"], ["cam2", "cam1"], ["cam0", "cam1"]]},
-        {"stage": "track"},
+        {"landmark_anchor": "track"},
         {"use_mask": True},
         {"aviary_size": [4.0]},
         {"aviary_size": [4.0, 3.4]},
@@ -231,36 +232,10 @@ class TestRunPipeline:
 
     def test_mask_stage_runs(self, bundle_dir, tmp_path):
         config = PipelineConfig().for_bundle_dir(bundle_dir).with_overrides(
-            {"output_dir": str(tmp_path / "masked"), "use_mask": True, "stage": "match"}
+            {"output_dir": str(tmp_path / "masked"), "use_mask": True}
         )
         report = run_pipeline(config)
         assert "table2" in report
-
-    def test_match_stage_does_not_reconstruct(self, crowded_dir, tmp_path, monkeypatch):
-        frames = []
-        reconstruct_frame = pipeline.reconstruct_frame
-
-        def counted(frame, *args, **kwargs):
-            frames.append(frame)
-            return reconstruct_frame(frame, *args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "reconstruct_frame", counted)
-        base = PipelineConfig().for_bundle_dir(crowded_dir)
-        full = run_pipeline(base.with_overrides({"output_dir": str(tmp_path / "all")}))
-        assert frames
-        frames.clear()
-        run_pipeline(base.with_overrides(
-            {"output_dir": str(tmp_path / "match"), "stage": "match"}
-        ))
-        assert frames == []
-
-        def read(name):
-            return (tmp_path / name).read_bytes()
-
-        assert read("match/correspondences.csv") == read("all/correspondences.csv")
-        dataio.write_metrics(tmp_path / "expected.json",
-                             {table: full[table] for table in ("table2", "table3")})
-        assert read("match/metrics.json") == read("expected.json")
 
     def test_centres_undistorted_once_per_camera(self, quickstart_dir, tmp_path,
                                                    monkeypatch):

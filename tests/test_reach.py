@@ -33,7 +33,6 @@ PACKAGE = SRC / "avitrack"
 PIN = "pin: perfbench/spans.py wraps or iterates it (ROADMAP item 2, step 2)"
 POOL = "pool: runs only in pool workers"
 PICKLE = "pickling: runs only when an error crosses the process pool"
-ACCESSOR = "accessor: state that only tests read"
 
 
 def _criterion(number: int, what: str) -> str:
@@ -53,9 +52,7 @@ UNREACHED = {
     "avitrack.pipeline._init_worker": POOL,
     "avitrack.pipeline._process_frame_at": POOL,
     "avitrack.synthworld.truth_labels": _criterion(3, "takes the truth of a bundle in memory"),
-    "avitrack.tracking.MultiObjectTracker.all_tracks": ACCESSOR,
     "avitrack.tracking.predict": _criterion(7, "runs the Kalman prediction on its own"),
-    "avitrack.voronoi.LandmarkSet.count": ACCESSOR,
     "avitrack.voronoi.nearest_landmark": PIN,
     "avitrack.voronoi.polygon_contains": _criterion(1, "checks each cell against a grid"),
 }
@@ -143,8 +140,6 @@ def reached(tmp_path_factory) -> set[str]:
     commands = [
         [*run, "--out", str(out)],
         [*run, "--out", str(tmp / "masked"), "--use-mask"],
-        *[[*run, "--out", str(tmp / stage), "--stage", stage]
-          for stage in ("voronoi-overlay", "match", "reconstruct", "all")],
         [*run, "--out", str(tmp / "pair"), "--pair", "cam0,cam1"],
         [*run, "--out", str(tmp / "config"), "--config", str(config)],
         [*run, "--out", str(tmp / "options"), "--association", "optimal",
@@ -177,7 +172,7 @@ def test_unreached_functions_are_the_listed_ones(reached):
 
 
 def test_every_reason_is_a_known_one():
-    kinds = ("pin: ", "pool: ", "pickling: ", "accessor: ", "criterion ")
+    kinds = ("pin: ", "pool: ", "pickling: ", "criterion ")
     assert all(reason.startswith(kinds) for reason in UNREACHED.values())
 
 

@@ -137,7 +137,7 @@ class TestSelfConsistency:
     def test_landmarks_project_inside_all_views(self):
         bundle = generate(_small_config())
         for camera_id in sorted(bundle.cameras):
-            assert bundle.landmark_set.count(camera_id) == bundle.config.landmark_count
+            assert len(bundle.landmark_set.entries(camera_id)) == bundle.config.landmark_count
 
 
 class TestDescriptorAmbiguity:

@@ -1,5 +1,6 @@
 """Tests for the constant-acceleration Kalman filter and track lifecycle."""
 
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -12,7 +13,6 @@ from avitrack import tracking
 from avitrack.errors import SingularInnovationError
 from avitrack.tracking import (
     CONFIRMED,
-    DEAD,
     TENTATIVE,
     MultiObjectTracker,
     TrackState,
@@ -167,19 +167,34 @@ class TestLifecycle:
         tracker = MultiObjectTracker(TrackerConfig(max_misses=15))
         tracker.step(0, [np.zeros(3)])
         for frame in range(1, 15):
-            tracker.step(frame, [])
-            assert tracker.tracks, f"track died too early at frame {frame}"
-        tracker.step(15, [])
+            live = tracker.step(frame, [])
+            assert live, f"track died too early at frame {frame}"
+        assert [(t.track_id, t.misses) for t in live] == [(1, 14)]
+        assert tracker.step(15, []) == []
         assert tracker.tracks == []
-        assert tracker.dead_tracks[0].status == DEAD
 
     def test_track_ids_never_reused(self):
         tracker = MultiObjectTracker(TrackerConfig(max_misses=1))
-        tracker.step(0, [np.zeros(3)])
-        tracker.step(1, [])  # track 1 dies
-        tracker.step(2, [np.zeros(3)])
-        ids = [t.track_id for t in tracker.all_tracks()]
-        assert len(ids) == len(set(ids)) == 2
+        first = tracker.step(0, [np.zeros(3)])
+        assert tracker.step(1, []) == []  # track 1 dies
+        second = tracker.step(2, [np.zeros(3)])
+        assert [t.track_id for t in first + second] == [1, 2]
+
+    def test_memory_stays_flat_over_short_lived_tracks(self):
+        """Each frame's observation is 10 m from the last, so every frame
+        spawns a track and kills the one before it. A dead track is dropped:
+        2,000 more deaths hold no more memory (~1.4 KB each if kept)."""
+        tracker = MultiObjectTracker(TrackerConfig(max_misses=1))
+        held = []
+        tracemalloc.start()
+        try:
+            for frame in range(3000):
+                assert len(tracker.step(frame, [np.array([10.0 * frame, 0.0, 0.0])])) == 1
+                if frame + 1 in (1000, 3000):
+                    held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert held[1] - held[0] < 100_000
 
     def test_frames_must_increase(self):
         tracker = MultiObjectTracker()
@@ -219,10 +234,9 @@ _COORD = st.floats(0.0, 1.5, allow_nan=False)
 
 
 def _steps(config: TrackerConfig, stream: dict) -> list[list[TrackState]]:
-    """Each step's live tracks over ``stream`` in frame order, then all tracks."""
+    """Each step's live tracks over ``stream`` in frame order."""
     tracker = MultiObjectTracker(config)
-    live = [tracker.step(frame, stream[frame]) for frame in sorted(stream)]
-    return live + [tracker.all_tracks()]
+    return [tracker.step(frame, stream[frame]) for frame in sorted(stream)]
 
 
 def _assert_steps_match_reference(config: TrackerConfig, stream: dict):
@@ -272,10 +286,10 @@ class TestPredictOncePerStep:
         frames = sorted(rng.choice(60, size=30, replace=False).tolist())
         stream = {f: list(rng.uniform(0, 1.5, size=(rng.integers(0, 4), 3))) for f in frames}
         assert any(b - a > 1 for a, b in zip(frames, frames[1:]))
-        all_tracks = _assert_steps_match_reference(
-            TrackerConfig(max_misses=2, confirm_hits=2), stream
-        )[-1]
-        assert len(all_tracks) > 3 and any(t.status == DEAD for t in all_tracks)
+        steps = _assert_steps_match_reference(TrackerConfig(max_misses=2, confirm_hits=2), stream)
+        ids = [{t.track_id for t in live} for live in steps]
+        # Ids are never reused, so an id gone from the next step is a death.
+        assert len(set().union(*ids)) > 3 and any(a - b for a, b in zip(ids, ids[1:]))
 
     def test_nonpositive_dt_still_rejected(self):
         tracker = MultiObjectTracker(TrackerConfig(dt=0.0))

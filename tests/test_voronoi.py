@@ -143,8 +143,8 @@ class TestLandmarkSetValidation:
         landmarks = LandmarkSet({"cam0": (100, 80), "cam1": (100, 80)})
         landmarks.add("cam0", 1, (10.0, 10.0))
         landmarks.add("cam1", 1, (30.0, 30.0))
-        assert landmarks.count("cam0") == 1
-        assert landmarks.count("cam1") == 1
+        assert len(landmarks.entries("cam0")) == 1
+        assert len(landmarks.entries("cam1")) == 1
 
 
 class TestLandmarkArrays:
@@ -171,7 +171,7 @@ class TestLandmarkArrays:
             landmarks.add("cam0", 2**63, (50.0, 40.0))
         assert [gid for gid, _ in landmarks.entries("cam0")] == [-(2**63), 2**63 - 1]
         assert nearest_landmark(landmarks, "cam0", (80.0, 60.0)) == 2**63 - 1
-        assert landmarks.count("cam0") == 2
+        assert len(landmarks.entries("cam0")) == 2
 
     def test_queries_read_the_held_arrays(self, two_landmarks, monkeypatch):
         """Nearest-landmark queries and diagrams build nothing from entries."""
