@@ -12,7 +12,7 @@ from .matching import (
 )
 from .reconstruction import Observation3D, reconstruct_frame
 from .synthworld import DatasetBundle, SceneConfig, generate, truth_labels
-from .tracking import MultiObjectTracker, TrackerConfig, TrackState
+from .tracking import MultiObjectTracker, TrackerConfig
 from .voronoi import BoundedVoronoi, LandmarkSet, build_bounded_diagram, nearest_landmark
 
 __version__ = "0.1.0"
@@ -29,7 +29,6 @@ __all__ = [
     "MultiObjectTracker",
     "Observation3D",
     "SceneConfig",
-    "TrackState",
     "TrackerConfig",
     "build_bounded_diagram",
     "cluster_correspondences",

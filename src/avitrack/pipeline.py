@@ -462,7 +462,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
     # A stepped frame without observations counts a miss for each live track.
     track_rows = run_tracker(
-        {result.frame: [obs.position for obs in result.observations] for result in results},
+        {result.frame: np.array([obs.position for obs in result.observations]).reshape(-1, 3)
+         for result in results},
         config.tracker_config(),
     )
     dataio.write_tracks(out_dir / "tracks.csv", track_rows)

@@ -2,14 +2,16 @@
 
 State per track is [position, velocity, acceleration] in meters and
 metric derivatives; measurements are 3D positions from triangulation.
-Association is greedy nearest-neighbor with a Euclidean gate (an optimal
-assignment mode is available), and track lifecycle follows the usual
-tentative -> confirmed -> dead pattern.
+The live tracks are held as stacked arrays, so each step makes one
+Kalman prediction for all of them and one correction for the matched
+ones. Association is greedy nearest-neighbor with a Euclidean gate (an
+optimal assignment mode is available), and track lifecycle follows the
+usual tentative -> confirmed -> dead pattern.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +19,6 @@ from .errors import SingularInnovationError
 
 TENTATIVE = "tentative"
 CONFIRMED = "confirmed"
-DEAD = "dead"
 
 DEFAULT_FPS = 30.0
 DEFAULT_DT = 1.0 / DEFAULT_FPS
@@ -32,28 +33,6 @@ INIT_VELOCITY_SIGMA = 2.0     # m/s, prior spread of a new track's velocity
 INIT_ACCEL_SIGMA = 10.0       # m/s^2, and of its acceleration
 
 _H = np.hstack([np.eye(3), np.zeros((3, 6))])
-
-
-@dataclass(frozen=True)
-class TrackState:
-    """Kalman state and lifecycle counters."""
-
-    track_id: int
-    state: np.ndarray
-    covariance: np.ndarray
-    status: str = TENTATIVE
-    hits: int = 1
-    misses: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "state", np.asarray(self.state, dtype=float).reshape(9))
-        object.__setattr__(
-            self, "covariance", np.asarray(self.covariance, dtype=float).reshape(9, 9)
-        )
-
-    @property
-    def position(self) -> np.ndarray:
-        return self.state[:3]
 
 
 def transition_matrix(dt: float) -> np.ndarray:
@@ -81,112 +60,103 @@ def process_noise(dt: float, jerk_sigma: float) -> np.ndarray:
     return out
 
 
-def _symmetrize(matrix: np.ndarray) -> np.ndarray:
-    return (matrix + matrix.T) / 2.0
+def _symmetrize(matrices: np.ndarray) -> np.ndarray:
+    return (matrices + matrices.swapaxes(-1, -2)) / 2.0
+
+
+# Every product below is a stacked matmul, with column vectors for the states:
+# each track's slice gets the bits of the same product on that track alone.
 
 
 def predict(
-    track: TrackState, dt: float = DEFAULT_DT, jerk_sigma: float = DEFAULT_JERK_SIGMA
-) -> TrackState:
-    """Propagate state and covariance through ``dt`` seconds."""
-    return _predict_all([track], dt, jerk_sigma)[0]
-
-
-def _predict_all(
-    tracks: list[TrackState], dt: float, jerk_sigma: float
-) -> list[TrackState]:
-    """``predict`` for every track, building the motion model once."""
+    state: np.ndarray,
+    covariance: np.ndarray,
+    dt: float = DEFAULT_DT,
+    jerk_sigma: float = DEFAULT_JERK_SIGMA,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Propagate (n, 9) states and (n, 9, 9) covariances through ``dt`` seconds."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     f = transition_matrix(dt)
-    noise = process_noise(dt, jerk_sigma)
-    return [
-        replace(
-            track,
-            state=f @ track.state,
-            covariance=_symmetrize(f @ track.covariance @ f.T + noise),
-        )
-        for track in tracks
-    ]
+    return (
+        (f @ state[..., None])[..., 0],
+        _symmetrize(f @ covariance @ f.T + process_noise(dt, jerk_sigma)),
+    )
 
 
-def update(track: TrackState, measurement: np.ndarray, meas_cov: np.ndarray) -> TrackState:
-    """Kalman correction with a position-only measurement.
+def update(
+    state: np.ndarray,
+    covariance: np.ndarray,
+    measurements: np.ndarray,
+    meas_cov: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kalman correction of (m, 9) states and (m, 9, 9) covariances with
+    (m, 3) position measurements.
 
     Joseph-form covariance update keeps the posterior symmetric positive
-    semi-definite even for a zero measurement covariance.
+    semi-definite even for a zero measurement covariance. A near-singular
+    innovation covariance raises, naming the first such row's condition.
     """
-    z = np.asarray(measurement, dtype=float).reshape(3)
+    z = np.asarray(measurements, dtype=float).reshape(-1, 3, 1)
     r = np.asarray(meas_cov, dtype=float).reshape(3, 3)
-    innovation_cov = _H @ track.covariance @ _H.T + r
+    innovation_cov = _H @ covariance @ _H.T + r
     condition = np.linalg.cond(innovation_cov)
-    if not np.isfinite(condition) or condition > 1e12:
+    bad = ~np.isfinite(condition) | (condition > 1e12)
+    if bad.any():
         raise SingularInnovationError(
-            f"innovation covariance condition {condition:.3g} exceeds 1e12"
+            f"innovation covariance condition {condition[bad][0]:.3g} exceeds 1e12"
         )
-    gain = track.covariance @ _H.T @ np.linalg.inv(innovation_cov)
-    state = track.state + gain @ (z - _H @ track.state)
+    gain = covariance @ _H.T @ np.linalg.inv(innovation_cov)
+    x = state[..., None]
+    state = (x + gain @ (z - _H @ x))[..., 0]
     identity_kh = np.eye(9) - gain @ _H
     covariance = _symmetrize(
-        identity_kh @ track.covariance @ identity_kh.T + gain @ r @ gain.T
+        identity_kh @ covariance @ identity_kh.swapaxes(-1, -2)
+        + gain @ r @ gain.swapaxes(-1, -2)
     )
-    return replace(track, state=state, covariance=covariance)
+    return state, covariance
 
 
 def associate(
-    tracks: list[TrackState],
-    observations: list[np.ndarray],
+    predicted: np.ndarray,
+    observations: np.ndarray,
     gate: float = DEFAULT_GATE,
     method: str = DEFAULT_ASSOCIATION,
-) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """Assign observations to predicted track positions.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Assign (k, 3) observations to (n, 3) predicted track positions.
 
-    Returns (pairs of (track_idx, obs_idx), unmatched track indices,
-    unmatched observation indices). Greedy mode picks globally ascending
-    distances; "optimal" solves the assignment problem instead.
+    Returns the matched (track rows, observation rows) as two arrays, pair
+    by pair. Greedy mode takes the gated pairs by ascending distance, ties
+    by track then observation; "optimal" solves the assignment problem
+    instead and lists its pairs by track.
     """
     if gate <= 0:
         raise ValueError(f"gate must be positive, got {gate}")
-    if not tracks or not observations:
-        return [], list(range(len(tracks))), list(range(len(observations)))
-
-    predicted = np.array([t.position for t in tracks])
+    predicted = np.asarray(predicted, dtype=float).reshape(-1, 3)
     observed = np.asarray(observations, dtype=float).reshape(-1, 3)
     costs = np.linalg.norm(predicted[:, None, :] - observed[None, :, :], axis=2)
 
-    pairs: list[tuple[int, int]] = []
     if method == "optimal":
         from scipy.optimize import linear_sum_assignment
 
-        blocked = np.where(costs > gate, 1e9, costs)
-        rows, cols = linear_sum_assignment(blocked)
-        pairs = [
-            (int(r), int(c)) for r, c in zip(rows, cols) if costs[r, c] <= gate
-        ]
-    elif method == "greedy":
-        order = [
-            (costs[r, c], r, c)
-            for r in range(costs.shape[0])
-            for c in range(costs.shape[1])
-            if costs[r, c] <= gate
-        ]
-        order.sort()
-        used_tracks: set[int] = set()
-        used_obs: set[int] = set()
-        for _, r, c in order:
-            if r in used_tracks or c in used_obs:
-                continue
-            used_tracks.add(r)
-            used_obs.add(c)
-            pairs.append((r, c))
-    else:
+        rows, cols = linear_sum_assignment(np.where(costs > gate, 1e9, costs))
+        keep = costs[rows, cols] <= gate
+        return rows[keep], cols[keep]
+    if method != "greedy":
         raise ValueError(f"unknown association method {method!r}")
-
-    matched_tracks = {r for r, _ in pairs}
-    matched_obs = {c for _, c in pairs}
-    unmatched_tracks = [i for i in range(len(tracks)) if i not in matched_tracks]
-    unmatched_obs = [i for i in range(len(observations)) if i not in matched_obs]
-    return pairs, unmatched_tracks, unmatched_obs
+    rows, cols = np.nonzero(costs <= gate)
+    order = np.lexsort((cols, rows, costs[rows, cols]))
+    rows, cols = rows[order], cols[order]
+    used_tracks: set[int] = set()
+    used_obs: set[int] = set()
+    taken = []
+    for i, (r, c) in enumerate(zip(rows.tolist(), cols.tolist())):
+        if r in used_tracks or c in used_obs:
+            continue
+        used_tracks.add(r)
+        used_obs.add(c)
+        taken.append(i)
+    return rows[taken], cols[taken]
 
 
 @dataclass
@@ -200,41 +170,33 @@ class TrackerConfig:
     association: str = DEFAULT_ASSOCIATION
 
 
+_COLUMNS = ("ids", "state", "covariance", "confirmed", "hits", "misses")
+
+
 class MultiObjectTracker:
     """Sequential tracking-by-detection over 3D observations.
 
-    Feed frames in increasing order through :meth:`step`. Track ids are
-    assigned once and never reused; a track that dies is dropped.
+    Feed frames in increasing order through :meth:`step`. The live tracks
+    are the rows of ``ids`` (ascending), ``state`` (n, 9), ``covariance``
+    (n, 9, 9), ``confirmed``, ``hits`` and ``misses``. A track is confirmed
+    once its consecutive hits, counting the detection that spawned it,
+    reach ``confirm_hits``; it dies at its ``max_misses``-th consecutive
+    miss and is dropped. Track ids are assigned once and never reused.
     """
 
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
-        self.tracks: list[TrackState] = []
+        self.ids = np.zeros(0, dtype=np.int64)
+        self.state = np.zeros((0, 9))
+        self.covariance = np.zeros((0, 9, 9))
+        self.confirmed = np.zeros(0, dtype=bool)
+        self.hits = np.zeros(0, dtype=np.int64)
+        self.misses = np.zeros(0, dtype=np.int64)
         self._next_id = 1
         self._last_frame: int | None = None
 
-    def _spawn(self, position: np.ndarray) -> TrackState:
-        cfg = self.config
-        state = np.zeros(9)
-        state[:3] = position
-        covariance = np.diag(
-            [cfg.meas_sigma**2] * 3
-            + [INIT_VELOCITY_SIGMA**2] * 3
-            + [INIT_ACCEL_SIGMA**2] * 3
-        )
-        track = TrackState(
-            track_id=self._next_id,
-            state=state,
-            covariance=covariance,
-            status=TENTATIVE,
-            hits=1,
-            misses=0,
-        )
-        self._next_id += 1
-        return track
-
-    def step(self, frame: int, observations: list[np.ndarray]) -> list[TrackState]:
-        """Advance one frame; returns the live tracks after the update."""
+    def step(self, frame: int, observations: np.ndarray) -> None:
+        """Advance one frame with its (k, 3) observed positions."""
         if self._last_frame is not None and frame <= self._last_frame:
             raise ValueError(
                 f"frames must be strictly increasing: {frame} after {self._last_frame}"
@@ -243,61 +205,64 @@ class MultiObjectTracker:
         gap = 1 if self._last_frame is None else frame - self._last_frame
         self._last_frame = frame
 
-        observations = [np.asarray(z, dtype=float).reshape(3) for z in observations]
-        if self.tracks:
-            self.tracks = _predict_all(self.tracks, cfg.dt * gap, cfg.jerk_sigma)
+        observations = np.asarray(observations, dtype=float).reshape(-1, 3)
+        if len(self.ids):
+            self.state, self.covariance = predict(
+                self.state, self.covariance, cfg.dt * gap, cfg.jerk_sigma
+            )
 
-        pairs, unmatched_tracks, unmatched_obs = associate(
-            self.tracks, observations, gate=cfg.gate, method=cfg.association
+        rows, cols = associate(
+            self.state[:, :3], observations, gate=cfg.gate, method=cfg.association
         )
+        self.state[rows], self.covariance[rows] = update(
+            self.state[rows], self.covariance[rows], observations[cols],
+            (cfg.meas_sigma**2) * np.eye(3),
+        )
+        matched = np.zeros(len(self.ids), dtype=bool)
+        matched[rows] = True
+        self.hits = np.where(matched, self.hits + 1, 0)
+        self.misses = np.where(matched, 0, self.misses + 1)
+        self.confirmed |= matched & (self.hits >= cfg.confirm_hits)
+        # Only an unmatched track can die, so max_misses 0 acts as 1.
+        live = matched | (self.misses < cfg.max_misses)
+        for name in _COLUMNS:
+            setattr(self, name, getattr(self, name)[live])
 
-        meas_cov = (cfg.meas_sigma**2) * np.eye(3)
-        updated: dict[int, TrackState] = {}
-        for track_idx, obs_idx in pairs:
-            track = update(self.tracks[track_idx], observations[obs_idx], meas_cov)
-            hits = track.hits + 1
-            status = track.status
-            if status == TENTATIVE and hits >= cfg.confirm_hits:
-                status = CONFIRMED
-            updated[track_idx] = replace(
-                track,
-                hits=hits,
-                misses=0,
-                status=status,
-            )
-        for track_idx in unmatched_tracks:
-            track = self.tracks[track_idx]
-            misses = track.misses + 1
-            status = DEAD if misses >= cfg.max_misses else track.status
-            updated[track_idx] = replace(
-                track,
-                hits=0,
-                misses=misses,
-                status=status,
-            )
-
-        survivors = [
-            updated[idx] for idx in range(len(self.tracks)) if updated[idx].status != DEAD
-        ]
-
-        for obs_idx in unmatched_obs:
-            survivors.append(self._spawn(observations[obs_idx]))
-
-        self.tracks = survivors
-        return list(self.tracks)
+        new = np.delete(observations, cols, axis=0)
+        state = np.zeros((len(new), 9))
+        state[:, :3] = new
+        covariance = np.diag(
+            [cfg.meas_sigma**2] * 3
+            + [INIT_VELOCITY_SIGMA**2] * 3
+            + [INIT_ACCEL_SIGMA**2] * 3
+        )
+        spawn = {
+            "ids": self._next_id + np.arange(len(new)),
+            "state": state,
+            "covariance": np.broadcast_to(covariance, (len(new), 9, 9)),
+            "confirmed": np.full(len(new), cfg.confirm_hits <= 1),
+            "hits": np.ones(len(new), dtype=np.int64),
+            "misses": np.zeros(len(new), dtype=np.int64),
+        }
+        for name, column in spawn.items():
+            setattr(self, name, np.concatenate([getattr(self, name), column]))
+        self._next_id += len(new)
 
 
 def run_tracker(
-    observations_by_frame: dict[int, list[np.ndarray]],
+    observations_by_frame: dict[int, np.ndarray],
     config: TrackerConfig | None = None,
 ) -> list[tuple[int, int, str, np.ndarray]]:
-    """Track a whole observation stream; returns (frame, id, status, position) rows."""
+    """Track a whole stream of (k, 3) observed positions per frame; returns
+    (frame, id, status, position) rows, each frame's rows by ascending id."""
     tracker = MultiObjectTracker(config)
     rows = []
     for frame in sorted(observations_by_frame):
-        live = tracker.step(frame, observations_by_frame[frame])
-        for track in sorted(live, key=lambda t: t.track_id):
-            rows.append((frame, track.track_id, track.status, track.position.copy()))
+        tracker.step(frame, observations_by_frame[frame])
+        statuses = [CONFIRMED if c else TENTATIVE for c in tracker.confirmed.tolist()]
+        rows.extend(zip(
+            [frame] * len(statuses), tracker.ids.tolist(), statuses, tracker.state[:, :3].copy()
+        ))
     return rows
 
 

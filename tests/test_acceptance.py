@@ -16,7 +16,7 @@ from avitrack.mask import GrayFrame, canny_edges, lateral_fill
 from avitrack.metrics import GroundTruth, rejection_stats, tracking_metrics
 from avitrack.reconstruction import ideal_pixels, reconstruction_stats, triangulate_batch
 from avitrack.synthworld import SceneConfig, build_camera_rig, generate, truth_labels
-from avitrack.tracking import TrackState, predict, update
+from avitrack.tracking import predict, update
 from avitrack.voronoi import (
     LandmarkSet,
     build_bounded_diagram,
@@ -300,17 +300,15 @@ def test_criterion_7_kalman_correctness():
     for _ in range(10):
         start = rng.uniform(0.5, 3.0, size=3)
         velocity = rng.uniform(-2.0, 2.0, size=3)
-        track = TrackState(
-            track_id=1,
-            state=np.concatenate([start, np.zeros(6)]),
-            covariance=np.diag([1e-4] * 3 + [4.0] * 3 + [100.0] * 3),
-        )
+        # One-track stacks: (1, 9) state, (1, 9, 9) covariance, (1, 3) measurement.
+        state = np.concatenate([start, np.zeros(6)])[None]
+        covariance = np.diag([1e-4] * 3 + [4.0] * 3 + [100.0] * 3)[None]
         for step in range(1, 10):
             truth = start + velocity * step * dt
-            track = predict(track, dt=dt)
-            track = update(track, truth, zero_r)
+            state, covariance = predict(state, covariance, dt=dt)
+            state, covariance = update(state, covariance, truth[None], zero_r)
             if step >= 3:
-                assert np.linalg.norm(track.position - truth) <= 1e-9
+                assert np.linalg.norm(state[0, :3] - truth) <= 1e-9
 
     sigma = 0.05
     wins = 0
@@ -324,17 +322,14 @@ def test_criterion_7_kalman_correctness():
             t = step * dt
             truth.append(position + velocity * t + 0.5 * accel * t * t)
             observed.append(truth[-1] + run_rng.normal(0, sigma, size=3))
-        track = TrackState(
-            track_id=1,
-            state=np.concatenate([observed[0], np.zeros(6)]),
-            covariance=np.diag([sigma**2] * 3 + [4.0] * 3 + [100.0] * 3),
-        )
+        state = np.concatenate([observed[0], np.zeros(6)])[None]
+        covariance = np.diag([sigma**2] * 3 + [4.0] * 3 + [100.0] * 3)[None]
         meas_cov = sigma**2 * np.eye(3)
-        filtered = [track.position.copy()]
+        filtered = [state[0, :3].copy()]
         for z in observed[1:]:
-            track = predict(track, dt=dt)
-            track = update(track, z, meas_cov)
-            filtered.append(track.position.copy())
+            state, covariance = predict(state, covariance, dt=dt)
+            state, covariance = update(state, covariance, z[None], meas_cov)
+            filtered.append(state[0, :3].copy())
         truth_arr = np.array(truth)
         raw = np.sqrt(np.mean(np.sum((np.array(observed) - truth_arr) ** 2, axis=1)))
         filt = np.sqrt(np.mean(np.sum((np.array(filtered) - truth_arr) ** 2, axis=1)))

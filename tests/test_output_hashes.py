@@ -36,6 +36,10 @@ CASES = {
     "crowded-detection-center": ("crowded", ["--parallelism", "2", "--landmark-anchor",
                                              "detection_center", "--min-support", "1"]),
     "masked-use-mask": ("masked", ["--use-mask"]),
+    "crowded-optimal": ("crowded", ["--association", "optimal"]),
+    "crowded-tracker-flags": ("crowded", ["--max-misses", "2", "--gate", "0.3",
+                                          "--jerk-sigma", "5", "--confirm-hits", "4",
+                                          "--fps", "24"]),
 }
 # Small versions of the benchmark scenes: the quickstart (128-d), crowded
 # (8-d, pixel noise), masked (frames drawn) and look-alike birds.

@@ -52,7 +52,6 @@ UNREACHED = {
     "avitrack.pipeline._init_worker": POOL,
     "avitrack.pipeline._process_frame_at": POOL,
     "avitrack.synthworld.truth_labels": _criterion(3, "takes the truth of a bundle in memory"),
-    "avitrack.tracking.predict": _criterion(7, "runs the Kalman prediction on its own"),
     "avitrack.voronoi.nearest_landmark": PIN,
     "avitrack.voronoi.polygon_contains": _criterion(1, "checks each cell against a grid"),
 }

@@ -1,91 +1,100 @@
 """Tests for the constant-acceleration Kalman filter and track lifecycle."""
 
 import tracemalloc
-from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avitrack import tracking
+import tracking_reference as ref
 from avitrack.errors import SingularInnovationError
 from avitrack.tracking import (
     CONFIRMED,
     TENTATIVE,
     MultiObjectTracker,
-    TrackState,
     TrackerConfig,
     associate,
     predict,
-    process_noise,
     render_trajectories,
     run_tracker,
-    transition_matrix,
     update,
 )
 
 
 def _track(position=(0.0, 0.0, 0.0), velocity=(0.0, 0.0, 0.0),
-           accel=(0.0, 0.0, 0.0), var=1.0) -> TrackState:
+           accel=(0.0, 0.0, 0.0), var=1.0) -> tuple[np.ndarray, np.ndarray]:
+    """A one-track stack: (1, 9) state and (1, 9, 9) covariance."""
     state = np.concatenate([position, velocity, accel]).astype(float)
-    return TrackState(track_id=1, state=state, covariance=var * np.eye(9))
+    return state[None], var * np.eye(9)[None]
 
 
 class TestPredict:
     def test_at_rest_stays_put(self):
-        track = predict(_track(position=(1.0, 2.0, 3.0)), dt=0.5)
-        np.testing.assert_allclose(track.position, [1.0, 2.0, 3.0])
+        state, _ = predict(*_track(position=(1.0, 2.0, 3.0)), dt=0.5)
+        np.testing.assert_allclose(state[0, :3], [1.0, 2.0, 3.0])
 
     def test_linear_motion(self):
-        track = predict(_track(velocity=(3.0, 0.0, 0.0)), dt=1.0 / 30.0)
-        np.testing.assert_allclose(track.position, [0.1, 0.0, 0.0])
+        state, _ = predict(*_track(velocity=(3.0, 0.0, 0.0)), dt=1.0 / 30.0)
+        np.testing.assert_allclose(state[0, :3], [0.1, 0.0, 0.0])
 
     def test_acceleration_term(self):
-        track = predict(_track(accel=(2.0, 0.0, 0.0)), dt=1.0)
-        np.testing.assert_allclose(track.position, [1.0, 0.0, 0.0])
-        np.testing.assert_allclose(track.state[3:6], [2.0, 0.0, 0.0])  # velocity
+        state, _ = predict(*_track(accel=(2.0, 0.0, 0.0)), dt=1.0)
+        np.testing.assert_allclose(state[0, :3], [1.0, 0.0, 0.0])
+        np.testing.assert_allclose(state[0, 3:6], [2.0, 0.0, 0.0])  # velocity
 
     def test_covariance_trace_grows_with_noise(self):
         before = _track()
-        after = predict(before, dt=0.1, jerk_sigma=5.0)
-        assert np.trace(after.covariance) > np.trace(before.covariance)
+        _, after = predict(*before, dt=0.1, jerk_sigma=5.0)
+        assert np.trace(after[0]) > np.trace(before[1][0])
 
     def test_covariance_stays_symmetric(self):
-        track = _track()
+        state, covariance = _track()
         for _ in range(50):
-            track = predict(track, dt=1.0 / 30.0)
-        assert np.max(np.abs(track.covariance - track.covariance.T)) <= 1e-12
+            state, covariance = predict(state, covariance, dt=1.0 / 30.0)
+        assert np.max(np.abs(covariance[0] - covariance[0].T)) <= 1e-12
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
-            predict(_track(), dt=0.0)
+            predict(*_track(), dt=0.0)
 
 
 class TestUpdate:
     def test_exact_measurement_snaps_position(self):
         """R -> 0 makes the posterior position equal the measurement."""
-        track = update(_track(), [1.0, -2.0, 0.5], 1e-12 * np.eye(3))
-        np.testing.assert_allclose(track.position, [1.0, -2.0, 0.5], atol=1e-6)
+        state, _ = update(*_track(), [[1.0, -2.0, 0.5]], 1e-12 * np.eye(3))
+        np.testing.assert_allclose(state[0, :3], [1.0, -2.0, 0.5], atol=1e-6)
 
     def test_zero_innovation_keeps_position_and_shrinks_covariance(self):
-        before = _track(position=(1.0, 1.0, 1.0))
-        after = update(before, [1.0, 1.0, 1.0], 0.1 * np.eye(3))
-        np.testing.assert_allclose(after.position, before.position, atol=1e-12)
-        pos_before = before.covariance[:3, :3]
-        pos_after = after.covariance[:3, :3]
-        eigenvalues = np.linalg.eigvalsh(pos_before - pos_after)
+        before_state, before_cov = _track(position=(1.0, 1.0, 1.0))
+        state, covariance = update(before_state, before_cov, [[1.0, 1.0, 1.0]],
+                                   0.1 * np.eye(3))
+        np.testing.assert_allclose(state[0, :3], before_state[0, :3], atol=1e-12)
+        eigenvalues = np.linalg.eigvalsh(before_cov[0, :3, :3] - covariance[0, :3, :3])
         assert np.min(eigenvalues) >= -1e-9
 
     def test_singular_innovation_raises(self):
-        track = TrackState(track_id=1, state=np.zeros(9), covariance=np.zeros((9, 9)))
         with pytest.raises(SingularInnovationError):
-            update(track, [0.0, 0.0, 0.0], np.zeros((3, 3)))
+            update(np.zeros((1, 9)), np.zeros((1, 9, 9)), [[0.0, 0.0, 0.0]],
+                   np.zeros((3, 3)))
+
+    def test_first_singular_row_is_named(self):
+        """Rows 1 and 2 are near-singular with different conditions: the
+        error names row 1's, as the per-track loop over pairs does."""
+        covariance = np.stack([np.eye(9), np.diag([1.0, 1.0, 1e-14] + [1.0] * 6),
+                               np.diag([1.0, 1.0, 1e-15] + [1.0] * 6)])
+        tracks = [ref.TrackState(i, np.zeros(9), c) for i, c in enumerate(covariance)]
+        with pytest.raises(SingularInnovationError) as expected:
+            for track in tracks:
+                ref.update(track, np.zeros(3), np.zeros((3, 3)))
+        with pytest.raises(SingularInnovationError) as got:
+            update(np.zeros((3, 9)), covariance, np.zeros((3, 3)), np.zeros((3, 3)))
+        assert str(got.value) == str(expected.value)
+        assert "1e+14" in str(got.value)
 
     def test_posterior_psd_with_zero_measurement_noise(self):
-        track = update(_track(), [0.3, 0.1, -0.2], np.zeros((3, 3)))
-        assert np.min(np.linalg.eigvalsh(track.covariance)) >= -1e-9
+        _, covariance = update(*_track(), [[0.3, 0.1, -0.2]], np.zeros((3, 3)))
+        assert np.min(np.linalg.eigvalsh(covariance[0])) >= -1e-9
 
 
 class TestNoiselessConvergence:
@@ -94,91 +103,118 @@ class TestNoiselessConvergence:
         dt = 1.0 / 30.0
         velocity = np.array([1.0, -0.5, 0.25])
         start = np.array([0.2, 0.3, 0.4])
-        track = TrackState(
-            track_id=1,
-            state=np.concatenate([start, np.zeros(6)]),
-            covariance=np.diag([1e-4] * 3 + [4.0] * 3 + [100.0] * 3),
-        )
+        state = np.concatenate([start, np.zeros(6)])[None]
+        covariance = np.diag([1e-4] * 3 + [4.0] * 3 + [100.0] * 3)[None]
         zero_r = np.zeros((3, 3))
         for step in range(1, 12):
             truth = start + velocity * (step * dt)
-            track = predict(track, dt=dt)
-            track = update(track, truth, zero_r)
+            state, covariance = predict(state, covariance, dt=dt)
+            state, covariance = update(state, covariance, truth[None], zero_r)
             if step >= 3:
-                assert np.linalg.norm(track.position - truth) <= 1e-9
+                assert np.linalg.norm(state[0, :3] - truth) <= 1e-9
+
+
+def _pairs(rows, cols) -> list[tuple[int, int]]:
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 class TestAssociate:
     def test_close_pair_matches(self):
-        pairs, unmatched_tracks, unmatched_obs = associate(
-            [_track()], [np.array([0.1, 0.0, 0.0])], gate=0.5
-        )
-        assert pairs == [(0, 0)]
-        assert unmatched_tracks == [] and unmatched_obs == []
+        rows, cols = associate(np.zeros((1, 3)), [[0.1, 0.0, 0.0]], gate=0.5)
+        assert _pairs(rows, cols) == [(0, 0)]
 
     def test_beyond_gate_unmatched(self):
-        pairs, unmatched_tracks, unmatched_obs = associate(
-            [_track()], [np.array([0.9, 0.0, 0.0])], gate=0.5
-        )
-        assert pairs == []
-        assert unmatched_tracks == [0] and unmatched_obs == [0]
+        rows, cols = associate(np.zeros((1, 3)), [[0.9, 0.0, 0.0]], gate=0.5)
+        assert _pairs(rows, cols) == []
 
     def test_greedy_takes_globally_smallest_first(self):
-        """Crossed costs {0.1, 0.2, 0.3, 0.05}: picks 0.05, then 0.2."""
-        tracks = [
-            _track(position=(0.0, 0.0, 0.0)),
-            _track(position=(1.0, 0.0, 0.0)),
-        ]
-        observations = [
-            np.array([0.1, 0.0, 0.0]),    # d(t0)=0.1, d(t1)=0.9 -> not used
-            np.array([1.05, 0.0, 0.0]),   # d(t0)=1.05, d(t1)=0.05
-        ]
-        # Tune positions so costs are {0.1, 1.05 (gated), 0.9 (gated), 0.05}.
-        pairs, _, _ = associate(tracks, observations, gate=0.5)
-        assert (1, 1) in pairs
-        assert (0, 0) in pairs
+        """Costs {0.1, 1.05 (gated), 0.9 (gated), 0.05}: picks 0.05, then 0.1."""
+        predicted = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        observations = np.array([[0.1, 0.0, 0.0], [1.05, 0.0, 0.0]])
+        rows, cols = associate(predicted, observations, gate=0.5)
+        assert _pairs(rows, cols) == [(1, 1), (0, 0)]
 
     def test_optimal_mode_available(self):
-        tracks = [_track(position=(0.0, 0.0, 0.0)), _track(position=(1.0, 0.0, 0.0))]
-        observations = [np.array([0.4, 0.0, 0.0]), np.array([0.6, 0.0, 0.0])]
-        greedy_pairs, _, _ = associate(tracks, observations, gate=2.0, method="greedy")
-        optimal_pairs, _, _ = associate(tracks, observations, gate=2.0, method="optimal")
+        predicted = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        observations = np.array([[0.4, 0.0, 0.0], [0.6, 0.0, 0.0]])
+        greedy = associate(predicted, observations, gate=2.0, method="greedy")
+        optimal = associate(predicted, observations, gate=2.0, method="optimal")
         # Greedy grabs (0 -> 0.4) first; optimal minimizes the total cost.
-        assert sorted(greedy_pairs) == [(0, 0), (1, 1)]
-        assert sorted(optimal_pairs) == [(0, 0), (1, 1)]
+        assert sorted(_pairs(*greedy)) == [(0, 0), (1, 1)]
+        assert sorted(_pairs(*optimal)) == [(0, 0), (1, 1)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        predicted=st.lists(st.tuples(*[st.integers(0, 3)] * 3), max_size=6),
+        observed=st.lists(st.tuples(*[st.integers(0, 3)] * 3), max_size=6),
+        gate=st.sampled_from([0.3, 0.5, 1.0]),
+        method=st.sampled_from(["greedy", "optimal"]),
+    )
+    def test_matches_reference(self, predicted, observed, gate, method):
+        """Points on a 0.25-m grid tie often: the pairs, in pair order, are
+        those of the sorted list of (cost, track, observation) tuples."""
+        predicted = 0.25 * np.array(predicted, dtype=float).reshape(-1, 3)
+        observed = 0.25 * np.array(observed, dtype=float).reshape(-1, 3)
+        tracks = [ref.TrackState(i, np.concatenate([p, np.zeros(6)]), np.eye(9))
+                  for i, p in enumerate(predicted)]
+        expected, _, _ = ref.associate(tracks, list(observed), gate, method)
+        assert _pairs(*associate(predicted, observed, gate, method)) == expected
 
 
 class TestLifecycle:
     def test_observations_spawn_tentative_tracks(self):
         tracker = MultiObjectTracker()
-        live = tracker.step(0, [np.zeros(3), np.ones(3), 2 * np.ones(3)])
-        assert len(live) == 3
-        assert all(t.status == TENTATIVE for t in live)
-        assert sorted(t.track_id for t in live) == [1, 2, 3]
+        tracker.step(0, [np.zeros(3), np.ones(3), 2 * np.ones(3)])
+        assert tracker.ids.tolist() == [1, 2, 3]
+        assert not tracker.confirmed.any()
 
     def test_confirmation_after_consecutive_hits(self):
         tracker = MultiObjectTracker(TrackerConfig(confirm_hits=3))
         tracker.step(0, [np.zeros(3)])
         tracker.step(1, [np.zeros(3)])
-        live = tracker.step(2, [np.zeros(3)])
-        assert live[0].status == CONFIRMED
+        assert tracker.confirmed.tolist() == [False]
+        tracker.step(2, [np.zeros(3)])
+        assert tracker.confirmed.tolist() == [True]
+
+    def test_one_hit_confirms_at_the_spawn(self):
+        """The spawning detection counts as the first hit, so confirm_hits 1
+        confirms on the spawn frame and 2 one frame later."""
+        stream = {frame: np.zeros((1, 3)) for frame in range(3)}
+        statuses = {
+            hits: [status for _, _, status, _ in run_tracker(stream, TrackerConfig(confirm_hits=hits))]
+            for hits in (1, 2)
+        }
+        assert statuses[1] == [CONFIRMED] * 3
+        assert statuses[2] == [TENTATIVE, CONFIRMED, CONFIRMED]
 
     def test_death_after_max_misses(self):
         tracker = MultiObjectTracker(TrackerConfig(max_misses=15))
         tracker.step(0, [np.zeros(3)])
         for frame in range(1, 15):
-            live = tracker.step(frame, [])
-            assert live, f"track died too early at frame {frame}"
-        assert [(t.track_id, t.misses) for t in live] == [(1, 14)]
-        assert tracker.step(15, []) == []
-        assert tracker.tracks == []
+            tracker.step(frame, [])
+            assert len(tracker.ids), f"track died too early at frame {frame}"
+        assert list(zip(tracker.ids.tolist(), tracker.misses.tolist())) == [(1, 14)]
+        tracker.step(15, [])
+        assert tracker.ids.tolist() == []
+        assert tracker.state.shape == (0, 9) and tracker.covariance.shape == (0, 9, 9)
+
+    def test_matched_track_survives_max_misses_zero(self):
+        """Only an unmatched track can die, so max_misses 0 acts as 1."""
+        tracker = MultiObjectTracker(TrackerConfig(max_misses=0))
+        tracker.step(0, [np.zeros(3)])
+        tracker.step(1, [np.zeros(3)])
+        assert tracker.ids.tolist() == [1]
+        tracker.step(2, [])
+        assert tracker.ids.tolist() == []
 
     def test_track_ids_never_reused(self):
         tracker = MultiObjectTracker(TrackerConfig(max_misses=1))
-        first = tracker.step(0, [np.zeros(3)])
-        assert tracker.step(1, []) == []  # track 1 dies
-        second = tracker.step(2, [np.zeros(3)])
-        assert [t.track_id for t in first + second] == [1, 2]
+        tracker.step(0, [np.zeros(3)])
+        assert tracker.ids.tolist() == [1]
+        tracker.step(1, [])  # track 1 dies
+        assert tracker.ids.tolist() == []
+        tracker.step(2, [np.zeros(3)])
+        assert tracker.ids.tolist() == [2]
 
     def test_memory_stays_flat_over_short_lived_tracks(self):
         """Each frame's observation is 10 m from the last, so every frame
@@ -189,7 +225,8 @@ class TestLifecycle:
         tracemalloc.start()
         try:
             for frame in range(3000):
-                assert len(tracker.step(frame, [np.array([10.0 * frame, 0.0, 0.0])])) == 1
+                tracker.step(frame, [np.array([10.0 * frame, 0.0, 0.0])])
+                assert len(tracker.ids) == 1
                 if frame + 1 in (1000, 3000):
                     held.append(tracemalloc.get_traced_memory()[0])
         finally:
@@ -205,8 +242,7 @@ class TestLifecycle:
     def test_deterministic_over_identical_streams(self):
         rng = np.random.default_rng(10)
         stream = {
-            frame: [rng.uniform(0, 2, size=3) for _ in range(rng.integers(0, 4))]
-            for frame in range(40)
+            frame: rng.uniform(0, 2, size=(rng.integers(0, 4), 3)) for frame in range(40)
         }
         first = run_tracker(stream)
         second = run_tracker(stream)
@@ -216,46 +252,38 @@ class TestLifecycle:
             np.testing.assert_array_equal(row_a[3], row_b[3])
 
 
-def _reference_predict(track: TrackState, dt: float, jerk_sigma: float) -> TrackState:
-    """``predict`` as it was: the motion model rebuilt for every track."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    f = transition_matrix(dt)
-    state = f @ track.state
-    covariance = f @ track.covariance @ f.T + process_noise(dt, jerk_sigma)
-    return replace(track, state=state, covariance=(covariance + covariance.T) / 2.0)
-
-
-def _reference_predict_all(tracks, dt, jerk_sigma):
-    return [_reference_predict(t, dt, jerk_sigma) for t in tracks]
-
-
 _COORD = st.floats(0.0, 1.5, allow_nan=False)
 
 
-def _steps(config: TrackerConfig, stream: dict) -> list[list[TrackState]]:
-    """Each step's live tracks over ``stream`` in frame order."""
+def _assert_steps_match_reference(config: TrackerConfig, stream: dict) -> list[list[int]]:
+    """Steps the stacked tracker and the per-track reference over ``stream``
+    and compares every step's tracks, bit for bit, and the ``run_tracker``
+    rows; returns each step's live ids."""
     tracker = MultiObjectTracker(config)
-    return [tracker.step(frame, stream[frame]) for frame in sorted(stream)]
-
-
-def _assert_steps_match_reference(config: TrackerConfig, stream: dict):
-    got = _steps(config, stream)
-    with mock.patch.object(tracking, "_predict_all", _reference_predict_all):
-        expected = _steps(config, stream)
-    assert len(got) == len(expected)
-    for tracks, reference in zip(got, expected):
-        assert [(t.track_id, t.status, t.hits, t.misses) for t in tracks] == [
-            (t.track_id, t.status, t.hits, t.misses) for t in reference
+    reference = ref.ReferenceTracker(config)
+    ids = []
+    for frame in sorted(stream):
+        tracker.step(frame, stream[frame])
+        expected = reference.step(frame, list(stream[frame]))
+        statuses = [CONFIRMED if c else TENTATIVE for c in tracker.confirmed]
+        assert list(zip(tracker.ids.tolist(), statuses, tracker.hits.tolist(),
+                        tracker.misses.tolist())) == [
+            (t.track_id, t.status, t.hits, t.misses) for t in expected
         ]
-        for track, ref in zip(tracks, reference):
-            assert track.state.tobytes() == ref.state.tobytes()
-            assert track.covariance.tobytes() == ref.covariance.tobytes()
-    return got
+        assert tracker.state.shape == (len(expected), 9)
+        for state, covariance, track in zip(tracker.state, tracker.covariance, expected):
+            assert state.tobytes() == track.state.tobytes()
+            assert covariance.tobytes() == track.covariance.tobytes()
+        ids.append(tracker.ids.tolist())
+    got = run_tracker(stream, config)
+    want = ref.run_tracker({f: list(z) for f, z in stream.items()}, config)
+    assert [row[:3] for row in got] == [row[:3] for row in want]
+    assert all(a[3].tobytes() == b[3].tobytes() for a, b in zip(got, want))
+    return ids
 
 
-class TestPredictOncePerStep:
-    """``step`` builds the motion model once and equals the per-track loop."""
+class TestMatchesPerTrackReference:
+    """The stacked tracker equals the per-track loop of ``tracking_reference``."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -267,12 +295,13 @@ class TestPredictOncePerStep:
         confirm_hits=st.integers(1, 4),
         association=st.sampled_from(["greedy", "optimal"]),
     )
-    def test_matches_per_track_predict(
+    def test_random_streams(
         self, frames, data, fps, jerk_sigma, max_misses, confirm_hits, association
     ):
         stream = {
-            frame: [np.array(p) for p in data.draw(
-                st.lists(st.tuples(_COORD, _COORD, _COORD), max_size=4))]
+            frame: np.array(data.draw(
+                st.lists(st.tuples(_COORD, _COORD, _COORD), max_size=4)
+            ), dtype=float).reshape(-1, 3)
             for frame in frames
         }
         config = TrackerConfig(dt=1.0 / fps, jerk_sigma=jerk_sigma, gate=0.5,
@@ -284,10 +313,10 @@ class TestPredictOncePerStep:
         """A fixed stream of the kind drawn above, checked to exercise both."""
         rng = np.random.default_rng(5)
         frames = sorted(rng.choice(60, size=30, replace=False).tolist())
-        stream = {f: list(rng.uniform(0, 1.5, size=(rng.integers(0, 4), 3))) for f in frames}
+        stream = {f: rng.uniform(0, 1.5, size=(rng.integers(0, 4), 3)) for f in frames}
         assert any(b - a > 1 for a, b in zip(frames, frames[1:]))
         steps = _assert_steps_match_reference(TrackerConfig(max_misses=2, confirm_hits=2), stream)
-        ids = [{t.track_id for t in live} for live in steps]
+        ids = [set(live) for live in steps]
         # Ids are never reused, so an id gone from the next step is a death.
         assert len(set().union(*ids)) > 3 and any(a - b for a, b in zip(ids, ids[1:]))
 
@@ -336,17 +365,14 @@ class TestFilterBeatsRawObservations:
                 t = step * dt
                 truth.append(position + velocity * t + 0.5 * accel * t * t)
                 observed.append(truth[-1] + rng.normal(0, sigma, size=3))
-            track = TrackState(
-                track_id=1,
-                state=np.concatenate([observed[0], np.zeros(6)]),
-                covariance=np.diag([sigma**2] * 3 + [4.0] * 3 + [100.0] * 3),
-            )
+            state = np.concatenate([observed[0], np.zeros(6)])[None]
+            covariance = np.diag([sigma**2] * 3 + [4.0] * 3 + [100.0] * 3)[None]
             meas_cov = sigma**2 * np.eye(3)
-            filtered = [track.position.copy()]
+            filtered = [state[0, :3].copy()]
             for z in observed[1:]:
-                track = predict(track, dt=dt)
-                track = update(track, z, meas_cov)
-                filtered.append(track.position.copy())
+                state, covariance = predict(state, covariance, dt=dt)
+                state, covariance = update(state, covariance, z[None], meas_cov)
+                filtered.append(state[0, :3].copy())
             truth_arr = np.array(truth)
             raw_rmse = np.sqrt(np.mean(np.sum((np.array(observed) - truth_arr) ** 2, axis=1)))
             filt_rmse = np.sqrt(np.mean(np.sum((np.array(filtered) - truth_arr) ** 2, axis=1)))
