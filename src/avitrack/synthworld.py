@@ -111,9 +111,14 @@ class SceneConfig:
                 ok = type(value) is type(f.default)
             if not ok:
                 raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
-            if isinstance(value, (float, tuple, list, np.ndarray)) and not np.all(
-                np.isfinite(np.asarray(value, dtype=float))
-            ):
+            if not (isinstance(value, (float, tuple, list, np.ndarray))
+                    or kind == "a number" and not unset):
+                continue
+            try:
+                finite = np.all(np.isfinite(np.asarray(value, dtype=float)))
+            except OverflowError:  # an int too large for a float
+                finite = False
+            if not finite:
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
         kmin, kmax = self.keypoints_per_detection
         for ok, problem in (

@@ -1,10 +1,9 @@
 """Landmark sets and bounded Voronoi tessellation of the image frame.
 
 Every image point belongs to the cell of its nearest landmark (Euclidean
-distance, ties to the lowest landmark id). Cells are made finite by
-padding the frame on each side by the image diagonal and ringing the
-padded rectangle with virtual sites, so each real landmark's cell closes
-well outside the frame before it is clipped back to the image rectangle.
+distance, ties to the lowest landmark id). A landmark's cell is the image
+rectangle cut by the perpendicular bisector against every other landmark,
+so it is finite and inside the frame by construction.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoLandmarksError
-
-VIRTUAL_SITE_COUNT = 16
 
 _CLIP_EPS = 1e-9
 
@@ -159,37 +156,9 @@ def polygon_contains(polygon: np.ndarray, points: np.ndarray, tol: float = 1e-9)
     return inside
 
 
-def _virtual_sites(w: float, h: float, pad: float) -> np.ndarray:
-    """Evenly spaced sites along the boundary of the padded rectangle."""
-    corners = np.array(
-        [
-            [-pad, -pad],
-            [w + pad, -pad],
-            [w + pad, h + pad],
-            [-pad, h + pad],
-        ]
-    )
-    lengths = [w + 2 * pad, h + 2 * pad, w + 2 * pad, h + 2 * pad]
-    cumulative = [0.0, lengths[0], lengths[0] + lengths[1], sum(lengths[:3])]
-    perimeter = sum(lengths)
-    sites = []
-    for i in range(VIRTUAL_SITE_COUNT):
-        s = perimeter * i / VIRTUAL_SITE_COUNT
-        side = 3
-        for k in range(3):
-            if s < cumulative[k + 1]:
-                side = k
-                break
-        a = corners[side]
-        b = corners[(side + 1) % 4]
-        t = (s - cumulative[side]) / lengths[side]
-        sites.append(a + t * (b - a))
-    return np.asarray(sites)
-
-
 @dataclass(frozen=True)
 class BoundedVoronoi:
-    """Finite Voronoi cells of real landmark sites, clipped to the frame.
+    """The Voronoi cells of the landmark sites within the image frame.
 
     ``cells[i]`` is the CCW vertex array of the cell of ``site_ids[i]``.
     Together the cells tile the image rectangle.
@@ -199,51 +168,28 @@ class BoundedVoronoi:
     image_size: tuple[int, int]
     site_ids: tuple[int, ...]
     sites: np.ndarray
-    virtual_sites: np.ndarray
     cells: tuple[np.ndarray, ...]
 
 
 def build_bounded_diagram(landmarks: LandmarkSet, camera_id: str) -> BoundedVoronoi:
     """Tessellate one camera's frame by its landmarks.
 
-    Each real site's cell starts as the padded rectangle and is cut by the
-    perpendicular-bisector half-plane against every other site, real and
-    virtual, then clipped to the image rectangle. O(n^2) in the site count,
-    which stays small for landmark use.
+    Each site's cell starts as the image rectangle and is cut by the
+    perpendicular-bisector half-plane against every other site. O(n^2) in
+    the site count, which stays small for landmark use.
     """
     ids, sites = landmarks.arrays(camera_id)
     w, h = landmarks.image_sizes[camera_id]
-    pad = math.hypot(w, h)
-    virtual = _virtual_sites(float(w), float(h), pad)
-    all_sites = np.vstack([sites, virtual])
-
-    padded_rect = np.array(
-        [
-            [-pad, -pad],
-            [w + pad, -pad],
-            [w + pad, h + pad],
-            [-pad, h + pad],
-        ]
-    )
-    frame_halfplanes = [
-        (np.array([-1.0, 0.0]), 0.0),
-        (np.array([1.0, 0.0]), float(w)),
-        (np.array([0.0, -1.0]), 0.0),
-        (np.array([0.0, 1.0]), float(h)),
-    ]
+    frame = np.array([[0.0, 0.0], [w, 0.0], [w, h], [0.0, h]])
 
     cells = []
     for i, site in enumerate(sites):
-        poly = padded_rect
-        for j, other in enumerate(all_sites):
+        poly = frame
+        for j, other in enumerate(sites):
             if j == i:
                 continue
             normal = other - site
             offset = float(normal @ (site + other)) / 2.0
-            poly = clip_polygon_halfplane(poly, normal, offset)
-            if len(poly) == 0:
-                break
-        for normal, offset in frame_halfplanes:
             poly = clip_polygon_halfplane(poly, normal, offset)
             if len(poly) == 0:
                 break
@@ -256,7 +202,6 @@ def build_bounded_diagram(landmarks: LandmarkSet, camera_id: str) -> BoundedVoro
         image_size=(w, h),
         site_ids=tuple(ids.tolist()),
         sites=sites,
-        virtual_sites=virtual,
         cells=tuple(cells),
     )
 

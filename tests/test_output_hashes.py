@@ -12,7 +12,8 @@ re-records both files with
 
     PYTHONPATH=src python tests/test_output_hashes.py
 
-and says so in CHANGES.md.
+which prints each (file, case, output) whose hash it changes, and says so
+in CHANGES.md.
 """
 
 import hashlib
@@ -105,6 +106,11 @@ if __name__ == "__main__":
                   for case, (scene, flags) in sorted(CASES.items())}
         bundles = {scene: bundle_hashes(config, work / f"bundle-{scene}")
                    for scene, config in sorted(BUNDLE_SCENES.items())}
-    HASHES.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    BUNDLE_HASHES.write_text(json.dumps(bundles, indent=1, sort_keys=True) + "\n")
+    for path, hashes in ((HASHES, record), (BUNDLE_HASHES, bundles)):
+        old = json.loads(path.read_text()) if path.exists() else {}
+        for case, files in hashes.items():
+            for name in sorted(files.keys() | old.get(case, {}).keys()):
+                if files.get(name) != old.get(case, {}).get(name):
+                    print(f"changed: {path.name} {case} {name}", file=sys.stderr)
+        path.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
     print(f"wrote {HASHES} and {BUNDLE_HASHES}", file=sys.stderr)

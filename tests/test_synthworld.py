@@ -3,7 +3,7 @@
 import math
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -281,6 +281,18 @@ class TestConfigValidation:
     def test_non_finite_setting_rejected(self, bad):
         with pytest.raises(ConfigError, match=f"{next(iter(bad))} must be finite"):
             generate(_small_config(**bad))
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(SceneConfig)
+                                      if type(f.default) is float or f.name == "focal_px"])
+    def test_a_number_beyond_float_is_rejected_before_any_draw(self, monkeypatch, name):
+        """An int too large for a float is not finite: ``validate`` says so
+        instead of raising ``OverflowError``, or passing it to ``generate``."""
+        def no_rng(*args, **kwargs):
+            raise AssertionError("a random generator was made")
+
+        monkeypatch.setattr(synthworld.np.random, "default_rng", no_rng)
+        with pytest.raises(ConfigError, match=f"{name} must be finite, got {10**400}"):
+            generate(_small_config(**{name: 10**400, "motion": "anchored"}))
 
     @pytest.mark.parametrize("name, value, message", _BAD_SCENES,
                              ids=[f"{name}={value!r}" for name, value, _ in _BAD_SCENES])

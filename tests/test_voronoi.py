@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avitrack.errors import NoLandmarksError
+from avitrack.synthworld import SceneConfig, generate
 from avitrack.voronoi import (
     LandmarkSet,
     build_bounded_diagram,
@@ -18,6 +19,8 @@ from avitrack.voronoi import (
     polygon_contains,
     render_overlay,
 )
+
+from voronoi_reference import build_reference_cells
 
 DATA_DIR = Path(__file__).parent / "data"
 _FRAME = (160, 120)
@@ -270,12 +273,54 @@ class TestBoundedDiagram:
         with pytest.raises(NoLandmarksError):
             build_bounded_diagram(landmarks, "cam0")
 
-    def test_sixteen_virtual_sites_outside_frame(self, two_landmarks):
-        diagram = build_bounded_diagram(two_landmarks, "cam0")
-        assert len(diagram.virtual_sites) == 16
-        w, h = diagram.image_size
-        for x, y in diagram.virtual_sites:
-            assert x <= 0 or x >= w or y <= 0 or y >= h
+
+
+@st.composite
+def _site_sets(draw):
+    """A frame from 1x1 to 1920x1080 and 1-30 landmark sites in it: spread
+    uniformly, on the half-pixel grid, or evenly spaced along one row,
+    column or diagonal (so many bisectors are parallel)."""
+    w, h = draw(st.integers(1, 1920)), draw(st.integers(1, 1080))
+    n = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["uniform", "grid", "row", "column", "diagonal"]))
+    if kind == "uniform":
+        points = draw(st.lists(st.tuples(st.floats(0, w, exclude_max=True),
+                                         st.floats(0, h, exclude_max=True)),
+                               min_size=n, max_size=n))
+    elif kind == "grid":
+        points = draw(st.lists(st.tuples(st.integers(0, 2 * w - 1), st.integers(0, 2 * h - 1)),
+                               min_size=n, max_size=n))
+        points = [(x / 2, y / 2) for x, y in points]
+    else:
+        x0, y0 = draw(st.integers(0, 2 * w - 1)) / 2, draw(st.integers(0, 2 * h - 1)) / 2
+        step = draw(st.integers(1, 2 * max(w, h))) / 2
+        dx, dy = {"row": (step, 0.0), "column": (0.0, step), "diagonal": (step, step)}[kind]
+        points = [(x0 + k * dx, y0 + k * dy) for k in range(n)]
+    landmarks = LandmarkSet({"cam0": (w, h)})
+    kept = []
+    for x, y in points:
+        if x < w and y < h and all(euclidean_distance((x, y), p) > 1e-6 for p in kept):
+            kept.append((x, y))
+            landmarks.add("cam0", len(kept), (x, y))
+    return landmarks
+
+
+class TestMatchesVirtualSiteReference:
+    @settings(max_examples=150, deadline=None)
+    @given(landmarks=_site_sets())
+    def test_cells_match_the_padded_construction(self, landmarks):
+        """Each cell's vertices lie within 1e-6 px of the reference cell's, in
+        both directions, and the two shoelace areas agree within 1e-12 of
+        the frame's."""
+        w, h = landmarks.image_sizes["cam0"]
+        diagram = build_bounded_diagram(landmarks, "cam0")
+        ids, cells = build_reference_cells(landmarks, "cam0")
+        assert diagram.site_ids == ids
+        for cell, reference in zip(diagram.cells, cells):
+            distance = np.linalg.norm(cell[:, None] - reference[None], axis=2)
+            assert distance.min(axis=1).max() <= 1e-6
+            assert distance.min(axis=0).max() <= 1e-6
+            assert abs(polygon_area(cell) - polygon_area(reference)) <= 1e-12 * w * h
 
 
 class TestRenderOverlay:
@@ -290,6 +335,12 @@ class TestRenderOverlay:
         svg = render_overlay(build_bounded_diagram(two_landmarks, "cam0"))
         assert "50.000,0.000" in svg
         assert "50.000,80.000" in svg
+
+    def test_frame_edges_print_no_negative_zero(self):
+        """Cell vertices on a frame edge are exactly 0, never -0.000."""
+        landmarks = generate(SceneConfig(seed=3, bird_count=1, duration_s=0.1)).landmark_set
+        for cam in landmarks.cameras():
+            assert "-0.000" not in render_overlay(build_bounded_diagram(landmarks, cam))
 
     def test_deterministic_output(self, two_landmarks):
         diagram = build_bounded_diagram(two_landmarks, "cam0")
