@@ -10,7 +10,7 @@ from .matching import (
     knn_match,
     reject_by_landmark,
 )
-from .reconstruction import Observation3D, reconstruct_frame
+from .reconstruction import ObservationTable, reconstruct_frame
 from .synthworld import DatasetBundle, SceneConfig, generate, truth_labels
 from .tracking import MultiObjectTracker, TrackerConfig
 from .voronoi import BoundedVoronoi, LandmarkSet, build_bounded_diagram, nearest_landmark
@@ -27,7 +27,7 @@ __all__ = [
     "Keypoint",
     "LandmarkSet",
     "MultiObjectTracker",
-    "Observation3D",
+    "ObservationTable",
     "SceneConfig",
     "TrackerConfig",
     "build_bounded_diagram",

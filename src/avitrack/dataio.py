@@ -565,19 +565,41 @@ def write_correspondences(
     ))
 
 
-def write_observations(path, rows: list) -> None:
+def observation_cells(errors: np.ndarray) -> list[tuple]:
+    """The ``n_cameras``, ``mean_err_px`` and ``max_err_px`` cells of each
+    row of an ``ObservationTable``'s (n, C) ``errors``.
+
+    ``n_cameras`` counts a row's non-NaN cells; with none, the other two
+    cells are empty. The mean adds the cells one at a time, left to right
+    in column order, as the file always has. A numpy row sum turns
+    pairwise from 8 cells on, NaN padding included, and Python's ``sum``
+    compensates from 3.12 on; either would move the last bits.
+    """
+    present = ~np.isnan(errors)
+    total = np.zeros(len(errors))
+    with np.errstate(over="ignore"):  # a sum past the largest float is inf
+        for column in np.where(present, errors, 0.0).T:
+            total += column
+    counts, worst = present.sum(axis=1), np.fmax.reduce(errors, axis=1, initial=np.nan)
+    return [(n, row_sum / n, row_max) if n else (0, "", "")
+            for n, row_sum, row_max in zip(counts.tolist(), total.tolist(), worst.tolist())]
+
+
+def write_observations(path, observations: dict) -> None:
     """Observation rows: (frame, n_cameras, position, mean_err, max_err).
 
-    A frame stepped without any observation is the row (frame, 0, None,
-    None, None). ``n_cameras`` counts the cameras the observation reprojects
-    into; when it is 0 the error cells are empty.
+    ``observations`` maps each stepped frame to its ``ObservationTable``.
+    Frames are written in order, each table's rows in order, and a frame
+    without any observation is the row (frame, 0) with empty cells.
     """
-    _write_table(path, OBSERVATIONS_HEADER, (
-        [frame, n_cameras,
-         *(("", "", "") if position is None else map(float, position)),
-         *("" if err is None else float(err) for err in (mean_err, max_err))]
-        for frame, n_cameras, position, mean_err, max_err in rows
-    ))
+    rows = []
+    for frame in sorted(observations):
+        table = observations[frame]
+        if not len(table):
+            rows.append([frame, 0, "", "", "", "", ""])
+        rows += [[at, n, *position, mean, worst] for at, position, (n, mean, worst) in zip(
+            table.frame.tolist(), table.position.tolist(), observation_cells(table.errors))]
+    _write_table(path, OBSERVATIONS_HEADER, rows)
 
 
 def write_tracks(path, track_rows: list[tuple[int, int, str, np.ndarray]]) -> None:

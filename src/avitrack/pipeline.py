@@ -13,9 +13,11 @@ Each task is then a frame number. No process builds a ``Keypoint`` or a
 the table once, matches, rejects and clusters on those columns (a
 ``MatchTable`` per camera pair), and returns a ``FrameResult`` holding
 one ``PairMatches`` per camera pair (counts, and the kept matches'
-detection indices and pixels as arrays), the correspondences and the
-observations, which pickles plainly. Results are merged in frame order,
-so the output is identical for any parallelism degree. Tracking is
+detection indices and pixels as arrays), the correspondences and one
+``ObservationTable`` of the frame's fused 3D points (positions and
+per-camera errors as columns), which pickles plainly. Results are
+merged in frame order, so the output is identical for any parallelism
+degree; the tracker takes each frame's ``position`` column. Tracking is
 sequential by nature. Detections and keypoints are read and checked,
 and the mask stage run, before the first output file is written.
 """
@@ -50,7 +52,7 @@ from .matching import (
 )
 from .metrics import GroundTruth, keypoint_stats, rejection_stats, tracking_metrics
 from .reconstruction import (
-    FUSE_RADIUS_M, FrameCenters, Observation3D, detection_centers, reconstruct_frame,
+    FUSE_RADIUS_M, FrameCenters, ObservationTable, detection_centers, reconstruct_frame,
     reconstruction_stats,
 )
 from .tracking import (
@@ -233,10 +235,13 @@ class _Run:
 
 @dataclass
 class FrameResult:
+    """One frame's matches per camera pair, its correspondences and the
+    ``ObservationTable`` of its fused 3D points."""
+
     frame: int
     matches: list[PairMatches]
     correspondences: dict[tuple[str, str], list[Correspondence]]
-    observations: list[Observation3D]
+    observations: ObservationTable
 
 
 def _process_frame(run: _Run, frame: int) -> FrameResult:
@@ -346,20 +351,6 @@ def apply_mask_stage(
     return np.concatenate(gated)
 
 
-def _observation_rows(frame: int, observations: list[Observation3D]) -> list[tuple]:
-    """The ``observations.csv`` rows of one stepped frame: one per
-    observation, or one without a position when there is none."""
-    if not observations:
-        return [(frame, 0, None, None, None)]
-    rows = []
-    for obs in observations:
-        errors = list(obs.reprojection_errors.values())
-        rows.append((frame, len(errors), obs.position,
-                     sum(errors) / len(errors) if errors else None,
-                     max(errors, default=None)))
-    return rows
-
-
 def run_pipeline(config: PipelineConfig) -> dict:
     """Run every stage and write every output; returns the report."""
     config.validate()
@@ -454,16 +445,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
         )
     except EmptyInputError:  # no kept keypoint pair reprojects
         pass
-    obs_rows = [
-        row for result in results
-        for row in _observation_rows(result.frame, result.observations)
-    ]
-    dataio.write_observations(out_dir / "observations.csv", obs_rows)
+    observations = {result.frame: result.observations for result in results}
+    dataio.write_observations(out_dir / "observations.csv", observations)
 
     # A stepped frame without observations counts a miss for each live track.
     track_rows = run_tracker(
-        {result.frame: np.array([obs.position for obs in result.observations]).reshape(-1, 3)
-         for result in results},
+        {frame: table.position for frame, table in observations.items()},
         config.tracker_config(),
     )
     dataio.write_tracks(out_dir / "tracks.csv", track_rows)

@@ -8,7 +8,6 @@ import numpy as np
 
 from .camera import (
     DEFAULT_REPROJ_THRESHOLD_PX,
-    MIN_DEPTH,
     CameraModel,
     project,  # noqa: F401  perfbench/spans.py times ``reconstruction.project``
     project_points,
@@ -21,14 +20,24 @@ from .matching import Correspondence, DetectionTable, PairMatches
 FUSE_RADIUS_M = 0.15
 
 
-@dataclass(frozen=True)
-class Observation3D:
-    """A triangulated (possibly fused) 3D point for one frame."""
+@dataclass(frozen=True, eq=False)
+class ObservationTable:
+    """Triangulated (possibly fused) 3D points as columns, one row each.
 
-    frame: int
+    ``frame`` holds int64 frame numbers and ``position`` (n, 3) metres.
+    ``errors`` (n, C) holds each point's reprojection error in pixels per
+    camera, its columns named by ``cameras``, the run's calibrated cameras
+    in sorted order; a cell is NaN where the point has no member in that
+    camera or lies behind it.
+    """
+
+    frame: np.ndarray
     position: np.ndarray
-    camera_pairs: tuple[tuple[str, str], ...]
-    reprojection_errors: dict[str, float]
+    errors: np.ndarray
+    cameras: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.frame)
 
 
 def ideal_pixels(cam: CameraModel, pixels: np.ndarray) -> np.ndarray:
@@ -153,15 +162,11 @@ def triangulate_batch(
     )
 
 
-def reprojection_errors(
-    cam: CameraModel, points: np.ndarray, observed: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def reprojection_errors(cam: CameraModel, points: np.ndarray, observed: np.ndarray) -> np.ndarray:
     """Each point's pixel distance from its projection to its ``observed``
-    pixel, and whether the point lies in front of ``cam``; the distance of
-    a point behind it is NaN."""
-    pixels, depth = project_points(cam, points)
-    delta = pixels - observed
-    return np.sqrt(np.vecdot(delta, delta)), depth > MIN_DEPTH
+    pixel; NaN for a point behind ``cam``, whose pixels are NaN."""
+    delta = project_points(cam, points)[0] - observed
+    return np.sqrt(np.vecdot(delta, delta))
 
 
 def reconstruct_frame(
@@ -171,7 +176,7 @@ def reconstruct_frame(
     cameras: dict[str, CameraModel],
     fuse_radius: float = FUSE_RADIUS_M,
     bounds: tuple[np.ndarray, np.ndarray] | None = None,
-) -> list[Observation3D]:
+) -> ObservationTable:
     """Triangulate detection centers per camera pair, then fuse nearby points.
 
     ``centers`` is the run's ``detection_centers`` table. Pairwise
@@ -181,13 +186,15 @@ def reconstruct_frame(
     are skipped rather than failing the frame. With ``bounds`` set,
     observations outside the axis-aligned box are dropped. An
     observation's error in a camera is the mean distance from its
-    reprojection to its members' raw centres there; a camera it lies
-    behind gets none.
+    reprojection to its members' raw centres there; it is NaN in a camera
+    it has no member in or lies behind. The table's error columns are the
+    sorted ``cameras``.
     """
-    # Per finite estimate: its point, its pair (an index into ``pairs``)
-    # and the raw centres it was triangulated from, one per side.
-    pairs: list[tuple[str, str]] = []
-    points, pair_of, seen_at = [], [], []
+    # Per finite estimate: its point, its pair's two cameras as indices
+    # into ``names``, and the raw centres it was triangulated from.
+    names = sorted(cameras)
+    points, seen_at = [np.zeros((0, 3))], [np.zeros((0, 2, 2))]
+    pair_cams = [np.zeros((0, 2), dtype=int)]
     for pair in sorted(correspondences):
         pair_corrs = correspondences[pair]
         if not pair_corrs:
@@ -200,68 +207,45 @@ def reconstruct_frame(
         )
         finite = ~np.isnan(estimates).any(axis=1)
         points.append(estimates[finite])
-        pair_of += [len(pairs)] * int(finite.sum())
+        pair_cams.append(np.tile([names.index(cam) for cam in pair], (int(finite.sum()), 1)))
         seen_at.append(np.stack([side_a.raw[rows_a[finite]], side_b.raw[rows_b[finite]]], 1))
-        pairs.append(pair)
-
-    if not pair_of:
-        return []
-    positions = np.concatenate(points)
+    positions, cams, observed = map(np.concatenate, (points, pair_cams, seen_at))
 
     # Estimates within fuse_radius of each other are linked. A component's
-    # root is its lowest index, so components come out in order of their
-    # first member, each with its members ascending.
+    # root is its lowest index, so ``owner`` numbers the components in order
+    # of their first member. Summing each component's members in index
+    # order gives the bits of ``np.mean`` over them.
     near = np.linalg.norm(positions[None] - positions[:, None], axis=2) <= fuse_radius
-    roots = component_roots(len(positions), *np.nonzero(near))
+    _, owner = np.unique(component_roots(len(positions), *np.nonzero(near)),
+                         return_inverse=True)
+    size = np.bincount(owner)[:, None]
+    fused = np.stack([np.bincount(owner, weights=axis) for axis in positions.T], 1) / size
 
-    groups = []
-    for root in np.unique(roots):
-        members = np.flatnonzero(roots == root)
-        position = np.mean(positions[members], axis=0)
-        if bounds is not None and (np.any(position < bounds[0]) or np.any(position > bounds[1])):
-            continue
-        groups.append((position, members))
-    if not groups:
-        return []
-
-    # One row per (group, member), one column per side of the member's pair,
-    # holding a camera as an index into ``names``; each camera reprojects
-    # all its rows' fused positions in one call.
-    names = sorted({cam for pair in pairs for cam in pair})
-    pair_cams = np.array([[names.index(cam) for cam in pair] for pair in pairs])
-    pair_of = np.array(pair_of)
-    members = np.concatenate([group for _, group in groups])
-    owner = np.repeat(np.arange(len(groups)), [len(group) for _, group in groups])
-    fused = np.array([position for position, _ in groups])
-    cams = pair_cams[pair_of[members]]
-    observed = np.concatenate(seen_at)[members]
+    # One error per (estimate, side); each camera reprojects all its rows'
+    # fused positions in one call, and a point behind it gets NaN.
     errors = np.empty(cams.shape)
-    in_front = np.empty(cams.shape, dtype=bool)
     for cam in np.unique(cams):
         hit = cams == cam
-        errors[hit], in_front[hit] = reprojection_errors(
+        errors[hit] = reprojection_errors(
             cameras[names[cam]], fused[owner[np.nonzero(hit)[0]]], observed[hit]
         )
 
-    observations = []
-    stop = 0
-    for position, group in groups:
-        start, stop = stop, stop + len(group)
-        # A group's rows in one camera share one position, so they are all
-        # in front or all behind; row-major masks keep member order.
-        group_cams, group_errors = cams[start:stop], errors[start:stop]
-        observations.append(
-            Observation3D(
-                frame=frame,
-                position=position,
-                camera_pairs=tuple(sorted({pairs[p] for p in pair_of[group]})),
-                reprojection_errors={
-                    names[cam]: float(np.mean(group_errors[group_cams == cam]))
-                    for cam in sorted(set(group_cams[in_front[start:stop]].tolist()))
-                },
-            )
-        )
-    return observations
+    # A (component, camera) cell's mean, with the bits of ``np.mean`` over
+    # its errors in member order: the cells of each size are summed as the
+    # rows of one array, which numpy sums like a 1-d array of that size.
+    key = (owner[:, None] * len(names) + cams).ravel()
+    order = np.argsort(key, kind="stable")
+    cells, starts, counts = np.unique(key[order], return_index=True, return_counts=True)
+    table = np.full((len(fused), len(names)), np.nan)
+    for count in np.unique(counts):
+        at = counts == count
+        rows = starts[at, None] + np.arange(count)
+        table.flat[cells[at]] = errors.ravel()[order[rows]].sum(axis=1) / count
+
+    lo, hi = (-np.inf, np.inf) if bounds is None else bounds
+    keep = ~((fused < lo) | (fused > hi)).any(axis=1)
+    return ObservationTable(np.full(int(keep.sum()), frame, dtype=np.int64),
+                            fused[keep], table[keep], tuple(names))
 
 
 def reconstruction_stats(
@@ -295,13 +279,11 @@ def reconstruction_stats(
         finite = ~np.isnan(points).any(axis=1)
         # Columns are (cam_a, cam_b), so the row-major mask keeps each
         # point's cam_a error before its cam_b error.
-        pair_errors = np.empty((int(finite.sum()), 2))
-        in_front = np.empty(pair_errors.shape, dtype=bool)
-        for col, cam_id, observed in ((0, cam_a, pts_a), (1, cam_b, pts_b)):
-            pair_errors[:, col], in_front[:, col] = reprojection_errors(
-                cameras[cam_id], points[finite], observed[finite]
-            )
-        errors.append(pair_errors[in_front])
+        pair_errors = np.stack([
+            reprojection_errors(cameras[cam_id], points[finite], observed[finite])
+            for cam_id, observed in ((cam_a, pts_a), (cam_b, pts_b))
+        ], axis=1)
+        errors.append(pair_errors[~np.isnan(pair_errors)])  # NaN: behind the camera
 
     arr = np.concatenate(errors) if errors else np.zeros(0)
     if not arr.size:

@@ -11,6 +11,7 @@ usual tentative -> confirmed -> dead pattern.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,15 @@ def process_noise(dt: float, jerk_sigma: float) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _motion_model(dt: float, jerk_sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """``transition_matrix(dt)`` and ``process_noise(dt, jerk_sigma)``, built
+    once per pair (a run's steps take only ``cfg.dt * gap``) and read-only."""
+    f, q = transition_matrix(dt), process_noise(dt, jerk_sigma)
+    f.flags.writeable = q.flags.writeable = False
+    return f, q
+
+
 def _symmetrize(matrices: np.ndarray) -> np.ndarray:
     return (matrices + matrices.swapaxes(-1, -2)) / 2.0
 
@@ -77,11 +87,8 @@ def predict(
     """Propagate (n, 9) states and (n, 9, 9) covariances through ``dt`` seconds."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    f = transition_matrix(dt)
-    return (
-        (f @ state[..., None])[..., 0],
-        _symmetrize(f @ covariance @ f.T + process_noise(dt, jerk_sigma)),
-    )
+    f, q = _motion_model(dt, jerk_sigma)
+    return (f @ state[..., None])[..., 0], _symmetrize(f @ covariance @ f.T + q)
 
 
 def update(

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from avitrack import dataio
 from avitrack.errors import IngestError
 from avitrack.matching import DetectionTable, Keypoint, KeypointTable
+from avitrack.reconstruction import ObservationTable
 from avitrack.synthworld import SceneConfig, generate
 from avitrack.voronoi import LandmarkSet
 from dataio_reference import write_keypoints_reference
@@ -90,7 +91,11 @@ class TestRoundTrips:
         assert labels == bundle.detection_identities
 
     def test_observations_and_tracks(self, tmp_path):
-        obs = [(0, 2, np.array([1.0, 2.0, 3.0]), 0.5, 0.75), (1, 0, None, None, None)]
+        cameras = ("cam0", "cam1", "cam2")
+        obs = {
+            1: _observations(1, np.zeros((0, 3)), np.zeros((0, 3)), cameras),
+            0: _observations(0, [[1.0, 2.0, 3.0]], [[0.25, np.nan, 0.75]], cameras),
+        }
         dataio.write_observations(tmp_path / "o.csv", obs)
         assert (tmp_path / "o.csv").read_text().splitlines() == [
             ",".join(dataio.OBSERVATIONS_HEADER), "0,2,1.0,2.0,3.0,0.5,0.75", "1,0,,,,,",
@@ -617,6 +622,16 @@ _INT = st.integers(-(2**63), 2**63 - 1)
 # Commas, quotes and line breaks make csv quote the field.
 _TEXT = st.text(alphabet='ab0 ,"\né', min_size=1, max_size=4)
 _POINT = st.lists(_FLOAT, min_size=3, max_size=3).map(np.array)
+# A reprojection error: a distance, so never negative or -0.0.
+_ERROR = st.floats(min_value=0.0, allow_infinity=False)
+
+
+def _observations(frame, positions, errors, cameras) -> ObservationTable:
+    """An ``ObservationTable`` of one frame."""
+    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+    return ObservationTable(np.full(len(positions), frame, dtype=np.int64), positions,
+                            np.asarray(errors, dtype=float).reshape(len(positions), len(cameras)),
+                            tuple(cameras))
 
 
 def _read_csv(path) -> list[list[str]]:
@@ -704,12 +719,16 @@ class TestRoundTripProperty:
         assert _bits(back) == _bits(identities)
 
     @settings(max_examples=50, deadline=None)
-    @given(rows=st.lists(st.one_of(
-        st.tuples(_INT, st.integers(1, 5), _POINT, _FLOAT, _FLOAT),
-        st.tuples(_INT, st.just(0), st.one_of(st.none(), _POINT), st.none(), st.none()),
-    ), max_size=6))
-    def test_observations(self, tmp_path_factory, rows):
-        back = _round_trip(tmp_path_factory, dataio.write_observations, _read_csv, rows)
+    @given(tables=st.dictionaries(_INT, st.lists(st.tuples(_POINT, _ERROR), max_size=3),
+                                  max_size=4))
+    def test_observations(self, tmp_path_factory, tables):
+        """Frames and positions come back bit for bit, the one error as
+        both the mean and the max; a frame without rows has one empty row."""
+        observations = {
+            frame: _observations(frame, [p for p, _ in rows], [[e] for _, e in rows], ("cam0",))
+            for frame, rows in tables.items()
+        }
+        back = _round_trip(tmp_path_factory, dataio.write_observations, _read_csv, observations)
         assert back[0] == dataio.OBSERVATIONS_HEADER
         parsed = [
             (int(frame), int(n_cameras),
@@ -717,7 +736,12 @@ class TestRoundTripProperty:
              *(None if cell == "" else float(cell) for cell in (mean_err, max_err)))
             for frame, n_cameras, x, y, z, mean_err, max_err in back[1:]
         ]
-        assert _bits(parsed) == _bits(rows)
+        expected = [
+            row for frame in sorted(tables)
+            for row in [(frame, 1, p, e, e) for p, e in tables[frame]]
+            or [(frame, 0, None, None, None)]
+        ]
+        assert _bits(parsed) == _bits(expected)
 
     @settings(max_examples=50, deadline=None)
     @given(rows=st.lists(st.tuples(
@@ -800,3 +824,78 @@ class TestWriteKeypointsMatchesReference:
         assert lines[1:-1] == [f"cam0,0,{i},0.0,{float(i)!r},{v!r},{-v!r}".encode()
                                for i, v in enumerate(values)]
         assert lines[-1] == b""
+
+
+def _observation_lines_reference(observations: dict) -> list[str]:
+    """``observations.csv`` line by line, each row's cells added one
+    Python float at a time, left to right in column order (not with
+    ``sum``, which compensates from Python 3.12 on)."""
+    lines = [",".join(dataio.OBSERVATIONS_HEADER)]
+    for frame in sorted(observations):
+        table = observations[frame]
+        if not len(table):
+            lines.append(f"{frame},0,,,,,")
+        for position, errors in zip(table.position.tolist(), table.errors.tolist()):
+            present = [error for error in errors if not np.isnan(error)]
+            total = 0.0
+            for error in present:
+                total += error
+            cells = [repr(total / len(present)), repr(max(present))] if present else ["", ""]
+            lines.append(",".join([str(frame), str(len(present)), *map(repr, position), *cells]))
+    return lines
+
+
+@st.composite
+def _observation_frames(draw):
+    """Stepped frames of a 2-12 camera rig, each with 0-3 rows that hold 0
+    to C non-NaN error cells, spread over several orders of magnitude so
+    the order of summation shows in the last bits."""
+    cameras = tuple(f"cam{i}" for i in range(draw(st.integers(2, 12))))
+    observations = {}
+    for frame in draw(st.lists(st.integers(0, 50), unique=True, max_size=4)):
+        rows = draw(st.integers(0, 3))
+        errors = np.full((rows, len(cameras)), np.nan)
+        for row in range(rows):
+            present = draw(st.lists(st.sampled_from(range(len(cameras))), unique=True))
+            errors[row, present] = draw(st.lists(
+                st.one_of(_ERROR, st.floats(0.0, 1.0), st.floats(1e3, 1e6)),
+                min_size=len(present), max_size=len(present)))
+        positions = draw(st.lists(_POINT, min_size=rows, max_size=rows))
+        observations[frame] = _observations(frame, positions, errors, cameras)
+    return observations
+
+
+class TestObservationCells:
+    """``write_observations`` against a Python left-to-right reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(observations=_observation_frames())
+    def test_matches_left_to_right_reference(self, tmp_path_factory, observations):
+        path = tmp_path_factory.mktemp("obs") / "observations.csv"
+        dataio.write_observations(path, observations)
+        assert path.read_text().splitlines() == _observation_lines_reference(observations)
+
+    def test_nine_cells_sum_left_to_right(self):
+        """A numpy row sum of these nine cells is pairwise, and Python 3.12's
+        ``sum`` compensated: both end in other bits than one addition at a
+        time, left to right, which the written mean keeps."""
+        errors = 0.1 * np.arange(1, 10)
+        total = 0.0
+        for error in errors.tolist():
+            total += error
+        assert total == 4.500000000000001 and np.add.reduce(errors) != total
+        [(n_cameras, mean, worst)] = dataio.observation_cells(errors[None])
+        assert (n_cameras, mean, worst) == (9, total / 9, 0.9)
+
+    def test_empty_rows_and_frames(self, tmp_path):
+        """A row whose every cell is NaN keeps its position and has empty
+        error cells; a frame without rows is one row ``frame,0,,,,,``."""
+        cameras = [f"cam{i}" for i in range(9)]
+        observations = {
+            4: _observations(4, [[1.5, 2.0, 0.5]], np.full((1, 9), np.nan), cameras),
+            7: _observations(7, np.zeros((0, 3)), np.zeros((0, 9)), cameras),
+        }
+        dataio.write_observations(tmp_path / "o.csv", observations)
+        assert (tmp_path / "o.csv").read_text().splitlines()[1:] == [
+            "4,0,1.5,2.0,0.5,,", "7,0,,,,,",
+        ]

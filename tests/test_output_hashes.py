@@ -2,8 +2,8 @@
 exactly the recorded files.
 
 Each run case generates a small scene of ``BUNDLE_SCENES`` (the
-``crowded``-like one: 40 birds, 8-d descriptors, 0.5 s; or the ``masked``
-one, with frames), runs ``avitrack run`` on it and compares the SHA-256
+``crowded``-like one: 40 birds, 8-d descriptors, 0.5 s; the ``masked``
+one, with frames; or a 9-camera rig), runs ``avitrack run`` on it and compares the SHA-256
 of every output file with ``tests/data/run_output_sha256.json``. Each bundle
 case generates a small scene and compares the SHA-256 of every file that
 ``generate(...).write`` makes, frames included, with
@@ -41,9 +41,11 @@ CASES = {
     "crowded-tracker-flags": ("crowded", ["--max-misses", "2", "--gate", "0.3",
                                           "--jerk-sigma", "5", "--confirm-hits", "4",
                                           "--fps", "24"]),
+    "nine-cameras": ("nine-cameras", []),
 }
 # Small versions of the benchmark scenes: the quickstart (128-d), crowded
-# (8-d, pixel noise), masked (frames drawn) and look-alike birds.
+# (8-d, pixel noise), masked (frames drawn) and look-alike birds; and a
+# 9-camera rig, where an observation can have more than 8 error cells.
 BUNDLE_SCENES = {
     "quickstart": SceneConfig(seed=42, bird_count=5, duration_s=0.5),
     "crowded": SCENE,
@@ -51,6 +53,8 @@ BUNDLE_SCENES = {
                           emit_frames=True),
     "ambiguous": SceneConfig(seed=1, bird_count=10, duration_s=0.3, ambiguity=0.5,
                              descriptor_noise=0.05, pixel_noise=0.5),
+    "nine-cameras": SceneConfig(seed=5, bird_count=8, camera_count=9, duration_s=0.5,
+                                descriptor_length=8),
 }
 
 

@@ -1,6 +1,7 @@
 """Tests for DLT triangulation, fusion, and reconstruction statistics."""
 
 import itertools
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,7 @@ from avitrack.errors import BehindCameraError, DegenerateRaysError, EmptyInputEr
 from avitrack.synthworld import SceneConfig, build_camera_rig
 from avitrack.matching import Correspondence, FeatureMatch, Keypoint
 from avitrack.reconstruction import (
-    Observation3D,
+    ObservationTable,
     detection_centers,
     ideal_pixels,
     reconstruct_frame,
@@ -180,11 +181,12 @@ class TestReconstructFrame:
         corrs, dets = self._setup(default_rig, points, [("cam0", "cam1")])
         observations = reconstruct_frame(0, corrs, _centers(dets, default_rig), default_rig)
         assert len(observations) == 3
-        got = sorted(observations, key=lambda o: o.position[0])
+        order = np.argsort(observations.position[:, 0])
         expected = points[np.argsort(points[:, 0])]
-        for obs, point in zip(got, expected):
-            np.testing.assert_allclose(obs.position, point, atol=1e-6)
-            assert all(err <= 1e-6 for err in obs.reprojection_errors.values())
+        for position, errors, point in zip(observations.position[order],
+                                           observations.errors[order], expected):
+            np.testing.assert_allclose(position, point, atol=1e-6)
+            assert all(err <= 1e-6 for err in errors[~np.isnan(errors)])
 
     def test_two_pairs_fuse_to_midpoint(self, default_rig):
         """Estimates 5 cm apart merge into their coordinate-wise mean."""
@@ -196,8 +198,10 @@ class TestReconstructFrame:
         dets = {**dets_a, **dets_b}
         observations = reconstruct_frame(0, corrs, _centers(dets, default_rig), default_rig)
         assert len(observations) == 1
-        np.testing.assert_allclose(observations[0].position, (a + b) / 2, atol=1e-6)
-        assert observations[0].camera_pairs == (("cam0", "cam1"), ("cam2", "cam3"))
+        np.testing.assert_allclose(observations.position[0], (a + b) / 2, atol=1e-6)
+        # Members in cam0-cam3, one from each pair's two cameras, none in cam4.
+        assert observations.cameras == ("cam0", "cam1", "cam2", "cam3", "cam4")
+        assert np.isnan(observations.errors[0]).tolist() == [False, False, False, False, True]
 
     def test_far_estimates_stay_separate(self, default_rig):
         a = np.array([2.0, 1.7, 1.0])
@@ -221,7 +225,7 @@ class TestReconstructFrame:
         for order in pair_orders:
             corrs, dets = self._setup(default_rig, points, order)
             obs = reconstruct_frame(0, corrs, _centers(dets, default_rig), default_rig)
-            results.append(sorted(o.position[0] for o in obs))
+            results.append(sorted(obs.position[:, 0]))
         np.testing.assert_allclose(results[0], results[1], atol=1e-12)
 
     def test_bounds_filter(self, default_rig):
@@ -237,7 +241,8 @@ class TestReconstructFrame:
             0, corrs, centers, default_rig,
             bounds=(np.zeros(3), np.array([1.0, 1.0, 1.0])),
         )
-        assert dropped == []
+        assert len(dropped) == 0
+        assert dropped.position.shape == (0, 3) and dropped.errors.shape == (0, 5)
 
 
 class TestReconstructionStats:
@@ -471,6 +476,24 @@ def _connected_components(n, links):
     return [groups[r] for r in sorted(groups)]
 
 
+class ObservationRow(NamedTuple):
+    """One row of an ``ObservationTable``, its errors by camera name."""
+
+    frame: int
+    position: np.ndarray
+    errors: dict[str, float]  # the cameras whose cell is not NaN, in name order
+
+
+def _table_rows(table: ObservationTable) -> list[ObservationRow]:
+    return [
+        ObservationRow(frame, position, {
+            cam: err for cam, err in zip(table.cameras, errors) if not np.isnan(err)
+        })
+        for frame, position, errors in zip(table.frame.tolist(), table.position,
+                                           table.errors.tolist())
+    ]
+
+
 def _reconstruct_frame_union_find(
     frame, correspondences, detections, cameras, fuse_radius, bounds=None
 ):
@@ -514,7 +537,6 @@ def _reconstruct_frame_union_find(
             lo, hi = bounds
             if np.any(position < lo) or np.any(position > hi):
                 continue
-        pairs = tuple(sorted({estimates[i][1] for i in members}))
         errors = {}
         for i in members:
             for cam_id, observed in estimates[i][2].items():
@@ -523,14 +545,11 @@ def _reconstruct_frame_union_find(
                 except BehindCameraError:
                     continue
                 errors.setdefault(cam_id, []).append(float(np.linalg.norm(reproj - observed)))
-        observations.append(
-            Observation3D(
-                frame=frame,
-                position=position,
-                camera_pairs=pairs,
-                reprojection_errors={cam: float(np.mean(v)) for cam, v in sorted(errors.items())},
-            )
-        )
+        observations.append(ObservationRow(
+            frame=frame,
+            position=position,
+            errors={cam: float(np.mean(v)) for cam, v in sorted(errors.items())},
+        ))
     return observations
 
 
@@ -568,10 +587,11 @@ def _fusion_case(draw):
 
 
 def _observation_bits(observations):
-    return [
-        (o.frame, o.position.tobytes(), o.camera_pairs, repr(o.reprojection_errors))
-        for o in observations
-    ]
+    """Each row's frame, position bytes and per-camera errors; a table is
+    read as its rows."""
+    if isinstance(observations, ObservationTable):
+        observations = _table_rows(observations)
+    return [(o.frame, o.position.tobytes(), repr(o.errors)) for o in observations]
 
 
 class TestFusionMatchesUnionFind:
@@ -580,14 +600,12 @@ class TestFusionMatchesUnionFind:
             return np.array(points[(cam_a.cam_id, cam_b.cam_id)], dtype=float).reshape(-1, 3)
 
         with mock.patch.object(reconstruction, "triangulate_batch", fixed_points):
-            return [
-                _observation_bits(function(0, correspondences, table, _RIG, radius,
-                                           bounds=bounds))
-                for function, table in (
-                    (reconstruct_frame, _centers(detections, _RIG)),
-                    (_reconstruct_frame_union_find, detections),
-                )
-            ]
+            got = reconstruct_frame(0, correspondences, _centers(detections, _RIG), _RIG,
+                                    radius, bounds=bounds)
+            expected = _reconstruct_frame_union_find(0, correspondences, detections, _RIG,
+                                                     radius, bounds=bounds)
+        assert got.cameras == tuple(sorted(_RIG))
+        return _table_rows(got), expected
 
     @settings(max_examples=300)
     @given(case=_fusion_case())
@@ -595,7 +613,7 @@ class TestFusionMatchesUnionFind:
         """Same observations, bit for bit: at-radius distances, chains,
         duplicates, failed rows and the bounds."""
         got, expected = self._both(*case)
-        assert got == expected
+        assert _observation_bits(got) == _observation_bits(expected)
 
     def test_chain_and_duplicates_fuse_through_the_middle(self):
         """Steps of exactly the radius chain three estimates whose ends are
@@ -615,11 +633,11 @@ class TestFusionMatchesUnionFind:
             for pair, estimates in points.items()
         }
         got, expected = self._both(points, correspondences, detections, 0.125, None)
-        assert got == expected
-        assert [pairs for _, _, pairs, _ in got] == [
-            (("cam0", "cam1"), ("cam0", "cam2")), (("cam1", "cam3"),),
-        ]
-        assert np.frombuffer(got[0][1]).tolist() == [1.125, 1.0, 1.0]
+        assert _observation_bits(got) == _observation_bits(expected)
+        # The chain's members come from (cam0, cam1) and (cam0, cam2), the
+        # duplicates' from (cam1, cam3).
+        assert [list(row.errors) for row in got] == [["cam0", "cam1", "cam2"], ["cam1", "cam3"]]
+        assert got[0].position.tolist() == [1.125, 1.0, 1.0]
 
 
 # --- the per-pair, per-member reconstruct_frame the centre table replaced ---
@@ -672,7 +690,6 @@ def _reconstruct_frame_per_member(
             lo, hi = bounds
             if np.any(position < lo) or np.any(position > hi):
                 continue
-        pairs = tuple(sorted({estimates[i][1] for i in members}))
         errors = {}
         for i in members:
             for cam_id, observed in estimates[i][2].items():
@@ -683,16 +700,11 @@ def _reconstruct_frame_per_member(
                 errors.setdefault(cam_id, []).append(
                     float(np.linalg.norm(reproj - observed))
                 )
-        observations.append(
-            Observation3D(
-                frame=frame,
-                position=position,
-                camera_pairs=pairs,
-                reprojection_errors={
-                    cam: float(np.mean(v)) for cam, v in sorted(errors.items())
-                },
-            )
-        )
+        observations.append(ObservationRow(
+            frame=frame,
+            position=position,
+            errors={cam: float(np.mean(v)) for cam, v in sorted(errors.items())},
+        ))
     return observations
 
 
@@ -799,6 +811,8 @@ class TestReconstructFrameMatchesPerMember:
                                 cameras, radius, bounds=bounds)
         expected = _reconstruct_frame_per_member(frame, correspondences, detections,
                                                  cameras, radius, bounds=bounds)
+        assert got.cameras == tuple(sorted(cameras))
+        assert got.errors.shape == (len(got), len(cameras))
         assert _observation_bits(got) == _observation_bits(expected)
 
     def test_member_behind_a_camera_and_parallel_rays(self):
@@ -821,10 +835,11 @@ class TestReconstructFrameMatchesPerMember:
                                 _centers(detections, cameras), cameras)
         expected = _reconstruct_frame_per_member(0, correspondences, detections, cameras)
         assert _observation_bits(got) == _observation_bits(expected)
-        [obs] = got
-        assert obs.camera_pairs == (("cam0", "cam2"), ("cam2", "cam3"))
-        assert sorted(obs.reprojection_errors) == ["cam2", "cam3"]
-        np.testing.assert_allclose(obs.position, bird, atol=1e-6)
+        # One observation, behind cam0: no error there.
+        assert len(got) == 1
+        assert got.cameras == ("cam0", "cam2", "cam3")
+        assert np.isnan(got.errors[0]).tolist() == [True, False, False]
+        np.testing.assert_allclose(got.position[0], bird, atol=1e-6)
 
 
 @st.composite
