@@ -14,7 +14,7 @@ from dataclasses import fields
 
 from .errors import AvitrackError, ConfigError
 from .matching import ANCHORS
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import REQUIRED_INPUTS, PipelineConfig, run_pipeline
 from .synthworld import MOTION_MODES, SceneConfig, generate
 from .tracking import ASSOCIATIONS
 
@@ -51,7 +51,7 @@ def pipeline_config(args: argparse.Namespace) -> PipelineConfig:
     config = config.with_overrides(_given(args, PipelineConfig))
     if args.input:
         config = config.for_bundle_dir(args.input)
-    for name in ("detections_path", "keypoints_path", "landmarks_path", "calibration_path"):
+    for name in REQUIRED_INPUTS:
         if not getattr(config, name):
             raise ConfigError(
                 f"missing required input {name}; pass --input or the explicit flag"
@@ -117,6 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("--keypoints", "keypoints_path")
     add("--landmarks", "landmarks_path")
     add("--calibration", "calibration_path")
+    add("--recording", "recording_path", help="recording.json: frame rate and aviary box")
     add("--frames", "frames_dir")
     add("--truth", "truth_path")
     add("--match-truth", "match_truth_path")
@@ -134,12 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
     add("--confirm-hits")
     add("--max-misses")
     add("--association", choices=ASSOCIATIONS)
-    add("--fps")
     add("--canny-low")
     add("--canny-high")
     add("--reproj-threshold", "reproj_threshold_px")
     add("--gap-tolerance", "gap_tolerance_frames")
-    add("--validate-bounds")
     add("--parallelism")
     run.set_defaults(func=_cmd_run)
 

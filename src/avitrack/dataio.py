@@ -25,6 +25,7 @@ import csv
 import io
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -97,7 +98,7 @@ def _read_table(path, header: list[str], kinds: str):
     exactly its columns.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise IngestError(path, "file not found")
     columns = [(name, _PARSERS[kind]) for name, kind in zip(header, kinds, strict=True)]
     with open(path, newline="") as fh:
@@ -338,7 +339,7 @@ def _format_descriptors(values: np.ndarray) -> list[str]:
 def keypoints_descriptor_length(path) -> int:
     """The descriptor length that the header of keypoints.csv ``path`` names."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise IngestError(path, "file not found")
     with open(path, newline="") as fh:
         header = next(csv.reader(fh), None)
@@ -430,6 +431,55 @@ def read_landmarks(path, image_sizes: dict[str, tuple[int, int]]) -> LandmarkSet
     return landmarks
 
 
+def is_finite_number(value) -> bool:
+    """``value`` is an int or a float, not a bool, that a float holds finitely."""
+    try:
+        return type(value) is not bool and isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _write_json(path, doc) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def read_json(path):
+    """The document of a JSON file; no such file, or bad JSON, is an ``IngestError``."""
+    if not Path(path).is_file():
+        raise IngestError(path, "file not found")
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # bad JSON, or bytes that are not text
+            raise IngestError(path, f"invalid JSON: {exc}")
+
+
+def write_recording(path, fps: float, bounds: tuple[np.ndarray, np.ndarray]) -> None:
+    low, high = (np.asarray(corner, dtype=float).tolist() for corner in bounds)
+    _write_json(path, {"aviary_max_m": high, "aviary_min_m": low, "fps": float(fps)})
+
+
+def read_recording(path) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """The frame rate and the aviary box, its (min, max) corners, of ``recording.json``."""
+    doc = read_json(path)
+    keys = ["aviary_max_m", "aviary_min_m", "fps"]
+    if not isinstance(doc, dict) or sorted(doc) != keys:
+        raise IngestError(path, f"recording must be a JSON object of the keys {keys}")
+    if not (is_finite_number(doc["fps"]) and doc["fps"] > 0):
+        raise IngestError(path, f"fps must be a finite number > 0, got {doc['fps']!r}")
+    for key in ("aviary_min_m", "aviary_max_m"):
+        corner = doc[key]
+        if not (type(corner) is list and len(corner) == 3 and all(map(is_finite_number, corner))):
+            raise IngestError(path, f"{key} must be three finite numbers, got {corner!r}")
+    low, high = (np.array(doc[key], dtype=float) for key in ("aviary_min_m", "aviary_max_m"))
+    if not (low < high).all():
+        raise IngestError(path, f"aviary_min_m must be below aviary_max_m on every axis, "
+                                f"got {low.tolist()} and {high.tolist()}")
+    return float(doc["fps"]), (low, high)
+
+
 def write_calibration(path, cameras: list[CameraModel]) -> None:
     doc = []
     for cam in sorted(cameras, key=lambda c: c.cam_id):
@@ -443,20 +493,11 @@ def write_calibration(path, cameras: list[CameraModel]) -> None:
                 "tvec": cam.translation.tolist(),
             }
         )
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 def read_calibration(path) -> dict[str, CameraModel]:
-    path = Path(path)
-    if not path.exists():
-        raise IngestError(path, "file not found")
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise IngestError(path, f"invalid JSON: {exc}")
+    doc = read_json(path)
     if not isinstance(doc, list):
         raise IngestError(path, "calibration document must be a list of cameras")
     cameras: dict[str, CameraModel] = {}
@@ -468,7 +509,7 @@ def read_calibration(path) -> dict[str, CameraModel]:
             dist = np.asarray(list(entry["dist"]), dtype=float)
             rvec = np.asarray(entry["rvec"], dtype=float)
             tvec = np.asarray(entry["tvec"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise IngestError(path, f"malformed camera entry: {exc}")
         if not all(type(size) is int for size in (width, height)):
             raise IngestError(path, f"camera {cam_id}: image_size must be two integers")
@@ -610,11 +651,7 @@ def write_tracks(path, track_rows: list[tuple[int, int, str, np.ndarray]]) -> No
 
 
 def write_metrics(path, report: dict) -> None:
-    doc = {"schema_version": SCHEMA_VERSION}
-    doc.update(report)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, {"schema_version": SCHEMA_VERSION, **report})
 
 
 def frame_path(frames_dir, camera_id: str, frame: int) -> Path:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import EmptyInputError, MissingLabelsError
 from .matching import FeatureMatch, PairMatches
-from .tracking import DEFAULT_FPS, DEFAULT_GATE
+from .tracking import DEFAULT_GATE
 
 DEFAULT_HORIZONS_S = (10.0, 30.0, 60.0)
 
@@ -149,7 +149,7 @@ def _match_truth_to_tracks(
 def tracking_metrics(
     track_rows: list[tuple[int, int, str, np.ndarray]],
     truth: GroundTruth,
-    fps: float = DEFAULT_FPS,
+    fps: float,
     gate: float = DEFAULT_GATE,
     horizons_s: tuple[float, ...] = DEFAULT_HORIZONS_S,
     gap_tolerance_frames: int = 0,

@@ -5,31 +5,31 @@ pure, so with ``parallelism`` > 1 it fans out over a process pool. What
 every frame reads is one ``_Run`` per run: the ``KeypointTable`` of the
 whole run and its rows per frame and camera, the ``detection_centers``
 table, in which every detection centre is undistorted once per run, and
-the camera pairs, landmarks, cameras and config. The ``_Run`` is handed
-to each worker once, as the pool's initializer argument: under the
-``fork`` start method the workers inherit it and nothing is pickled.
-Each task is then a frame number. No process builds a ``Keypoint`` or a
-``FeatureMatch``: a worker copies each camera's rows of its frame out of
-the table once, matches, rejects and clusters on those columns (a
-``MatchTable`` per camera pair), and returns a ``FrameResult`` holding
-one ``PairMatches`` per camera pair (counts, and the kept matches'
-detection indices and pixels as arrays), the correspondences and one
-``ObservationTable`` of the frame's fused 3D points (positions and
-per-camera errors as columns), which pickles plainly. Results are
-merged in frame order, so the output is identical for any parallelism
-degree; the tracker takes each frame's ``position`` column. Tracking is
-sequential by nature. Detections and keypoints are read and checked,
-and the mask stage run, before the first output file is written.
+the camera pairs, landmarks, cameras, aviary box and config. The
+``_Run`` is handed to each worker once, as the pool's initializer
+argument: under the ``fork`` start method the workers inherit it and
+nothing is pickled. Each task is then a frame number. No process builds
+a ``Keypoint`` or a ``FeatureMatch``: a worker copies each camera's rows
+of its frame out of the table once, matches, rejects and clusters on
+those columns (a ``MatchTable`` per camera pair), and returns a
+``FrameResult`` holding one ``PairMatches`` per camera pair (counts, and
+the kept matches' detection indices and pixels as arrays), the
+correspondences and one ``ObservationTable`` of the frame's fused 3D
+points (positions and per-camera errors as columns), which pickles
+plainly. Results are merged in frame order, so the output is identical
+for any parallelism degree; the tracker takes each frame's ``position``
+column. Tracking is sequential by nature. ``recording.json`` (the frame
+rate and the aviary box) is read first; it and the detections and
+keypoints are read and checked, and the mask stage run, before the first
+output file is written.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import logging
-import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,26 +56,28 @@ from .reconstruction import (
     reconstruction_stats,
 )
 from .tracking import (
-    ASSOCIATIONS, DEFAULT_ASSOCIATION, DEFAULT_CONFIRM_HITS, DEFAULT_FPS, DEFAULT_GATE,
-    DEFAULT_JERK_SIGMA, DEFAULT_MAX_MISSES, DEFAULT_MEAS_SIGMA,
+    ASSOCIATIONS, DEFAULT_ASSOCIATION, DEFAULT_CONFIRM_HITS, DEFAULT_GATE, DEFAULT_JERK_SIGMA,
+    DEFAULT_MAX_MISSES, DEFAULT_MEAS_SIGMA,
     TrackerConfig, render_trajectories, run_tracker,
 )
 from .voronoi import LandmarkSet, build_bounded_diagram, render_overlay
 
 logger = logging.getLogger(__name__)
 
+# Input path fields and their files in a bundle: read by every run, or when given.
+REQUIRED_INPUTS = {"detections_path": "detections.csv", "keypoints_path": "keypoints.csv",
+                   "landmarks_path": "landmarks.csv", "calibration_path": "calibration.json",
+                   "recording_path": "recording.json"}
+OPTIONAL_INPUTS = {"truth_path": "truth.csv", "match_truth_path": "match_truth.csv",
+                   "frames_dir": "frames"}
+
 
 def _has_type(value, kind: type) -> bool:
     """``value`` is a ``kind``; a bool counts only as a bool, and a float
     must be finite. An int counts as a float when it converts to one."""
-    if isinstance(value, bool) != (kind is bool):
-        return False
-    if kind is not float:
-        return isinstance(value, kind)
-    try:
-        return isinstance(value, (int, float)) and math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
+    if kind is float:
+        return dataio.is_finite_number(value)
+    return isinstance(value, bool) == (kind is bool) and isinstance(value, kind)
 
 
 @dataclass
@@ -86,6 +88,7 @@ class PipelineConfig:
     keypoints_path: str = ""
     landmarks_path: str = ""
     calibration_path: str = ""
+    recording_path: str = ""
     frames_dir: str = ""
     truth_path: str = ""
     match_truth_path: str = ""
@@ -106,11 +109,8 @@ class PipelineConfig:
     association: str = DEFAULT_ASSOCIATION
     canny_low: float = CANNY_LOW
     canny_high: float = CANNY_HIGH
-    fps: float = DEFAULT_FPS
     reproj_threshold_px: float = DEFAULT_REPROJ_THRESHOLD_PX
     gap_tolerance_frames: int = 0
-    validate_bounds: bool = False
-    aviary_size: list[float] = field(default_factory=lambda: [4.0, 3.4, 2.0])
     parallelism: int = 1
 
     @classmethod
@@ -122,9 +122,6 @@ class PipelineConfig:
                 for pair in value
             )
             return None if ok else "null or a list of [CAMA, CAMB] pairs of strings"
-        if name == "aviary_size":
-            ok = isinstance(value, list) and all(_has_type(v, float) for v in value)
-            return None if ok else "a list of numbers"
         kind = type(cls.__dataclass_fields__[name].default)
         return None if _has_type(value, kind) else kind.__name__
 
@@ -147,7 +144,6 @@ class PipelineConfig:
             ("jerk_sigma", self.jerk_sigma >= 0, ">= 0"),
             ("meas_sigma_m", self.meas_sigma_m > 0, "> 0"),
             ("fuse_radius_m", self.fuse_radius_m > 0, "> 0"),
-            ("fps", self.fps > 0, "> 0"),
             ("reproj_threshold_px", self.reproj_threshold_px > 0, "> 0"),
             ("parallelism", self.parallelism >= 1, ">= 1"),
             ("confirm_hits", self.confirm_hits >= 1, ">= 1"),
@@ -157,20 +153,13 @@ class PipelineConfig:
             ("canny_high", self.canny_high <= 255, "<= 255"),
             ("use_mask", not self.use_mask or bool(self.frames_dir),
              "false when frames_dir is unset"),
-            ("aviary_size", len(self.aviary_size) == 3
-             and all(0 < v < np.inf for v in self.aviary_size),
-             "three finite positive sizes in meters"),
         ):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise IngestError(path, f"invalid JSON: {exc}")
+        doc = dataio.read_json(path)
         if not isinstance(doc, dict):
             raise IngestError(path, "config must be a JSON object")
         unknown = set(doc) - {f.name for f in fields(cls)}
@@ -187,10 +176,10 @@ class PipelineConfig:
         clean = {k: v for k, v in overrides.items() if v is not None}
         return replace(self, **clean)
 
-    def tracker_config(self) -> TrackerConfig:
-        """The tracker settings of this config."""
+    def tracker_config(self, fps: float) -> TrackerConfig:
+        """The tracker settings of this config, for footage at ``fps``."""
         return TrackerConfig(
-            dt=1.0 / self.fps,
+            dt=1.0 / fps,
             jerk_sigma=self.jerk_sigma,
             meas_sigma=self.meas_sigma_m,
             gate=self.gate_m,
@@ -200,26 +189,13 @@ class PipelineConfig:
         )
 
     def for_bundle_dir(self, bundle_dir) -> "PipelineConfig":
-        """Fill unset input paths from a dataset bundle directory layout."""
+        """Fill unset input paths from a dataset bundle directory layout, an
+        optional input's only when the bundle has it."""
         bundle = Path(bundle_dir)
-        updates = {}
-        defaults = {
-            "detections_path": bundle / "detections.csv",
-            "keypoints_path": bundle / "keypoints.csv",
-            "landmarks_path": bundle / "landmarks.csv",
-            "calibration_path": bundle / "calibration.json",
-        }
-        for name, candidate in defaults.items():
-            if not getattr(self, name):
-                updates[name] = str(candidate)
-        for name, candidate in (
-            ("truth_path", bundle / "truth.csv"),
-            ("match_truth_path", bundle / "match_truth.csv"),
-            ("frames_dir", bundle / "frames"),
-        ):
-            if not getattr(self, name) and candidate.exists():
-                updates[name] = str(candidate)
-        return replace(self, **{k: str(v) for k, v in updates.items()})
+        return replace(self, **{
+            name: str(bundle / file) for name, file in (REQUIRED_INPUTS | OPTIONAL_INPUTS).items()
+            if not getattr(self, name) and (name in REQUIRED_INPUTS or (bundle / file).exists())
+        })
 
 
 @dataclass
@@ -230,6 +206,7 @@ class _Run:
     pairs: list[tuple[str, str]]
     landmarks: LandmarkSet
     cameras: dict[str, CameraModel]
+    bounds: tuple[np.ndarray, np.ndarray]  # the aviary box of recording.json
     config: PipelineConfig
 
 
@@ -264,16 +241,13 @@ def _process_frame(run: _Run, frame: int) -> FrameResult:
             decided, min_support=cfg.min_support
         )
 
-    bounds = None
-    if cfg.validate_bounds:
-        bounds = (np.zeros(3), np.asarray(cfg.aviary_size, dtype=float))
     observations = reconstruct_frame(
         frame,
         correspondences,
         run.centers,
         run.cameras,
         fuse_radius=cfg.fuse_radius_m,
-        bounds=bounds,
+        bounds=run.bounds,
     )
     return FrameResult(
         frame=frame,
@@ -354,6 +328,7 @@ def apply_mask_stage(
 def run_pipeline(config: PipelineConfig) -> dict:
     """Run every stage and write every output; returns the report."""
     config.validate()
+    fps, bounds = dataio.read_recording(config.recording_path)
     logger.info("ingesting calibration from %s", config.calibration_path)
     cameras = dataio.read_calibration(config.calibration_path)
     if config.camera_pairs is None:
@@ -403,6 +378,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         pairs=pairs,
         landmarks=landmarks,
         cameras=cameras,
+        bounds=bounds,
         config=config,
     )
 
@@ -451,7 +427,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     # A stepped frame without observations counts a miss for each live track.
     track_rows = run_tracker(
         {frame: table.position for frame, table in observations.items()},
-        config.tracker_config(),
+        config.tracker_config(fps),
     )
     dataio.write_tracks(out_dir / "tracks.csv", track_rows)
     (out_dir / "trajectories.svg").write_text(render_trajectories(track_rows))
@@ -460,7 +436,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         report["table5"] = tracking_metrics(
             track_rows,
             truth,
-            fps=config.fps,
+            fps=fps,
             gate=config.gate_m,
             gap_tolerance_frames=config.gap_tolerance_frames,
         )

@@ -175,7 +175,8 @@ def reconstruct_frame(
     centers: dict[tuple[str, int], FrameCenters],
     cameras: dict[str, CameraModel],
     fuse_radius: float = FUSE_RADIUS_M,
-    bounds: tuple[np.ndarray, np.ndarray] | None = None,
+    *,
+    bounds: tuple[np.ndarray, np.ndarray],
 ) -> ObservationTable:
     """Triangulate detection centers per camera pair, then fuse nearby points.
 
@@ -183,8 +184,8 @@ def reconstruct_frame(
     estimates whose mutual distance is within ``fuse_radius`` are merged
     (single-linkage, so the result is independent of pair order) into one
     observation at the coordinate-wise mean. Degenerate correspondences
-    are skipped rather than failing the frame. With ``bounds`` set,
-    observations outside the axis-aligned box are dropped. An
+    are skipped rather than failing the frame. Observations outside the
+    axis-aligned box ``bounds``, its (min, max) corners, are dropped. An
     observation's error in a camera is the mean distance from its
     reprojection to its members' raw centres there; it is NaN in a camera
     it has no member in or lies behind. The table's error columns are the
@@ -242,7 +243,7 @@ def reconstruct_frame(
         rows = starts[at, None] + np.arange(count)
         table.flat[cells[at]] = errors.ravel()[order[rows]].sum(axis=1) / count
 
-    lo, hi = (-np.inf, np.inf) if bounds is None else bounds
+    lo, hi = bounds
     keep = ~((fused < lo) | (fused > hi)).any(axis=1)
     return ObservationTable(np.full(int(keep.sum()), frame, dtype=np.int64),
                             fused[keep], table[keep], tuple(names))

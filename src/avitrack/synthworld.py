@@ -205,6 +205,8 @@ class DatasetBundle:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         dataio.write_calibration(out / "calibration.json", list(self.cameras.values()))
+        dataio.write_recording(out / "recording.json", self.config.fps,
+                               (np.zeros(3), self.config.aviary_size))
         dataio.write_detections(out / "detections.csv", self.detections)
         dataio.write_keypoints(
             out / "keypoints.csv", self.keypoints, self.config.descriptor_length

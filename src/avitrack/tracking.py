@@ -21,8 +21,7 @@ from .errors import SingularInnovationError
 TENTATIVE = "tentative"
 CONFIRMED = "confirmed"
 
-DEFAULT_FPS = 30.0
-DEFAULT_DT = 1.0 / DEFAULT_FPS
+DEFAULT_DT = 1.0 / 30.0       # s, one frame at 30 fps
 DEFAULT_JERK_SIGMA = 20.0     # m/s^3, keeps fast maneuvers inside the gate
 DEFAULT_MEAS_SIGMA = 0.05     # m, triangulation error scale
 DEFAULT_GATE = 0.5            # m
@@ -101,18 +100,23 @@ def update(
     (m, 3) position measurements.
 
     Joseph-form covariance update keeps the posterior symmetric positive
-    semi-definite even for a zero measurement covariance. A near-singular
-    innovation covariance raises, naming the first such row's condition.
+    semi-definite even for a zero measurement covariance. An innovation
+    covariance that is not finite and positive definite, or whose condition
+    exceeds 1e12, raises, naming the first such row's problem.
     """
     z = np.asarray(measurements, dtype=float).reshape(-1, 3, 1)
     r = np.asarray(meas_cov, dtype=float).reshape(3, 3)
     innovation_cov = _H @ covariance @ _H.T + r
-    condition = np.linalg.cond(innovation_cov)
-    bad = ~np.isfinite(condition) | (condition > 1e12)
+    # A positive-definite matrix's condition is its extreme eigenvalues' ratio.
+    finite = np.isfinite(innovation_cov).all(axis=(1, 2))
+    low, high = np.linalg.eigvalsh(
+        np.where(finite[:, None, None], innovation_cov, np.eye(3)))[:, [0, -1]].T
+    bad = ~finite | ~(low > 0) | (high > 1e12 * low)
     if bad.any():
-        raise SingularInnovationError(
-            f"innovation covariance condition {condition[bad][0]:.3g} exceeds 1e12"
-        )
+        first = int(np.argmax(bad))
+        problem = (f"condition {np.linalg.cond(innovation_cov[first]):.3g} exceeds 1e12"
+                   if finite[first] and low[first] > 0 else "is not finite and positive definite")
+        raise SingularInnovationError(f"innovation covariance {problem}")
     gain = covariance @ _H.T @ np.linalg.inv(innovation_cov)
     x = state[..., None]
     state = (x + gain @ (z - _H @ x))[..., 0]

@@ -22,6 +22,10 @@ from avitrack.synthworld import SceneConfig, generate
 from avitrack.tracking import render_trajectories, run_tracker
 
 ROOT = Path(__file__).resolve().parents[1]
+# A valid recording.json, and the rules that its fps and its keys break.
+_RECORDING = {"aviary_max_m": [4.0, 3.4, 2.0], "aviary_min_m": [0.0, 0.0, 0.0], "fps": 30.0}
+_FPS_RULE = "fps must be a finite number > 0, got "
+_KEYS_RULE = "recording must be a JSON object of the keys ['aviary_max_m', 'aviary_min_m', 'fps']"
 
 
 @pytest.fixture
@@ -60,9 +64,18 @@ class TestSynth:
     def test_bundle_files_present(self, small_bundle):
         for name in (
             "calibration.json", "detections.csv", "keypoints.csv",
-            "landmarks.csv", "truth.csv", "match_truth.csv",
+            "landmarks.csv", "truth.csv", "match_truth.csv", "recording.json",
         ):
             assert (small_bundle / name).exists()
+
+    def test_recording_says_the_frame_rate_and_aviary(self, tmp_path):
+        """``recording.json`` holds the scene's frame rate and its aviary
+        box, with the bytes ``calibration.json``'s writer gives."""
+        out = tmp_path / "bundle"
+        assert main(["synth", "--out", str(out), "--duration", "0.2", "--fps", "15"]) == 0
+        doc = {"aviary_max_m": [4.0, 3.4, 2.0], "aviary_min_m": [0.0, 0.0, 0.0], "fps": 15.0}
+        assert (out / "recording.json").read_text() == json.dumps(
+            doc, indent=2, sort_keys=True) + "\n"
 
     def test_same_seed_same_bytes(self, tmp_path):
         args = [
@@ -145,6 +158,7 @@ class TestRun:
                 "--keypoints", str(small_bundle / "keypoints.csv"),
                 "--landmarks", str(small_bundle / "landmarks.csv"),
                 "--calibration", str(tmp_path / "missing.json"),
+                "--recording", str(small_bundle / "recording.json"),
                 "--out", str(tmp_path / "out"),
             ]
         )
@@ -265,15 +279,11 @@ class TestRun:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("doc, message", [
-        ({"fps": "30"}, "config key 'fps': expected float, got '30'"),
+        ({"gate_m": "0.5"}, "config key 'gate_m': expected float, got '0.5'"),
         ({"max_misses": 2.5}, "config key 'max_misses': expected int, got 2.5"),
         *[({"camera_pairs": pairs}, "config key 'camera_pairs': expected null or a list "
            f"of [CAMA, CAMB] pairs of strings, got {pairs!r}")
           for pairs in ([5], [["cam0", 1]], ["cam0,cam1"])],
-        ({"aviary_size": ["a", 1, 2]},
-         "config key 'aviary_size': expected a list of numbers, got ['a', 1, 2]"),
-        ({"aviary_size": [float("nan"), 3.4, 2]},
-         "config key 'aviary_size': expected a list of numbers, got [nan, 3.4, 2]"),
         ({"gate_m": 10**400}, f"config key 'gate_m': expected float, got {10**400!r}"),
     ])
     def test_config_value_of_the_wrong_type_fails(
@@ -291,17 +301,14 @@ class TestRun:
 
     @pytest.mark.parametrize("argv, doc, message", [
         (["--use-mask"], {}, "use_mask must be false when frames_dir is unset, got True"),
-        *[(["--validate-bounds"], {"aviary_size": size},
-           f"aviary_size must be three finite positive sizes in meters, got {size!r}")
-          for size in ([4.0], [-1, 3.4, 2])],
         *[([flag, value], {}, f"{name} must be a finite number, got {float(value)!r}")
           for flag, value, name in (
-              ("--fps", "inf", "fps"), ("--jerk-sigma", "nan", "jerk_sigma"),
+              ("--ratio", "inf", "ratio"), ("--jerk-sigma", "nan", "jerk_sigma"),
               ("--gate", "inf", "gate_m"), ("--fuse-radius", "inf", "fuse_radius_m"),
               ("--reproj-threshold", "inf", "reproj_threshold_px"))],
         (["--jerk-sigma", "-5"], {}, "jerk_sigma must be >= 0, got -5.0"),
         (["--meas-sigma", "0"], {}, "meas_sigma_m must be > 0, got 0.0"),
-    ], ids=["use-mask-without-frames", "aviary-one-size", "aviary-negative", "fps-inf",
+    ], ids=["use-mask-without-frames", "ratio-inf",
             "jerk-sigma-nan", "gate-inf", "fuse-radius-inf", "reproj-threshold-inf",
             "jerk-sigma-negative", "meas-sigma-zero"])
     def test_setting_out_of_range_fails_before_any_output(
@@ -318,6 +325,97 @@ class TestRun:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        (None, "file not found"),
+        ("{", "invalid JSON: "),
+        ("\udcff", "invalid JSON: "),  # bytes that are not UTF-8
+        *[(text, _KEYS_RULE) for text in (
+            "[]", *[json.dumps({k: v for k, v in _RECORDING.items() if k != key})
+                    for key in sorted(_RECORDING)],
+            json.dumps({**_RECORDING, "aviary_size": [4.0, 3.4, 2.0]}))],
+        *[(json.dumps({**_RECORDING, "fps": fps}), _FPS_RULE + shown) for fps, shown in (
+            ("30", "'30'"), (True, "True"), (0, "0"), (-15.0, "-15.0"), (None, "None"),
+            (float("nan"), "nan"), (float("inf"), "inf"), (10**400, repr(10**400)))],
+        *[(json.dumps({**_RECORDING, key: corner}),
+           f"{key} must be three finite numbers, got {corner!r}")
+          for key, corner in (
+              ("aviary_max_m", [4.0, 3.4]), ("aviary_max_m", 4.0),
+              ("aviary_max_m", [4.0, float("inf"), 2.0]), ("aviary_min_m", [0, "0", 0]),
+              ("aviary_min_m", [0, False, 0]), ("aviary_min_m", [0, 0, float("nan")]),
+              ("aviary_min_m", [[0, 0, 0]]))],
+        *[(json.dumps({**_RECORDING, "aviary_min_m": low}),
+           "aviary_min_m must be below aviary_max_m on every axis, "
+           f"got {[float(v) for v in low]} and [4.0, 3.4, 2.0]")
+          for low in ([0, 3.4, 0], [0, 0, 5])],
+    ], ids=["missing-file", "bad-json", "not-text", "not-an-object", "no-aviary-max",
+            "no-aviary-min", "no-fps", "unknown-key", "fps-text", "fps-bool", "fps-zero",
+            "fps-negative", "fps-null", "fps-nan", "fps-inf", "fps-huge-int",
+            "max-two-numbers", "max-a-number", "max-inf", "min-text", "min-bool",
+            "min-nan", "min-nested", "min-equals-max", "min-above-max"])
+    def test_malformed_recording_fails_before_any_output(
+        self, small_bundle, tmp_path, capsys, monkeypatch, text, message
+    ):
+        """``recording.json`` is read before any other input: a malformed
+        one names itself and writes nothing."""
+        for name in ("read_calibration", "read_landmarks", "read_detections"):
+            monkeypatch.setattr(dataio, name, None)
+        recording = tmp_path / "recording.json"
+        if text is not None:
+            recording.write_bytes(text.encode("utf-8", "surrogateescape"))
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(small_bundle), "--recording", str(recording),
+                     "--out", str(out)]) == 2
+        assert f"error: {recording}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "file not found"), (b"\xff\xfe", "invalid JSON: 'utf-8' codec can't decode"),
+    ], ids=["missing", "not-text"])
+    @pytest.mark.parametrize("flag", ["--config", "--calibration"])
+    def test_every_json_input_is_read_strictly(self, small_bundle, tmp_path, capsys, flag,
+                                               content, message):
+        """A missing JSON input, or one that is not text, is an input error
+        naming the file, not a traceback, as for ``recording.json`` above."""
+        path = tmp_path / "input.json"
+        if content is not None:
+            path.write_bytes(content)
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(small_bundle), flag, str(path),
+                     "--out", str(out)]) == 2
+        assert f"error: {path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--config", "--detections", "--keypoints", "--landmarks",
+                                      "--calibration", "--recording"])
+    def test_a_directory_is_no_input_file(self, small_bundle, tmp_path, capsys, flag):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(small_bundle), flag, str(folder),
+                     "--out", str(out)]) == 2
+        assert f"error: {folder}: file not found" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--fps", "30"], ["--validate-bounds"]],
+                             ids=["fps", "validate-bounds"])
+    def test_the_bundle_settings_are_not_flags(self, small_bundle, tmp_path, capsys, flags):
+        """The frame rate and the aviary box come from ``recording.json``."""
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--input", str(small_bundle), "--out", str(out), *flags])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_bundle_without_recording_fails_before_any_output(self, small_bundle, tmp_path,
+                                                                 capsys):
+        (small_bundle / "recording.json").unlink()
+        out = tmp_path / "out"
+        assert main(["run", "--input", str(small_bundle), "--out", str(out)]) == 2
+        assert (f"error: {small_bundle / 'recording.json'}: file not found"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestStandaloneCommands:
     """``run`` end to end on small bundles of its own, with and without
@@ -327,8 +425,8 @@ class TestStandaloneCommands:
 
     @pytest.fixture(scope="class")
     def sparse_bundle(self, tmp_path_factory):
-        """One bird seen by two cameras: with ``--validate-bounds``, 17 of
-        its 60 frames have no observation."""
+        """One bird seen by two cameras: 17 of its 60 frames have no
+        observation inside the aviary box of its ``recording.json``."""
         bundle = tmp_path_factory.mktemp("sparse") / "bundle"
         assert main(["synth", "--out", str(bundle), "--seed", "3", "--birds", "1",
                      "--cameras", "2", "--duration", "2", "--descriptor-length", "8"]) == 0
@@ -341,7 +439,7 @@ class TestStandaloneCommands:
         """Each frame ``run`` steps has a row in observations.csv, so
         tracking its positions, frame by frame, misses the same frames and
         coasts the same tracks as the run."""
-        flags = ["--input", str(sparse_bundle), "--validate-bounds", *tracker_flags]
+        flags = ["--input", str(sparse_bundle), *tracker_flags]
         full = tmp_path / "full"
         assert main(["run", "--out", str(full), *flags]) == 0
         with open(full / "observations.csv", newline="") as fh:
@@ -357,7 +455,9 @@ class TestStandaloneCommands:
         tracked.mkdir()
         config = pipeline_config(build_parser().parse_args(
             ["run", "--out", str(tracked), *flags]))
-        track_rows = run_tracker(by_frame, config.tracker_config())
+        fps, _ = dataio.read_recording(config.recording_path)
+        assert fps == 30.0
+        track_rows = run_tracker(by_frame, config.tracker_config(fps))
         dataio.write_tracks(tracked / "tracks.csv", track_rows)
         (tracked / "trajectories.svg").write_text(render_trajectories(track_rows))
         for name in ("tracks.csv", "trajectories.svg"):
@@ -365,22 +465,25 @@ class TestStandaloneCommands:
 
     def test_table4_does_not_need_observations(self, tmp_path):
         """table4 reprojects the kept keypoint pairs, not the observations:
-        bounds that drop every observation leave it as it is."""
+        an aviary box in ``recording.json`` that drops every observation
+        leaves it as it is."""
         bundle = tmp_path / "bundle"
         assert main(["synth", "--out", str(bundle), "--seed", "3", "--birds", "3",
                      "--cameras", "3", "--duration", "0.5", "--descriptor-length", "8"]) == 0
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"aviary_size": [0.01, 0.01, 0.01]}))
-        table4 = {}
-        for name, flags in (("bounded", ["--validate-bounds"]), ("unbounded", [])):
+        recording = tmp_path / "recording.json"
+        doc = json.loads((bundle / "recording.json").read_text())
+        recording.write_text(json.dumps({**doc, "aviary_max_m": [0.01, 0.01, 0.01]}))
+        table4, positions = {}, {}
+        for name, flags in (("tiny-box", ["--recording", str(recording)]), ("aviary", [])):
             out = tmp_path / name
-            assert main(["run", "--input", str(bundle), "--out", str(out),
-                         "--config", str(config), *flags]) == 0
+            assert main(["run", "--input", str(bundle), "--out", str(out), *flags]) == 0
             table4[name] = json.loads((out / "metrics.json").read_text()).get("table4")
-        with open(tmp_path / "bounded" / "observations.csv", newline="") as fh:
-            assert all(row[2] == "" for row in list(csv.reader(fh))[1:])
-        assert table4["unbounded"]["total_keypoints"] == 294
-        assert table4["bounded"] == table4["unbounded"]
+            with open(out / "observations.csv", newline="") as fh:
+                positions[name] = [row[2] for row in list(csv.reader(fh))[1:]]
+        assert all(x == "" for x in positions["tiny-box"])
+        assert any(x != "" for x in positions["aviary"])
+        assert table4["aviary"]["total_keypoints"] == 294
+        assert table4["tiny-box"] == table4["aviary"]
 
     @pytest.fixture
     def masked_bundle(self, tmp_path):
@@ -502,7 +605,6 @@ class TestStandaloneCommands:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [
-        (["--fps", "0"], "fps must be > 0, got 0.0"),
         (["--gate", "-1"], "gate_m must be > 0, got -1.0"),
         (["--gap-tolerance", "-1"], "gap_tolerance_frames must be >= 0, got -1"),
     ])
@@ -592,19 +694,30 @@ def bench(monkeypatch):
     return module
 
 
-def test_benchmark_reads_the_run_outputs(bench, tmp_path):
+@pytest.mark.parametrize("name, duration", [
+    ("quickstart", 0.5), ("crowded", None), ("masked", None),
+])
+def test_benchmark_reads_the_run_outputs(bench, tmp_path, name, duration):
     """The benchmark hashes every output file and reads its quality
-    metrics from metrics.json, observations.csv and tracks.csv. The scene
-    has an observation in every frame, as every benchmark workload does:
-    ``quality`` cannot read a ``frame,0,,,,,`` row."""
+    metrics from metrics.json, observations.csv and tracks.csv. Each
+    scene, the reference scenes of ``crowded`` and ``masked`` at their full
+    length among them, has an observation inside the aviary in every
+    frame: ``quality`` cannot read a ``frame,0,,,,,`` row."""
+    workload = bench.WORKLOADS[name]
     bundle, out = tmp_path / "bundle", tmp_path / "out"
-    bench.set_up(bench.scene_config(bench.WORKLOADS["quickstart"], 42, 0.5), bundle)
-    run_pipeline(PipelineConfig(output_dir=str(out)).for_bundle_dir(bundle))
+    bench.set_up(bench.scene_config(workload, workload.reference_seed, duration), bundle)
+    run_pipeline(PipelineConfig(output_dir=str(out), **workload.config)
+                 .for_bundle_dir(bundle))
     _, problems = bench.check_outputs(out, bundle)
     assert problems == []
-    metrics = bench.quality(out, PipelineConfig().aviary_size)
+    with open(out / "observations.csv", newline="") as fh:
+        assert [row for row in csv.reader(fh) if row[1] == "0"] == []
+    recording = json.loads((bundle / "recording.json").read_text())
+    assert recording["aviary_min_m"] == [0.0, 0.0, 0.0]  # the corner ``quality`` assumes
+    metrics = bench.quality(out, recording["aviary_max_m"])
     assert len(metrics) == 6
     assert all(np.isfinite(value) for value, _ in metrics.values())
+    assert metrics["inworld_obs_pct"][0] == 100.0
 
 
 class TestFlagsMatchConfig:
@@ -641,4 +754,4 @@ class TestFlagsMatchConfig:
             config = pipeline_config(parser.parse_args(["run", "--input", "X", flag, *value]))
             assert getattr(config, action.dest) != default, flag
             covered.add(action.dest)
-        assert names - covered == {"aviary_size"}  # set by config file only
+        assert names - covered == set()

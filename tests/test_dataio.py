@@ -175,6 +175,18 @@ class TestStrictness:
         with pytest.raises(IngestError, match="5 distortion coefficients"):
             dataio.read_calibration(path)
 
+    @pytest.mark.parametrize("field", ["K", "dist", "rvec", "tvec"])
+    def test_an_int_too_large_for_a_float_is_rejected(self, tmp_path, field):
+        """JSON reads 10**400 as an int, which no float holds."""
+        doc = {"id": "cam0", "image_size": [640, 360], "dist": [0.0] * 5,
+               "K": [[360.0, 0.0, 320.0], [0.0, 360.0, 180.0], [0.0, 0.0, 1.0]],
+               "rvec": [0.0, 0.0, 0.0], "tvec": [0.0, 0.0, 0.0]}
+        (doc[field][0] if field == "K" else doc[field])[0] = 10**400
+        path = tmp_path / "calib.json"
+        path.write_text(json.dumps([doc]))
+        with pytest.raises(IngestError, match="malformed camera entry: int too large"):
+            dataio.read_calibration(path)
+
     def test_landmark_outside_frame_rejected(self, tmp_path):
         path = tmp_path / "l.csv"
         path.write_text(
@@ -742,6 +754,21 @@ class TestRoundTripProperty:
             or [(frame, 0, None, None, None)]
         ]
         assert _bits(parsed) == _bits(expected)
+
+    @settings(max_examples=50, deadline=None)
+    @given(fps=_FLOAT.filter(lambda v: v > 0), low=_POINT, size=_POINT)
+    def test_recording(self, tmp_path_factory, fps, low, size):
+        """The frame rate and both corners come back bit for bit, the box
+        as written: a box with a side of no width is an error."""
+        high = low + np.abs(size)
+        path = tmp_path_factory.mktemp("rt") / "recording.json"
+        dataio.write_recording(path, fps, (low, high))
+        if np.isfinite(high).all() and (low < high).all():
+            back_fps, back_bounds = dataio.read_recording(path)
+            assert _bits([back_fps, *back_bounds]) == _bits([fps, low, high])
+        else:
+            with pytest.raises(IngestError, match="aviary_(max|min)_m"):
+                dataio.read_recording(path)
 
     @settings(max_examples=50, deadline=None)
     @given(rows=st.lists(st.tuples(

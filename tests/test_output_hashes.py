@@ -4,7 +4,9 @@ exactly the recorded files.
 Each run case generates a small scene of ``BUNDLE_SCENES`` (the
 ``crowded``-like one: 40 birds, 8-d descriptors, 0.5 s; the ``masked``
 one, with frames; or a 9-camera rig), runs ``avitrack run`` on it and compares the SHA-256
-of every output file with ``tests/data/run_output_sha256.json``. Each bundle
+of every output file with ``tests/data/run_output_sha256.json``. A case of
+``RECORDED_FPS`` runs on a copy of its bundle whose ``recording.json`` says
+another frame rate. Each bundle
 case generates a small scene and compares the SHA-256 of every file that
 ``generate(...).write`` makes, frames included, with
 ``tests/data/bundle_sha256.json``. A change that alters outputs on purpose
@@ -18,11 +20,13 @@ in CHANGES.md.
 
 import hashlib
 import json
+import shutil
 import sys
 from pathlib import Path
 
 import pytest
 
+from avitrack import dataio
 from avitrack.cli import main
 from avitrack.synthworld import SceneConfig, generate
 
@@ -39,10 +43,12 @@ CASES = {
     "masked-use-mask": ("masked", ["--use-mask"]),
     "crowded-optimal": ("crowded", ["--association", "optimal"]),
     "crowded-tracker-flags": ("crowded", ["--max-misses", "2", "--gate", "0.3",
-                                          "--jerk-sigma", "5", "--confirm-hits", "4",
-                                          "--fps", "24"]),
+                                          "--jerk-sigma", "5", "--confirm-hits", "4"]),
     "nine-cameras": ("nine-cameras", []),
 }
+# A run case whose bundle is a copy of its scene's, with this frame rate in
+# its ``recording.json``.
+RECORDED_FPS = {"crowded-tracker-flags": 24.0}
 # Small versions of the benchmark scenes: the quickstart (128-d), crowded
 # (8-d, pixel noise), masked (frames drawn) and look-alike birds; and a
 # 9-camera rig, where an observation can have more than 8 error cells.
@@ -56,6 +62,17 @@ BUNDLE_SCENES = {
     "nine-cameras": SceneConfig(seed=5, bird_count=8, camera_count=9, duration_s=0.5,
                                 descriptor_length=8),
 }
+
+
+def case_bundle(case: str, bundle: Path, copy: Path) -> Path:
+    """``bundle``, or for a case of ``RECORDED_FPS`` a ``copy`` of it whose
+    ``recording.json`` says that frame rate."""
+    if case not in RECORDED_FPS:
+        return bundle
+    shutil.copytree(bundle, copy)
+    _, bounds = dataio.read_recording(copy / "recording.json")
+    dataio.write_recording(copy / "recording.json", RECORDED_FPS[case], bounds)
+    return copy
 
 
 def run_hashes(bundle: Path, out: Path, flags: list[str]) -> dict[str, str]:
@@ -90,7 +107,8 @@ def bundles(tmp_path_factory):
 def test_run_writes_the_recorded_bytes(bundles, tmp_path, case):
     expected = json.loads(HASHES.read_text())[case]
     scene, flags = CASES[case]
-    assert run_hashes(bundles(scene), tmp_path / "out", flags) == expected
+    bundle = case_bundle(case, bundles(scene), tmp_path / "bundle")
+    assert run_hashes(bundle, tmp_path / "out", flags) == expected
 
 
 @pytest.mark.parametrize("scene", sorted(BUNDLE_SCENES))
@@ -106,7 +124,8 @@ if __name__ == "__main__":
         work = Path(work)
         for scene in sorted({scene for scene, _ in CASES.values()}):
             generate(BUNDLE_SCENES[scene]).write(work / f"run-{scene}")
-        record = {case: run_hashes(work / f"run-{scene}", work / case, flags)
+        record = {case: run_hashes(case_bundle(case, work / f"run-{scene}",
+                                               work / f"run-{case}"), work / case, flags)
                   for case, (scene, flags) in sorted(CASES.items())}
         bundles = {scene: bundle_hashes(config, work / f"bundle-{scene}")
                    for scene, config in sorted(BUNDLE_SCENES.items())}

@@ -1,5 +1,6 @@
 """Tests for pipeline configuration and orchestration details."""
 
+import csv
 import gc
 import importlib.util
 import io
@@ -10,6 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from avitrack import dataio, pipeline, reconstruction
@@ -68,10 +70,10 @@ class TestConfig:
 
     def test_tracker_config_carries_every_tracker_field(self):
         config = PipelineConfig(
-            fps=25.0, jerk_sigma=7.0, meas_sigma_m=0.02, gate_m=0.3,
+            jerk_sigma=7.0, meas_sigma_m=0.02, gate_m=0.3,
             confirm_hits=4, max_misses=9, association="optimal",
         )
-        assert config.tracker_config() == TrackerConfig(
+        assert config.tracker_config(25.0) == TrackerConfig(
             dt=1.0 / 25.0, jerk_sigma=7.0, meas_sigma=0.02, gate=0.3,
             confirm_hits=4, max_misses=9, association="optimal",
         )
@@ -83,7 +85,7 @@ class TestConfig:
             PipelineConfig.from_file(config_path)
 
     @pytest.mark.parametrize("doc", [
-        {"fps": 25, "gate_m": 1},  # an int where a float is expected
+        {"jerk_sigma": 25, "gate_m": 1},  # ints where floats are expected
         {"camera_pairs": None},
         {"camera_pairs": [["cam0", "cam1"]], "use_mask": True, "max_misses": 3},
     ])
@@ -94,13 +96,12 @@ class TestConfig:
         assert {name: getattr(config, name) for name in doc} == doc
 
     @pytest.mark.parametrize("doc", [
-        {"fps": "30"},
+        {"gate_m": "0.5"},
         {"max_misses": 2.5},
         {"max_misses": True},  # a bool is not an int
         {"use_mask": 1},
         {"association": None},
         {"camera_pairs": "cam0,cam1"},
-        {"aviary_size": 4.0},
     ], ids=lambda doc: "-".join(f"{k}={v!r}" for k, v in doc.items()))
     def test_values_of_another_type_rejected(self, tmp_path, doc):
         config_path = tmp_path / "config.json"
@@ -109,23 +110,21 @@ class TestConfig:
             PipelineConfig.from_file(config_path)
 
     @pytest.mark.parametrize("name", [
-        *(f.name for f in fields(PipelineConfig) if isinstance(f.default, float)),
-        "aviary_size",
+        f.name for f in fields(PipelineConfig) if isinstance(f.default, float)
     ])
     @pytest.mark.parametrize("value", [10**400, -10**400, float("inf"), float("nan")],
                              ids=["huge-int", "huge-negative-int", "inf", "nan"])
     def test_float_keys_take_only_finite_floats(self, tmp_path, name, value):
         """An int too large for a float would end the run in an OverflowError."""
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(
-            {name: [value, 3.4, 2.0] if name == "aviary_size" else value}
-        ))
+        config_path.write_text(json.dumps({name: value}))
         with pytest.raises(IngestError, match=f"config key '{name}': expected"):
             PipelineConfig.from_file(config_path)
 
     def test_a_removed_setting_is_an_unknown_key(self, tmp_path):
         config_path = tmp_path / "config.json"
-        for name, value in (("fusion", "pairwise"), ("stage", "match")):
+        for name, value in (("fusion", "pairwise"), ("stage", "match"), ("fps", 30.0),
+                            ("aviary_size", [4.0, 3.4, 2.0]), ("validate_bounds", True)):
             config_path.write_text(json.dumps({name: value}))
             with pytest.raises(IngestError, match=rf"unknown config keys: \['{name}'\]"):
                 PipelineConfig.from_file(config_path)
@@ -146,7 +145,6 @@ class TestConfig:
     @pytest.mark.parametrize("bad", [
         {"min_support": "2"}, {"parallelism": 2.5}, {"confirm_hits": 1.5},
         {"max_misses": True}, {"use_mask": "yes"}, {"camera_pairs": [("cam0", "cam1")]},
-        {"aviary_size": (4.0, 3.4, 2.0)},
     ], ids=lambda bad: "-".join(f"{k}={v!r}" for k, v in bad.items()))
     def test_validate_checks_types_before_ranges(self, bad):
         """A wrong type names its field; no range rule meets it as a ``TypeError``."""
@@ -155,7 +153,7 @@ class TestConfig:
 
     def test_config_must_be_an_object(self, tmp_path):
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps([["fps", 30.0]]))
+        config_path.write_text(json.dumps([["ratio", 0.8]]))
         with pytest.raises(IngestError, match="config must be a JSON object"):
             PipelineConfig.from_file(config_path)
 
@@ -181,12 +179,6 @@ class TestConfig:
         {"camera_pairs": [["cam0", "cam1"], ["cam2", "cam1"], ["cam0", "cam1"]]},
         {"landmark_anchor": "track"},
         {"use_mask": True},
-        {"aviary_size": [4.0]},
-        {"aviary_size": [4.0, 3.4]},
-        {"aviary_size": [-1.0, 3.4, 2.0]},
-        {"aviary_size": [4.0, 0.0, 2.0]},
-        {"aviary_size": [4.0, float("nan"), 2.0]},
-        {"aviary_size": [float("inf"), 3.4, 2.0]},
         *[{f.name: value} for f in fields(PipelineConfig) if type(f.default) is float
           for value in (float("nan"), float("inf"), -float("inf"))],
         {"jerk_sigma": -5.0},
@@ -212,6 +204,7 @@ class TestConfig:
         assert config.detections_path.endswith("detections.csv")
         assert config.truth_path.endswith("truth.csv")
         assert config.frames_dir.endswith("frames")
+        assert config.recording_path == str(bundle_dir / "recording.json")
 
 
 class TestRunPipeline:
@@ -291,15 +284,34 @@ class TestRunPipeline:
         with pytest.raises(IngestError, match="missing detection"):
             run_pipeline(config)
 
-    def test_bounds_validation_drops_outliers(self, bundle_dir, tmp_path):
-        config = PipelineConfig().for_bundle_dir(bundle_dir).with_overrides(
-            {
-                "output_dir": str(tmp_path / "bounded"),
-                "validate_bounds": True,
-                "aviary_size": [4.0, 3.4, 2.0],
-            }
-        )
-        run_pipeline(config)  # should not raise
+    def test_the_recording_sets_the_box_and_the_frame_rate(self, quickstart_dir, tmp_path,
+                                                           monkeypatch):
+        """Every frame is reconstructed within the aviary box of
+        ``recording.json``, and the tracker and table5 take its frame rate."""
+        calls = {}
+        for name in ("reconstruct_frame", "run_tracker", "tracking_metrics"):
+            def spied(*args, _name=name, _original=getattr(pipeline, name), **kwargs):
+                calls.setdefault(_name, []).append((args, kwargs))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, spied)
+        low, high = [-1.0, 0.5, 0.0], [3.0, 3.4, 1.5]
+        recording = tmp_path / "recording.json"
+        dataio.write_recording(recording, 15.0, (low, high))
+        out = tmp_path / "out"
+        run_pipeline(PipelineConfig(output_dir=str(out), recording_path=str(recording))
+                     .for_bundle_dir(quickstart_dir))
+        boxes = [kwargs["bounds"] for _, kwargs in calls["reconstruct_frame"]]
+        assert len(boxes) == 60
+        assert all(box[0].tolist() == low and box[1].tolist() == high for box in boxes)
+        (_, tracker_config), _ = calls["run_tracker"][0]
+        assert tracker_config.dt == 1.0 / 15.0
+        assert calls["tracking_metrics"][0][1]["fps"] == 15.0
+        with open(out / "observations.csv", newline="") as fh:
+            positions = np.array([row[2:5] for row in list(csv.reader(fh))[1:] if row[2]],
+                                 dtype=float)
+        assert len(positions) > 0
+        assert ((positions >= low) & (positions <= high)).all()
 
     def test_table2_covers_the_frames_the_run_steps(self, quickstart_dir, tmp_path):
         """A detection moved far ahead adds one frame to table2 and to the
@@ -307,7 +319,8 @@ class TestRunPipeline:
         bundle = tmp_path / "bundle"
         bundle.mkdir()
         moved = 0
-        for name in ("calibration.json", "landmarks.csv", "detections.csv", "keypoints.csv"):
+        for name in ("calibration.json", "recording.json", "landmarks.csv", "detections.csv",
+                     "keypoints.csv"):
             lines = (quickstart_dir / name).read_text().splitlines(keepends=True)
             far = ["cam0,300000," + line[len("cam0,59,"):] if line.startswith("cam0,59,")
                    else line for line in lines]
@@ -343,7 +356,7 @@ class TestProcessPool:
 
     @pytest.mark.parametrize("scene, settings", [
         ("bundle_dir", {"use_mask": True}),
-        ("crowded_dir", {"validate_bounds": True}),
+        ("crowded_dir", {}),
     ])
     def test_pooled_run_writes_the_serial_bytes(self, request, tmp_path, scene, settings):
         config = PipelineConfig(**settings).for_bundle_dir(request.getfixturevalue(scene))

@@ -142,9 +142,16 @@ def reached(tmp_path_factory) -> set[str]:
         [*run, "--out", str(tmp / "pair"), "--pair", "cam0,cam1"],
         [*run, "--out", str(tmp / "config"), "--config", str(config)],
         [*run, "--out", str(tmp / "options"), "--association", "optimal",
-         "--landmark-anchor", "detection_center", "--validate-bounds"],
+         "--landmark-anchor", "detection_center"],
     ]
     expected = [0] * len(commands)
+    # A recording.json whose box is inside out fails before any other input.
+    recording = tmp / "recording.json"
+    recording.write_text(json.dumps({"aviary_max_m": [0, 0, 0], "aviary_min_m": [1, 1, 1],
+                                     "fps": 30}))
+    commands.append([*run, "--out", str(tmp / "bad_recording.out"),
+                     "--recording", str(recording)])
+    expected.append(2)
     # A non-number in a row: each fast-path reader hands the file to its
     # strict reader, which names the row.
     for flag, name in (("--detections", "detections.csv"), ("--keypoints", "keypoints.csv"),

@@ -29,6 +29,9 @@ from matching_reference import (
     DetectionRow, box_center, detection_table, pair_matches_loop as pair_matches,
 )
 
+# The (min, max) corners of a box that drops no observation.
+_ANYWHERE = (np.full(3, -np.inf), np.full(3, np.inf))
+
 
 def _sample_points(rng, count):
     return rng.uniform([0.4, 0.4, 0.3], [3.6, 3.0, 1.7], size=(count, 3))
@@ -179,7 +182,8 @@ class TestReconstructFrame:
         rng = np.random.default_rng(4)
         points = _sample_points(rng, 3)
         corrs, dets = self._setup(default_rig, points, [("cam0", "cam1")])
-        observations = reconstruct_frame(0, corrs, _centers(dets, default_rig), default_rig)
+        observations = reconstruct_frame(0, corrs, _centers(dets, default_rig), default_rig,
+                                         bounds=_ANYWHERE)
         assert len(observations) == 3
         order = np.argsort(observations.position[:, 0])
         expected = points[np.argsort(points[:, 0])]
@@ -196,7 +200,8 @@ class TestReconstructFrame:
         corrs_b, dets_b = self._setup(default_rig, b[None], [("cam2", "cam3")])
         corrs = {**corrs_a, **corrs_b}
         dets = {**dets_a, **dets_b}
-        observations = reconstruct_frame(0, corrs, _centers(dets, default_rig), default_rig)
+        observations = reconstruct_frame(0, corrs, _centers(dets, default_rig), default_rig,
+                                         bounds=_ANYWHERE)
         assert len(observations) == 1
         np.testing.assert_allclose(observations.position[0], (a + b) / 2, atol=1e-6)
         # Members in cam0-cam3, one from each pair's two cameras, none in cam4.
@@ -210,7 +215,7 @@ class TestReconstructFrame:
         corrs_b, dets_b = self._setup(default_rig, b[None], [("cam2", "cam3")])
         observations = reconstruct_frame(
             0, {**corrs_a, **corrs_b}, _centers({**dets_a, **dets_b}, default_rig),
-            default_rig,
+            default_rig, bounds=_ANYWHERE,
         )
         assert len(observations) == 2
 
@@ -224,7 +229,8 @@ class TestReconstructFrame:
         results = []
         for order in pair_orders:
             corrs, dets = self._setup(default_rig, points, order)
-            obs = reconstruct_frame(0, corrs, _centers(dets, default_rig), default_rig)
+            obs = reconstruct_frame(0, corrs, _centers(dets, default_rig), default_rig,
+                                    bounds=_ANYWHERE)
             results.append(sorted(obs.position[:, 0]))
         np.testing.assert_allclose(results[0], results[1], atol=1e-12)
 
@@ -495,7 +501,7 @@ def _table_rows(table: ObservationTable) -> list[ObservationRow]:
 
 
 def _reconstruct_frame_union_find(
-    frame, correspondences, detections, cameras, fuse_radius, bounds=None
+    frame, correspondences, detections, cameras, fuse_radius, bounds
 ):
     estimates = []
     for pair in sorted(correspondences):
@@ -533,10 +539,9 @@ def _reconstruct_frame_union_find(
     observations = []
     for members in components:
         position = np.mean([estimates[i][0] for i in members], axis=0)
-        if bounds is not None:
-            lo, hi = bounds
-            if np.any(position < lo) or np.any(position > hi):
-                continue
+        lo, hi = bounds
+        if np.any(position < lo) or np.any(position > hi):
+            continue
         errors = {}
         for i in members:
             for cam_id, observed in estimates[i][2].items():
@@ -582,7 +587,7 @@ def _fusion_case(draw):
         # Exactly one pair's distance, as both sides compute it.
         i, j = draw(st.lists(st.integers(0, len(finite) - 1), min_size=2, max_size=2))
         radius = float(np.linalg.norm((finite[j] - finite[i])[None], axis=1)[0])
-    bounds = draw(st.sampled_from([None, (np.full(3, 1.05), np.full(3, 1.25))]))
+    bounds = draw(st.sampled_from([_ANYWHERE, (np.full(3, 1.05), np.full(3, 1.25))]))
     return points, correspondences, detections, radius, bounds
 
 
@@ -632,7 +637,7 @@ class TestFusionMatchesUnionFind:
             pair: [Correspondence(i, i, 2, 0.0) for i in range(len(estimates))]
             for pair, estimates in points.items()
         }
-        got, expected = self._both(points, correspondences, detections, 0.125, None)
+        got, expected = self._both(points, correspondences, detections, 0.125, _ANYWHERE)
         assert _observation_bits(got) == _observation_bits(expected)
         # The chain's members come from (cam0, cam1) and (cam0, cam2), the
         # duplicates' from (cam1, cam3).
@@ -644,7 +649,7 @@ class TestFusionMatchesUnionFind:
 
 
 def _reconstruct_frame_per_member(
-    frame, correspondences, detections, cameras, fuse_radius=0.15, bounds=None
+    frame, correspondences, detections, cameras, fuse_radius=0.15, *, bounds
 ):
     """Each pair undistorts its own centres, and each member reprojects the
     fused position with ``project``."""
@@ -686,10 +691,9 @@ def _reconstruct_frame_per_member(
     for root in np.unique(linked.argmax(axis=1)):
         members = np.flatnonzero(linked[root])
         position = np.mean([estimates[i][0] for i in members], axis=0)
-        if bounds is not None:
-            lo, hi = bounds
-            if np.any(position < lo) or np.any(position > hi):
-                continue
+        lo, hi = bounds
+        if np.any(position < lo) or np.any(position > hi):
+            continue
         errors = {}
         for i in members:
             for cam_id, observed in estimates[i][2].items():
@@ -794,7 +798,7 @@ def _frame_case(draw):
     order = draw(st.permutations(list(detections)))
     detections = {key: detections[key] for key in order}
     radius = draw(st.sampled_from([0.0, 0.05, 0.15, 0.5]))
-    bounds = draw(st.sampled_from([None, (np.zeros(3), np.array([4.0, 3.4, 2.0]))]))
+    bounds = draw(st.sampled_from([_ANYWHERE, (np.zeros(3), np.array([4.0, 3.4, 2.0]))]))
     cameras = {name: _RIG[name] for name in names}
     return frame, correspondences, detections, cameras, radius, bounds
 
@@ -832,8 +836,9 @@ class TestReconstructFrameMatchesPerMember:
             ("cam2", "cam3"): [Correspondence(7, 7, 2, 0.0)],
         }
         got = reconstruct_frame(0, correspondences,
-                                _centers(detections, cameras), cameras)
-        expected = _reconstruct_frame_per_member(0, correspondences, detections, cameras)
+                                _centers(detections, cameras), cameras, bounds=_ANYWHERE)
+        expected = _reconstruct_frame_per_member(0, correspondences, detections, cameras,
+                                                 bounds=_ANYWHERE)
         assert _observation_bits(got) == _observation_bits(expected)
         # One observation, behind cam0: no error there.
         assert len(got) == 1

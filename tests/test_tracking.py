@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tracking_reference as ref
@@ -91,6 +91,50 @@ class TestUpdate:
             update(np.zeros((3, 9)), covariance, np.zeros((3, 3)), np.zeros((3, 3)))
         assert str(got.value) == str(expected.value)
         assert "1e+14" in str(got.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 5))
+    def test_decides_as_cond_on_positive_definite_stacks(self, data, rows):
+        """On random SPD innovation covariances whose condition lies more
+        than 1% from 1e12, ``update`` raises exactly when ``np.linalg.cond``
+        of some row exceeds 1e12, naming the first such row's condition."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        innovation = np.empty((rows, 3, 3))
+        for row in range(rows):
+            log_condition = data.draw(st.floats(0.0, 14.0) | st.floats(11.9, 12.1))
+            scale = 10.0 ** data.draw(st.floats(-6.0, 6.0))
+            spread = 10.0 ** (-log_condition * np.array([0.0, rng.uniform(), 1.0]))
+            rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            matrix = rotation @ np.diag(scale * spread) @ rotation.T
+            innovation[row] = (matrix + matrix.T) / 2.0
+        condition = np.linalg.cond(innovation)
+        assume(np.all(np.abs(condition / 1e12 - 1.0) > 0.01))
+        covariance = np.tile(np.eye(9), (rows, 1, 1))
+        covariance[:, :3, :3] = innovation  # with a zero R, the innovation covariance
+        args = (np.zeros((rows, 9)), covariance, np.zeros((rows, 3)), np.zeros((3, 3)))
+        singular = condition > 1e12
+        if not singular.any():
+            update(*args)
+            return
+        with pytest.raises(SingularInnovationError) as error:
+            update(*args)
+        assert str(error.value) == (
+            f"innovation covariance condition {condition[singular][0]:.3g} exceeds 1e12")
+
+    @pytest.mark.parametrize("innovation, meas_cov", [
+        (np.diag([1.0, np.nan, 1.0]), np.zeros((3, 3))),
+        (np.diag([1.0, 1.0, -1.0]), np.zeros((3, 3))),
+        (np.eye(3), np.diag([1.0, 1.0, np.inf])),
+    ], ids=["nan", "indefinite", "infinite-noise"])
+    def test_non_finite_or_indefinite_innovation_raises(self, innovation, meas_cov):
+        """A row that is not finite and positive definite raises, behind a
+        good one (or in every row, for an infinite noise); an indefinite
+        one has condition 1."""
+        covariance = np.tile(np.eye(9), (2, 1, 1))
+        covariance[1, :3, :3] = innovation
+        with pytest.raises(SingularInnovationError, match=(
+                "^innovation covariance is not finite and positive definite$")):
+            update(np.zeros((2, 9)), covariance, np.zeros((2, 3)), meas_cov)
 
     def test_posterior_psd_with_zero_measurement_noise(self):
         _, covariance = update(*_track(), [[0.3, 0.1, -0.2]], np.zeros((3, 3)))
